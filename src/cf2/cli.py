@@ -15,19 +15,20 @@ import sys
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
-from .relations import InsufficientPrecision, find_relation
+from .relations import find_relation
 from .theorems import (
     check_corollary_chain,
     check_theorem_g,
     check_theorem_p,
     explore_inverse_sigma,
     search_relation,
+    spec_series,
 )
 from .towers import (
-    HypothesisViolation,
     PTower,
     SpecMap,
     cf_series,
+    convergent_series,
     g_limits,
 )
 from .identities import (
@@ -81,16 +82,13 @@ def _spec_from_args(args) -> PSpec | GSpec:
     if getattr(args, "spec", None):
         return parse_spec_text(args.spec)
     family = getattr(args, "family", None)
-    if family == "P" or (family is None and args.eps is not None):
-        try:
+    try:
+        if family == "P" or (family is None and args.eps is not None):
             return PSpec(args.w0 or "", args.eps or "")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if family == "G" or (family is None and args.ups is not None):
-        try:
+        if family == "G" or (family is None and args.ups is not None):
             return GSpec(args.u0 or "", args.v0 or "", args.ups or "")
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     raise UsageError("give --family with its word flags, or --spec")
 
 
@@ -175,8 +173,6 @@ def cmd_cf(args, out) -> int:
         series = cf_series(args.word, sp, args.prec)
     except ValueError:
         # short words still have an exact convergent value
-        from .towers import convergent_series
-
         series = convergent_series(args.word, sp, args.prec)
     print(series, file=out)
     return 0
@@ -252,10 +248,7 @@ def cmd_relation(args, out) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(str(exc)) from None
         _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx)
-        try:
-            rel = find_relation(phi, args.degx, args.degz if args.degz else args.degx + 8)
-        except InsufficientPrecision as exc:
-            raise UsageError(str(exc)) from None
+        rel = find_relation(phi, args.degx, args.degz if args.degz else args.degx + 8)
         if rel is None:
             print("relation none", file=out)
             return 1
@@ -269,18 +262,8 @@ def cmd_relation(args, out) -> int:
     spec = _spec_from_args(args)
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "relation", spec=f"'{_spec_echo(spec)}'", map=str(sp), degx=args.degx)
-    from .towers import g_cf_series, p_cf_series
-
-    if isinstance(spec, PSpec):
-        phi_fn = lambda p: p_cf_series(spec, sp, p)  # noqa: E731
-        first = spec.w0[0] if spec.w0 else spec.eps[0]
-    else:
-        phi_fn = lambda p: g_cf_series(spec, sp, p)  # noqa: E731
-        first = spec.u0[0]
-    search = search_relation(
-        phi_fn, args.degx, args.prec, sp.max_degree,
-        -sp.poly(first).degree, degz=args.degz,
-    )
+    phi_fn, first_val = spec_series(spec, sp)
+    search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
     if search.relation is None:
         print(search.report_line(), file=out)
         return 1
@@ -310,11 +293,7 @@ def cmd_theorem2(args, out) -> int:
         raise UsageError("theorem2 takes a family-G spec")
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "theorem2", spec=f"'{_spec_echo(spec)}'", map=str(sp))
-    try:
-        report = check_theorem_g(spec, sp, args.prec)
-    except HypothesisViolation as exc:
-        raise UsageError(str(exc)) from None
-    return _print_report(report, out)
+    return _print_report(check_theorem_g(spec, sp, args.prec), out)
 
 
 def cmd_corollary(args, out) -> int:
@@ -457,13 +436,7 @@ def main(argv=None) -> int:
         out = close = open(args.out, "w")
     try:
         return args.fn(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HypothesisViolation, DegeneratePeriodic, InsufficientPrecision) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

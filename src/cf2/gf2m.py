@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .gf2poly import clmod, clmul, clsq, min_irreducible
+from .gf2poly import _prime_factors, clmod, clmul, clsq, min_irreducible
 
 # Lexicographically least irreducible polynomial of each degree,
 # bit-packed (bit i = coefficient of z^i).  Regenerated by the tests
@@ -52,20 +52,6 @@ MODULI = {
 }
 
 _TABLE_LIMIT = 16  # build exp/log tables up to this extension degree
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class Gf2m:

@@ -58,23 +58,25 @@ class IdentityReport:
         )
 
 
-class _Degenerate(Exception):
-    pass
-
-
 def _rand_mat(F: Gf2m, rng: random.Random) -> Mat2:
     return Mat2(F, F.sample(rng), F.sample(rng), F.sample(rng), F.sample(rng))
 
 
-def _with_resampling(trials: int, rng: random.Random, body) -> tuple[list, int]:
-    """Run body(trial, rng) per trial, resampling degenerate draws."""
+def _randomized(ident: str, trials: int, m: int, seed: int, notes: str, body) -> IdentityReport:
+    """Run body(F, rng) once per trial over GF(2^m), resampling degenerate draws.
+
+    The body returns None on a pass or a failure detail; raising
+    DegenerateDraw or ZeroDivisionError redraws, up to RESAMPLE_CAP times.
+    """
+    F = ext_field(m)
+    rng = random.Random(seed)
     failures = []
     resamples = 0
     for trial in range(trials):
-        for attempt in range(RESAMPLE_CAP):
+        for _ in range(RESAMPLE_CAP):
             try:
-                detail = body(trial, rng)
-            except (_Degenerate, DegenerateDraw, ZeroDivisionError):
+                detail = body(F, rng)
+            except (DegenerateDraw, ZeroDivisionError):
                 resamples += 1
                 continue
             if detail is not None:
@@ -82,7 +84,7 @@ def _with_resampling(trials: int, rng: random.Random, body) -> tuple[list, int]:
             break
         else:
             failures.append((trial, "resample budget exhausted"))
-    return failures, resamples
+    return IdentityReport(ident, trials, F.name, seed, failures, resamples, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def _p_chain(F: Gf2m, m0: Mat2, eps: list[int]):
         m = ms[-1]
         ls.append(F.add(F.mul(F.add(m.b, m.c), ie), m.a))
         if F.is_zero(ls[-1]):
-            raise _Degenerate
+            raise DegenerateDraw
         Ls.append(F.mul(Ls[-1], ls[-1]))
         fac = Mat2.letter_from_inv(F, ie)
         bs.append(Mat2.insertion_from_inv(F, ie))
@@ -119,10 +121,8 @@ def check_tower_expansion(
     Uses fully random m0 and insertion scalars: the identity needs
     neither the word structure nor periodicity.
     """
-    F = ext_field(m)
-    rng = random.Random(seed)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         eps = [F.sample_invertible(rng) for _ in range(n_steps)]
         ms, ds, ls, Ls, bs = _p_chain(F, m0, eps)
@@ -131,16 +131,15 @@ def check_tower_expansion(
             for j in range(n):
                 denom = Ls[j] if mutate else Ls[j + 1]
                 if F.is_zero(denom):
-                    raise _Degenerate
+                    raise DegenerateDraw
                 acc = acc.add(bs[j].scale(F.mul(ds[j], F.inv(denom))))
             if not ms[n].eq(acc.scale(Ls[n])):
                 return f"step {n}"
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        "tower-expansion", trials, F.name, seed, failures, resamples,
-        notes=f"degree<=2^{n_steps + 1} per entry; false-pass <= (2^{n_steps + 1}/2^{m})^trials",
+    return _randomized(
+        "tower-expansion", trials, m, seed,
+        f"degree<=2^{n_steps + 1} per entry; false-pass <= (2^{n_steps + 1}/2^{m})^trials", body,
     )
 
 
@@ -157,17 +156,15 @@ def check_period_power_shift(
     With period n: l_{n+j} = L_n^(2^j) l_j and L_{n+j} = L_n^(2^j) L_j.
     The mutated control breaks periodicity, which the identity needs.
     """
-    F = ext_field(m)
-    rng = random.Random(seed)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         period = [F.sample_invertible(rng) for _ in range(n)]
         steps = n + j_max
         if mutate:
             eps = [F.sample_invertible(rng) for _ in range(steps)]
             if all(eps[i] == eps[i % n] for i in range(steps)):
-                raise _Degenerate  # accidentally periodic; redraw
+                raise DegenerateDraw  # accidentally periodic; redraw
         else:
             eps = [period[i % n] for i in range(steps)]
         ms, ds, ls, Ls, bs = _p_chain(F, m0, eps)
@@ -179,10 +176,9 @@ def check_period_power_shift(
                 return f"L shift j={j}"
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        "period-power-shift", trials, F.name, seed, failures, resamples,
-        notes="mutated control draws an aperiodic insertion word",
+    return _randomized(
+        "period-power-shift", trials, m, seed,
+        "mutated control draws an aperiodic insertion word", body,
     )
 
 
@@ -202,10 +198,8 @@ def check_tail_equations(
     swaps in the collapsed-product form lam/L_1, which only holds when
     the running products are trivial.
     """
-    F = ext_field(m)
-    rng = random.Random(seed)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         period = [F.sample_invertible(rng) for _ in range(n)]
         eps = [period[i % n] for i in range(k_max * n + n)]
@@ -214,7 +208,7 @@ def check_tail_equations(
         for j in range(n):
             lam = F.mul(lam, F.pow(F.inv(period[j]), 1 << (n - j)))
         if any(F.is_zero(x) for x in (ds[0], Ls[1], Ls[n])):
-            raise _Degenerate
+            raise DegenerateDraw
         if mutate:
             rho = F.mul(lam, F.inv(Ls[1]))
         else:
@@ -234,10 +228,9 @@ def check_tail_equations(
                     return f"residue term j={j} k={k}"
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        "tail-equations", trials, F.name, seed, failures, resamples,
-        notes="mutated control uses the collapsed-product factor lam/L_1",
+    return _randomized(
+        "tail-equations", trials, m, seed,
+        "mutated control uses the collapsed-product factor lam/L_1", body,
     )
 
 
@@ -260,10 +253,8 @@ def check_pair_products(
     m1 = w0 m0 and w1 = m0 w0 share determinant d and trace r; the cross
     matrix m1 + w1 + r squares to a scalar and twists m1 into w1.
     """
-    F = ext_field(m)
-    rng = random.Random(seed)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         w0 = _rand_mat(F, rng)
         m1, w1 = w0.mul(m0), m0.mul(w0)
@@ -295,10 +286,9 @@ def check_pair_products(
                 return name
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        "pair-products", trials, F.name, seed, failures, resamples,
-        notes="entries degree <= 4; false-pass <= (4/2^m)^trials per identity",
+    return _randomized(
+        "pair-products", trials, m, seed,
+        "entries degree <= 4; false-pass <= (4/2^m)^trials per identity", body,
     )
 
 
@@ -311,10 +301,8 @@ def check_closed_form(
     by the choice of s; the final factor multiplies on the right, which
     matters whenever the cross exponent is odd.
     """
-    F = ext_field(m)
-    rng = random.Random(seed)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         w0 = _rand_mat(F, rng)
         m1s, w1s = pair_tower(m0, w0, s)
@@ -329,10 +317,9 @@ def check_closed_form(
             return "w branch"
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        f"closed-form[{s}]", trials, F.name, seed, failures, resamples,
-        notes=f"t(s)={word_stats(s).t}; degree <= 2^{len(s) + 2}",
+    return _randomized(
+        f"closed-form[{s}]", trials, m, seed,
+        f"t(s)={word_stats(s).t}; degree <= 2^{len(s) + 2}", body,
     )
 
 
@@ -354,11 +341,9 @@ def check_generation_relations(
     stats = word_stats(s)
     if stats.t != 0 or not s.endswith("1"):
         raise ValueError("driver word must end with 1 and have even digit sum")
-    F = ext_field(m)
-    rng = random.Random(seed)
     k = len(s)
 
-    def body(trial, rng):
+    def body(F, rng):
         m0 = _rand_mat(F, rng)
         w0 = _rand_mat(F, rng)
         chain: list[GQuantities] = []
@@ -366,7 +351,7 @@ def check_generation_relations(
         for g in range(generations + 2):
             q = GQuantities(F, pair[1].mul(pair[0]), pair[0].mul(pair[1]), s)
             if F.is_zero(q.l_scalar):
-                raise _Degenerate
+                raise DegenerateDraw
             chain.append(q)
             pair = pair_tower(*pair, s[:-1])
         base = chain[0]
@@ -436,10 +421,9 @@ def check_generation_relations(
                 return f"expansion i={i}"
         return None
 
-    failures, resamples = _with_resampling(trials, rng, body)
-    return IdentityReport(
-        f"generation-relations[{s}]", trials, F.name, seed, failures, resamples,
-        notes=f"generations<={generations}; degree grows like 2^(gk), g*k<={generations * k}",
+    return _randomized(
+        f"generation-relations[{s}]", trials, m, seed,
+        f"generations<={generations}; degree grows like 2^(gk), g*k<={generations * k}", body,
     )
 
 

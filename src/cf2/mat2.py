@@ -59,19 +59,17 @@ class SeriesField:
 
 
 class Mat2:
-    """Immutable 2x2 matrix; entries live in the attached field."""
+    """2x2 matrix; entries live in the attached field.  Operations return
+    new matrices and never change their operands."""
 
     __slots__ = ("F", "a", "b", "c", "d")
 
     def __init__(self, F, a, b, c, d):
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Mat2 is immutable")
+        self.F = F
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     # -- constructors ----------------------------------------------------
 

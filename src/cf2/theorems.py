@@ -18,6 +18,7 @@ from .relations import AlgRelation, find_relation, required_precision
 from .towers import (
     HypothesisViolation,
     SpecMap,
+    cf_series_of,
     g_cf_series,
     g_limits,
     p_cf_series,
@@ -132,63 +133,69 @@ def search_relation(
     )
 
 
+def spec_series(spec: PSpec | GSpec, sp: SpecMap):
+    """What ``search_relation`` takes for a spec: its direct-convergent
+    series as a function of precision, and the valuation of its first letter."""
+    if isinstance(spec, PSpec):
+        first = spec.w0[0] if spec.w0 else spec.eps[0]
+        return (lambda p: p_cf_series(spec, sp, p)), -sp.poly(first).degree
+    return (lambda p: g_cf_series(spec, sp, p)), -sp.poly(spec.u0[0]).degree
+
+
 def _series_ok(res: LaurentSeries, min_bound: int) -> tuple[bool, int]:
     bound = res.known_zero_below()
     return (res.is_zero and bound >= min_bound), bound
 
 
-def _first_letter_val(sp: SpecMap, letter: str) -> int:
-    return -sp.poly(letter).degree
+def _series_lines(lines: list[str], cf: LaurentSeries, direct: LaurentSeries, residuals, prec: int):
+    """Append the oracle-agreement and residual-equation lines of a tower
+    limit; return (all passed, agreement bound)."""
+    agree_ok, agree = _series_ok(cf + direct, prec // 2)
+    lines.append(f"oracle-agreement val>={agree} {'pass' if agree_ok else 'fail'}")
+    eq_ok = True
+    for label, res in residuals:
+        ok, v = _series_ok(res, (7 * prec) // 8)
+        eq_ok = eq_ok and ok
+        lines.append(f"equation {label} residual>={v} {'pass' if ok else 'fail'}")
+    return agree_ok and eq_ok, agree
+
+
+def _verdict(
+    name: str, bound: int, phi_fn, first_val: int, sp: SpecMap, prec: int, lines: list[str],
+    series_ok: bool = True, agreement: int | None = None,
+) -> CheckReport:
+    """Search for a relation of degree <= bound and judge the whole check."""
+    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
+    lines.append(search.report_line())
+    ok = series_ok and search.verified and search.found_degree <= bound
+    return CheckReport(name, ok, bound, lines, search, agreement=agreement)
+
+
+_DEGENERATE = "degenerate periodic word; direct quadratic check"
 
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^n for the family-P continued fraction."""
     n = spec.period
-    bound = 1 << n
-    lines: list[str] = []
-    phi_fn = lambda p: p_cf_series(spec, sp, p)  # noqa: E731
+    phi_fn, first_val = spec_series(spec, sp)
     if not spec.w0 and n == 1:
         # purely periodic repetition of one letter: quadratic at most
-        lines.append("degenerate periodic word; direct quadratic check")
-        search = search_relation(
-            phi_fn, 2, prec, sp.max_degree, _first_letter_val(sp, spec.eps[0])
-        )
-        lines.append(search.report_line())
-        ok = search.verified and search.found_degree <= bound
-        return CheckReport("theorem-p", ok, bound, lines, search)
-
+        return _verdict("theorem-p", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
     lim = p_limits(spec, sp, prec)
-    direct = phi_fn(prec)
-    agree_ok, agree = _series_ok(lim.cf + direct, prec // 2)
-    lines.append(f"oracle-agreement val>={agree} {'pass' if agree_ok else 'fail'}")
-    eq_ok = True
-    for label, res in [("f", lim.residual_f()), ("H0", lim.residual_h0())] + [
-        (f"H{j}", lim.residual_hj(j)) for j in range(1, n)
-    ]:
-        ok, v = _series_ok(res, (7 * prec) // 8)
-        eq_ok = eq_ok and ok
-        lines.append(f"equation {label} residual>={v} {'pass' if ok else 'fail'}")
-    first = spec.w0[0] if spec.w0 else spec.eps[0]
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, _first_letter_val(sp, first))
-    lines.append(search.report_line())
-    ok = agree_ok and eq_ok and search.verified and search.found_degree <= bound
-    return CheckReport("theorem-p", ok, bound, lines, search, agreement=agree)
+    residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
+    residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
+    lines: list[str] = []
+    ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
+    return _verdict("theorem-p", 1 << n, phi_fn, first_val, sp, prec, lines, ok, agree)
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^k for the family-G continued fraction."""
-    lines: list[str] = []
-    phi_fn = lambda p: g_cf_series(spec, sp, p)  # noqa: E731
+    phi_fn, first_val = spec_series(spec, sp)
     try:
         norm = g_normalize(spec)
     except DegeneratePeriodic:
-        lines.append("degenerate periodic word; direct quadratic check")
-        search = search_relation(
-            phi_fn, 2, prec, sp.max_degree, _first_letter_val(sp, spec.u0[0])
-        )
-        lines.append(search.report_line())
-        ok = search.verified and search.found_degree <= 2
-        return CheckReport("theorem-g", ok, 2, lines, search)
+        return _verdict("theorem-g", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
     s = norm.s
     if word_stats(s).t != 0:
         raise HypothesisViolation(
@@ -197,23 +204,14 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
         )
     k = len(s)
     bound = 1 << k
-    lines.append(f"normalized ups={norm.spec.ups} s={s} k={k} bound={bound}")
+    lines = [f"normalized ups={norm.spec.ups} s={s} k={k} bound={bound}"]
     lim = g_limits(spec, sp, prec)
-    direct = phi_fn(prec)
-    agree_ok, agree = _series_ok(lim.cf + direct, prec // 2)
-    lines.append(f"oracle-agreement val>={agree} {'pass' if agree_ok else 'fail'}")
-    eq_ok = True
-    for label, res in [("f", lim.residual_f()), ("H", lim.residual_h())]:
-        ok, v = _series_ok(res, (7 * prec) // 8)
-        eq_ok = eq_ok and ok
-        lines.append(f"equation {label} residual>={v} {'pass' if ok else 'fail'}")
+    residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
+    ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
     e1 = lim.quants.stats.delta[0] if s else 0
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, _first_letter_val(sp, spec.u0[0]))
-    lines.append(search.report_line())
-    ok = agree_ok and eq_ok and scalar_ok and search.verified and search.found_degree <= bound
-    return CheckReport("theorem-g", ok, bound, lines, search, agreement=agree)
+    return _verdict("theorem-g", bound, phi_fn, first_val, sp, prec, lines, ok and scalar_ok, agree)
 
 
 def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) -> CheckReport:
@@ -246,8 +244,6 @@ def explore_inverse_sigma(degx: int, degz: int, prec: int) -> CheckReport:
 
     def prefix(length: int) -> str:
         return sigma_inv_word(p_prefix(pd, length + 1))
-
-    from .towers import cf_series_of
 
     phi_fn = lambda p: cf_series_of(prefix, sp, p)  # noqa: E731
     search = search_relation(phi_fn, degx, prec, sp.max_degree, -1, degz=degz)

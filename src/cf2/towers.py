@@ -111,17 +111,25 @@ class SpecMap:
 # ---------------------------------------------------------------------------
 
 
-def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
-    """Exact (numerator, denominator) of the convergent [word]."""
+def _convergents(word: str, sp: SpecMap):
+    """Exact (numerator, denominator) of [word[:i]] for i = 1 .. len(word)."""
     if not word:
         raise ValueError("empty word has no convergent")
     p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
     p, q = sp.poly(word[0]), Gf2Poly.one()
+    yield p, q
     for letter in word[1:]:
         u = sp.poly(letter)
         p, p_prev = u * p + p_prev, p
         q, q_prev = u * q + q_prev, q
-    return p, q
+        yield p, q
+
+
+def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
+    """Exact (numerator, denominator) of the convergent [word]."""
+    for pq in _convergents(word, sp):
+        pass
+    return pq
 
 
 def convergent_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
@@ -137,16 +145,11 @@ def cf_series(word: str, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeri
     the expansion below ``prec`` (plus margin); raises ValueError naming
     the shortfall when the supplied prefix is too short.
     """
-    if not word:
-        raise ValueError("empty word")
-    p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
-    p, q = sp.poly(word[0]), Gf2Poly.one()
-    for letter in word[1:]:
-        u = sp.poly(letter)
-        p_new, q_new = u * p + p_prev, u * q + q_prev
-        if q.degree + q_new.degree >= prec + margin:
-            return LaurentSeries.from_rational(p, q, prec)
-        p_prev, q_prev, p, q = p, q, p_new, q_new
+    prev = None
+    for p, q in _convergents(word, sp):
+        if prev is not None and prev[1].degree + q.degree >= prec + margin:
+            return LaurentSeries.from_rational(*prev, prec)
+        prev = p, q
     raise ValueError(
         f"prefix of length {len(word)} too short for precision {prec}"
         f" (denominator degree reached {q.degree})"
@@ -154,15 +157,21 @@ def cf_series(word: str, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeri
 
 
 def cf_series_of(prefix_fn, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeries:
-    """cf_series over prefixes from ``prefix_fn(length)``, growing as needed."""
-    length = max(32, prec // max(1, sp.min_degree) + 16)
-    while True:
-        try:
-            return cf_series(prefix_fn(length), sp, prec, margin)
-        except ValueError:
-            if length > (prec + margin + 4) * 4 + 1024:
-                raise
-            length *= 2
+    """cf_series over the prefix ``prefix_fn(length)`` of an infinite word.
+
+    Every letter adds at least ``sp.min_degree`` to the convergent
+    denominator's degree, so the length below always reaches ``prec +
+    margin`` for any margin up to ``prec + 29``.
+    """
+    return cf_series(prefix_fn(max(32, prec // max(1, sp.min_degree) + 16)), sp, prec, margin)
+
+
+def _inverse_letters(alphabet: set[str], sp: SpecMap, prec: int) -> dict[str, LaurentSeries]:
+    """The series 1/x of every letter of the alphabet under the map."""
+    if not sp.covers(alphabet):
+        missing = sorted(alphabet - sp.letters)
+        raise ValueError(f"unmapped letters {missing}")
+    return {c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec) for c in alphabet}
 
 
 def word_matrix(word: str, F: SeriesField, inv_letters: dict[str, LaurentSeries]) -> Mat2:
@@ -187,21 +196,13 @@ class PTower:
     """Series-mode doubling tower m -> m F(e) m over a family-P spec."""
 
     def __init__(self, spec: PSpec, sp: SpecMap, prec: int):
-        if not sp.covers(spec.alphabet):
-            missing = sorted(spec.alphabet - sp.letters)
-            raise ValueError(f"unmapped letters {missing}")
+        inv_letters = _inverse_letters(spec.alphabet, sp, prec)
         self.spec = spec
         self.sp = sp
         self.prec = prec
         self.F = F = SeriesField(prec)
         self.eps_polys = [sp.poly(c) for c in spec.eps]
-        self.inv_eps = [
-            LaurentSeries.from_rational(Gf2Poly.one(), p, prec) for p in self.eps_polys
-        ]
-        inv_letters = {
-            c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec)
-            for c in spec.alphabet
-        }
+        self.inv_eps = [inv_letters[c] for c in spec.eps]
         self.m0 = word_matrix(spec.w0, F, inv_letters)
         self.m = self.m0
         self.ds = [self.m0.det()]  # d_j, exact determinants
@@ -529,14 +530,8 @@ def g_start_matrices(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, 
         raise HypothesisViolation(
             "start words must have equal length for the product tower"
         )
-    if not sp.covers(spec.alphabet):
-        missing = sorted(spec.alphabet - sp.letters)
-        raise ValueError(f"unmapped letters {missing}")
+    inv_letters = _inverse_letters(spec.alphabet, sp, prec)
     F = SeriesField(prec)
-    inv_letters = {
-        c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec)
-        for c in spec.alphabet
-    }
     return F, word_matrix(spec.u0, F, inv_letters), word_matrix(spec.v0, F, inv_letters)
 
 

@@ -1,0 +1,84 @@
+"""Frozen CLI transcripts: full stdout and exit code, compared byte for byte.
+
+Each case's stdout lives in ``tests/golden/<name>.txt``.  After a change
+that is meant to alter the output, rewrite the files with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cf2.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+AB = ("--map", "a=z,b=z+1")
+P_LONG_WORD = "101110101011101110111010101110101011101010111011"
+
+# name -> (argv, exit code)
+CASES = {
+    "gen-p": (["gen", "--family", "P", "--w0", "", "--eps", "10", "--len", "64"], 0),
+    "gen-g": (["gen", "--spec", "G u0=a v0=b ups=011", "--len", "64"], 0),
+    "sigma": (["sigma", "--word", "10111010", "--count", "3"], 0),
+    "cf-long": (["cf", "--word", P_LONG_WORD, "--prec", "64"], 0),
+    "cf-short": (["cf", "--word", "ab", *AB, "--prec", "16"], 0),
+    "tower-trace-p": (["tower-trace", "--family", "P", "--w0", "", "--eps", "10", "--steps", "6"], 0),
+    "tower-trace-g": (
+        ["tower-trace", "--family", "G", "--u0", "a", "--v0", "b", "--ups", "101", *AB, "--steps", "3"], 0,
+    ),
+    "identities-valuation": (["identities", "--check", "valuation-bounds", "--verbose"], 0),
+    "identities-all": (
+        ["identities", "--all", "--trials", "3", "--max-word-len", "3", "--prec", "128", "--verbose"], 0,
+    ),
+    "relation-rational": (["relation", "--num", "1", "--den", "z+1", "--degx", "2", "--prec", "128"], 0),
+    "relation-p": (["relation", "--spec", "P w0= eps=10", "--degx", "4", "--prec", "256"], 0),
+    "relation-g": (["relation", "--spec", "G u0=a v0=b ups=11", *AB, "--degx", "4", "--prec", "256"], 0),
+    "theorem1-eps10": (["theorem1", "--w0", "", "--eps", "10"], 0),
+    "theorem1-eps0": (["theorem1", "--w0", "", "--eps", "0"], 0),
+    "theorem1-w010-eps110": (["theorem1", "--w0", "10", "--eps", "110"], 0),
+    "theorem2-ups1": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "1", *AB], 0),
+    "theorem2-ups0": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "0", *AB], 0),
+    "theorem2-ups011": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "011", *AB], 0),
+    "theorem2-ups10": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "10", *AB], 2),
+    "corollary-k2": (["corollary", "--w0", "", "--eps", "10", "--k", "2"], 0),
+    "explore": (["explore-sigma-inv", "--degx", "2", "--degz", "8"], 0),
+}
+
+
+def run_cli(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue().encode()
+
+
+@pytest.fixture(autouse=True)
+def _default_prec(monkeypatch):
+    monkeypatch.delenv("CF2_PREC", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_transcript(name):
+    argv, code = CASES[name]
+    assert run_cli(argv) == (code, (GOLDEN / f"{name}.txt").read_bytes())
+
+
+def test_out_file_matches_stdout(tmp_path):
+    path = tmp_path / "out.txt"
+    argv, code = CASES["theorem1-eps10"]
+    got_code, stdout = run_cli(["--out", str(path), *argv])
+    assert (got_code, stdout) == (code, b"")
+    assert path.read_bytes() == (GOLDEN / "theorem1-eps10.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, code) in sorted(CASES.items()):
+        got_code, out = run_cli(argv)
+        if got_code != code:
+            sys.exit(f"{name}: exit {got_code}, expected {code}")
+        (GOLDEN / f"{name}.txt").write_bytes(out)

@@ -125,3 +125,11 @@ def test_driver_word_enumeration():
 def test_period_power_shift_constant_insertions():
     # period 1 = constant insertion letters
     assert check_period_power_shift(1, 3, TRIALS, 16, 4).passed
+
+
+def test_degenerate_draws_are_resampled():
+    # over GF(4) many draws hit a vanishing step scalar; they are redrawn,
+    # counted, and never reported as failures
+    rep = check_tower_expansion(3, 20, 2, 1)
+    assert rep.passed and rep.trials == 20
+    assert rep.resamples == 14
