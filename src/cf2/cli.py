@@ -4,7 +4,8 @@ Commands map one-to-one onto the library: gen, sigma, cf, tower-trace,
 identities, relation, theorem1, theorem2, corollary, explore-sigma-inv.
 Every run echoes a config line sufficient to reproduce it; output is
 byte-identical for identical (command, seed, prec).  Exit codes: 0 on
-success, 1 on a failed mathematical check, 2 on usage errors.
+success, 1 on a failed mathematical check, 2 on usage errors, 3 when a
+check is inconclusive because its precision budget ran out.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .theorems import (
     spec_series,
 )
 from .towers import (
+    PrecisionBudget,
     PTower,
     SpecMap,
     cf_series,
@@ -195,7 +197,7 @@ def cmd_tower_trace(args, out) -> int:
         try:
             lim = g_limits(spec, sp, args.prec)
         except DegeneratePeriodic as exc:
-            print(f"degenerate: {exc}", file=out)
+            print(exc, file=out)
             return 0
         one = LaurentSeries.one(args.prec)
         d_gen = lim.quants.d
@@ -439,6 +441,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PrecisionBudget as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     finally:
         if close is not None:
             close.close()

@@ -16,6 +16,7 @@ exact expected determinant valuations from degree bookkeeping.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
 
 from .gf2m import Gf2m, field as ext_field
@@ -26,6 +27,7 @@ from .towers import (
     PTower,
     SpecMap,
     g_limits,
+    pair_step,
     pair_tower,
 )
 from .words import GSpec, PSpec, word_stats
@@ -62,28 +64,36 @@ def _rand_mat(F: Gf2m, rng: random.Random) -> Mat2:
     return Mat2(F, F.sample(rng), F.sample(rng), F.sample(rng), F.sample(rng))
 
 
-def _randomized(ident: str, trials: int, m: int, seed: int, notes: str, body) -> IdentityReport:
+def _randomized(
+    ident: str, trials: int, m: int, seed: int, notes: str, body, words: list[str] | None = None
+) -> IdentityReport:
     """Run body(F, rng) once per trial over GF(2^m), resampling degenerate draws.
 
     The body returns None on a pass or a failure detail; raising
     DegenerateDraw or ZeroDivisionError redraws, up to RESAMPLE_CAP times.
+    Given ``words``, the body checks every word on each draw and returns
+    one detail (or None) per word: failures are then ``(word, (trial,
+    detail))`` in word order, and a redraw counts once per word.
     """
     F = ext_field(m)
     rng = random.Random(seed)
-    failures = []
+    width = 1 if words is None else len(words)
+    lanes: list[list] = [[] for _ in range(width)]
     resamples = 0
     for trial in range(trials):
         for _ in range(RESAMPLE_CAP):
             try:
-                detail = body(F, rng)
+                details = [body(F, rng)] if words is None else body(F, rng)
             except (DegenerateDraw, ZeroDivisionError):
-                resamples += 1
+                resamples += width
                 continue
-            if detail is not None:
-                failures.append((trial, detail))
             break
         else:
-            failures.append((trial, "resample budget exhausted"))
+            details = ["resample budget exhausted"] * width
+        for lane, detail in zip(lanes, details):
+            if detail is not None:
+                lane.append((trial, detail))
+    failures = lanes[0] if words is None else [(s, f) for s, lane in zip(words, lanes) for f in lane]
     return IdentityReport(ident, trials, F.name, seed, failures, resamples, notes=notes)
 
 
@@ -293,34 +303,63 @@ def check_pair_products(
 
 
 def check_closed_form(
-    s: str, trials: int = 100, m: int = 16, seed: int = 1, mutate: bool = False
+    s: str | Iterable[str], trials: int = 100, m: int = 16, seed: int = 1, mutate: bool = False
 ) -> IdentityReport:
     """Recurrence pair equals the closed-form product for a driver word.
 
     Both branches (digit parity 0 and 1) of the closed form are covered
     by the choice of s; the final factor multiplies on the right, which
     matters whenever the cross exponent is odd.
+
+    ``s`` is one driver word or several.  Every word sees the same draws,
+    so each draw walks the binary trie of the words depth first: an edge
+    takes one pair step, one correction term and one add to the running
+    correction sum, and every word node compares its pair with the closed
+    form.  Several words give one ``closed-form`` report whose failures
+    are ``(word, (trial, detail))``.
     """
+    words = [s] if isinstance(s, str) else list(s)
+    for w in words:
+        if not w or w.strip("01"):
+            raise ValueError(f"driver word must be a nonempty binary word, got {w!r}")
+    targets = set(words)
+    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
         w0 = _rand_mat(F, rng)
-        m1s, w1s = pair_tower(m0, w0, s)
-        q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
-        cm, cw = q.closed_products()
-        if mutate:
-            cm = cm.scale(q.d)
-            cw = cw.scale(q.d)
-        if not m1s.eq(cm):
-            return "m branch"
-        if not w1s.eq(cw):
-            return "w branch"
-        return None
+        q = GQuantities(F, w0.mul(m0), m0.mul(w0))
+        found = {}
+        # node: prefix, its pair, digit parity t, e(prefix), correction sum, last correction
+        stack = [("", q.m1, q.w1, 0, 0, Mat2.scalar(F, F.zero), None)]
+        while stack:
+            p, pm, pw, t, e, acc, c = stack.pop()
+            if p in targets:
+                cm, cw = q.closed_pair(t, acc, q.period_cs(len(p), c))
+                if mutate:
+                    cm = cm.scale(q.d)
+                    cw = cw.scale(q.d)
+                if not pm.eq(cm):
+                    found[p] = "m branch"
+                elif not pw.eq(cw):
+                    found[p] = "w branch"
+            for bit in "10":
+                child = p + bit
+                if child in prefixes:
+                    ct = t ^ (bit == "1")
+                    ce = 2 * e + ct
+                    cc = q.correction(len(child), ce)
+                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, acc.add(q.cs_to_mat(cc)), cc))
+        return [found.get(w) for w in words]
 
-    return _randomized(
-        f"closed-form[{s}]", trials, m, seed,
-        f"t(s)={word_stats(s).t}; degree <= 2^{len(s) + 2}", body,
-    )
+    if isinstance(s, str):
+        rep = _randomized(
+            f"closed-form[{s}]", trials, m, seed,
+            f"t(s)={word_stats(s).t}; degree <= 2^{len(s) + 2}", body, words,
+        )
+        rep.failures = [f for _, f in rep.failures]
+        return rep
+    return _randomized("closed-form", trials, m, seed, f"{len(words)} driver words", body, words)
 
 
 def check_generation_relations(
@@ -539,19 +578,9 @@ def run_identity_suite(
         check_tail_equations(3, 2, trials, m, seed + 1),
         check_pair_products(trials, m, seed),
     ]
-    closed_failures: list = []
-    closed_resamples = 0
-    for s in all_driver_words(max_word_len):
-        rep = check_closed_form(s, trials, m, seed)
-        closed_failures.extend((s, f) for f in rep.failures)
-        closed_resamples += rep.resamples
-    reports.append(
-        IdentityReport(
-            "closed-form", trials, ext_field(m).name, seed,
-            closed_failures, closed_resamples,
-            notes=f"all driver words up to length {max_word_len}",
-        )
-    )
+    closed = check_closed_form(all_driver_words(max_word_len), trials, m, seed)
+    closed.notes = f"all driver words up to length {max_word_len}"
+    reports.append(closed)
     for s in TOWER_WORDS:
         reports.append(check_generation_relations(s, generations, trials, m, seed))
     # one weightless seed (collapsed running products) and one with weight

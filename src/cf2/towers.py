@@ -334,6 +334,13 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
 # ---------------------------------------------------------------------------
 
 
+def pair_step(m: Mat2, w: Mat2, bit: str) -> tuple[Mat2, Mat2]:
+    """One swap bit of the pair recurrence: 0 squares both, 1 cross-multiplies."""
+    if bit == "0":
+        return m.mul(m), w.mul(w)
+    return w.mul(m), m.mul(w)
+
+
 def pair_tower(m0: Mat2, w0: Mat2, bits: str) -> tuple[Mat2, Mat2]:
     """Walk the pair recurrence from (w0*m0, m0*w0) along swap bits.
 
@@ -342,10 +349,7 @@ def pair_tower(m0: Mat2, w0: Mat2, bits: str) -> tuple[Mat2, Mat2]:
     """
     m, w = w0.mul(m0), m0.mul(w0)
     for b in bits:
-        if b == "0":
-            m, w = m.mul(m), w.mul(w)
-        else:
-            m, w = w.mul(m), m.mul(w)
+        m, w = pair_step(m, w, b)
     return m, w
 
 
@@ -366,18 +370,17 @@ class GQuantities:
     driver word s: determinant d, trace r, the cross matrix, its scalar
     square gamma, the correction terms c_1..c_k, and the period scalar l.
     Correction terms are carried as CoScaled values (u * cross^b), which
-    keeps every power of the cross matrix in scalar arithmetic.
+    keeps every power of the cross matrix in scalar arithmetic.  Without
+    a driver word only the word-independent scalars are set, which every
+    driver word over the same pair shares.
     """
 
-    def __init__(self, F, m1: Mat2, w1: Mat2, s: str):
-        if not s:
-            raise ValueError("driver word must be nonempty")
+    def __init__(self, F, m1: Mat2, w1: Mat2, s: str = ""):
         self.F = F
         self.s = s
         self.k = len(s)
         self.m1 = m1
         self.w1 = w1
-        self.stats = word_stats(s)
         self.d = m1.det()
         self.r = m1.trace()
         self.cross = m1.add(w1).add_scalar(self.r)
@@ -390,32 +393,37 @@ class GQuantities:
                 raise DegenerateDraw(f"degenerate specialization: {name} not invertible")
         self.inv_r = F.inv(self.r)
         self.inv_gamma = F.inv(self.gamma)
+        if not s:
+            return
+        self.stats = word_stats(s)
         # prefix statistics e_j = e(s(j)) drive the correction exponents
-        self.e_prefix = []
+        self.c = []
         e = 0
         t = 0
-        for ch in s:
+        for j, ch in enumerate(s, start=1):
             t ^= int(ch)
             e = 2 * e + t
-            self.e_prefix.append(e)
-        self.c = [self._correction(j) for j in range(1, self.k + 1)]
-        # l = d^(2^(k-1)) / c_k; scalar exactly when t(s) = 0 and e(s) even
-        self.l_cs = self.cs_mul(self.cs(F.pow(self.d, 1 << (self.k - 1))), self.cs_inv(self.c[-1]))
+            self.c.append(self.correction(j, e))
+        self.l_cs = self.period_cs(self.k, self.c[-1])
         # c_1' = d^(2^k - 1) / l * c_1 (next-generation first correction)
         self.c1_prime = self.cs_mul(
             self.cs_mul(self.cs(F.pow(self.d, (1 << self.k) - 1)), self.cs_inv(self.l_cs)),
             self.c[0],
         )
 
-    def _correction(self, j: int) -> CoScaled:
-        """c_j = d^(2^(j-1)) / r^(2^j - 1 - e_j) / cross^(e_j)."""
+    def correction(self, j: int, e_j: int) -> CoScaled:
+        """c_j = d^(2^(j-1)) / r^(2^j - 1 - e_j) / cross^(e_j), with e_j = e(s(j))."""
         F = self.F
-        e_j = self.e_prefix[j - 1]
         u = F.mul(
             F.pow(self.d, 1 << (j - 1)),
             F.mul(F.pow(self.inv_r, (1 << j) - 1 - e_j), F.pow(self.inv_gamma, (e_j + 1) // 2)),
         )
         return CoScaled(u, e_j & 1)
+
+    def period_cs(self, k: int, c_k: CoScaled) -> CoScaled:
+        """l = d^(2^(k-1)) / c_k for a k-letter driver word; scalar exactly
+        when t(s) = 0 and e(s) even."""
+        return self.cs_mul(self.cs(self.F.pow(self.d, 1 << (k - 1))), self.cs_inv(c_k))
 
     # -- CoScaled arithmetic (needs gamma, so it lives here) ---------------
 
@@ -470,12 +478,17 @@ class GQuantities:
     def closed_products(self) -> tuple[Mat2, Mat2]:
         """Closed forms of the pair after one driver word, per digit parity."""
         F = self.F
-        scale = self.cs_to_mat(self.l_cs)
         acc = Mat2.scalar(F, F.zero)
         for cj in self.c:
             acc = acc.add(self.cs_to_mat(cj))
-        first = self.w1 if self.stats.t else self.m1
-        second = self.m1 if self.stats.t else self.w1
+        return self.closed_pair(self.stats.t, acc, self.l_cs)
+
+    def closed_pair(self, t: int, acc: Mat2, l_cs: CoScaled) -> tuple[Mat2, Mat2]:
+        """Closed forms (first + acc) l and (second + acc) l of the pair after
+        a driver word with digit parity t, correction sum acc and period
+        scalar l; t selects which of m1, w1 comes first."""
+        first, second = (self.w1, self.m1) if t else (self.m1, self.w1)
+        scale = self.cs_to_mat(l_cs)
         return first.add(acc).mul(scale), second.add(acc).mul(scale)
 
     def primed_check_values(self) -> dict:

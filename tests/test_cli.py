@@ -185,3 +185,22 @@ def test_env_precision_override(monkeypatch):
     monkeypatch.setenv("CF2_PREC", "junk")
     code, _ = run_cli("cf", "--word", "zzz", "--map", "z=z")
     assert code == 2
+
+
+def test_tower_trace_degenerate_single_prefix():
+    code, out = run_cli(
+        "tower-trace", "--family", "G", "--u0", "a", "--v0", "b", "--ups", "0",
+        "--map", "a=z,b=z+1",
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "degenerate: periodic repetition of 'a' (no swap steps)"
+
+
+def test_corollary_precision_budget_is_inconclusive(capsys):
+    # g_sigma start words grow 4x per step: at k=4 the default precision
+    # runs out, which is neither a pass nor a failed claim
+    code = main(["corollary", "--w0", "", "--eps", "10", "--k", "4"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("inconclusive: ")
+    assert "(achieved 2)" in err[0]

@@ -133,3 +133,77 @@ def test_degenerate_draws_are_resampled():
     rep = check_tower_expansion(3, 20, 2, 1)
     assert rep.passed and rep.trials == 20
     assert rep.resamples == 14
+
+
+def _closed_form_per_word(s, trials, m, seed, mutate=False):
+    """Reference: the per-word closed-form check, one pair tower and one
+    GQuantities built from scratch for every draw."""
+    from cf2.identities import _rand_mat, _randomized
+    from cf2.towers import GQuantities, pair_tower
+
+    def body(F, rng):
+        m0 = _rand_mat(F, rng)
+        w0 = _rand_mat(F, rng)
+        m1s, w1s = pair_tower(m0, w0, s)
+        q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
+        cm, cw = q.closed_products()
+        if mutate:
+            cm = cm.scale(q.d)
+            cw = cw.scale(q.d)
+        if not m1s.eq(cm):
+            return "m branch"
+        if not w1s.eq(cw):
+            return "w branch"
+        return None
+
+    return _randomized(f"closed-form[{s}]", trials, m, seed, "", body)
+
+
+@pytest.mark.parametrize(
+    "max_len, trials, m, seed",
+    [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1)],
+)
+def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed):
+    words = list(all_driver_words(max_len))
+    failures, resamples = [], 0
+    for s in words:
+        ref = _closed_form_per_word(s, trials, m, seed)
+        failures.extend((s, f) for f in ref.failures)
+        resamples += ref.resamples
+    rep = check_closed_form(words, trials, m, seed)
+    assert rep.failures == failures and rep.resamples == resamples
+    if m < 16:
+        assert resamples > 0  # the shared redraw path is exercised
+    for s in words[:6]:
+        one = check_closed_form(s, trials, m, seed)
+        ref = _closed_form_per_word(s, trials, m, seed)
+        assert one.failures == ref.failures and one.resamples == ref.resamples
+
+
+def test_closed_form_sweep_exhausted_budget_matches_per_word(monkeypatch):
+    # one draw per trial over GF(4): degenerate trials give up, and the
+    # sweep reports that for every word as the per-word loop does
+    import cf2.identities
+
+    monkeypatch.setattr(cf2.identities, "RESAMPLE_CAP", 1)
+    words = list(all_driver_words(3))
+    rep = check_closed_form(words, 40, 2, 5)
+    refs = [_closed_form_per_word(s, 40, 2, 5) for s in words]
+    assert rep.failures == [(s, f) for s, ref in zip(words, refs) for f in ref.failures]
+    assert rep.resamples == sum(ref.resamples for ref in refs) > 0
+    assert any(d == "resample budget exhausted" for _, (_, d) in rep.failures)
+
+
+def test_closed_form_sweep_mutation_fails_every_word():
+    words = list(all_driver_words(4))
+    rep = check_closed_form(words, 10, 16, 1, mutate=True)
+    assert {s for s, _ in rep.failures} == set(words)
+    assert rep.failures == [
+        (s, f) for s in words for f in _closed_form_per_word(s, 10, 16, 1, mutate=True).failures
+    ]
+
+
+def test_closed_form_rejects_bad_words():
+    for bad in ("", "012"):
+        with pytest.raises(ValueError):
+            check_closed_form(bad, 5, 16, 1)

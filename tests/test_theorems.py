@@ -112,3 +112,20 @@ def test_collapsed_map_goes_quadratic():
     sp = SpecMap.parse("a=z,b=z")
     rep = check_theorem_g(GSpec("a", "b", "11"), sp, 256)
     assert rep.passed and rep.search.found_degree == 2
+
+
+def test_precision_artifact_is_discarded():
+    # 1/(z+1) plus a term at z^-80: the relation (z+1)X + 1 found at the
+    # discovery precision 64 breaks at z^-79, below the 1.5x threshold 96
+    from cf2.gf2poly import Gf2Poly
+    from cf2.laurent import LaurentSeries
+    from cf2.theorems import search_relation
+
+    def phi_fn(prec):
+        base = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), prec)
+        return base + LaurentSeries.from_terms([80], prec)
+
+    search = search_relation(phi_fn, 1, 64, 1, 1, degz=2)
+    assert search.discovery_prec == 64 and search.threshold == 96
+    assert search.verified is False and search.relation is None
+    assert search.residual_bound == 79
