@@ -27,11 +27,11 @@ from .theorems import (
 )
 from .towers import (
     PrecisionBudget,
-    PTower,
     SpecMap,
     cf_series,
     convergent_series,
     g_limits,
+    p_tower,
 )
 from .identities import (
     TOWER_WORDS,
@@ -54,61 +54,48 @@ from .words import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_spec_text(text: str) -> PSpec | GSpec:
     """Parse the spec text form: `P w0=<word> eps=<word>` or
     `G u0=<word> v0=<word> ups=<bits>`."""
     parts = text.split()
     if not parts:
-        raise UsageError("empty spec text")
+        raise ValueError("empty spec text")
     family, fields = parts[0], {}
     for item in parts[1:]:
         if "=" not in item:
-            raise UsageError(f"bad spec field {item!r}")
+            raise ValueError(f"bad spec field {item!r}")
         key, value = item.split("=", 1)
         fields[key] = value
-    try:
-        if family == "P":
-            return PSpec(fields.get("w0", ""), fields.get("eps", ""))
-        if family == "G":
-            return GSpec(fields.get("u0", ""), fields.get("v0", ""), fields.get("ups", ""))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown family {family!r}")
+    if family == "P":
+        return PSpec(fields.get("w0", ""), fields.get("eps", ""))
+    if family == "G":
+        return GSpec(fields.get("u0", ""), fields.get("v0", ""), fields.get("ups", ""))
+    raise ValueError(f"unknown family {family!r}")
 
 
 def _spec_from_args(args) -> PSpec | GSpec:
     if getattr(args, "spec", None):
         return parse_spec_text(args.spec)
     family = getattr(args, "family", None)
-    try:
-        if family == "P" or (family is None and args.eps is not None):
-            return PSpec(args.w0 or "", args.eps or "")
-        if family == "G" or (family is None and args.ups is not None):
-            return GSpec(args.u0 or "", args.v0 or "", args.ups or "")
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError("give --family with its word flags, or --spec")
+    if family == "P" or (family is None and args.eps is not None):
+        return PSpec(args.w0 or "", args.eps or "")
+    if family == "G" or (family is None and args.ups is not None):
+        return GSpec(args.u0 or "", args.v0 or "", args.ups or "")
+    raise ValueError("give --family with its word flags, or --spec")
 
 
 def _specmap(args, alphabet) -> SpecMap:
     if getattr(args, "map", None):
-        try:
-            sp = SpecMap.parse(args.map)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        sp = SpecMap.parse(args.map)
     elif set(alphabet) <= {"0", "1"}:
         sp = SpecMap.binary_default()
     else:
-        raise UsageError(
+        raise ValueError(
             f"specialization map required for alphabet {sorted(set(alphabet))}"
         )
     if not sp.covers(alphabet):
         missing = sorted(set(alphabet) - sp.letters)
-        raise UsageError(f"unmapped letters {missing}")
+        raise ValueError(f"unmapped letters {missing}")
     return sp
 
 
@@ -118,13 +105,13 @@ def _default_prec() -> int:
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"bad CF2_PREC value {env!r}") from None
+            raise ValueError(f"bad CF2_PREC value {env!r}") from None
     return 512
 
 
 def _check_prec(prec: int, minimum: int) -> int:
     if prec < minimum:
-        raise UsageError(f"prec must be at least {minimum}, got {prec}")
+        raise ValueError(f"prec must be at least {minimum}, got {prec}")
     return prec
 
 
@@ -157,18 +144,15 @@ def cmd_gen(args, out) -> int:
 def cmd_sigma(args, out) -> int:
     _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
     word = args.word
-    try:
-        for _ in range(args.count):
-            word = sigma_inv_word(word) if args.inverse else sigma_word(word)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    for _ in range(args.count):
+        word = sigma_inv_word(word) if args.inverse else sigma_word(word)
     print(word, file=out)
     return 0
 
 
 def cmd_cf(args, out) -> int:
     if not args.word:
-        raise UsageError("--word is required")
+        raise ValueError("--word is required")
     sp = _specmap(args, set(args.word))
     _echo(args, out, "cf", word=args.word, map=str(sp))
     try:
@@ -185,7 +169,7 @@ def cmd_tower_trace(args, out) -> int:
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "tower-trace", spec=f"'{_spec_echo(spec)}'", map=str(sp), steps=args.steps)
     if isinstance(spec, PSpec):
-        tower = PTower(spec, sp, args.prec)
+        tower = p_tower(spec, sp, args.prec)
         one = LaurentSeries.one(args.prec)
         for _ in range(args.steps):
             tower.advance()
@@ -228,7 +212,7 @@ def cmd_identities(args, out) -> int:
                 pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), prec=args.prec),
         }
         if args.check not in single:
-            raise UsageError(f"unknown identity check {args.check!r}")
+            raise ValueError(f"unknown identity check {args.check!r}")
         reports = [single[args.check]()]
     failed = False
     for rep in reports:
@@ -243,12 +227,12 @@ def cmd_identities(args, out) -> int:
 def cmd_relation(args, out) -> int:
     if args.num or args.den:
         if not (args.num and args.den):
-            raise UsageError("--num and --den go together")
+            raise ValueError("--num and --den go together")
         try:
             num, den = Gf2Poly.parse(args.num), Gf2Poly.parse(args.den)
             phi = LaurentSeries.from_rational(num, den, args.prec)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(str(exc)) from None
+        except ZeroDivisionError as exc:
+            raise ValueError(str(exc)) from None
         _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx)
         rel = find_relation(phi, args.degx, args.degz if args.degz else args.degx + 8)
         if rel is None:
@@ -283,7 +267,7 @@ def _print_report(report, out) -> int:
 def cmd_theorem1(args, out) -> int:
     spec = _spec_from_args(args)
     if not isinstance(spec, PSpec):
-        raise UsageError("theorem1 takes a family-P spec")
+        raise ValueError("theorem1 takes a family-P spec")
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "theorem1", spec=f"'{_spec_echo(spec)}'", map=str(sp))
     return _print_report(check_theorem_p(spec, sp, args.prec), out)
@@ -292,7 +276,7 @@ def cmd_theorem1(args, out) -> int:
 def cmd_theorem2(args, out) -> int:
     spec = _spec_from_args(args)
     if not isinstance(spec, GSpec):
-        raise UsageError("theorem2 takes a family-G spec")
+        raise ValueError("theorem2 takes a family-G spec")
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "theorem2", spec=f"'{_spec_echo(spec)}'", map=str(sp))
     return _print_report(check_theorem_g(spec, sp, args.prec), out)
@@ -301,9 +285,9 @@ def cmd_theorem2(args, out) -> int:
 def cmd_corollary(args, out) -> int:
     spec = _spec_from_args(args)
     if not isinstance(spec, PSpec):
-        raise UsageError("corollary takes a family-P spec")
+        raise ValueError("corollary takes a family-P spec")
     if not spec.is_binary():
-        raise UsageError("corollary chain needs a binary P-spec")
+        raise ValueError("corollary chain needs a binary P-spec")
     sp = _specmap(args, spec.alphabet)
     _echo(args, out, "corollary", spec=f"'{_spec_echo(spec)}'", map=str(sp), k=args.k)
     return _print_report(check_corollary_chain(spec, sp, args.k, args.prec), out)
@@ -429,7 +413,7 @@ def main(argv=None) -> int:
         if args.prec is None:
             args.prec = _default_prec()
         args.prec = _check_prec(args.prec, getattr(args, "prec_min", 1))
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = sys.stdout
@@ -438,7 +422,7 @@ def main(argv=None) -> int:
         out = close = open(args.out, "w")
     try:
         return args.fn(args, out)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionBudget as exc:

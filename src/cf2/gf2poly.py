@@ -129,17 +129,15 @@ def min_irreducible(m: int) -> int:
 
 
 class Gf2Poly:
-    """Immutable polynomial over GF(2) in the variable z."""
+    """Polynomial over GF(2) in the variable z.  Operations return new
+    polynomials and never change their operands."""
 
     __slots__ = ("bits",)
 
     def __init__(self, bits: int = 0):
         if bits < 0:
             raise ValueError("polynomial bits must be nonnegative")
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *a):  # noqa: D105 - immutability guard
-        raise AttributeError("Gf2Poly is immutable")
+        self.bits = bits
 
     # -- constructors ------------------------------------------------
 
@@ -150,17 +148,6 @@ class Gf2Poly:
     @classmethod
     def one(cls) -> Gf2Poly:
         return cls(1)
-
-    @classmethod
-    def z(cls) -> Gf2Poly:
-        return cls(2)
-
-    @classmethod
-    def from_exponents(cls, exps) -> Gf2Poly:
-        bits = 0
-        for e in exps:
-            bits ^= 1 << e
-        return cls(bits)
 
     @classmethod
     def parse(cls, text: str) -> Gf2Poly:
@@ -225,10 +212,6 @@ class Gf2Poly:
     def __mul__(self, other: Gf2Poly) -> Gf2Poly:
         return Gf2Poly(clmul(self.bits, other.bits))
 
-    def __lshift__(self, k: int) -> Gf2Poly:
-        """Multiply by z^k."""
-        return Gf2Poly(self.bits << k)
-
     def square(self) -> Gf2Poly:
         return Gf2Poly(clsq(self.bits))
 
@@ -282,6 +265,3 @@ class Gf2Poly:
     def __repr__(self) -> str:
         return f"Gf2Poly({str(self)!r})"
 
-
-Z = Gf2Poly(2)
-ONE = Gf2Poly(1)

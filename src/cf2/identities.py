@@ -8,6 +8,9 @@ of T clean trials is bounded by (D/2^m)^T for identities of total
 degree D.  Draws that hit the degenerate locus are resampled with a
 capped budget and counted.  Every checker owns a mutated variant (one
 perturbed exponent or term) that must fail, as a negative control.
+The checkers run the towers of ``towers`` (``PTower``, ``pair_tower``,
+``GQuantities``) over GF(2^m), so they test the recurrences the
+theorem drivers run over series.
 
 Valuation facts are measured in series mode on concrete fixtures, with
 exact expected determinant valuations from degree bookkeeping.
@@ -27,8 +30,10 @@ from .towers import (
     PTower,
     SpecMap,
     g_limits,
+    p_tower,
     pair_step,
     pair_tower,
+    predicted_det_val,
 )
 from .words import GSpec, PSpec, word_stats
 
@@ -102,27 +107,6 @@ def _randomized(
 # ---------------------------------------------------------------------------
 
 
-def _p_chain(F: Gf2m, m0: Mat2, eps: list[int]):
-    """Generic tower walk: returns (ms, ds, ls, Ls, bs) along the steps."""
-    ms = [m0]
-    ds = [m0.det()]
-    ls: list[int] = []
-    Ls: list[int] = [F.one]
-    bs: list[Mat2] = []
-    for e in eps:
-        ie = F.inv(e)
-        m = ms[-1]
-        ls.append(F.add(F.mul(F.add(m.b, m.c), ie), m.a))
-        if F.is_zero(ls[-1]):
-            raise DegenerateDraw
-        Ls.append(F.mul(Ls[-1], ls[-1]))
-        fac = Mat2.letter_from_inv(F, ie)
-        bs.append(Mat2.insertion_from_inv(F, ie))
-        ms.append(m.mul(fac).mul(m))
-        ds.append(ms[-1].det())
-    return ms, ds, ls, Ls, bs
-
-
 def check_tower_expansion(
     n_steps: int = 5, trials: int = 100, m: int = 16, seed: int = 1, mutate: bool = False
 ) -> IdentityReport:
@@ -134,16 +118,17 @@ def check_tower_expansion(
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        eps = [F.sample_invertible(rng) for _ in range(n_steps)]
-        ms, ds, ls, Ls, bs = _p_chain(F, m0, eps)
+        t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n_steps)])
+        ms = [m0]
+        for _ in range(n_steps):
+            t.advance()
+            ms.append(t.m)
         for n in range(1, n_steps + 1):
             acc = m0
             for j in range(n):
-                denom = Ls[j] if mutate else Ls[j + 1]
-                if F.is_zero(denom):
-                    raise DegenerateDraw
-                acc = acc.add(bs[j].scale(F.mul(ds[j], F.inv(denom))))
-            if not ms[n].eq(acc.scale(Ls[n])):
+                weight = F.mul(t.ds[j], F.inv(t.Ls[j])) if mutate else t.term(j)
+                acc = acc.add(t.insertion_matrix(j).scale(weight))
+            if not ms[n].eq(acc.scale(t.Ls[n])):
                 return f"step {n}"
         return None
 
@@ -169,20 +154,20 @@ def check_period_power_shift(
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        period = [F.sample_invertible(rng) for _ in range(n)]
+        eps = [F.sample_invertible(rng) for _ in range(n)]
         steps = n + j_max
         if mutate:
             eps = [F.sample_invertible(rng) for _ in range(steps)]
             if all(eps[i] == eps[i % n] for i in range(steps)):
                 raise DegenerateDraw  # accidentally periodic; redraw
-        else:
-            eps = [period[i % n] for i in range(steps)]
-        ms, ds, ls, Ls, bs = _p_chain(F, m0, eps)
+        t = PTower(F, m0, [F.inv(e) for e in eps])
+        for _ in range(steps):
+            t.advance()
         for j in range(j_max + 1):
-            p = F.pow(Ls[n], 1 << j)
-            if n + j < len(ls) and not F.eq(ls[n + j], F.mul(p, ls[j])):
+            p = F.pow(t.Ls[n], 1 << j)
+            if n + j < steps and not F.eq(t.ls[n + j], F.mul(p, t.ls[j])):
                 return f"l shift j={j}"
-            if not F.eq(Ls[n + j], F.mul(p, Ls[j])):
+            if not F.eq(t.Ls[n + j], F.mul(p, t.Ls[j])):
                 return f"L shift j={j}"
         return None
 
@@ -211,30 +196,21 @@ def check_tail_equations(
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        period = [F.sample_invertible(rng) for _ in range(n)]
-        eps = [period[i % n] for i in range(k_max * n + n)]
-        ms, ds, ls, Ls, bs = _p_chain(F, m0, eps)
-        lam = F.one
-        for j in range(n):
-            lam = F.mul(lam, F.pow(F.inv(period[j]), 1 << (n - j)))
-        if any(F.is_zero(x) for x in (ds[0], Ls[1], Ls[n])):
+        t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n)])
+        for _ in range(k_max * n + n):
+            t.advance()
+        if F.is_zero(t.ds[0]):
             raise DegenerateDraw
-        if mutate:
-            rho = F.mul(lam, F.inv(Ls[1]))
-        else:
-            rho = F.mul(lam, F.mul(F.pow(Ls[1], (1 << n) - 1), F.inv(F.pow(Ls[n], 2))))
+        lam = F.one
+        for j, ie in enumerate(t.inv_eps):
+            lam = F.mul(lam, F.pow(ie, 1 << (n - j)))
+        rho = F.mul(lam, F.inv(t.Ls[1])) if mutate else t.tail_shift(lam)
         for k in range(k_max):
-            t_k = F.mul(ds[k * n], F.inv(Ls[k * n + 1]))
-            t_next = F.mul(ds[(k + 1) * n], F.inv(Ls[(k + 1) * n + 1]))
-            if not F.eq(t_next, F.mul(rho, F.pow(t_k, 1 << n))):
+            t_k = t.term(k * n)
+            if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
                 return f"tail shift k={k}"
             for j in range(1, n):
-                term = F.mul(ds[k * n + j], F.inv(Ls[k * n + j + 1]))
-                fac = F.mul(
-                    F.mul(ds[j], F.pow(F.inv(ds[0]), 1 << j)),
-                    F.mul(F.pow(Ls[1], 1 << j), F.inv(Ls[j + 1])),
-                )
-                if not F.eq(term, F.mul(F.pow(t_k, 1 << j), fac)):
+                if not F.eq(t.term(k * n + j), F.mul(F.pow(t_k, 1 << j), t.residue_factor(j))):
                     return f"residue term j={j} k={k}"
         return None
 
@@ -491,7 +467,7 @@ def check_valuation_bounds(
     failures = []
     measurements = []
     if pspec is not None:
-        t = PTower(pspec, sp, prec)
+        t = p_tower(pspec, sp, prec)
         n = t.period
         for j in range(1, depth + 1):
             t.advance()
@@ -501,7 +477,7 @@ def check_valuation_bounds(
             if t.ls[-1].valuation != 0 or t.Ls[-1].valuation != 0:
                 failures.append(("P", f"step scalar valuation at {j}"))
             dv = t.ds[j].known_zero_below()
-            expect = t.predicted_det_val(j)
+            expect = predicted_det_val(pspec, sp, j)
             claim = expect + 1 if mutate else expect
             measured = dv if t.ds[j].is_zero else t.ds[j].valuation
             measurements.append(

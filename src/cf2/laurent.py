@@ -42,7 +42,8 @@ def _inv_mask(m: int, nbits: int) -> int:
 
 
 class LaurentSeries:
-    """Immutable truncated series over GF(2) in powers of 1/z."""
+    """Truncated series over GF(2) in powers of 1/z.  Operations return new
+    series and never change their operands."""
 
     __slots__ = ("val", "mask", "prec")
 
@@ -61,12 +62,9 @@ class LaurentSeries:
             mask >>= strip
         else:
             val = 0
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentSeries is immutable")
+        self.val = val
+        self.mask = mask
+        self.prec = prec
 
     # -- constructors --------------------------------------------------
 
@@ -197,11 +195,6 @@ class LaurentSeries:
         if self.mask == 0:
             return LaurentSeries.zero(self.prec - d)
         return LaurentSeries(self.val - d, clmul(self.mask, poly.reverse().bits), self.prec - d)
-
-    def truncate(self, prec: int) -> LaurentSeries:
-        if prec > self.prec:
-            raise ValueError("cannot raise precision by truncation")
-        return LaurentSeries(self.val, self.mask, prec)
 
     # -- comparison ---------------------------------------------------------
 

@@ -111,8 +111,6 @@ class Mat2:
             F.add(F.mul(self.c, o.b), F.mul(self.d, o.d)),
         )
 
-    __matmul__ = mul
-
     def add(self, o: Mat2) -> Mat2:
         F = self.F
         return Mat2(F, F.add(self.a, o.a), F.add(self.b, o.b), F.add(self.c, o.c), F.add(self.d, o.d))
@@ -146,9 +144,6 @@ class Mat2:
     def is_scalar(self) -> bool:
         F = self.F
         return F.is_zero(self.b) and F.is_zero(self.c) and F.eq(self.a, self.d)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
 
     def __repr__(self) -> str:
         return f"Mat2[{self.a!r}, {self.b!r}; {self.c!r}, {self.d!r}]"

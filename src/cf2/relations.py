@@ -91,12 +91,6 @@ def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
     return tuple(p // content for p in polys)
 
 
-def _total_degree(polys: list[Gf2Poly]) -> int:
-    return max(
-        (i + p.degree for i, p in enumerate(polys) if not p.is_zero()), default=-1
-    )
-
-
 def find_relation(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
     """Minimal-X-degree relation annihilating phi to its precision, or None.
 
@@ -136,15 +130,7 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | Non
             track ^= hit[1]
         return 0, track
 
-    def vector_to_polys(track: int, top_block: int) -> list[Gf2Poly]:
-        polys = []
-        for i in range(top_block + 1):
-            bits = (track >> (i * width)) & ((1 << width) - 1)
-            polys.append(Gf2Poly(bits))
-        return polys
-
     for i, power in enumerate(powers):
-        kernel: list[int] = []
         v_i = power.val if not power.is_zero else power.prec
         mask_i = power.mask
         for j in range(width):
@@ -152,28 +138,14 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | Non
             col = mask_i << -shift if shift < 0 else mask_i >> shift
             col &= row_mask
             vec, track = reduce(col, 1 << (i * width + j))
-            if vec == 0 and track:
-                kernel.append(track)
-        if not kernel or i == 0:
-            continue
-        candidates = list(kernel)
-        if len(kernel) <= 8:
-            for combo in range(1, 1 << len(kernel)):
-                if combo.bit_count() > 1:
-                    t = 0
-                    for b, vecb in enumerate(kernel):
-                        if (combo >> b) & 1:
-                            t ^= vecb
-                    if t >> (i * width):  # keep the top block populated
-                        candidates.append(t)
-        best = min(
-            candidates,
-            key=lambda t: (_total_degree(vector_to_polys(t, i)), t),
-        )
-        polys = list(_content_normalize(vector_to_polys(best, i)))
-        rel = AlgRelation(coeffs=tuple(polys), verified_prec=0)
-        residual = rel.evaluate(phi)
-        return replace(rel, verified_prec=residual.known_zero_below())
+            if vec or i == 0:
+                continue
+            # the kernel vector holds its own column, so its top block is set:
+            # it is c(z) times the minimal relation, and normalizing the
+            # content removes c(z)
+            polys = [Gf2Poly((track >> (k * width)) & ((1 << width) - 1)) for k in range(i + 1)]
+            rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
+            return replace(rel, verified_prec=rel.evaluate(phi).known_zero_below())
     return None
 
 

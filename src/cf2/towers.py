@@ -13,6 +13,8 @@ determinant d, the step scalar l, and the running product L.  The
 family-G tower walks the pair recurrence (square / cross-multiply)
 driven by swap bits and expresses everything through the scalar
 bookkeeping of d, r = trace, the cross matrix, and correction terms.
+Both towers run over any coefficient field: series here, GF(2^m) draws
+in the identity battery.
 """
 
 from __future__ import annotations
@@ -193,49 +195,84 @@ def cf_ratio(m: Mat2) -> LaurentSeries:
 
 
 class PTower:
-    """Series-mode doubling tower m -> m F(e) m over a family-P spec."""
+    """Doubling tower m -> m F(e) m over any coefficient field.
 
-    def __init__(self, spec: PSpec, sp: SpecMap, prec: int):
-        inv_letters = _inverse_letters(spec.alphabet, sp, prec)
-        self.spec = spec
-        self.sp = sp
-        self.prec = prec
-        self.F = F = SeriesField(prec)
-        self.eps_polys = [sp.poly(c) for c in spec.eps]
-        self.inv_eps = [inv_letters[c] for c in spec.eps]
-        self.m0 = word_matrix(spec.w0, F, inv_letters)
-        self.m = self.m0
-        self.ds = [self.m0.det()]  # d_j, exact determinants
-        self.ls: list[LaurentSeries] = []  # step scalars l_j
+    Starts from m0 and repeats one period of inverse insertion letters
+    1/e_0 .. 1/e_(n-1).  Each step records the step scalar
+    l_j = (b + c)/e_j + a of the current matrix, the running product
+    L_(j+1) = L_j l_j (L_0 = 1) and the determinant d_(j+1) = d_j^2 / e_j^2.
+    """
+
+    def __init__(self, F, m0: Mat2, inv_eps: list):
+        self.F = F
+        self.inv_eps = inv_eps
+        self.m0 = self.m = m0
+        self.ds = [m0.det()]  # d_j
+        self.ls: list = []  # step scalars l_j
         self.Ls = [F.one]  # running products, L_0 = 1
         self.step = 0
 
     @property
     def period(self) -> int:
-        return len(self.eps_polys)
+        return len(self.inv_eps)
 
     def insertion_matrix(self, j: int) -> Mat2:
         """The companion matrix ((0, 1/e_j), (1/e_j, 1)) of residue j."""
         return Mat2.insertion_from_inv(self.F, self.inv_eps[j % self.period])
 
     def advance(self) -> None:
+        """One doubling step; DegenerateDraw when the step scalar vanishes."""
+        F = self.F
         ie = self.inv_eps[self.step % self.period]
         m = self.m
-        self.ls.append((m.b + m.c) * ie + m.a)
-        self.Ls.append(self.Ls[-1] * self.ls[-1])
-        fac = Mat2.letter_from_inv(self.F, ie)
-        self.m = m.mul(fac).mul(m)
+        l = F.add(F.mul(F.add(m.b, m.c), ie), m.a)
+        if F.is_zero(l):
+            raise DegenerateDraw("zero step scalar")
+        self.ls.append(l)
+        self.Ls.append(F.mul(self.Ls[-1], l))
+        self.m = m.mul(Mat2.letter_from_inv(F, ie)).mul(m)
         # det is multiplicative; squaring avoids the cancellation a direct
-        # determinant of truncated entries would hit at depth
-        self.ds.append(self.ds[-1].square() * ie.square())
+        # determinant of truncated series entries would hit at depth
+        self.ds.append(F.mul(F.square(self.ds[-1]), F.square(ie)))
         self.step += 1
 
-    def predicted_det_val(self, j: int) -> int:
-        """Exact valuation of d_j from the degree bookkeeping."""
-        v = 2 * sum(self.sp.poly(c).degree for c in self.spec.w0)
-        for i in range(j):
-            v = 2 * v + 2 * self.eps_polys[i % self.period].degree
-        return v
+    def term(self, i: int):
+        """d_i / L_(i+1), the weight of insertion_matrix(i) in the expansion
+        m_j = L_j (m_0 + sum over i < j of term(i) insertion_matrix(i))."""
+        F = self.F
+        return F.mul(self.ds[i], F.inv(self.Ls[i + 1]))
+
+    def tail_shift(self, lam):
+        """rho = lam L_1^(2^n - 1) / L_n^2, with lam the determinant drift
+        1/(e_0^(2^n) ... e_(n-1)^2) of one period n.
+
+        The tail terms T_k = term(kn) satisfy T_(k+1) = rho T_k^(2^n).
+        """
+        F = self.F
+        n = self.period
+        return F.mul(F.mul(lam, F.pow(self.Ls[1], (1 << n) - 1)), F.pow(F.inv(self.Ls[n]), 2))
+
+    def residue_factor(self, j: int):
+        """(d_j / d_0^(2^j)) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j)
+        times this factor."""
+        F = self.F
+        fac = F.mul(self.ds[j], F.pow(F.inv(self.ds[0]), 1 << j))
+        return F.mul(F.mul(fac, F.pow(self.Ls[1], 1 << j)), F.inv(self.Ls[j + 1]))
+
+
+def p_tower(spec: PSpec, sp: SpecMap, prec: int) -> PTower:
+    """The series tower of a family-P spec at working precision prec."""
+    inv_letters = _inverse_letters(spec.alphabet, sp, prec)
+    F = SeriesField(prec)
+    return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
+
+
+def predicted_det_val(spec: PSpec, sp: SpecMap, j: int) -> int:
+    """Exact valuation of d_j of the series tower, from degree bookkeeping."""
+    v = 2 * sum(sp.poly(c).degree for c in spec.w0)
+    for i in range(j):
+        v = 2 * v + 2 * sp.poly(spec.eps[i % spec.period]).degree
+    return v
 
 
 @dataclass
@@ -265,27 +302,17 @@ class PLimits:
         H_0^(2^n) lam / L_1 form.
         """
         t = self.tower
-        n = t.period
-        rho = self.lam * t.Ls[1].pow((1 << n) - 1) * t.Ls[n].inv().pow(2)
-        return self.H[0].pow(1 << n) * rho + self.H[0] + t.ds[0] * t.Ls[1].inv()
+        rho = t.tail_shift(self.lam)
+        return self.H[0].pow(1 << t.period) * rho + self.H[0] + t.term(0)
 
     def residual_hj(self, j: int) -> LaurentSeries:
         """H_j + H_0^(2^j) * (d_j / d_0^(2^j)) * (L_1^(2^j) / L_{j+1})."""
-        t = self.tower
-        lhs = self.H[j]
-        rhs = (
-            self.H[0].pow(1 << j)
-            * t.ds[j]
-            * t.ds[0].inv().pow(1 << j)
-            * t.Ls[1].pow(1 << j)
-            * t.Ls[j + 1].inv()
-        )
-        return lhs + rhs
+        return self.H[j] + self.H[0].pow(1 << j) * self.tower.residue_factor(j)
 
 
 def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     """Run the family-P tower to convergence at ``prec`` and take limits."""
-    t = PTower(spec, sp, prec)
+    t = p_tower(spec, sp, prec)
     n = t.period
     cap = n * 2 + max(8, prec.bit_length() + 4) + 8
     diff_vals: list[tuple[int, int]] = []
@@ -316,10 +343,10 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     F = t.F
     H = [F.zero for _ in range(n)]
     for i in range(t.step):
-        H[i % n] = H[i % n] + t.ds[i] * t.Ls[i + 1].inv()
+        H[i % n] = H[i % n] + t.term(i)
     lam_poly = Gf2Poly.one()
     for j in range(n):
-        lam_poly = lam_poly * t.eps_polys[j] ** (1 << (n - j))
+        lam_poly = lam_poly * sp.poly(spec.eps[j]) ** (1 << (n - j))
     lam = LaurentSeries.from_rational(Gf2Poly.one(), lam_poly, prec)
     acc = t.m0
     for j in range(n):

@@ -21,7 +21,7 @@ from cf2.identities import (
 )
 from cf2.mat2 import Mat2
 from cf2.theorems import check_corollary_chain, check_theorem_g, check_theorem_p, explore_inverse_sigma
-from cf2.towers import GQuantities, PTower, SpecMap, g_limits, pair_tower
+from cf2.towers import GQuantities, SpecMap, g_limits, p_tower, pair_tower, predicted_det_val
 from cf2.words import GSpec, PSpec, g_prefix, g_sigma, p_prefix, p_to_g, sigma_word
 
 SPB = SpecMap.binary_default()
@@ -171,17 +171,17 @@ def test_criterion_8_valuation_bounds():
     # 2^(2j) determinant growth needs a seed word with determinant
     # valuation >= 64; measured at full precision so j=6 is visible
     heavy = PSpec("1" * 32, "10")
-    tower = PTower(heavy, SPB, 4400)
+    tower = p_tower(heavy, SPB, 4400)
     ok = True
     for j in range(1, 7):
         tower.advance()
         v = tower.ds[j].valuation
-        expect = tower.predicted_det_val(j)
+        expect = predicted_det_val(heavy, SPB, j)
         ok = ok and v == expect and v >= (1 << (2 * j))
         print(f"  heavy-seed val(d_{j}) = {v} (>= {1 << (2 * j)})")
     # the same inequality fails on the weightless flagship fixture: the
     # degree bookkeeping gives 2^(j+1) - 2 there (logged, not asserted)
-    light = PTower(PSpec("", "10"), SPB, 512)
+    light = p_tower(PSpec("", "10"), SPB, 512)
     for j in range(1, 3):
         light.advance()
     print(f"  light-seed val(d_2) = {light.ds[2].valuation} < 16 (growth is 2^(j+1)-2)")

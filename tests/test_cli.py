@@ -204,3 +204,23 @@ def test_corollary_precision_budget_is_inconclusive(capsys):
     assert code == 3
     assert len(err) == 1 and err[0].startswith("inconclusive: ")
     assert "(achieved 2)" in err[0]
+
+
+UPS_10001 = ("theorem2", "--u0", "a", "--v0", "b", "--ups", "10001", "--map", "a=z,b=z+1")
+
+
+def test_theorem2_ups10001_passes_at_prec_1024():
+    code, out = run_cli(*UPS_10001, "--prec", "1024")
+    assert code == 0
+    assert out.splitlines()[-2].startswith("degree=32 degZ=64 ")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="false fail: the relation search's degZ budget max(4*prec, 2048) ignores"
+    " the bound 2^k and stops before degZ 64 at the default precision (ROADMAP item 3)",
+)
+def test_theorem2_ups10001_passes_at_default_prec(monkeypatch):
+    monkeypatch.delenv("CF2_PREC", raising=False)
+    code, out = run_cli(*UPS_10001)
+    assert code == 0 and out.splitlines()[-1] == "theorem-g pass"

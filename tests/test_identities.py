@@ -13,6 +13,8 @@ from cf2.identities import (
     check_tower_expansion,
     check_valuation_bounds,
 )
+from cf2.mat2 import Mat2
+from cf2.towers import PTower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -30,6 +32,22 @@ def test_tower_expansion_single_step_form():
 
 def test_tower_expansion_mutation_fails():
     assert not check_tower_expansion(4, 10, 16, 1, mutate=True).passed
+
+
+def test_p_checkers_fail_on_a_broken_tower(monkeypatch):
+    # the P checkers walk towers.PTower, so a doubling step with its
+    # product in the wrong order, F(e) m m instead of m F(e) m, fails them
+    advance = PTower.advance
+
+    def swapped(self):
+        m, ie = self.m, self.inv_eps[self.step % self.period]
+        advance(self)
+        self.m = Mat2.letter_from_inv(self.F, ie).mul(m).mul(m)
+
+    monkeypatch.setattr(PTower, "advance", swapped)
+    assert not check_tower_expansion(5, 10, 16, 1).passed
+    assert not check_period_power_shift(2, 3, 10, 16, 1).passed
+    assert not check_tail_equations(2, 3, 10, 16, 1).passed
 
 
 def test_period_power_shift_passes():

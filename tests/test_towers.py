@@ -12,7 +12,6 @@ from cf2.towers import (
     DegenerateDraw,
     GQuantities,
     HypothesisViolation,
-    PTower,
     SpecMap,
     cf_series,
     convergent_pair,
@@ -21,6 +20,7 @@ from cf2.towers import (
     g_limits,
     p_cf_series,
     p_limits,
+    p_tower,
     pair_tower,
     word_matrix,
 )
@@ -104,7 +104,7 @@ def test_cf_series_needs_long_enough_word():
 
 def test_ptower_ratio_consistency():
     spec = PSpec("a", "b")
-    t = PTower(spec, SP, 256)
+    t = p_tower(spec, SP, 256)
     for _ in range(4):
         t.advance()
         # tower matrix is the descending product over the current word
@@ -116,7 +116,7 @@ def test_ptower_ratio_consistency():
 
 
 def test_ptower_det_multiplicative():
-    t = PTower(PSpec("ab", "c"), SP, 200)
+    t = p_tower(PSpec("ab", "c"), SP, 200)
     for _ in range(3):
         t.advance()
         assert (t.ds[-1] + t.m.det()).is_zero
@@ -124,7 +124,7 @@ def test_ptower_det_multiplicative():
 
 def test_ptower_step_scalar_char2():
     # seed word "a": (1/a + 1/a)/e + 1 = 1
-    t = PTower(PSpec("a", "b"), SP, 64)
+    t = p_tower(PSpec("a", "b"), SP, 64)
     t.advance()
     assert t.ls[0].mask == 1 and t.ls[0].val == 0
 
