@@ -1,0 +1,132 @@
+"""Layer bench for cf2's GF(2)[z] and Laurent-series kernels.
+
+Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
+``laurent._inv_mask`` and ``LaurentSeries.__mul__`` at 1k, 4k, 16k and
+64k bits.  Each time is the minimum over rounds x reps of the mean call
+time in a batch of calls (at least 5 ms per batch) on seeded random
+operands; it needs only the standard library.
+
+    python3 bench/bench.py --out BENCH_5.json
+    python3 bench/bench.py --quick --src parent=../parent/src --src change=src
+
+Each ``--src [LABEL=]DIR`` (default: this checkout's ``src``) is timed in
+its own fresh process per round, alternating which goes first, so two
+versions of cf2 can be compared on one machine in one run.  The JSON
+record holds the Python version, ``nproc``, the CPU model and, per
+label, the seconds of every case.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = {"1k": 1 << 10, "4k": 1 << 12, "16k": 1 << 14, "64k": 1 << 16}
+REPS = 3  # timed batches of each case per round
+BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
+
+
+def cases(gf2poly, laurent):
+    """(name, function, args) for every timed call."""
+    out = []
+    for label, n in SIZES.items():
+        rng = random.Random(n)
+        a = rng.getrandbits(n) | (1 << (n - 1)) | 1
+        b = rng.getrandbits(n) | (1 << (n - 1)) | 1
+        short = rng.getrandbits(n // 8) | (1 << (n // 8 - 1))
+        sa = laurent.LaurentSeries(0, a, n)
+        sb = laurent.LaurentSeries(0, b, n)
+        out += [
+            (f"clmul.dense.{label}", gf2poly.clmul, (a, b)),
+            (f"clmul.unbalanced.{label}", gf2poly.clmul, (a, short)),
+            (f"clsq.{label}", gf2poly.clsq, (a,)),
+            (f"laurent._inv_mask.{label}", laurent._inv_mask, (a, n)),
+            (f"LaurentSeries.__mul__.{label}", laurent.LaurentSeries.__mul__, (sa, sb)),
+        ]
+    return out
+
+
+def worker(src: str) -> None:
+    """Time every case REPS times against ``src`` and print the minima."""
+    sys.path.insert(0, src)
+    from cf2 import gf2poly, laurent
+
+    best = {}
+    for name, fn, args in cases(gf2poly, laurent):
+        t0 = time.perf_counter()
+        fn(*args)
+        number = max(1, int(BATCH_S / (time.perf_counter() - t0)))
+        times = []
+        for _ in range(REPS):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                fn(*args)
+            times.append((time.perf_counter() - t0) / number)
+        best[name] = min(times)
+    print(json.dumps(best))
+
+
+def cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", action="append", help="[LABEL=]DIR of a cf2 source tree (repeatable)")
+    p.add_argument("--quick", action="store_true", help="one round instead of five (well under 30 s)")
+    p.add_argument("--out", help="write the JSON record to this file")
+    p.add_argument("--worker", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        worker(args.worker)
+        return 0
+
+    srcs = dict(s.split("=", 1) if "=" in s else (s, s) for s in args.src or [str(ROOT / "src")])
+    rounds = 1 if args.quick else 5
+    results = {}
+    for r in range(rounds):
+        order = list(srcs) if r % 2 == 0 else list(srcs)[::-1]
+        for label in order:
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker", str(Path(srcs[label]).resolve())],
+                capture_output=True, text=True, check=True,
+            )
+            best = results.setdefault(label, {})
+            for name, s in json.loads(done.stdout).items():
+                best[name] = min(best.get(name, s), s)
+
+    record = {
+        "bench": "cf2 layer bench: min over rounds x reps of the mean call time of a batch",
+        "batch_s": BATCH_S,
+        "unit": "s",
+        "rounds": rounds,
+        "reps": REPS,
+        "python": platform.python_version(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "cpu_model": cpu_model(),
+        "results": results,
+    }
+    print("case".ljust(32) + "".join(label[-24:].rjust(26) for label in srcs))
+    for name in results[next(iter(srcs))]:
+        print(name.ljust(32) + "".join(f"{results[label][name] * 1e3:23.3f} ms" for label in srcs))
+    if args.out:
+        Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

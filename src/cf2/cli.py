@@ -225,6 +225,7 @@ def cmd_identities(args, out) -> int:
 
 
 def cmd_relation(args, out) -> int:
+    degz = {} if args.degz is None else {"degz": args.degz}
     if args.num or args.den:
         if not (args.num and args.den):
             raise ValueError("--num and --den go together")
@@ -233,8 +234,8 @@ def cmd_relation(args, out) -> int:
             phi = LaurentSeries.from_rational(num, den, args.prec)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
-        _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx)
-        rel = find_relation(phi, args.degx, args.degz if args.degz else args.degx + 8)
+        _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx, **degz)
+        rel = find_relation(phi, args.degx, args.degz if args.degz is not None else args.degx + 8)
         if rel is None:
             print("relation none", file=out)
             return 1
@@ -247,7 +248,7 @@ def cmd_relation(args, out) -> int:
         return 0
     spec = _spec_from_args(args)
     sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "relation", spec=f"'{_spec_echo(spec)}'", map=str(sp), degx=args.degx)
+    _echo(args, out, "relation", spec=f"'{_spec_echo(spec)}'", map=str(sp), degx=args.degx, **degz)
     phi_fn, first_val = spec_series(spec, sp)
     search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
     if search.relation is None:

@@ -11,34 +11,88 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# 8-bit -> 16-bit zero-interleat table, used to square polynomials.
+# 8-bit -> 16-bit zero-interleave table, used to square polynomials.
 _SPREAD = tuple(
     sum(((byte >> k) & 1) << (2 * k) for k in range(8)) for byte in range(256)
 )
 
+# Kernel dispatch, thresholds measured on CPython 3.11:
+# - below _DENSE_BITS set bits in the sparser operand, one shifted XOR
+#   per set bit is cheaper than building the 256-entry window table;
+# - up to _KARATSUBA_BITS the table of the longer operand is cheap and
+#   small; above it a three-product split is faster and keeps it small;
+# - above _SQUARE_SPLIT_BITS squaring halves the operand, because the
+#   byte-spread loop copies its growing result int once per byte.
+_DENSE_BITS = 96
+_KARATSUBA_BITS = 4096
+_SQUARE_SPLIT_BITS = 1024
+
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two bit-packed GF(2) polynomials."""
-    if a == 0 or b == 0:
-        return 0
-    if a.bit_count() < b.bit_count():
-        a, b = b, a
-    acc = 0
-    while b:
-        low = b & -b
-        acc ^= a << (low.bit_length() - 1)
-        b ^= low
-    return acc
+    return _mul(a, b)
 
 
 def clsq(a: int) -> int:
     """Square of a bit-packed GF(2) polynomial (Frobenius: spread bits)."""
+    return _square(a)
+
+
+# The kernels recurse through the private names below, never through
+# ``clmul``/``clsq``, so a wrapper on the public names sees one call per
+# outside product.
+
+
+def _mul(a: int, b: int) -> int:
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    if b.bit_count() < _DENSE_BITS:
+        acc = 0
+        while b:
+            low = b & -b
+            acc ^= a << (low.bit_length() - 1)
+            b ^= low
+        return acc
+    la, lb = a.bit_length(), b.bit_length()
+    if la < lb:
+        a, b, la, lb = b, a, lb, la
+    if la <= _KARATSUBA_BITS:
+        return _window_mul(a, b)
+    # Karatsuba: three half-size products.  When b is at most half as
+    # long as a, b1 = 0 and hi costs nothing, so an unbalanced product
+    # halves a until it is less than twice as long as b (or within the
+    # cutoff), as a chunked product would.
+    h = (la + 1) // 2
+    mask = (1 << h) - 1
+    a0, a1, b0, b1 = a & mask, a >> h, b & mask, b >> h
+    lo = _mul(a0, b0)
+    hi = _mul(a1, b1)
+    mid = _mul(a0 ^ a1, b0 ^ b1) ^ lo ^ hi
+    return (hi << (2 * h)) ^ (mid << h) ^ lo
+
+
+def _window_mul(a: int, b: int) -> int:
+    """a·b from a table of a·k (k < 256) and the bytes of b."""
+    table = [0]
+    for j in range(8):
+        s = a << j
+        table += [t ^ s for t in table]
+    acc = 0
+    for i, byte in enumerate(b.to_bytes((b.bit_length() + 7) // 8, "little")):
+        if byte:
+            acc ^= table[byte] << (8 * i)
+    return acc
+
+
+def _square(a: int) -> int:
+    nbytes = (a.bit_length() + 7) // 8
+    if 8 * nbytes > _SQUARE_SPLIT_BITS:
+        h = 8 * (nbytes // 2)
+        return (_square(a >> h) << (2 * h)) | _square(a & ((1 << h) - 1))
     out = 0
-    shift = 0
-    while a:
-        out |= _SPREAD[a & 0xFF] << shift
-        a >>= 8
-        shift += 16
+    for i, byte in enumerate(a.to_bytes(nbytes, "little")):
+        if byte:
+            out |= _SPREAD[byte] << (16 * i)
     return out
 
 

@@ -104,6 +104,16 @@ def test_relation_rational():
     assert "degree=1" in out
 
 
+def test_relation_rational_honours_degz_zero():
+    # 1/(z+1) needs degZ 1, so a degZ-0 search must come back empty
+    code, out = run_cli(
+        "relation", "--num", "1", "--den", "z+1", "--degx", "2", "--degz", "0", "--prec", "128"
+    )
+    assert code == 1
+    assert out.splitlines()[0].startswith("config command=relation num=1 den=z+1 degx=2 degz=0 ")
+    assert out.splitlines()[-1] == "relation none"
+
+
 def test_theorem2_thue_morse_cli():
     code, out = run_cli(
         "theorem2", "--u0", "a", "--v0", "b", "--ups", "1",

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cf2.gf2poly import Gf2Poly, clmul, is_irreducible, min_irreducible
+from cf2 import gf2poly
+from cf2.gf2poly import Gf2Poly, clmul, clsq, is_irreducible, min_irreducible
 
 
 def naive_mul(a: int, b: int) -> int:
@@ -39,9 +40,115 @@ def test_divrem_zero_divisor():
         divmod(Gf2Poly.parse("z"), Gf2Poly.zero())
 
 
+def shift_xor_mul(a: int, b: int) -> int:
+    """The quadratic shift-and-XOR product: the reference for every
+    ``clmul`` path (one shifted copy of a per set bit of b)."""
+    acc = 0
+    while b:
+        low = b & -b
+        acc ^= a << (low.bit_length() - 1)
+        b ^= low
+    return acc
+
+
+def with_bits(rng, length: int, count: int) -> int:
+    """A random polynomial of exactly ``length`` bits with ``count`` set."""
+    if count == 0:
+        return 0
+    bits = 1 << (length - 1)
+    for e in rng.sample(range(length - 1), count - 1):
+        bits |= 1 << e
+    return bits
+
+
 @given(st.integers(0, 1 << 64), st.integers(0, 1 << 64))
 def test_mul_matches_naive(a, b):
     assert clmul(a, b) == naive_mul(a, b)
+
+
+DENSE = gf2poly._DENSE_BITS
+CUT = gf2poly._KARATSUBA_BITS
+SPLIT = gf2poly._SQUARE_SPLIT_BITS
+
+
+@pytest.mark.parametrize(
+    "la, lb, pop_b",
+    [
+        # set-bit count of the sparser operand around the window threshold
+        (1000, 1000, DENSE - 1),
+        (1000, 1000, DENSE),
+        (1000, 1000, DENSE + 1),
+        (3 * CUT + 5, 700, DENSE - 1),
+        (3 * CUT + 5, 700, DENSE + 1),
+        # lengths around the Karatsuba cutoff
+        (CUT - 1, CUT - 1, None),
+        (CUT, CUT, None),
+        (CUT + 1, CUT + 1, None),
+        (CUT + 1, CUT, None),
+        (CUT + 1, CUT - 1, None),
+        # odd lengths, where the halves differ in length
+        (2 * CUT + 3, 2 * CUT + 1, None),
+        (5 * CUT + 7, 4 * CUT + 9, None),
+        # unbalanced: la > 2 * lb
+        (4 * CUT + 11, CUT // 2 + 3, None),
+        (8 * CUT, 2 * CUT - 5, None),
+        (16 * CUT, 3 * CUT, None),
+        (1 << 16, 1 << 16, None),
+    ],
+)
+def test_mul_paths_match_shift_xor(la, lb, pop_b):
+    rng = random.Random(la * 100003 + lb)
+    for _ in range(2):
+        a = rng.getrandbits(la) | (1 << (la - 1))
+        b = with_bits(rng, lb, pop_b) if pop_b is not None else rng.getrandbits(lb) | (1 << (lb - 1))
+        expect = shift_xor_mul(a, b)
+        assert clmul(a, b) == expect
+        assert clmul(b, a) == expect
+
+
+def test_mul_zero_and_one():
+    rng = random.Random(11)
+    for length in (1, 64, CUT + 1, 5 * CUT):
+        a = rng.getrandbits(length) | (1 << (length - 1))
+        assert clmul(a, 0) == clmul(0, a) == 0
+        assert clmul(a, 1) == clmul(1, a) == a
+    assert clmul(0, 0) == 0 and clmul(1, 1) == 1
+
+
+def test_mul_dense_operand_with_sparse_halves():
+    # a dense operand split against one whose set bits all sit in one half
+    rng = random.Random(12)
+    a = rng.getrandbits(4 * CUT) | (1 << (4 * CUT - 1))
+    b = rng.getrandbits(CUT) << (3 * CUT) | (1 << (4 * CUT - 1))
+    assert clmul(a, b) == shift_xor_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "length", [1, 7, 8, 9, SPLIT - 8, SPLIT - 1, SPLIT, SPLIT + 1, SPLIT + 8, 3 * SPLIT + 5, 16 * SPLIT + 3, 1 << 16]
+)
+def test_square_matches_mul(length):
+    rng = random.Random(length)
+    a = rng.getrandbits(length) | (1 << (length - 1))
+    assert clsq(a) == clmul(a, a)
+    sparse = (1 << (length - 1)) | 1
+    assert clsq(sparse) == clmul(sparse, sparse) == (1 << (2 * length - 2)) | 1
+
+
+def test_square_zero_and_one():
+    assert clsq(0) == 0 and clsq(1) == 1
+
+
+def test_kernels_recurse_through_private_names(monkeypatch):
+    # a wrapper on the public names must see one call per outside product
+    calls = []
+    for name in ("clmul", "clsq"):
+        inner = getattr(gf2poly, name)
+        monkeypatch.setattr(gf2poly, name, lambda *args, f=inner: calls.append(1) or f(*args))
+    rng = random.Random(13)
+    a, b = rng.getrandbits(8 * CUT), rng.getrandbits(8 * CUT)
+    gf2poly.clmul(a, b)
+    gf2poly.clsq(a)
+    assert len(calls) == 2
 
 
 @given(st.integers(0, 1 << 96), st.integers(1, 1 << 48))
