@@ -1,12 +1,17 @@
-"""Layer bench for cf2's GF(2)[z] and Laurent-series kernels.
+"""Layer bench for cf2's GF(2)[z] and Laurent-series kernels and its
+relation search.
 
 Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``laurent._inv_mask`` and ``LaurentSeries.__mul__`` at 1k, 4k, 16k and
-64k bits.  Each time is the minimum over rounds x reps of the mean call
-time in a batch of calls (at least 5 ms per batch) on seeded random
-operands; it needs only the standard library.
+64k bits, and ``find_relation`` on the degree ladder's theorem-1 series
+P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
+precision with degX 2^n and degZ 2^n + 8, and on the explore search
+(degX 16, degZ 256).  Each time is the minimum over rounds x reps of the
+mean call time in a batch of calls (at least 5 ms per batch) on seeded
+or fixed operands; it needs only the standard library.  ``--quick`` runs
+one round and drops every case whose first call takes over 1 s.
 
-    python3 bench/bench.py --out BENCH_5.json
+    python3 bench/bench.py --out BENCH_6.json
     python3 bench/bench.py --quick --src parent=../parent/src --src change=src
 
 Each ``--src [LABEL=]DIR`` (default: this checkout's ``src``) is timed in
@@ -32,10 +37,33 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = {"1k": 1 << 10, "4k": 1 << 12, "16k": 1 << 14, "64k": 1 << 16}
 REPS = 3  # timed batches of each case per round
 BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
+QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
+LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
+EXPLORE = (16, 256)  # degX, degZ of the explore search
+
+
+def relation_cases(relations, towers, words):
+    """(name, function, args) for the relation-search rows: each series is
+    built here, at the precision the first search round uses."""
+    spb = towers.SpecMap.binary_default()
+    out = []
+    for n, eps in LADDER.items():
+        degx = 1 << n
+        prec = max(512, relations.required_precision(degx, degx + 8, -1))
+        phi = towers.p_cf_series(words.PSpec("", eps), spb, prec)
+        out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
+    degx, degz = EXPLORE
+    period_doubling = words.PSpec("", "10")
+    phi = towers.cf_series_of(
+        lambda length: words.sigma_inv_word(words.p_prefix(period_doubling, length + 1)),
+        spb, max(512, relations.required_precision(degx, degz, -1)),
+    )
+    out.append(("find_relation.explore", relations.find_relation, (phi, degx, degz)))
+    return out
 
 
 def cases(gf2poly, laurent):
-    """(name, function, args) for every timed call."""
+    """(name, function, args) for every timed kernel call."""
     out = []
     for label, n in SIZES.items():
         rng = random.Random(n)
@@ -54,16 +82,19 @@ def cases(gf2poly, laurent):
     return out
 
 
-def worker(src: str) -> None:
+def worker(src: str, quick: bool) -> None:
     """Time every case REPS times against ``src`` and print the minima."""
     sys.path.insert(0, src)
-    from cf2 import gf2poly, laurent
+    from cf2 import gf2poly, laurent, relations, towers, words
 
     best = {}
-    for name, fn, args in cases(gf2poly, laurent):
+    for name, fn, args in cases(gf2poly, laurent) + relation_cases(relations, towers, words):
         t0 = time.perf_counter()
         fn(*args)
-        number = max(1, int(BATCH_S / (time.perf_counter() - t0)))
+        first = time.perf_counter() - t0
+        if quick and first > QUICK_MAX_S:
+            continue
+        number = max(1, int(BATCH_S / first))
         times = []
         for _ in range(REPS):
             t0 = time.perf_counter()
@@ -87,12 +118,12 @@ def cpu_model() -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", action="append", help="[LABEL=]DIR of a cf2 source tree (repeatable)")
-    p.add_argument("--quick", action="store_true", help="one round instead of five (well under 30 s)")
+    p.add_argument("--quick", action="store_true", help="one round instead of five, cases under 1 s only")
     p.add_argument("--out", help="write the JSON record to this file")
     p.add_argument("--worker", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        worker(args.worker)
+        worker(args.worker, args.quick)
         return 0
 
     srcs = dict(s.split("=", 1) if "=" in s else (s, s) for s in args.src or [str(ROOT / "src")])
@@ -102,7 +133,8 @@ def main(argv=None) -> int:
         order = list(srcs) if r % 2 == 0 else list(srcs)[::-1]
         for label in order:
             done = subprocess.run(
-                [sys.executable, __file__, "--worker", str(Path(srcs[label]).resolve())],
+                [sys.executable, __file__, "--worker", str(Path(srcs[label]).resolve())]
+                + ["--quick"] * args.quick,
                 capture_output=True, text=True, check=True,
             )
             best = results.setdefault(label, {})
@@ -121,8 +153,9 @@ def main(argv=None) -> int:
         "results": results,
     }
     print("case".ljust(32) + "".join(label[-24:].rjust(26) for label in srcs))
-    for name in results[next(iter(srcs))]:
-        print(name.ljust(32) + "".join(f"{results[label][name] * 1e3:23.3f} ms" for label in srcs))
+    for name in dict.fromkeys(name for label in srcs for name in results[label]):
+        times = (results[label].get(name) for label in srcs)
+        print(name.ljust(32) + "".join("-".rjust(26) if t is None else f"{t * 1e3:23.3f} ms" for t in times))
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

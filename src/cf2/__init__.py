@@ -11,7 +11,7 @@ from .gf2poly import Gf2Poly
 from .gf2m import Gf2m, MODULI, ext_sample_invertible, field
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
-from .relations import AlgRelation, InsufficientPrecision, find_relation, verify_relation
+from .relations import AlgRelation, find_relation, verify_relation
 from .theorems import (
     check_corollary_chain,
     check_theorem_g,
@@ -51,9 +51,9 @@ from .words import (
 
 __all__ = [
     "AlgRelation", "DegenerateDraw", "DegeneratePeriodic", "Gf2Poly", "Gf2m",
-    "GQuantities", "GSpec", "HypothesisViolation", "InsufficientPrecision",
-    "LaurentSeries", "MODULI", "Mat2", "PSpec", "PTower", "SeriesField",
-    "SpecMap", "WordStats", "cf_series", "check_corollary_chain",
+    "GQuantities", "GSpec", "HypothesisViolation", "LaurentSeries", "MODULI",
+    "Mat2", "PSpec", "PTower", "SeriesField", "SpecMap", "WordStats",
+    "cf_series", "check_corollary_chain",
     "check_theorem_g", "check_theorem_p", "complement", "convergent_pair",
     "convergent_series", "explore_inverse_sigma", "ext_sample_invertible",
     "field", "find_relation", "g_cf_series", "g_limits", "g_normalize",

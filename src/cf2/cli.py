@@ -235,7 +235,7 @@ def cmd_relation(args, out) -> int:
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
         _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx, **degz)
-        rel = find_relation(phi, args.degx, args.degz if args.degz is not None else args.degx + 8)
+        rel = find_relation(phi, args.degx, args.degz)
         if rel is None:
             print("relation none", file=out)
             return 1

@@ -2,12 +2,14 @@
 
 ``find_relation`` looks for polynomials p_0..p_D over GF(2)[z], not all
 zero, with p_0 + p_1*phi + ... + p_D*phi^D vanishing to the usable
-precision of phi.  Each unknown coefficient bit of some p_i z^j
-contributes a column (the coefficient window of z^j phi^i), each series
-exponent a row, and kernel vectors of the resulting GF(2) matrix are
-candidate relations.  Columns are bit-packed into ints and eliminated
-with XOR; blocks are processed in ascending powers of phi, so the first
-kernel hit has minimal degree in phi.
+precision of phi.  In t = 1/z, with pole = max(0, -val phi), the series
+psi_i = t^(D*pole) * phi^i are known to the order sigma = prec + pole.  A
+column-reduced order basis of (psi_0, ..., psi_D) (Beckermann-Labahn's
+iterative sigma-basis) has as least column degree d the least z-degree of
+any q with sum q_i*psi_i = O(t^sigma), so degZ is read off the data, not
+guessed; reversed at width d, q gives p_i(z) = z^d * q_i(1/z).  A column
+counts only if required_precision(D, d, 0) fits the order psi_0 carries,
+sigma - D*pole, the fewest of any psi_i.
 
 A returned relation certifies only "annihilates to this precision";
 callers re-verify at higher precision and discard precision artifacts.
@@ -19,15 +21,6 @@ from dataclasses import dataclass, replace
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
-
-
-class InsufficientPrecision(ValueError):
-    def __init__(self, needed: int, available: int):
-        super().__init__(
-            f"series precision {available} below the required {needed}"
-        )
-        self.needed = needed
-        self.available = available
 
 
 def required_precision(degx: int, degz: int, val: int) -> int:
@@ -56,15 +49,15 @@ class AlgRelation:
 
     def evaluate(self, phi: LaurentSeries) -> LaurentSeries:
         """Residual series sum(p_i * phi^i) at phi's precision."""
+        return self.residual(_powers(phi, len(self.coeffs) - 1))
+
+    def residual(self, powers: list[LaurentSeries]) -> LaurentSeries:
+        """sum(p_i * powers[i]), for powers 1, phi, phi^2, ... of phi."""
         acc = None
-        power = LaurentSeries.one(phi.prec)
-        for i, p in enumerate(self.coeffs):
-            if i:
-                power = power * phi
-            if p.is_zero():
-                continue
-            term = power.mul_poly(p)
-            acc = term if acc is None else acc + term
+        for p, power in zip(self.coeffs, powers):
+            if not p.is_zero():
+                term = power.mul_poly(p)
+                acc = term if acc is None else acc + term
         if acc is None:
             raise ValueError("empty relation")
         return acc
@@ -82,6 +75,14 @@ class AlgRelation:
         return self.render()
 
 
+def _powers(phi: LaurentSeries, n: int) -> list[LaurentSeries]:
+    """1, phi, ..., phi^n at phi's precision."""
+    out = [LaurentSeries.one(phi.prec)]
+    for _ in range(n):
+        out.append(out[-1] * phi)
+    return out
+
+
 def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
     content = Gf2Poly.zero()
     for p in polys:
@@ -91,62 +92,70 @@ def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
     return tuple(p // content for p in polys)
 
 
-def find_relation(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
-    """Minimal-X-degree relation annihilating phi to its precision, or None.
+def max_degz(phi: LaurentSeries, degx: int) -> int:
+    """Largest d with required_precision(degx, d, 0) <= prec - (degx - 1) *
+    pole: the z-degrees a search can certify (negative: none)."""
+    return (phi.prec - (degx - 1) * max(0, -phi.val) - required_precision(degx, 0, 0)) // (degx + 1)
 
-    The precondition on phi's precision is checked, never silently
-    relaxed; raise InsufficientPrecision when the window cannot support
-    the requested search space.
-    """
-    if degx < 1 or degz < 0:
+
+def _order_basis(res: list[int], sigma: int) -> tuple[list[int], list[int]]:
+    """Order-``sigma`` basis columns and their degrees for the series
+    ``res``, each bit-reversed (t^k at bit sigma-1-k) and turned in place
+    into its column's residual.  Column j starts as e_j; entry i's t^l
+    coefficient is bit l*n + i, so a shift by n multiplies by t.  The
+    pivot is the live column of least degree, ties to the lowest index,
+    so the leading coefficients stay unit upper triangular."""
+    n = len(res)
+    cols = [1 << j for j in range(n)]
+    degs = [0] * n
+    for k in range(sigma):
+        live = [j for j, r in enumerate(res) if r.bit_length() == sigma - k]
+        if not live:
+            continue
+        p = min(live, key=degs.__getitem__)
+        for j in live:
+            if j != p:
+                res[j] ^= res[p]
+                cols[j] ^= cols[p]
+        res[p] >>= 1
+        cols[p] <<= n
+        degs[p] += 1
+    return cols, degs
+
+
+def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> AlgRelation | None:
+    """Minimal-X-degree relation of z-degree <= degz (default ``max_degz``)
+    annihilating phi to its precision, or None; a degz past ``max_degz``
+    raises ValueError naming the precision it needs."""
+    if degx < 1 or degz is not None and degz < 0:
         raise ValueError("need degx >= 1 and degz >= 0")
-    val = 0 if phi.is_zero else min(0, phi.val)
-    needed = required_precision(degx, degz, val)
-    if phi.prec < needed:
-        raise InsufficientPrecision(needed, phi.prec)
-
-    powers = [LaurentSeries.one(phi.prec)]
-    for _ in range(degx):
-        powers.append(powers[-1] * phi)
-    t_hi = min(p.prec for p in powers) - degz
-    t_lo = min(p.val if not p.is_zero else p.prec for p in powers) - degz
-    nrows = t_hi - t_lo
-    if nrows <= 0:
-        raise InsufficientPrecision(needed, phi.prec)
-    row_mask = (1 << nrows) - 1
-
-    # pivot row -> (column vector, combination of original columns)
-    pivots: dict[int, tuple[int, int]] = {}
-    width = degz + 1
-
-    def reduce(vec: int, track: int) -> tuple[int, int]:
-        while vec:
-            low = (vec & -vec).bit_length() - 1
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (vec, track)
-                return vec, track
-            vec ^= hit[0]
-            track ^= hit[1]
-        return 0, track
-
-    for i, power in enumerate(powers):
-        v_i = power.val if not power.is_zero else power.prec
-        mask_i = power.mask
-        for j in range(width):
-            shift = t_lo + j - v_i
-            col = mask_i << -shift if shift < 0 else mask_i >> shift
-            col &= row_mask
-            vec, track = reduce(col, 1 << (i * width + j))
-            if vec or i == 0:
-                continue
-            # the kernel vector holds its own column, so its top block is set:
-            # it is c(z) times the minimal relation, and normalizing the
-            # content removes c(z)
-            polys = [Gf2Poly((track >> (k * width)) & ((1 << width) - 1)) for k in range(i + 1)]
-            rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
-            return replace(rel, verified_prec=rel.evaluate(phi).known_zero_below())
-    return None
+    cap, pole = max_degz(phi, degx), max(0, -phi.val)
+    degz = max(cap, 0) if degz is None else degz
+    if degz > cap:
+        need = required_precision(degx, degz, 0) + (degx - 1) * pole
+        raise ValueError(f"degX {degx} degZ {degz} needs precision {need}, got {phi.prec}")
+    sigma = phi.prec + pole
+    powers = _powers(phi, degx)
+    low = (1 << sigma) - 1
+    res = [int(f"{(p.mask << (p.val + degx * pole)) & low:0{sigma}b}"[::-1], 2) for p in powers]
+    cols, degs = _order_basis(res, sigma)
+    d = min(degs)
+    if d > degz:
+        return None
+    # the relations among the degree-d columns are M*c(X); their leading
+    # coefficients are triangular, so the deg c differ and the first is M.
+    # Read low to high, entry i's bits are p_i's from z^d down.
+    bits = f"{cols[degs.index(d)]:0{(d + 1) * (degx + 1)}b}"[::-1]
+    polys = [Gf2Poly(int(bits[i :: degx + 1], 2)) for i in range(degx + 1)]
+    while polys[-1].is_zero():
+        polys.pop()
+    rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
+    residual = rel.residual(powers)
+    # the basis checks p_i*phi^i short of its own precision when i < degx
+    # or deg p_i < d; the residual must vanish on those orders too
+    if not residual.is_zero:
+        return None
+    return replace(rel, verified_prec=residual.known_zero_below())
 
 
 def verify_relation(rel: AlgRelation, phi: LaurentSeries) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from .laurent import LaurentSeries
-from .relations import AlgRelation, find_relation, required_precision
+from .relations import AlgRelation, find_relation, max_degz, required_precision
 from .towers import (
     HypothesisViolation,
     SpecMap,
@@ -94,43 +94,34 @@ def search_relation(
     leading_val: int,
     degz: int | None = None,
 ) -> RelationSearch:
-    """Find a relation at the requested precision and re-verify at double.
-
-    The working precision is raised to the documented demand of the
-    search space when the requested one cannot support it; re-verified
-    residuals must vanish to at least 1.5x the discovery precision or
-    the candidate is discarded as a precision artifact.
-    """
-    degz_used = degz if degz is not None else degx * max(1, max_poly_degree) + 8
+    """Find a relation and re-verify it at double the precision: first at
+    the demand of degZ ``degz`` (default degx * max_poly_degree + 8), to
+    ``degz`` or else the largest degZ the order certifies.  A candidate must
+    vanish to 1.5x the discovery precision or is a precision artifact;
+    without ``degz``, nothing or an artifact sends the search on to the
+    verifying series, up to precision max(4 * prec, 2048)."""
+    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
+    p1 = max(prec, required_precision(degx, first, leading_val))
     budget = max(4 * prec, 2048)
-    phi = None
-    p1 = prec
-    rel = None
+    phi = phi_fn(p1)
     while True:
-        p1 = max(prec, required_precision(degx, degz_used, leading_val))
-        if phi is None or phi.prec < p1:
-            phi = phi_fn(p1)
+        degz_used = degz if degz is not None else max_degz(phi, degx)
         rel = find_relation(phi, degx, degz_used)
-        if rel is not None or degz is not None:
-            break
-        # start words can push coefficient degrees well past the first
-        # guess; keep doubling while the precision budget allows
-        if required_precision(degx, 2 * degz_used, leading_val) > budget:
-            break
-        degz_used *= 2
-    p2 = 2 * p1
-    threshold = (3 * p1) // 2
-    if rel is None:
-        return RelationSearch(None, degx, degz_used, p1, p2, threshold, None, False)
-    residual = rel.evaluate(phi_fn(p2))
-    bound = residual.known_zero_below()
-    verified = residual.is_zero and bound >= threshold
-    if not verified:
-        # precision artifact: keep the numbers but drop the relation
-        return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
-    return RelationSearch(
-        replace(rel, verified_prec=bound), degx, degz_used, p1, p2, threshold, bound, True
-    )
+        p2, threshold, bound = 2 * p1, (3 * p1) // 2, None
+        last = degz is not None or p1 >= budget
+        if rel is not None or not last:
+            phi2 = phi_fn(p2)
+        if rel is not None:
+            residual = rel.evaluate(phi2)
+            bound = residual.known_zero_below()
+            if residual.is_zero and bound >= threshold:
+                rel = replace(rel, verified_prec=bound)
+                return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
+        if last:
+            # nothing found, or a precision artifact: keep its numbers, drop the relation
+            return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
+        p1 = min(p2, budget)
+        phi = LaurentSeries(phi2.val, phi2.mask, p1)
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):

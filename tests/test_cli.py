@@ -114,6 +114,24 @@ def test_relation_rational_honours_degz_zero():
     assert out.splitlines()[-1] == "relation none"
 
 
+@pytest.mark.parametrize(
+    "num,den,degx,degz,need",
+    [
+        # z^32 is a pole: phi^0 = t^96 * 1 is 0 to the order 96 of phi^3's
+        # window, so no degZ is certified below 64 + 2 * 32 + 4
+        ("z^32", "1", "3", None, 100),
+        ("1", "z+1", "40", None, 73),
+        ("1", "z+1", "2", "20", 95),
+    ],
+)
+def test_relation_rational_uncertified_degz_is_usage_error(capsys, num, den, degx, degz, need):
+    argv = ["relation", "--num", num, "--den", den, "--degx", degx, "--prec", "64"]
+    code, out = run_cli(*argv, *(["--degz", degz] if degz else []))
+    assert code == 2
+    assert out.splitlines()[-1].startswith("config command=relation ")
+    assert capsys.readouterr().err.strip().endswith(f"needs precision {need}, got 64")
+
+
 def test_theorem2_thue_morse_cli():
     code, out = run_cli(
         "theorem2", "--u0", "a", "--v0", "b", "--ups", "1",
@@ -225,11 +243,6 @@ def test_theorem2_ups10001_passes_at_prec_1024():
     assert out.splitlines()[-2].startswith("degree=32 degZ=64 ")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="false fail: the relation search's degZ budget max(4*prec, 2048) ignores"
-    " the bound 2^k and stops before degZ 64 at the default precision (ROADMAP item 3)",
-)
 def test_theorem2_ups10001_passes_at_default_prec(monkeypatch):
     monkeypatch.delenv("CF2_PREC", raising=False)
     code, out = run_cli(*UPS_10001)

@@ -1,18 +1,76 @@
-"""Relation search: known algebraic series, mutation controls, precision gates."""
+"""Relation search: known algebraic series, mutation controls, precision
+gates, and the order basis against a dense-elimination reference."""
+
+import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
-from cf2.gf2poly import Gf2Poly
+from cf2.gf2poly import Gf2Poly, clmul
 from cf2.laurent import LaurentSeries
 from cf2.relations import (
     AlgRelation,
-    InsufficientPrecision,
+    _content_normalize,
+    _order_basis,
     find_relation,
+    max_degz,
     required_precision,
     verify_relation,
 )
+from cf2.theorems import spec_series
 from cf2.towers import SpecMap, g_cf_series, p_cf_series
 from cf2.words import GSpec, PSpec
+
+SPB = SpecMap.binary_default()
+SPAB = SpecMap.parse("a=z,b=z+1")
+
+
+def eliminate(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
+    """Reference search: dense GF(2) elimination of the coefficient windows
+    of z^j phi^i, one column per (i, j) in ascending order, over every
+    exponent where all of them are known; the first kernel vector, content
+    normalized, is the minimal-X-degree relation of z-degree <= degz."""
+    val = 0 if phi.is_zero else min(0, phi.val)
+    assert phi.prec >= required_precision(degx, degz, val)
+    powers = [LaurentSeries.one(phi.prec)]
+    for _ in range(degx):
+        powers.append(powers[-1] * phi)
+    t_hi = min(p.prec for p in powers) - degz
+    t_lo = min(p.val if not p.is_zero else p.prec for p in powers) - degz
+    row_mask = (1 << (t_hi - t_lo)) - 1
+    width = degz + 1
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, power in enumerate(powers):
+        v_i = power.val if not power.is_zero else power.prec
+        for j in range(width):
+            shift = t_lo + j - v_i
+            vec = (power.mask << -shift if shift < 0 else power.mask >> shift) & row_mask
+            track = 1 << (i * width + j)
+            while vec:
+                low = (vec & -vec).bit_length() - 1
+                if low not in pivots:
+                    pivots[low] = (vec, track)
+                    break
+                vec ^= pivots[low][0]
+                track ^= pivots[low][1]
+            if vec or i == 0:
+                continue
+            polys = [Gf2Poly((track >> (k * width)) & ((1 << width) - 1)) for k in range(i + 1)]
+            rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
+            return replace(rel, verified_prec=rel.evaluate(phi).known_zero_below())
+    return None
+
+
+def assert_matches_reference(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
+    """find_relation agrees with the reference wherever the reference
+    finds a relation, and finds nothing where it finds none; so does a
+    search to the largest z-degree the order certifies."""
+    want = eliminate(phi, degx, degz)
+    assert find_relation(phi, degx, degz) == want
+    if want is not None:
+        assert find_relation(phi, degx, max_degz(phi, degx)) == want
+    return want
 
 
 def test_rational_series_degree_one():
@@ -30,9 +88,9 @@ def test_lacunary_frobenius_relation():
 
 def test_insufficient_precision_raises():
     phi = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64)
-    with pytest.raises(InsufficientPrecision) as exc:
+    need = required_precision(8, 64, 0)
+    with pytest.raises(ValueError, match=f"degX 8 degZ 64 needs precision {need}, got 64"):
         find_relation(phi, 8, 64)
-    assert exc.value.needed == required_precision(8, 64, 0)
 
 
 def test_no_relation_for_generic_truncation():
@@ -119,3 +177,160 @@ def test_random_rational_series_found_exactly():
         assert rel is not None and rel.degx == 1
         # the defining relation den*X + num, up to content
         assert rel.coeffs[1] * num == rel.coeffs[0] * den
+
+
+# -- the order basis against the reference ----------------------------------
+
+def _search_input(spec, sp: SpecMap, degx: int, prec: int, degz: int | None = None):
+    """The series and degZ of a theorem's search before the order basis:
+    its first guess degx * max_degree + 8 unless ``degz`` is given."""
+    phi_fn, val = spec_series(spec, sp)
+    degz = degz if degz is not None else degx * sp.max_degree + 8
+    return phi_fn(max(prec, required_precision(degx, degz, val))), degz
+
+
+# (spec, map, degX, prec, the degZ where the golden's search found it)
+GOLDEN_SEARCHES = [
+    (PSpec("", "10"), SPB, 4, 256, None),
+    (PSpec("", "0"), SPB, 2, 512, None),
+    (PSpec("", "10"), SPB, 4, 512, None),
+    (PSpec("10", "110"), SPB, 8, 512, None),
+    (GSpec("a", "b", "11"), SPAB, 4, 256, None),
+    (GSpec("a", "b", "0"), SPAB, 2, 512, None),
+    (GSpec("a", "b", "1"), SPAB, 4, 512, None),
+    (GSpec("a", "b", "011"), SPAB, 8, 512, 32),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,sp,degx,prec,degz", GOLDEN_SEARCHES, ids=[f"{c[0]!r}-{c[3]}" for c in GOLDEN_SEARCHES]
+)
+def test_golden_series_match_reference(spec, sp, degx, prec, degz):
+    phi, degz = _search_input(spec, sp, degx, prec, degz)
+    assert assert_matches_reference(phi, degx, degz) is not None
+
+
+KNOWN_CASES = [
+    ("1/(z+1)", LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 256), 2, 4),
+    ("lacunary", LaurentSeries.from_terms([1 << n for n in range(9)], 300), 3, 4),
+    ("thue-morse", g_cf_series(GSpec("a", "b", "1"), SPAB, 512), 4, 12),
+    ("period-doubling", p_cf_series(PSpec("", "10"), SPB, 512), 4, 16),
+    ("z/(z^2+z+1)", LaurentSeries.from_rational(Gf2Poly.parse("z"), Gf2Poly.parse("z^2+z+1"), 256), 3, 6),
+    ("1/(z^2+z)", LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z^2+z"), 256), 2, 4),
+    ("random-bits", LaurentSeries(1, random.Random(12).getrandbits(400) | 1, 401), 2, 4),
+    ("zero", LaurentSeries.zero(128), 2, 4),
+]
+
+
+@pytest.mark.parametrize("name,phi,degx,degz", KNOWN_CASES, ids=[c[0] for c in KNOWN_CASES])
+def test_known_series_match_reference(name, phi, degx, degz):
+    assert_matches_reference(phi, degx, degz)
+
+
+def test_random_rationals_match_reference():
+    rng = random.Random(31)
+    for _ in range(15):
+        num = Gf2Poly(rng.getrandbits(6) | 1)
+        den = Gf2Poly(rng.getrandbits(6) | (1 << 6))
+        phi = LaurentSeries.from_rational(num, den, 256)
+        for degx in (1, 2, 3):
+            assert assert_matches_reference(phi, degx, 8) is not None
+
+
+@pytest.mark.parametrize("family,hits", [("P", 42), ("G", 14)])
+def test_small_period_specs_match_reference(family, hits):
+    # every P spec has a relation of degree <= 2^n within the first degZ
+    # guess; 14 of the G specs do (the others need a larger degree or degZ)
+    found = 0
+    for n in (1, 2, 3):
+        for bits in product("01", repeat=n):
+            word = "".join(bits)
+            if family == "P":
+                specs, sp = [PSpec(w0, word) for w0 in ("", "1", "01")], SPB
+            else:
+                specs, sp = [GSpec("a", "b", word), GSpec("b", "a", word)], SPAB
+            for spec in specs:
+                phi, degz = _search_input(spec, sp, 1 << n, 256)
+                found += assert_matches_reference(phi, 1 << n, degz) is not None
+    assert found == hits
+
+
+def _reversed_series(series: list[int], sigma: int) -> list[int]:
+    return [int(f"{s:0{sigma}b}"[::-1], 2) for s in series]
+
+
+def _entries(col: int, n: int) -> list[int]:
+    """The polynomial entries of an interleaved basis column."""
+    bits = f"{col:b}"[::-1]
+    return [int(bits[i::n][::-1] or "0", 2) for i in range(n)]
+
+
+def test_relation_columns_leave_one_live_column():
+    # for rational phi the columns q, Xq and X^2 q of den*X + num are
+    # relations, so the fourth column is live at every other order and
+    # its degree runs to 250; the relation must still come out whole
+    num, den = Gf2Poly.parse("z"), Gf2Poly.parse("z^2+z+1")
+    phi = LaurentSeries.from_rational(num, den, 256)
+    powers = [phi.pow(i) for i in range(4)]
+    res = _reversed_series([(p.mask << p.val) & ((1 << 256) - 1) for p in powers], 256)
+    cols, degs = _order_basis(res, 256)
+    assert sorted(degs) == [2, 2, 2, 250]
+    assert max(e.bit_length() for e in _entries(cols[degs.index(250)], 4)) == 251
+    rel = assert_matches_reference(phi, 3, max_degz(phi, 3))
+    assert rel.coeffs == (num, den)
+
+
+def test_uncertified_degree_returns_none():
+    # 1/(z^5+z^2+1): the relation has degZ 5, and prec 64 lets a degree-8
+    # search certify degZ <= 2 (9 * 3 + 32 = 59), so no column counts
+    den = Gf2Poly.parse("z^5+z^2+1")
+    phi = LaurentSeries.from_rational(Gf2Poly.one(), den, 64)
+    assert max_degz(phi, 8) == 2
+    assert find_relation(phi, 8) is None
+    deep = LaurentSeries.from_rational(Gf2Poly.one(), den, 128)
+    assert find_relation(deep, 8).coeffs == (Gf2Poly.one(), den)
+    assert find_relation(deep, 8, 4) is None  # explicit degz below the relation's
+
+
+def test_pole_counts_the_order_of_the_unshifted_power():
+    # phi = z^32 at prec 64: psi_0 = t^96 is 0 to the order 96 the basis
+    # works to, so e_0 would pass for a degree-0 relation; the count runs
+    # on the order psi_0 carries, prec - (degx - 1) * pole
+    phi = LaurentSeries.from_terms([-32], 64)
+    assert max_degz(phi, 3) < 0
+    with pytest.raises(ValueError, match="needs precision 100"):
+        find_relation(phi, 3)
+    assert find_relation(LaurentSeries.from_terms([-32], 200), 3) is None  # degZ <= 25
+    rel = find_relation(LaurentSeries.from_terms([-32], 300), 3)
+    assert rel.render() == "X^1*(1) + X^0*(z^32)"
+
+
+def test_relation_unchecked_to_its_precision_returns_none():
+    # z^9/(z+1) + z^-K at prec 100, degX 3: the basis checks (z+1)X + z^9
+    # only down to z^-75 (prec - 2 * pole - 9), its residual (z+1)z^-K is
+    # known down to z^-91; for K in 76..90 it is not a relation
+    r = LaurentSeries.from_rational(Gf2Poly.parse("z^9"), Gf2Poly.parse("z+1"), 100)
+    for k, want in ((80, None), (90, None), (98, "X^1*(z+1) + X^0*(z^9)")):
+        rel = find_relation(r + LaurentSeries.from_terms([k], 100), 3)
+        assert (rel and rel.render()) == want
+    assert find_relation(r, 3).render() == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_order_basis_is_triangular_and_annihilates(seed):
+    # random series: every column annihilates to order sigma, its degree is
+    # attained in its own entry and by no later entry (ties go to the
+    # lowest index), and the degrees add up to the orders spent
+    rng = random.Random(seed)
+    sigma, n = 240, 5
+    series = [rng.getrandbits(sigma) | 1 for _ in range(n)]
+    cols, degs = _order_basis(_reversed_series(series, sigma), sigma)
+    assert sum(degs) == sigma
+    for j, (col, d) in enumerate(zip(cols, degs)):
+        q = _entries(col, n)
+        assert q[j].bit_length() == d + 1
+        assert all(e.bit_length() <= d for e in q[j + 1:])
+        acc = 0
+        for e, s in zip(q, series):
+            acc ^= clmul(e, s)
+        assert acc & ((1 << sigma) - 1) == 0

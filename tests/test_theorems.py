@@ -129,3 +129,38 @@ def test_precision_artifact_is_discarded():
     assert search.discovery_prec == 64 and search.threshold == 96
     assert search.verified is False and search.relation is None
     assert search.residual_bound == 79
+
+
+# ROADMAP item 3: G specs with the map a=z, b=z+1 whose theorem-2 check
+# failed falsely at prec 256.  Seven need degZ 104-256, past what the search
+# certifies by the time its precision reaches the budget max(4*prec, 2048).
+SEARCH_BUDGET = pytest.mark.xfail(
+    strict=True,
+    reason="false fail: the relation search's budget max(4*prec, 2048) stops the precision"
+    " before the order certifies degZ 104-256 (ROADMAP item 3)",
+)
+ITEM3_SPECS = [
+    pytest.param("a", "b", "0011", marks=SEARCH_BUDGET),
+    pytest.param("b", "a", "0011", marks=SEARCH_BUDGET),
+    pytest.param("aa", "bb", "0011", marks=SEARCH_BUDGET),
+    pytest.param("ab", "bb", "0011", marks=SEARCH_BUDGET),
+    pytest.param("aa", "bb", "0101", marks=SEARCH_BUDGET),
+    ("ab", "bb", "0101"),
+    pytest.param("aa", "bb", "0110", marks=SEARCH_BUDGET),
+    pytest.param("ab", "bb", "0110", marks=SEARCH_BUDGET),
+]
+
+
+@pytest.mark.parametrize("u0,v0,ups", ITEM3_SPECS)
+def test_item3_spec_passes_at_prec_256(u0, v0, ups):
+    assert check_theorem_g(GSpec(u0, v0, ups), SPAB, 256).passed
+
+
+def test_artifact_moves_the_search_to_the_next_rung():
+    # at discovery precisions 1024 and 2048 the least-degree columns (degZ
+    # 55, then 100) annihilate phi but are not relations; re-verification
+    # discards each and the search goes on, until the degree-16 relation
+    # with degZ 128 holds at 4096
+    rep = check_theorem_g(GSpec("a", "b", "0011"), SPAB, 1024)
+    assert rep.passed
+    assert rep.lines[-1] == "degree=16 degZ=128 residual_val=8056 prec=8192"
