@@ -3,7 +3,11 @@ relation search.
 
 Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``laurent._inv_mask`` and ``LaurentSeries.__mul__`` at 1k, 4k, 16k and
-64k bits, and ``find_relation`` on the degree ladder's theorem-1 series
+64k bits; ``Gf2m.mul`` and ``Mat2.mul`` over GF(2^16) (a dense pair and
+a pair with a zero entry), ``Mat2.mul`` over series at 4k bits and
+``pair_tower`` over GF(2^16) along an 8-bit swap word, with the field
+tables and operands built before the first timed call; and
+``find_relation`` on the degree ladder's theorem-1 series
 P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
 precision with degX 2^n and degZ 2^n + 8, and on the explore search
 (degX 16, degZ 256).  Each time is the minimum over rounds x reps of the
@@ -62,6 +66,27 @@ def relation_cases(relations, towers, words):
     return out
 
 
+def field_cases(gf2m, laurent, mat2, towers):
+    """(name, function, args) for the GF(2^16) and series matrix rows."""
+    F = gf2m.field(16)
+    rng = random.Random(16)
+    dense = [mat2.Mat2(F, *(F.sample_invertible(rng) for _ in range(4))) for _ in range(2)]
+    letter = mat2.Mat2.letter(F, F.sample_invertible(rng))
+    n = SIZES["4k"]
+    S = mat2.SeriesField(n)
+    series = [
+        mat2.Mat2(S, *(laurent.LaurentSeries(0, rng.getrandbits(n) | 1, n) for _ in range(4)))
+        for _ in range(2)
+    ]
+    return [
+        ("Gf2m.mul.gf16", F.mul, (dense[0].a, dense[0].b)),
+        ("Mat2.mul.gf16.dense", mat2.Mat2.mul, tuple(dense)),
+        ("Mat2.mul.gf16.zero_entry", mat2.Mat2.mul, (dense[0], letter)),
+        ("Mat2.mul.series.4k", mat2.Mat2.mul, tuple(series)),
+        ("pair_tower.gf16.8bit", towers.pair_tower, (*dense, "10110100")),
+    ]
+
+
 def cases(gf2poly, laurent):
     """(name, function, args) for every timed kernel call."""
     out = []
@@ -85,10 +110,11 @@ def cases(gf2poly, laurent):
 def worker(src: str, quick: bool) -> None:
     """Time every case REPS times against ``src`` and print the minima."""
     sys.path.insert(0, src)
-    from cf2 import gf2poly, laurent, relations, towers, words
+    from cf2 import gf2m, gf2poly, laurent, mat2, relations, towers, words
 
+    todo = cases(gf2poly, laurent) + field_cases(gf2m, laurent, mat2, towers)
     best = {}
-    for name, fn, args in cases(gf2poly, laurent) + relation_cases(relations, towers, words):
+    for name, fn, args in todo + relation_cases(relations, towers, words):
         t0 = time.perf_counter()
         fn(*args)
         first = time.perf_counter() - t0
@@ -155,7 +181,7 @@ def main(argv=None) -> int:
     print("case".ljust(32) + "".join(label[-24:].rjust(26) for label in srcs))
     for name in dict.fromkeys(name for label in srcs for name in results[label]):
         times = (results[label].get(name) for label in srcs)
-        print(name.ljust(32) + "".join("-".rjust(26) if t is None else f"{t * 1e3:23.3f} ms" for t in times))
+        print(name.ljust(32) + "".join("-".rjust(26) if t is None else f"{t * 1e6:23.3f} us" for t in times))
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

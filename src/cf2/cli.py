@@ -26,6 +26,7 @@ from .theorems import (
     spec_series,
 )
 from .towers import (
+    ClaimFailed,
     PrecisionBudget,
     SpecMap,
     cf_series,
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
     except PrecisionBudget as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    except ClaimFailed as exc:
+        print(f"fail: {exc}", file=sys.stderr)
+        return 1
     finally:
         if close is not None:
             close.close()

@@ -6,6 +6,11 @@ from ``MODULI`` (the lexicographically least irreducible polynomial of
 its degree, as an integer), so randomized runs are reproducible across
 machines.  For m <= 16 multiplication goes through exp/log tables; the
 generic path reduces carry-less products modulo the field polynomial.
+The exp table is stored twice over (exp[i] == exp[i + order]), so a sum
+of two logs indexes it with no reduction mod the group order.  That
+also gives ``mat_mul``, a fused 2x2 product: with all eight entries
+nonzero it looks up each entry's log once and does 8 exp lookups and
+4 XORs.
 """
 
 from __future__ import annotations
@@ -99,13 +104,19 @@ class Gf2m:
 
     def _build_tables(self) -> None:
         g = self._find_generator()
-        exp = [0] * self.order
-        log = [0] * (self.order + 1)
+        m, order = self.m, self.order
+        # v -> v*g is GF(2)-linear: look up the images of v's low 8 bits
+        # and of the rest
+        low = [self._raw_mul(b, g) for b in range(1 << min(m, 8))]
+        high = [self._raw_mul(b << 8, g) for b in range(1 << max(m - 8, 0))]
+        ints = list(range(order + 1))  # one int object per value, shared by both tables
+        exp = [0] * (2 * order)
+        log = [0] * (order + 1)
         v = 1
-        for i in range(self.order):
-            exp[i] = v
-            log[v] = i
-            v = self._raw_mul(v, g)
+        for i in range(order):
+            exp[i] = exp[i + order] = ints[v]
+            log[v] = ints[i]
+            v = low[v & 255] ^ high[v >> 8]
         assert v == 1
         self._exp = exp
         self._log = log
@@ -120,11 +131,33 @@ class Gf2m:
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
-            s = self._log[a] + self._log[b]
-            if s >= self.order:
-                s -= self.order
-            return self._exp[s]
+            return self._exp[self._log[a] + self._log[b]]
         return self._raw_mul(a, b)
+
+    def mat_mul(self, x, y) -> tuple[int, int, int, int]:
+        """Entries (a, b, c, d) of the 2x2 product x*y of two ``Mat2``.
+        Letter, insertion and scalar matrices have zero entries, so they
+        and tableless fields take the entrywise formula."""
+        a, b, c, d = x.a, x.b, x.c, x.d
+        e, f, g, h = y.a, y.b, y.c, y.d
+        log = self._log
+        if log is not None and a and b and c and d and e and f and g and h:
+            exp = self._exp
+            la, lb, lc, ld = log[a], log[b], log[c], log[d]
+            le, lf, lg, lh = log[e], log[f], log[g], log[h]
+            return (
+                exp[la + le] ^ exp[lb + lg],
+                exp[la + lf] ^ exp[lb + lh],
+                exp[lc + le] ^ exp[ld + lg],
+                exp[lc + lf] ^ exp[ld + lh],
+            )
+        mul = self.mul
+        return (
+            mul(a, e) ^ mul(b, g),
+            mul(a, f) ^ mul(b, h),
+            mul(c, e) ^ mul(d, g),
+            mul(c, f) ^ mul(d, h),
+        )
 
     def square(self, a: int) -> int:
         return self.mul(a, a) if self._exp is not None else clmod(clsq(a), self.modulus)
@@ -133,7 +166,7 @@ class Gf2m:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         if self._exp is not None:
-            return self._exp[(self.order - self._log[a]) % self.order]
+            return self._exp[self.order - self._log[a]]
         return self._raw_pow(a, self.order - 1)
 
     def pow(self, a: int, n: int) -> int:

@@ -2,10 +2,13 @@
 
 A coefficient field is any object with attributes ``zero``/``one`` and
 methods ``add``, ``mul``, ``square``, ``inv``, ``pow``, ``is_zero``,
-``eq`` acting on its element type.  ``Gf2m`` (int elements) fits
-directly; ``SeriesField`` adapts ``LaurentSeries`` values at a working
-precision.  Scalar matrices are identified with scalars throughout: a
-scalar enters a matrix as s*I via ``Mat2.scalar``.
+``eq`` acting on its element type, and optionally the hook
+``mat_mul(x, y)`` returning the four entries of the 2x2 product x*y,
+which ``Mat2.mul`` calls in place of the entrywise formula.  ``Gf2m``
+(int elements) fits directly and has the hook; ``SeriesField`` adapts
+``LaurentSeries`` values at a working precision and has none.  Scalar
+matrices are identified with scalars throughout: a scalar enters a
+matrix as s*I via ``Mat2.scalar``.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ class Mat2:
 
     def mul(self, o: Mat2) -> Mat2:
         F = self.F
+        fused = getattr(F, "mat_mul", None)
+        if fused is not None:
+            return Mat2(F, *fused(self, o))
         return Mat2(
             F,
             F.add(F.mul(self.a, o.a), F.mul(self.b, o.c)),

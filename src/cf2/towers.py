@@ -35,6 +35,10 @@ class HypothesisViolation(ValueError):
     """Input outside the hypotheses of the tower construction."""
 
 
+class ClaimFailed(ArithmeticError):
+    """A bound the tower construction rests on was measured false."""
+
+
 class PrecisionBudget(RuntimeError):
     """Convergence threshold not reached within the step budget."""
 
@@ -326,9 +330,7 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
             dv = diff.known_zero_below()
             diff_vals.append((j, dv))
             if not diff.is_zero and dv < (1 << (j - n)):
-                raise AssertionError(
-                    f"running-product gap val {dv} below bound 2^{j - n}"
-                )
+                raise ClaimFailed(f"running-product gap val {dv} below bound 2^{j - n}")
             if dv >= prec:
                 f_ready = True
                 f_val = t.Ls[j]
@@ -513,8 +515,11 @@ class GQuantities:
     def closed_pair(self, t: int, acc: Mat2, l_cs: CoScaled) -> tuple[Mat2, Mat2]:
         """Closed forms (first + acc) l and (second + acc) l of the pair after
         a driver word with digit parity t, correction sum acc and period
-        scalar l; t selects which of m1, w1 comes first."""
+        scalar l; t selects which of m1, w1 comes first.  An even l is a
+        field scalar, so it scales the matrices."""
         first, second = (self.w1, self.m1) if t else (self.m1, self.w1)
+        if not l_cs.odd:
+            return first.add(acc).scale(l_cs.u), second.add(acc).scale(l_cs.u)
         scale = self.cs_to_mat(l_cs)
         return first.add(acc).mul(scale), second.add(acc).mul(scale)
 
@@ -603,7 +608,7 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
         dv = diff.known_zero_below()
         diff_vals.append((i, dv))
         if not diff.is_zero and dv < (1 << (i * k)):
-            raise AssertionError(f"running-product gap val {dv} below bound 2^{i * k}")
+            raise ClaimFailed(f"running-product gap val {dv} below bound 2^{i * k}")
         Ls.append(L_next)
         cur_l = cur_l.pow(1 << k)
         term = q.cs_mul(rho, q.cs_pow(term, 1 << k))

@@ -5,7 +5,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from cf2 import towers
 from cf2.cli import main, parse_spec_text
+from cf2.laurent import LaurentSeries
 from cf2.words import GSpec, PSpec
 
 
@@ -232,6 +234,36 @@ def test_corollary_precision_budget_is_inconclusive(capsys):
     assert code == 3
     assert len(err) == 1 and err[0].startswith("inconclusive: ")
     assert "(achieved 2)" in err[0]
+
+
+def test_theorem1_running_product_gap_is_a_failed_claim(monkeypatch, capsys):
+    # corrupt L_4 of the n=2 tower by 1/z, so L_4 - L_2 has valuation 1
+    # where the tower proves at least 2^(4-2)
+    advance = towers.PTower.advance
+
+    def corrupted(self):
+        advance(self)
+        if self.step == 2 * self.period:
+            self.Ls[-1] = self.Ls[-1] + LaurentSeries.from_terms([1], self.F.prec)
+
+    monkeypatch.setattr(towers.PTower, "advance", corrupted)
+    code = main(["theorem1", "--w0", "", "--eps", "10"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["fail: running-product gap val 1 below bound 2^2"]
+
+
+def test_theorem2_running_product_gap_is_a_failed_claim(monkeypatch, capsys):
+    # a period scalar l + 1 of valuation >= 1 makes L_1 - L_0 a unit,
+    # where the tower proves valuation at least 2^0
+    l_scalar = towers.GQuantities.l_scalar.fget
+    monkeypatch.setattr(
+        towers.GQuantities, "l_scalar", property(lambda q: l_scalar(q) + q.F.one)
+    )
+    code = main(["theorem2", "--u0", "a", "--v0", "b", "--ups", "11", "--map", "a=z,b=z+1"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert err == ["fail: running-product gap val 0 below bound 2^0"]
 
 
 UPS_10001 = ("theorem2", "--u0", "a", "--v0", "b", "--ups", "10001", "--map", "a=z,b=z+1")

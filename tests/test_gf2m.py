@@ -6,6 +6,7 @@ import pytest
 
 from cf2.gf2m import MODULI, Gf2m, ext_sample_invertible, field
 from cf2.gf2poly import is_irreducible, min_irreducible
+from cf2.mat2 import Mat2
 
 
 def test_moduli_table_regenerates():
@@ -71,6 +72,65 @@ def test_tableless_path_matches_tables():
         assert tab.mul(a, b) == raw.mul(a, b)
         if a:
             assert tab.inv(a) == raw.inv(a)
+
+
+def _entrywise(F, x, y):
+    """The 2x2 product by the field's own mul/add, the formula the hook fuses."""
+    return (
+        F.add(F.mul(x.a, y.a), F.mul(x.b, y.c)),
+        F.add(F.mul(x.a, y.b), F.mul(x.b, y.d)),
+        F.add(F.mul(x.c, y.a), F.mul(x.d, y.c)),
+        F.add(F.mul(x.c, y.b), F.mul(x.d, y.d)),
+    )
+
+
+@pytest.mark.parametrize("m", [2, 8, 16, 20])
+def test_fused_matrix_product_matches_entrywise(m):
+    F = Gf2m(m)
+    raw = Gf2m(m)
+    raw._exp = raw._log = None
+    rng = random.Random(m)
+
+    def rand(nonzero=True):
+        draw = F.sample_invertible if nonzero else F.sample
+        return Mat2(F, *(draw(rng) for _ in range(4)))
+
+    x = F.sample_invertible(rng)
+    ix = F.inv(x)
+    special = [
+        Mat2.letter(F, x), Mat2.insertion_from_inv(F, ix), Mat2.scalar(F, x),
+        Mat2.identity(F), Mat2(F, 0, 0, 0, 0),
+    ]
+    pairs = [(rand(), rand()) for _ in range(200)]
+    pairs += [(rand(False), rand(False)) for _ in range(200)]
+    pairs += [(s, rand()) for s in special] + [(rand(), s) for s in special]
+    pairs += [(s, t) for s in special for t in special]
+    if F._exp is not None:
+        # every log at its top value: the sums reach 2*order - 2, the last
+        # index of the doubled exp table
+        top = F._exp[F.order - 1]
+        assert F._log[top] == F.order - 1
+        assert F.mul(top, top) == raw.mul(top, top)
+        y = Mat2(F, top, top, top, top)
+        pairs += [(y, y), (y, rand()), (rand(), y)]
+    for a, b in pairs:
+        want = _entrywise(raw, a, b)
+        assert F.mat_mul(a, b) == want
+        got = a.mul(b)
+        assert (got.a, got.b, got.c, got.d) == want
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_exp_table_is_doubled(m):
+    F = Gf2m(m)
+    exp, log, order = F._exp, F._log, F.order
+    assert len(exp) == 2 * order
+    assert all(exp[i] == exp[i + order] for i in range(order))
+    # powers of one generator, each nonzero element once
+    assert sorted(exp[:order]) == list(range(1, order + 1))
+    assert all(log[exp[i]] == i for i in range(order))
+    g = exp[1]
+    assert all(F._raw_mul(exp[i], g) == exp[i + 1] for i in range(0, order, max(1, order // 500)))
 
 
 def test_large_degree_field():

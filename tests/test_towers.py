@@ -192,6 +192,20 @@ def test_quantities_spot_values_s101():
     assert F.eq(q.l_scalar, F.mul(q.r, F.pow(q.gamma, 3)))
 
 
+@pytest.mark.parametrize("s, odd", [("11", 0), ("0", 0), ("1", 1), ("10", 1)])
+def test_closed_pair_equals_product_by_period_matrix(s, odd):
+    F, q = _random_quants(s, seed=3)
+    assert q.l_cs.odd == odd
+    rng = random.Random(5)
+    acc = Mat2(F, *(F.sample(rng) for _ in range(4)))
+    for t in (0, 1):
+        first, second = (q.w1, q.m1) if t else (q.m1, q.w1)
+        scale = q.cs_to_mat(q.l_cs)
+        cm, cw = q.closed_pair(t, acc, q.l_cs)
+        assert cm.eq(first.add(acc).mul(scale))
+        assert cw.eq(second.add(acc).mul(scale))
+
+
 def test_quantities_spot_values_s0():
     F, q = _random_quants("0")
     # c1 = d/r, l = r
