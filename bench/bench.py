@@ -2,11 +2,15 @@
 relation search.
 
 Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
-``laurent._inv_mask`` and ``LaurentSeries.__mul__`` at 1k, 4k, 16k and
-64k bits; ``Gf2m.mul`` and ``Mat2.mul`` over GF(2^16) (a dense pair and
-a pair with a zero entry), ``Mat2.mul`` over series at 4k bits and
-``pair_tower`` over GF(2^16) along an 8-bit swap word, with the field
-tables and operands built before the first timed call; and
+``cldivmod`` (2n by n bits), ``laurent._inv_mask`` and the
+``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
+``Gf2Poly.reverse`` at 16k bits, the family-P oracle ``p_cf_series`` of
+period 110 at precision 16384 and the cube of a three-term series at
+valuation and precision ~10^8; ``Gf2m.mul`` and ``Mat2.mul`` over
+GF(2^16) (a dense pair and a pair with a zero entry), ``Mat2.mul`` over
+series at 4k bits and ``pair_tower`` over GF(2^16) along an 8-bit swap
+word, with the field tables and operands built before the first timed
+call; and
 ``find_relation`` on the degree ladder's theorem-1 series
 P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
 precision with degX 2^n and degZ 2^n + 8, and on the explore search
@@ -15,7 +19,7 @@ mean call time in a batch of calls (at least 5 ms per batch) on seeded
 or fixed operands; it needs only the standard library.  ``--quick`` runs
 one round and drops every case whose first call takes over 1 s.
 
-    python3 bench/bench.py --out BENCH_6.json
+    python3 bench/bench.py --out BENCH_8.json
     python3 bench/bench.py --quick --src parent=../parent/src --src change=src
 
 Each ``--src [LABEL=]DIR`` (default: this checkout's ``src``) is timed in
@@ -95,16 +99,32 @@ def cases(gf2poly, laurent):
         a = rng.getrandbits(n) | (1 << (n - 1)) | 1
         b = rng.getrandbits(n) | (1 << (n - 1)) | 1
         short = rng.getrandbits(n // 8) | (1 << (n // 8 - 1))
+        wide = rng.getrandbits(2 * n) | (1 << (2 * n - 1))
         sa = laurent.LaurentSeries(0, a, n)
         sb = laurent.LaurentSeries(0, b, n)
         out += [
             (f"clmul.dense.{label}", gf2poly.clmul, (a, b)),
             (f"clmul.unbalanced.{label}", gf2poly.clmul, (a, short)),
             (f"clsq.{label}", gf2poly.clsq, (a,)),
+            (f"cldivmod.{label}", gf2poly.cldivmod, (wide, b)),
             (f"laurent._inv_mask.{label}", laurent._inv_mask, (a, n)),
             (f"LaurentSeries.__mul__.{label}", laurent.LaurentSeries.__mul__, (sa, sb)),
+            (f"LaurentSeries.inv.{label}", laurent.LaurentSeries.inv, (sa,)),
+            (f"LaurentSeries.pow.{label}", laurent.LaurentSeries.pow, (sa, 3)),
         ]
-    return out
+    n = SIZES["16k"]
+    poly = gf2poly.Gf2Poly(random.Random(n).getrandbits(n) | (1 << (n - 1)))
+    huge = laurent.LaurentSeries(10**8, 0b1011, 10**8 + 64)
+    return out + [
+        ("Gf2Poly.reverse.16k", gf2poly.Gf2Poly.reverse, (poly,)),
+        ("LaurentSeries.pow.hugeprec", laurent.LaurentSeries.pow, (huge, 3)),
+    ]
+
+
+def oracle_cases(towers, words):
+    """(name, function, args) for the convergent-oracle row."""
+    spb = towers.SpecMap.binary_default()
+    return [("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"]))]
 
 
 def worker(src: str, quick: bool) -> None:
@@ -112,7 +132,7 @@ def worker(src: str, quick: bool) -> None:
     sys.path.insert(0, src)
     from cf2 import gf2m, gf2poly, laurent, mat2, relations, towers, words
 
-    todo = cases(gf2poly, laurent) + field_cases(gf2m, laurent, mat2, towers)
+    todo = cases(gf2poly, laurent) + oracle_cases(towers, words) + field_cases(gf2m, laurent, mat2, towers)
     best = {}
     for name, fn, args in todo + relation_cases(relations, towers, words):
         t0 = time.perf_counter()

@@ -38,6 +38,12 @@ def clsq(a: int) -> int:
     return _square(a)
 
 
+def bit_reverse(x: int, width: int) -> int:
+    """The low ``width`` bits of x (x < 2^width) in reverse order: bit i
+    goes to bit width-1-i.  Linear time: int() parses base 2 linearly."""
+    return int(format(x, f"0{width}b")[::-1], 2)
+
+
 # The kernels recurse through the private names below, never through
 # ``clmul``/``clsq``, so a wrapper on the public names sees one call per
 # outside product.
@@ -297,13 +303,7 @@ class Gf2Poly:
 
     def reverse(self) -> Gf2Poly:
         """Coefficient reversal within the degree: z^d * p(1/z)."""
-        d = self.degree
-        bits = self.bits
-        out = 0
-        for i in range(d + 1):
-            if (bits >> i) & 1:
-                out |= 1 << (d - i)
-        return Gf2Poly(out)
+        return Gf2Poly(bit_reverse(self.bits, self.degree + 1))
 
     # -- text ----------------------------------------------------------
 

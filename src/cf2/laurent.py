@@ -18,6 +18,12 @@ Precision bookkeeping (p = abs. precision, v = valuation):
   inv      p_a - 2 * v_a
 The square rule is exact: the unknown tail t of a has valuation >= p,
 and (k + t)^2 = k^2 + t^2 carries its first unknown coefficient at 2p.
+
+Every int built here is sized by the bits a value keeps, never by its
+precision: a mask is cut to its window only when it is wider than the
+window, and a sum drops an operand that has no bit below the sum's
+precision instead of shifting it there.  A series with one known bit
+costs one bit at any precision.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ from __future__ import annotations
 import math
 
 from .gf2poly import Gf2Poly, clmul, clsq
+
+
+def _low(mask: int, nbits: int) -> int:
+    """The low nbits bits of mask; no nbits-wide int when mask is narrower."""
+    return mask & ((1 << nbits) - 1) if mask.bit_length() > nbits else mask
 
 
 def _inv_mask(m: int, nbits: int) -> int:
@@ -51,11 +62,7 @@ class LaurentSeries:
         if mask < 0:
             raise ValueError("mask must be nonnegative")
         if mask:
-            window = prec - val
-            if window <= 0:
-                mask = 0
-            else:
-                mask &= (1 << window) - 1
+            mask = _low(mask, prec - val) if prec > val else 0
         if mask:
             strip = (mask & -mask).bit_length() - 1
             val += strip
@@ -104,10 +111,8 @@ class LaurentSeries:
         v = den.degree - num.degree
         if prec <= v:
             raise ValueError(f"precision {prec} too small for valuation {v}")
-        nbits = prec - v
-        d_inv = _inv_mask(den.reverse().bits, nbits)
-        mask = clmul(num.reverse().bits, d_inv) & ((1 << nbits) - 1)
-        return cls(v, mask, prec)
+        d_inv = _inv_mask(den.reverse().bits, prec - v)
+        return cls(v, clmul(num.reverse().bits, d_inv), prec)
 
     # -- accessors ------------------------------------------------------
 
@@ -141,10 +146,10 @@ class LaurentSeries:
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         prec = min(self.prec, other.prec)
-        if self.mask == 0:
-            return LaurentSeries(other.val, other.mask, prec)
-        if other.mask == 0:
+        if other.mask == 0 or other.val >= prec:
             return LaurentSeries(self.val, self.mask, prec)
+        if self.mask == 0 or self.val >= prec:
+            return LaurentSeries(other.val, other.mask, prec)
         v = min(self.val, other.val)
         mask = (self.mask << (self.val - v)) ^ (other.mask << (other.val - v))
         return LaurentSeries(v, mask, prec)
@@ -159,9 +164,7 @@ class LaurentSeries:
         v = self.val + other.val
         prec = min(self.prec + other.val, other.prec + self.val)
         window = prec - v
-        a = self.mask & ((1 << window) - 1)
-        b = other.mask & ((1 << window) - 1)
-        return LaurentSeries(v, clmul(a, b), prec)
+        return LaurentSeries(v, clmul(_low(self.mask, window), _low(other.mask, window)), prec)
 
     def square(self) -> LaurentSeries:
         if self.mask == 0:

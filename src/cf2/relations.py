@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, bit_reverse
 from .laurent import LaurentSeries
 
 
@@ -137,7 +137,7 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
     sigma = phi.prec + pole
     powers = _powers(phi, degx)
     low = (1 << sigma) - 1
-    res = [int(f"{(p.mask << (p.val + degx * pole)) & low:0{sigma}b}"[::-1], 2) for p in powers]
+    res = [bit_reverse((p.mask << (p.val + degx * pole)) & low, sigma) for p in powers]
     cols, degs = _order_basis(res, sigma)
     d = min(degs)
     if d > degz:
@@ -145,7 +145,8 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
     # the relations among the degree-d columns are M*c(X); their leading
     # coefficients are triangular, so the deg c differ and the first is M.
     # Read low to high, entry i's bits are p_i's from z^d down.
-    bits = f"{cols[degs.index(d)]:0{(d + 1) * (degx + 1)}b}"[::-1]
+    width = (d + 1) * (degx + 1)
+    bits = f"{bit_reverse(cols[degs.index(d)], width):0{width}b}"
     polys = [Gf2Poly(int(bits[i :: degx + 1], 2)) for i in range(degx + 1)]
     while polys[-1].is_zero():
         polys.pop()

@@ -118,17 +118,26 @@ class SpecMap:
 
 
 def _convergents(word: str, sp: SpecMap):
-    """Exact (numerator, denominator) of [word[:i]] for i = 1 .. len(word)."""
+    """Exact (numerator, denominator) of [word[:i]] for i = 1 .. len(word).
+
+    The recurrence runs on bit-packed ints: a letter is one or a few
+    terms, so u*p is a shifted XOR per set bit of u."""
     if not word:
         raise ValueError("empty word has no convergent")
-    p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
-    p, q = sp.poly(word[0]), Gf2Poly.one()
-    yield p, q
+    taps: dict[str, list[int]] = {}  # letter -> exponents of its polynomial
+    p_prev, q_prev = 1, 0
+    p, q = sp.poly(word[0]).bits, 1
+    yield Gf2Poly(p), Gf2Poly(q)
     for letter in word[1:]:
-        u = sp.poly(letter)
-        p, p_prev = u * p + p_prev, p
-        q, q_prev = u * q + q_prev, q
-        yield p, q
+        if letter not in taps:
+            u = sp.poly(letter)
+            taps[letter] = [i for i in range(u.degree + 1) if u.coeff(i)]
+        p_next, q_next = p_prev, q_prev
+        for i in taps[letter]:
+            p_next ^= p << i
+            q_next ^= q << i
+        p, p_prev, q, q_prev = p_next, p, q_next, q
+        yield Gf2Poly(p), Gf2Poly(q)
 
 
 def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:

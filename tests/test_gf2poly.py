@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cf2 import gf2poly
-from cf2.gf2poly import Gf2Poly, clmul, clsq, is_irreducible, min_irreducible
+from cf2.gf2poly import Gf2Poly, bit_reverse, clmul, clsq, is_irreducible, min_irreducible
 
 
 def naive_mul(a: int, b: int) -> int:
@@ -201,6 +201,27 @@ def test_parse_rejects_duplicates_and_junk():
 def test_reverse():
     p = Gf2Poly.parse("z^3+z")
     assert str(p.reverse()) == "z^2+1"
+
+
+def reverse_by_definition(bits: int) -> int:
+    """z^d * p(1/z), one coefficient at a time."""
+    d = bits.bit_length() - 1
+    return sum(1 << (d - i) for i in range(d + 1) if (bits >> i) & 1)
+
+
+def test_reverse_matches_definition():
+    rng = random.Random(20)
+    cases = [0, 1, 1 << 9, 0b101000, (1 << 40) | (1 << 7)]
+    cases += [rng.getrandbits(rng.randrange(1, 20_000)) for _ in range(30)]
+    cases += [rng.getrandbits(n) << rng.randrange(1, 50) for n in (1, 17, 4096)]
+    for bits in cases:
+        want = reverse_by_definition(bits)
+        assert Gf2Poly(bits).reverse().bits == want
+        assert bit_reverse(bits, bits.bit_length()) == want
+        # leading zeros inside the width become trailing zeros
+        assert bit_reverse(bits, bits.bit_length() + 5) == want << 5
+        if bits:
+            assert Gf2Poly(bits).reverse().reverse().bits == bits >> ((bits & -bits).bit_length() - 1)
 
 
 def test_irreducibility_small():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -189,3 +190,57 @@ def test_mul_poly_matches_naive(a, pbits):
     for n, bit in want.items():
         if n < got.prec and bit:
             assert got.coeff(n) == 1
+
+
+def old_constructor(val: int, mask: int, prec: int) -> tuple[int, int, int]:
+    """Reference: the window mask built at full precision, then stripped."""
+    if mask:
+        window = prec - val
+        mask = 0 if window <= 0 else mask & ((1 << window) - 1)
+    if mask:
+        strip = (mask & -mask).bit_length() - 1
+        val, mask = val + strip, mask >> strip
+    else:
+        val = 0
+    return val, mask, prec
+
+
+@given(st.integers(-40, 40), st.integers(0, (1 << 64) - 1), st.integers(-40, 120))
+def test_constructor_matches_full_window_mask(val, mask, prec):
+    s = LaurentSeries(val, mask, prec)
+    assert (s.val, s.mask, s.prec) == old_constructor(val, mask, prec)
+
+
+def peak_bytes(fn):
+    """(result, peak traced allocation in bytes) of fn()."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: LaurentSeries.one(10**8), (0, 1, 10**8)),
+        (lambda: LaurentSeries(10**8, 0b1011, 10**8 + 64).pow(3), (3 * 10**8, 0b1011100111, 3 * 10**8 + 64)),
+        (lambda: LaurentSeries(0, 1, 100) + LaurentSeries(10**8, 1, 10**8 + 5), (0, 1, 100)),
+    ],
+    ids=["one", "pow", "add"],
+)
+def test_huge_precision_costs_only_the_kept_bits(build, want):
+    # a full-precision window mask here is 10^8 bits, 12.5 MB per int
+    s, peak = peak_bytes(build)
+    assert (s.val, s.mask, s.prec) == want
+    assert peak < 1 << 20
+
+
+def test_add_drops_an_operand_at_or_past_the_precision():
+    a = LaurentSeries(0, 0b101, 10)
+    for far in (LaurentSeries(10, 1, 20), LaurentSeries(12, 0b11, 14)):
+        for s in (a + far, far + a):
+            assert (s.val, s.mask, s.prec) == (0, 0b101, 10)
+    s = LaurentSeries.zero(5) + LaurentSeries(7, 1, 9)
+    assert s.is_zero and s.prec == 5

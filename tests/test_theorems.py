@@ -1,5 +1,7 @@
 """Theorem-level drivers: bounds, degenerate routes, hypothesis guards."""
 
+import tracemalloc
+
 import pytest
 
 from cf2.theorems import (
@@ -8,7 +10,7 @@ from cf2.theorems import (
     check_theorem_p,
     explore_inverse_sigma,
 )
-from cf2.towers import HypothesisViolation, SpecMap
+from cf2.towers import HypothesisViolation, PrecisionBudget, SpecMap
 from cf2.words import GSpec, PSpec
 
 SPB = SpecMap.binary_default()
@@ -64,6 +66,20 @@ def test_corollary_chain_short():
     rep = check_corollary_chain(PSpec("", "10"), SPB, 2, 256)
     assert rep.passed
     assert all(sub.search.found_degree <= 4 for sub in rep.sub_reports)
+
+
+def test_corollary_chain_k4_stays_small():
+    # the chain's powers reach precisions of ~1.4e9 bits; a series must
+    # not cost its precision in memory (a full-width mask is ~180 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionBudget) as err:
+            check_corollary_chain(PSpec("", "10"), SPB, 4, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.achieved == 2  # ROADMAP item 3: passes only from --prec 2048
+    assert peak < 40 << 20
 
 
 def test_corollary_requires_binary():

@@ -13,6 +13,7 @@ from cf2.towers import (
     GQuantities,
     HypothesisViolation,
     SpecMap,
+    _convergents,
     cf_series,
     convergent_pair,
     convergent_series,
@@ -77,6 +78,31 @@ def test_convergent_matches_recursive_oracle():
         # pairs agree up to the gcd (continuant pairs are coprime)
         assert p * d == q * n
         assert p.gcd(q).degree == 0
+
+
+def test_convergents_match_the_polynomial_recurrence():
+    # letters of up to three terms, so the raw-int loop shifts several taps
+    sp = SpecMap.parse("a=z^5+z^2+1,b=z^3+z")
+    rng = random.Random(5)
+    for length in (1, 2, 3, 40, 300):
+        word = "".join(rng.choice("ab") for _ in range(length))
+        p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
+        p, q = sp.poly(word[0]), Gf2Poly.one()
+        want = [(p, q)]
+        for letter in word[1:]:
+            u = sp.poly(letter)
+            p, p_prev = u * p + p_prev, p
+            q, q_prev = u * q + q_prev, q
+            want.append((p, q))
+        assert list(_convergents(word, sp)) == want
+
+
+def test_convergents_name_an_unmapped_letter_when_reached():
+    steps = _convergents("aab", SpecMap.parse("a=z"))
+    assert next(steps) == (Gf2Poly.parse("z"), Gf2Poly.one())
+    assert next(steps) == (Gf2Poly.parse("z^2+1"), Gf2Poly.parse("z"))
+    with pytest.raises(ValueError, match="unmapped letter 'b'"):
+        next(steps)
 
 
 def test_convergent_series_expansion():
