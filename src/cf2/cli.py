@@ -40,6 +40,7 @@ from .identities import (
     check_generation_relations,
     check_pair_products,
     check_period_power_shift,
+    check_tail_equations,
     check_tower_expansion,
     check_valuation_bounds,
     run_identity_suite,
@@ -131,6 +132,25 @@ def _spec_echo(spec) -> str:
     return f"G u0={spec.u0} v0={spec.v0} ups={spec.ups}"
 
 
+# the spec family each theorem command takes, checked before its map
+_FAMILY = {"theorem1": PSpec, "theorem2": GSpec, "corollary": PSpec}
+
+
+def _spec_prologue(args, out, **extra) -> tuple[PSpec | GSpec, SpecMap]:
+    """Parse the spec, hold it to the command's family, resolve its map and
+    echo the config line that reproduces the run: command, spec, map,
+    ``extra``, prec and seed."""
+    spec = _spec_from_args(args)
+    family = _FAMILY.get(args.command)
+    if family is not None and not isinstance(spec, family):
+        raise ValueError(f"{args.command} takes a family-{family.__name__[0]} spec")
+    if args.command == "corollary" and not spec.is_binary():
+        raise ValueError("corollary chain needs a binary P-spec")
+    sp = _specmap(args, spec.alphabet)
+    _echo(args, out, args.command, spec=f"'{_spec_echo(spec)}'", map=str(sp), **extra)
+    return spec, sp
+
+
 # -- command implementations ---------------------------------------------
 
 
@@ -166,9 +186,7 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_tower_trace(args, out) -> int:
-    spec = _spec_from_args(args)
-    sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "tower-trace", spec=f"'{_spec_echo(spec)}'", map=str(sp), steps=args.steps)
+    spec, sp = _spec_prologue(args, out, steps=args.steps)
     if isinstance(spec, PSpec):
         tower = p_tower(spec, sp, args.prec)
         one = LaurentSeries.one(args.prec)
@@ -205,6 +223,7 @@ def cmd_identities(args, out) -> int:
         single = {
             "tower-expansion": lambda: check_tower_expansion(5, args.trials, args.m, args.seed),
             "period-power-shift": lambda: check_period_power_shift(2, 3, args.trials, args.m, args.seed),
+            "tail-equations": lambda: check_tail_equations(2, 3, args.trials, args.m, args.seed),
             "pair-products": lambda: check_pair_products(args.trials, args.m, args.seed),
             "closed-form": lambda: check_closed_form("101", args.trials, args.m, args.seed),
             "generation-relations": lambda: check_generation_relations(
@@ -241,15 +260,9 @@ def cmd_relation(args, out) -> int:
             print("relation none", file=out)
             return 1
         print(rel.render(), file=out)
-        print(
-            f"degree={rel.degx} degZ={rel.degz} residual_val={rel.verified_prec}"
-            f" prec={phi.prec}",
-            file=out,
-        )
+        print(rel.summary(phi.prec), file=out)
         return 0
-    spec = _spec_from_args(args)
-    sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "relation", spec=f"'{_spec_echo(spec)}'", map=str(sp), degx=args.degx, **degz)
+    spec, sp = _spec_prologue(args, out, degx=args.degx, **degz)
     phi_fn, first_val = spec_series(spec, sp)
     search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
     if search.relation is None:
@@ -266,33 +279,14 @@ def _print_report(report, out) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_theorem1(args, out) -> int:
-    spec = _spec_from_args(args)
-    if not isinstance(spec, PSpec):
-        raise ValueError("theorem1 takes a family-P spec")
-    sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "theorem1", spec=f"'{_spec_echo(spec)}'", map=str(sp))
-    return _print_report(check_theorem_p(spec, sp, args.prec), out)
-
-
-def cmd_theorem2(args, out) -> int:
-    spec = _spec_from_args(args)
-    if not isinstance(spec, GSpec):
-        raise ValueError("theorem2 takes a family-G spec")
-    sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "theorem2", spec=f"'{_spec_echo(spec)}'", map=str(sp))
-    return _print_report(check_theorem_g(spec, sp, args.prec), out)
-
-
-def cmd_corollary(args, out) -> int:
-    spec = _spec_from_args(args)
-    if not isinstance(spec, PSpec):
-        raise ValueError("corollary takes a family-P spec")
-    if not spec.is_binary():
-        raise ValueError("corollary chain needs a binary P-spec")
-    sp = _specmap(args, spec.alphabet)
-    _echo(args, out, "corollary", spec=f"'{_spec_echo(spec)}'", map=str(sp), k=args.k)
-    return _print_report(check_corollary_chain(spec, sp, args.k, args.prec), out)
+def cmd_theorem(args, out) -> int:
+    """theorem1, theorem2 and corollary: the driver's report on the spec."""
+    if args.command == "corollary":
+        spec, sp = _spec_prologue(args, out, k=args.k)
+        return _print_report(check_corollary_chain(spec, sp, args.k, args.prec), out)
+    spec, sp = _spec_prologue(args, out)
+    check = check_theorem_p if isinstance(spec, PSpec) else check_theorem_g
+    return _print_report(check(spec, sp, args.prec), out)
 
 
 def cmd_explore(args, out) -> int:
@@ -381,20 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p)
     p.add_argument("--map", default=None)
     common(p, prec_min=64)
-    p.set_defaults(fn=cmd_theorem1, family="P")
+    p.set_defaults(fn=cmd_theorem, family="P")
 
     p = sub.add_parser("theorem2", help="family-G degree bound check")
     _add_spec_flags(p)
     p.add_argument("--map", default=None)
     common(p, prec_min=64)
-    p.set_defaults(fn=cmd_theorem2, family="G")
+    p.set_defaults(fn=cmd_theorem, family="G")
 
     p = sub.add_parser("corollary", help="iterated prefix-sum chain check")
     _add_spec_flags(p)
     p.add_argument("--map", default=None)
     p.add_argument("--k", type=int, default=1)
     common(p, prec_min=64)
-    p.set_defaults(fn=cmd_corollary, family="P")
+    p.set_defaults(fn=cmd_theorem, family="P")
 
     p = sub.add_parser("explore-sigma-inv", help="exploratory search, no claim")
     p.add_argument("--degx", type=int, default=8)

@@ -30,6 +30,7 @@ from .towers import (
     PTower,
     SpecMap,
     g_limits,
+    gap_violation,
     p_tower,
     pair_step,
     pair_tower,
@@ -50,7 +51,6 @@ class IdentityReport:
     seed: int
     failures: list = dc_field(default_factory=list)
     resamples: int = 0
-    notes: str = ""
     measurements: list[str] = dc_field(default_factory=list)
 
     @property
@@ -70,7 +70,7 @@ def _rand_mat(F: Gf2m, rng: random.Random) -> Mat2:
 
 
 def _randomized(
-    ident: str, trials: int, m: int, seed: int, notes: str, body, words: list[str] | None = None
+    ident: str, trials: int, m: int, seed: int, body, words: list[str] | None = None
 ) -> IdentityReport:
     """Run body(F, rng) once per trial over GF(2^m), resampling degenerate draws.
 
@@ -99,7 +99,7 @@ def _randomized(
             if detail is not None:
                 lane.append((trial, detail))
     failures = lanes[0] if words is None else [(s, f) for s, lane in zip(words, lanes) for f in lane]
-    return IdentityReport(ident, trials, F.name, seed, failures, resamples, notes=notes)
+    return IdentityReport(ident, trials, F.name, seed, failures, resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,7 @@ def check_tower_expansion(
                 return f"step {n}"
         return None
 
-    return _randomized(
-        "tower-expansion", trials, m, seed,
-        f"degree<=2^{n_steps + 1} per entry; false-pass <= (2^{n_steps + 1}/2^{m})^trials", body,
-    )
+    return _randomized("tower-expansion", trials, m, seed, body)
 
 
 def check_period_power_shift(
@@ -171,10 +168,7 @@ def check_period_power_shift(
                 return f"L shift j={j}"
         return None
 
-    return _randomized(
-        "period-power-shift", trials, m, seed,
-        "mutated control draws an aperiodic insertion word", body,
-    )
+    return _randomized("period-power-shift", trials, m, seed, body)
 
 
 def check_tail_equations(
@@ -214,10 +208,7 @@ def check_tail_equations(
                     return f"residue term j={j} k={k}"
         return None
 
-    return _randomized(
-        "tail-equations", trials, m, seed,
-        "mutated control uses the collapsed-product factor lam/L_1", body,
-    )
+    return _randomized("tail-equations", trials, m, seed, body)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +263,7 @@ def check_pair_products(
                 return name
         return None
 
-    return _randomized(
-        "pair-products", trials, m, seed,
-        "entries degree <= 4; false-pass <= (4/2^m)^trials per identity", body,
-    )
+    return _randomized("pair-products", trials, m, seed, body)
 
 
 def check_closed_form(
@@ -329,13 +317,10 @@ def check_closed_form(
         return [found.get(w) for w in words]
 
     if isinstance(s, str):
-        rep = _randomized(
-            f"closed-form[{s}]", trials, m, seed,
-            f"t(s)={word_stats(s).t}; degree <= 2^{len(s) + 2}", body, words,
-        )
+        rep = _randomized(f"closed-form[{s}]", trials, m, seed, body, words)
         rep.failures = [f for _, f in rep.failures]
         return rep
-    return _randomized("closed-form", trials, m, seed, f"{len(words)} driver words", body, words)
+    return _randomized("closed-form", trials, m, seed, body, words)
 
 
 def check_generation_relations(
@@ -436,10 +421,7 @@ def check_generation_relations(
                 return f"expansion i={i}"
         return None
 
-    return _randomized(
-        f"generation-relations[{s}]", trials, m, seed,
-        f"generations<={generations}; degree grows like 2^(gk), g*k<={generations * k}", body,
-    )
+    return _randomized(f"generation-relations[{s}]", trials, m, seed, body)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +442,10 @@ def check_valuation_bounds(
 
     Determinant valuations are checked against the exact degree
     bookkeeping (val d_{j+1} = 2 val d_j + 2 deg e_j); running-product
-    gaps against 2^(kn) and 2^(ik).  The mutated control claims one more
-    than the exact determinant valuation and must fail.
+    gaps against 2^(kn) and 2^(ik) by ``gap_violation``, the G gaps inside
+    ``g_limits``, which raises ClaimFailed on a violation.  The mutated
+    control claims one more than the exact determinant valuation and must
+    fail.
     """
     sp = sp or SpecMap.binary_default()
     failures = []
@@ -486,9 +470,9 @@ def check_valuation_bounds(
             if not t.ds[j].is_zero and measured < claim:
                 failures.append(("P", f"det valuation at step {j}: {measured} < {claim}"))
             if j % n == 0 and j >= 2 * n:
-                gap = (t.Ls[j] + t.Ls[j - n]).known_zero_below()
-                measurements.append(f"P gap {j - n}->{j}: val={gap} bound={1 << (j - n)}")
-                if gap < (1 << (j - n)):
+                gap = t.Ls[j] + t.Ls[j - n]
+                measurements.append(f"P gap {j - n}->{j}: val={gap.known_zero_below()} bound={1 << (j - n)}")
+                if gap_violation(gap, j - n):
                     failures.append(("P", f"running-product gap at {j}"))
     if gspec is not None:
         lim = g_limits(gspec, sp, prec)
@@ -514,17 +498,10 @@ def check_valuation_bounds(
         for name, ok in facts:
             if not ok:
                 failures.append(("G", name))
-        k = q.k
         for i, gap in lim.diff_vals:
-            measurements.append(f"G gap {i}->{i + 1}: val={gap} bound={1 << (i * k)}")
-            if gap < (1 << (i * k)):
-                failures.append(("G", f"running-product gap at generation {i}"))
+            measurements.append(f"G gap {i}->{i + 1}: val={gap} bound={1 << (i * q.k)}")
     ident = f"valuation-bounds[{label}]" if label else "valuation-bounds"
-    return IdentityReport(
-        ident, 1, f"series(prec={prec})", 0, failures,
-        notes="deterministic series measurement, no sampling",
-        measurements=measurements,
-    )
+    return IdentityReport(ident, 1, f"series(prec={prec})", 0, failures, measurements=measurements)
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +531,7 @@ def run_identity_suite(
         check_tail_equations(3, 2, trials, m, seed + 1),
         check_pair_products(trials, m, seed),
     ]
-    closed = check_closed_form(all_driver_words(max_word_len), trials, m, seed)
-    closed.notes = f"all driver words up to length {max_word_len}"
-    reports.append(closed)
+    reports.append(check_closed_form(all_driver_words(max_word_len), trials, m, seed))
     for s in TOWER_WORDS:
         reports.append(check_generation_relations(s, generations, trials, m, seed))
     # one weightless seed (collapsed running products) and one with weight

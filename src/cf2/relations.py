@@ -62,6 +62,11 @@ class AlgRelation:
             raise ValueError("empty relation")
         return acc
 
+    def summary(self, prec: int) -> str:
+        """The ``degree= degZ= residual_val= prec=`` report line, with the
+        residual bound this relation was verified to at precision prec."""
+        return f"degree={self.degx} degZ={self.degz} residual_val={self.verified_prec} prec={prec}"
+
     def render(self) -> str:
         """Canonical text: descending X powers, '+'-separated."""
         parts = []

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from .laurent import LaurentSeries
 from .relations import AlgRelation, find_relation, max_degz, required_precision
 from .towers import (
-    HypothesisViolation,
     SpecMap,
     cf_series_of,
     g_cf_series,
@@ -33,7 +32,6 @@ from .words import (
     p_prefix,
     p_to_g,
     sigma_inv_word,
-    word_stats,
 )
 
 
@@ -60,10 +58,7 @@ class RelationSearch:
                 f"relation none degX<={self.degx_limit} degZ={self.degz_used}"
                 f" prec={self.discovery_prec}"
             )
-        return (
-            f"degree={self.relation.degx} degZ={self.relation.degz}"
-            f" residual_val={self.residual_bound} prec={self.verify_prec}"
-        )
+        return self.relation.summary(self.verify_prec)
 
 
 @dataclass
@@ -188,11 +183,6 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     except DegeneratePeriodic:
         return _verdict("theorem-g", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
     s = norm.s
-    if word_stats(s).t != 0:
-        raise HypothesisViolation(
-            f"swap period {spec.ups!r} has an odd number of 1s; the degree"
-            f" bound 2^{len(s)} requires an even count"
-        )
     k = len(s)
     bound = 1 << k
     lines = [f"normalized ups={norm.spec.ups} s={s} k={k} bound={bound}"]

@@ -153,16 +153,20 @@ def convergent_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
     return LaurentSeries.from_rational(p, q, prec)
 
 
-def cf_series(word: str, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeries:
+# denominator degrees past prec that cf_series asks of two convergents
+CF_MARGIN = 8
+
+
+def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
     """Series of the continued fraction of the infinite word starting as given.
 
     Consumes letters until consecutive convergent denominators guarantee
-    the expansion below ``prec`` (plus margin); raises ValueError naming
+    the expansion below ``prec`` (plus CF_MARGIN); raises ValueError naming
     the shortfall when the supplied prefix is too short.
     """
     prev = None
     for p, q in _convergents(word, sp):
-        if prev is not None and prev[1].degree + q.degree >= prec + margin:
+        if prev is not None and prev[1].degree + q.degree >= prec + CF_MARGIN:
             return LaurentSeries.from_rational(*prev, prec)
         prev = p, q
     raise ValueError(
@@ -171,14 +175,14 @@ def cf_series(word: str, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeri
     )
 
 
-def cf_series_of(prefix_fn, sp: SpecMap, prec: int, margin: int = 8) -> LaurentSeries:
+def cf_series_of(prefix_fn, sp: SpecMap, prec: int) -> LaurentSeries:
     """cf_series over the prefix ``prefix_fn(length)`` of an infinite word.
 
     Every letter adds at least ``sp.min_degree`` to the convergent
     denominator's degree, so the length below always reaches ``prec +
-    margin`` for any margin up to ``prec + 29``.
+    CF_MARGIN`` for any CF_MARGIN up to ``prec + 29``.
     """
-    return cf_series(prefix_fn(max(32, prec // max(1, sp.min_degree) + 16)), sp, prec, margin)
+    return cf_series(prefix_fn(max(32, prec // max(1, sp.min_degree) + 16)), sp, prec)
 
 
 def _inverse_letters(alphabet: set[str], sp: SpecMap, prec: int) -> dict[str, LaurentSeries]:
@@ -200,6 +204,17 @@ def word_matrix(word: str, F: SeriesField, inv_letters: dict[str, LaurentSeries]
 def cf_ratio(m: Mat2) -> LaurentSeries:
     """The convergent value carried by a product matrix: entry00/entry01."""
     return m.a * m.b.inv()
+
+
+def gap_violation(gap: LaurentSeries, e: int) -> str | None:
+    """Why a running-product gap breaks the bound val(gap) >= 2^e, or None.
+
+    A gap that is zero to its precision does not break it: its valuation
+    is unknown at that precision, not below the bound.
+    """
+    if gap.is_zero or gap.val >= 1 << e:
+        return None
+    return f"running-product gap val {gap.val} below bound 2^{e}"
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +353,8 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
             diff = t.Ls[j] + t.Ls[j - n]
             dv = diff.known_zero_below()
             diff_vals.append((j, dv))
-            if not diff.is_zero and dv < (1 << (j - n)):
-                raise ClaimFailed(f"running-product gap val {dv} below bound 2^{j - n}")
+            if why := gap_violation(diff, j - n):
+                raise ClaimFailed(why)
             if dv >= prec:
                 f_ready = True
                 f_val = t.Ls[j]
@@ -443,11 +458,6 @@ class GQuantities:
             e = 2 * e + t
             self.c.append(self.correction(j, e))
         self.l_cs = self.period_cs(self.k, self.c[-1])
-        # c_1' = d^(2^k - 1) / l * c_1 (next-generation first correction)
-        self.c1_prime = self.cs_mul(
-            self.cs_mul(self.cs(F.pow(self.d, (1 << self.k) - 1)), self.cs_inv(self.l_cs)),
-            self.c[0],
-        )
 
     def correction(self, j: int, e_j: int) -> CoScaled:
         """c_j = d^(2^(j-1)) / r^(2^j - 1 - e_j) / cross^(e_j), with e_j = e(s(j))."""
@@ -509,8 +519,11 @@ class GQuantities:
         return self.l_cs.u
 
     def rho(self) -> CoScaled:
-        """c_1'/l divided by c_1^(2^k): the generation shift of c_1/L."""
-        one_gen = self.cs_mul(self.c1_prime, self.cs_inv(self.l_cs))
+        """c_1'/l divided by c_1^(2^k): the generation shift of c_1/L, where
+        c_1' = d^(2^k - 1) / l * c_1 is the next generation's first correction."""
+        inv_l = self.cs_inv(self.l_cs)
+        drift = self.cs(self.F.pow(self.d, (1 << self.k) - 1))
+        one_gen = self.cs_mul(self.cs_mul(self.cs_mul(drift, inv_l), self.c[0]), inv_l)
         return self.cs_mul(one_gen, self.cs_pow(self.cs_inv(self.c[0]), 1 << self.k))
 
     def closed_products(self) -> tuple[Mat2, Mat2]:
@@ -593,10 +606,10 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
     """Normalize, run the family-G tower to convergence, and take limits."""
     norm = g_normalize(spec)
     s = norm.s
-    stats = word_stats(s)
-    if stats.t != 0:
+    if word_stats(s).t != 0:
         raise HypothesisViolation(
-            "swap period must contain an even number of 1s (driver word parity)"
+            f"swap period {spec.ups!r} has an odd number of 1s; the degree"
+            f" bound 2^{len(s)} requires an even count"
         )
     F, m0, w0 = g_start_matrices(norm.spec, sp, prec)
     q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
@@ -616,8 +629,8 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
         diff = L_next + Ls[-1]
         dv = diff.known_zero_below()
         diff_vals.append((i, dv))
-        if not diff.is_zero and dv < (1 << (i * k)):
-            raise ClaimFailed(f"running-product gap val {dv} below bound 2^{i * k}")
+        if why := gap_violation(diff, i * k):
+            raise ClaimFailed(why)
         Ls.append(L_next)
         cur_l = cur_l.pow(1 << k)
         term = q.cs_mul(rho, q.cs_pow(term, 1 << k))

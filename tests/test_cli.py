@@ -7,6 +7,7 @@ import pytest
 
 from cf2 import towers
 from cf2.cli import main, parse_spec_text
+from cf2.identities import run_identity_suite
 from cf2.laurent import LaurentSeries
 from cf2.words import GSpec, PSpec
 
@@ -234,6 +235,36 @@ def test_corollary_precision_budget_is_inconclusive(capsys):
     assert code == 3
     assert len(err) == 1 and err[0].startswith("inconclusive: ")
     assert "(achieved 2)" in err[0]
+
+
+def test_identities_check_accepts_every_suite_check():
+    # each check the suite reports (its name up to "[") runs alone
+    reports = run_identity_suite(trials=1, max_word_len=1, generations=1, prec=64)
+    names = sorted({rep.ident.split("[")[0] for rep in reports})
+    assert "tail-equations" in names
+    for name in names:
+        code, out = run_cli("identities", "--check", name, "--trials", "3", "--prec", "128")
+        assert code == 0, name
+        assert out.splitlines()[1].startswith(name) and " pass " in out.splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["theorem1", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1"], "theorem1 takes a family-P spec"),
+        (["theorem2", "--spec", "P w0= eps=10"], "theorem2 takes a family-G spec"),
+        (["corollary", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1"], "corollary takes a family-P spec"),
+        (["corollary", "--w0", "", "--eps", "ab"], "corollary chain needs a binary P-spec"),
+        (["theorem1", "--w0", "", "--eps", "ab"], "specialization map required for alphabet ['a', 'b']"),
+        (
+            ["theorem2", "--u0", "a", "--v0", "b", "--ups", "10", "--map", "a=z,b=z+1"],
+            "swap period '10' has an odd number of 1s; the degree bound 2^2 requires an even count",
+        ),
+    ],
+)
+def test_spec_command_rejections(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
 
 
 def test_theorem1_running_product_gap_is_a_failed_claim(monkeypatch, capsys):

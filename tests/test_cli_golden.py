@@ -7,6 +7,7 @@ that is meant to alter the output, rewrite the files with
 """
 
 import io
+import os
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -76,6 +77,7 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 if __name__ == "__main__":
+    os.environ.pop("CF2_PREC", None)  # the transcripts use the default precision
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, code) in sorted(CASES.items()):
         got_code, out = run_cli(argv)

@@ -13,8 +13,9 @@ from cf2.identities import (
     check_tower_expansion,
     check_valuation_bounds,
 )
+from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2
-from cf2.towers import PTower
+from cf2.towers import ClaimFailed, GQuantities, PTower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -128,6 +129,47 @@ def test_valuation_bounds_mutation_fails():
     assert not check_valuation_bounds(pspec=PSpec("", "10"), depth=4, prec=256, mutate=True).passed
 
 
+@pytest.mark.parametrize(
+    "kwargs, line",
+    [
+        (dict(pspec=PSpec("", "10"), depth=10, prec=128), "P gap 8->10: val=128 bound=256"),
+        (dict(pspec=PSpec("", "1"), depth=8, prec=64), "P gap 7->8: val=64 bound=128"),
+        (dict(gspec=GSpec("0", "1", "1001"), prec=128), "G gap 2->3: val=128 bound=256"),
+    ],
+)
+def test_valuation_bounds_gap_zero_to_precision_passes(kwargs, line):
+    # the gap is zero to its precision, short of a bound past it: its
+    # valuation is unknown there, so it is not below the bound
+    rep = check_valuation_bounds(**kwargs)
+    assert line in rep.measurements
+    assert rep.passed and rep.failures == []
+
+
+def test_valuation_bounds_real_gap_violation_fails(monkeypatch):
+    # corrupt L_4 of the n=2 tower by 1/z, so L_4 - L_2 has valuation 1
+    # where the tower proves at least 2^(4-2)
+    advance = PTower.advance
+
+    def corrupted(self):
+        advance(self)
+        if self.step == 2 * self.period:
+            self.Ls[-1] = self.Ls[-1] + LaurentSeries.from_terms([1], self.F.prec)
+
+    monkeypatch.setattr(PTower, "advance", corrupted)
+    rep = check_valuation_bounds(pspec=PSpec("", "10"), depth=6, prec=128)
+    assert "P gap 2->4: val=1 bound=4" in rep.measurements
+    assert not rep.passed and ("P", "running-product gap at 4") in rep.failures
+
+
+def test_valuation_bounds_real_g_gap_violation_raises(monkeypatch):
+    # g_limits judges the G gaps: a period scalar l + 1 makes L_1 - L_0 a
+    # unit where the tower proves valuation at least 2^0
+    l_scalar = GQuantities.l_scalar.fget
+    monkeypatch.setattr(GQuantities, "l_scalar", property(lambda q: l_scalar(q) + q.F.one))
+    with pytest.raises(ClaimFailed, match="running-product gap val 0 below bound 2\\^0"):
+        check_valuation_bounds(gspec=GSpec("0", "1", "11"), prec=128)
+
+
 def test_determinism():
     a = check_pair_products(TRIALS, 16, 99)
     b = check_pair_products(TRIALS, 16, 99)
@@ -174,7 +216,7 @@ def _closed_form_per_word(s, trials, m, seed, mutate=False):
             return "w branch"
         return None
 
-    return _randomized(f"closed-form[{s}]", trials, m, seed, "", body)
+    return _randomized(f"closed-form[{s}]", trials, m, seed, body)
 
 
 @pytest.mark.parametrize(
