@@ -8,7 +8,7 @@ algebraic-relation guesser certifying the degree bounds 2^n and 2^k.
 """
 
 from .gf2poly import Gf2Poly
-from .gf2m import Gf2m, MODULI, ext_sample_invertible, field
+from .gf2m import Gf2m, ext_sample_invertible, field
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
 from .relations import AlgRelation, find_relation, verify_relation
@@ -51,8 +51,8 @@ from .words import (
 
 __all__ = [
     "AlgRelation", "DegenerateDraw", "DegeneratePeriodic", "Gf2Poly", "Gf2m",
-    "GQuantities", "GSpec", "HypothesisViolation", "LaurentSeries", "MODULI",
-    "Mat2", "PSpec", "PTower", "SeriesField", "SpecMap", "WordStats",
+    "GQuantities", "GSpec", "HypothesisViolation", "LaurentSeries", "Mat2",
+    "PSpec", "PTower", "SeriesField", "SpecMap", "WordStats",
     "cf_series", "check_corollary_chain",
     "check_theorem_g", "check_theorem_p", "complement", "convergent_pair",
     "convergent_series", "explore_inverse_sigma", "ext_sample_invertible",

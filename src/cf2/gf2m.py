@@ -1,9 +1,9 @@
 """GF(2^m) arithmetic for randomized matrix-identity testing.
 
 Field elements are plain ints in [0, 2^m): bit coordinates with respect
-to a fixed irreducible modulus.  Every field uses the published modulus
-from ``MODULI`` (the lexicographically least irreducible polynomial of
-its degree, as an integer), so randomized runs are reproducible across
+to a fixed irreducible modulus.  Every field uses the lexicographically
+least irreducible polynomial of its degree (``min_irreducible``, e.g.
+0x1002B for m = 16), so randomized runs are reproducible across
 machines.  For m <= 16 multiplication goes through exp/log tables; the
 generic path reduces carry-less products modulo the field polynomial.
 The exp table is stored twice over (exp[i] == exp[i + order]), so a sum
@@ -19,61 +19,20 @@ import random
 
 from .gf2poly import _prime_factors, clmod, clmul, clsq, min_irreducible
 
-# Lexicographically least irreducible polynomial of each degree,
-# bit-packed (bit i = coefficient of z^i).  Regenerated by the tests
-# from the irreducibility test in gf2poly.
-MODULI = {
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-    17: 0x20009,
-    18: 0x40009,
-    19: 0x80027,
-    20: 0x100009,
-    21: 0x200005,
-    22: 0x400003,
-    23: 0x800021,
-    24: 0x100001B,
-    25: 0x2000009,
-    26: 0x400001B,
-    27: 0x8000027,
-    28: 0x10000003,
-    29: 0x20000005,
-    30: 0x40000003,
-    31: 0x80000009,
-    32: 0x10000008D,
-}
-
 _TABLE_LIMIT = 16  # build exp/log tables up to this extension degree
 
 
 class Gf2m:
-    """The field GF(2^m) with the published modulus for its degree."""
+    """The field GF(2^m) modulo the least irreducible polynomial of degree m."""
 
     zero = 0
     one = 1
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if m < 2:
             raise ValueError("extension degree must be at least 2")
-        if modulus is None:
-            modulus = MODULI.get(m) or min_irreducible(m)
-        if modulus.bit_length() - 1 != m:
-            raise ValueError("modulus degree mismatch")
         self.m = m
-        self.modulus = modulus
+        self.modulus = min_irreducible(m)
         self.order = (1 << m) - 1
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
@@ -207,7 +166,7 @@ _FIELDS: dict[int, Gf2m] = {}
 
 
 def field(m: int) -> Gf2m:
-    """Shared Gf2m instance for degree m (published modulus)."""
+    """Shared Gf2m instance for degree m."""
     if m not in _FIELDS:
         _FIELDS[m] = Gf2m(m)
     return _FIELDS[m]

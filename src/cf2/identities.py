@@ -9,8 +9,9 @@ degree D.  Draws that hit the degenerate locus are resampled with a
 capped budget and counted.  Every checker owns a mutated variant (one
 perturbed exponent or term) that must fail, as a negative control.
 The checkers run the towers of ``towers`` (``PTower``, ``pair_tower``,
-``GQuantities``) over GF(2^m), so they test the recurrences the
-theorem drivers run over series.
+``GQuantities``) and their tail recurrences (the P drift and limit
+expansion, the G generation walk and limit terms) over GF(2^m), so they
+test the code the theorem drivers run over series.
 
 Valuation facts are measured in series mode on concrete fixtures, with
 exact expected determinant valuations from degree bookkeeping.
@@ -21,10 +22,12 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 
 from .gf2m import Gf2m, field as ext_field
 from .mat2 import Mat2
 from .towers import (
+    ClaimFailed,
     DegenerateDraw,
     GQuantities,
     PTower,
@@ -124,11 +127,8 @@ def check_tower_expansion(
             t.advance()
             ms.append(t.m)
         for n in range(1, n_steps + 1):
-            acc = m0
-            for j in range(n):
-                weight = F.mul(t.ds[j], F.inv(t.Ls[j])) if mutate else t.term(j)
-                acc = acc.add(t.insertion_matrix(j).scale(weight))
-            if not ms[n].eq(acc.scale(t.Ls[n])):
+            weights = [F.mul(t.ds[j], F.inv(t.Ls[j])) if mutate else t.term(j) for j in range(n)]
+            if not ms[n].eq(t.expansion(weights).scale(t.Ls[n])):
                 return f"step {n}"
         return None
 
@@ -182,7 +182,7 @@ def check_tail_equations(
     """Tail terms T_k = d_{kn}/L_{kn+1} shift by a k-independent factor.
 
     T_{k+1} = rho T_k^(2^n) with rho = lam L_1^(2^n-1)/L_n^2, where lam is
-    the determinant drift over one period; likewise the residue-j terms
+    the tower's determinant drift over one period; likewise the residue-j terms
     are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}.  The mutated control
     swaps in the collapsed-product form lam/L_1, which only holds when
     the running products are trivial.
@@ -195,10 +195,7 @@ def check_tail_equations(
             t.advance()
         if F.is_zero(t.ds[0]):
             raise DegenerateDraw
-        lam = F.one
-        for j, ie in enumerate(t.inv_eps):
-            lam = F.mul(lam, F.pow(ie, 1 << (n - j)))
-        rho = F.mul(lam, F.inv(t.Ls[1])) if mutate else t.tail_shift(lam)
+        rho = F.mul(t.drift(), F.inv(t.Ls[1])) if mutate else t.tail_shift()
         for k in range(k_max):
             t_k = t.term(k * n)
             if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
@@ -333,15 +330,17 @@ def check_generation_relations(
 ) -> IdentityReport:
     """Next-generation quantities and the tail identities across generations.
 
-    Requires the driver word to end in 1 with an even digit sum; checks
-    the primed closed forms (d, r, cross, l, c_j), the correction-ratio
-    stability, the one-generation shift of c_1/L, and the full product
-    expansion of the repeated driver word.
+    Requires the driver word to end in 1 with an even digit sum.  Builds
+    one GQuantities per generation from ``pair_tower`` and checks against
+    them the primed closed forms (d, r, cross, l, c_j), the base
+    generation's walk (L_g and t_g = c_1/L of generation g) and the
+    H_j that ``limit_terms`` builds from t_g (c_j/L of generation g); then
+    the product of the repeated driver word against the limit sum of the
+    walk's partial H_1.
     """
     stats = word_stats(s)
     if stats.t != 0 or not s.endswith("1"):
         raise ValueError("driver word must end with 1 and have even digit sum")
-    k = len(s)
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
@@ -355,13 +354,8 @@ def check_generation_relations(
             chain.append(q)
             pair = pair_tower(*pair, s[:-1])
         base = chain[0]
-        # running products L_q, with the power form as a side check
-        Ls = [F.one]
-        for g in range(generations + 1):
-            Ls.append(F.mul(Ls[-1], chain[g].l_scalar))
-            if not F.eq(Ls[-1], F.mul(F.pow(Ls[-2], 1 << k), base.l_scalar)):
-                return f"L chain at {g}"
-        inv_L = [F.inv(x) for x in Ls]
+        walk = list(islice(base.generations(), generations + 2))
+        Ls = [L for L, _ in walk]
 
         def rebase(x, g):
             # generation-g cross is L_g times the base cross, so an odd
@@ -373,6 +367,8 @@ def check_generation_relations(
 
         for g in range(generations + 1):
             q, qn = chain[g], chain[g + 1]
+            if not F.eq(Ls[g + 1], F.mul(Ls[g], q.l_scalar)):
+                return f"L chain at {g}"
             want = q.primed_check_values()
             cross_expect = want["cross"].add_scalar(q.d) if mutate else want["cross"]
             if not F.eq(qn.d, want["d"]):
@@ -383,42 +379,24 @@ def check_generation_relations(
                 return f"gen {g}: cross'"
             if not F.eq(qn.l_scalar, want["l"]):
                 return f"gen {g}: l'"
-            for j in range(k):
-                if cs_neq(rebase(qn.c[j], g + 1), rebase(want["c"][j], g)):
-                    return f"gen {g}: c_{j + 1}'"
-        # correction ratios c_j^(q)/L_q over (c_1^(q)/L_q)^(2^(j-1)) are stable
-        base_c = [rebase(c, 0) for c in base.c]
+            for j, (c, cw) in enumerate(zip(qn.c, want["c"]), start=1):
+                if cs_neq(rebase(c, g + 1), rebase(cw, g)):
+                    return f"gen {g}: c_{j}'"
+        # c_j/L of generation g is the H_j that limit_terms builds from t_g
         for g in range(generations + 1):
-            cg = [rebase(c, g) for c in chain[g].c]
-            t1 = base.cs_mul(cg[0], base.cs(inv_L[g]))
-            for j in range(2, k + 1):
-                lhs = base.cs_mul(
-                    base.cs_mul(cg[j - 1], base.cs(inv_L[g])),
-                    base.cs_pow(base.cs_inv(t1), 1 << (j - 1)),
-                )
-                rhs = base.cs_mul(
-                    base_c[j - 1], base.cs_pow(base.cs_inv(base_c[0]), 1 << (j - 1))
-                )
-                if cs_neq(lhs, rhs):
-                    return f"tail ratio j={j} gen {g}"
-        # one-generation shift of c_1/L matches rho from the base generation
-        rho = base.rho()
-        for g in range(generations):
-            t_g = base.cs_mul(rebase(chain[g].c[0], g), base.cs(inv_L[g]))
-            t_n = base.cs_mul(rebase(chain[g + 1].c[0], g + 1), base.cs(inv_L[g + 1]))
-            shifted = base.cs_mul(rho, base.cs_pow(t_g, 1 << k))
-            if cs_neq(t_n, shifted):
-                return f"c1/L shift gen {g}"
-        # expansion of the repeated driver word
+            Hs, _ = base.limit_terms(walk[g][1])
+            inv_L = base.cs(F.inv(Ls[g]))
+            for j, (c, h) in enumerate(zip(chain[g].c, Hs), start=1):
+                if cs_neq(base.cs_mul(rebase(c, g), inv_L), h):
+                    return f"c_{j}/L gen {g}"
+        # the repeated driver word expands to L_i times the limit sum of the
+        # partial H_1 = t_0 + ... + t_(i-1)
+        H1 = walk[0][1]
         for i in range(1, generations + 1):
             direct_m, _ = pair_tower(m0, w0, s * i)
-            acc = base.m1
-            for g in range(i):
-                cg = [rebase(c, g) for c in chain[g].c]
-                for j in range(k):
-                    acc = acc.add(base.cs_to_mat(base.cs_mul(cg[j], base.cs(inv_L[g]))))
-            if not direct_m.eq(acc.scale(Ls[i])):
+            if not direct_m.eq(base.limit_terms(H1)[1].scale(Ls[i])):
                 return f"expansion i={i}"
+            H1 = base.cs_add(H1, walk[i][1])
         return None
 
     return _randomized(f"generation-relations[{s}]", trials, m, seed, body)
@@ -443,7 +421,7 @@ def check_valuation_bounds(
     Determinant valuations are checked against the exact degree
     bookkeeping (val d_{j+1} = 2 val d_j + 2 deg e_j); running-product
     gaps against 2^(kn) and 2^(ik) by ``gap_violation``, the G gaps inside
-    ``g_limits``, which raises ClaimFailed on a violation.  The mutated
+    ``g_limits``, whose ClaimFailed becomes a G failure.  The mutated
     control claims one more than the exact determinant valuation and must
     fail.
     """
@@ -475,31 +453,35 @@ def check_valuation_bounds(
                 if gap_violation(gap, j - n):
                     failures.append(("P", f"running-product gap at {j}"))
     if gspec is not None:
-        lim = g_limits(gspec, sp, prec)
-        q = lim.quants
-        facts = [
-            ("val(m1[0,0])=0", q.m1.a.valuation == 0),
-            ("val(m1[0,1])>0", q.m1.b.valuation > 0),
-            ("val(m1[1,0])>0", q.m1.c.valuation > 0),
-            ("val(m1[1,1])>0", q.m1.d.valuation > 0),
-            ("val(cross diag)=0", q.cross.a.valuation == 0 and q.cross.d.valuation == 0),
-            ("val(cross off)>0", q.cross.b.valuation > 0 and q.cross.c.valuation > 0),
-            ("val(r)=0", q.r.valuation == 0),
-            ("val(cross^2)=0", q.gamma.valuation == 0),
-            ("val(d)>0", q.d.valuation > 0),
-            ("val(l)=0", q.l_scalar.valuation == 0),
-        ]
-        inv_cross = q.cross.scale(q.inv_gamma)
-        facts.append(
-            ("val(1/cross diag)=0, off>0",
-             inv_cross.a.valuation == 0 and inv_cross.d.valuation == 0
-             and inv_cross.b.valuation > 0 and inv_cross.c.valuation > 0)
-        )
-        for name, ok in facts:
-            if not ok:
-                failures.append(("G", name))
-        for i, gap in lim.diff_vals:
-            measurements.append(f"G gap {i}->{i + 1}: val={gap} bound={1 << (i * q.k)}")
+        try:
+            lim = g_limits(gspec, sp, prec)
+        except ClaimFailed as exc:
+            failures.append(("G", str(exc)))
+        else:
+            q = lim.quants
+            facts = [
+                ("val(m1[0,0])=0", q.m1.a.valuation == 0),
+                ("val(m1[0,1])>0", q.m1.b.valuation > 0),
+                ("val(m1[1,0])>0", q.m1.c.valuation > 0),
+                ("val(m1[1,1])>0", q.m1.d.valuation > 0),
+                ("val(cross diag)=0", q.cross.a.valuation == 0 and q.cross.d.valuation == 0),
+                ("val(cross off)>0", q.cross.b.valuation > 0 and q.cross.c.valuation > 0),
+                ("val(r)=0", q.r.valuation == 0),
+                ("val(cross^2)=0", q.gamma.valuation == 0),
+                ("val(d)>0", q.d.valuation > 0),
+                ("val(l)=0", q.l_scalar.valuation == 0),
+            ]
+            inv_cross = q.cross.scale(q.inv_gamma)
+            facts.append(
+                ("val(1/cross diag)=0, off>0",
+                 inv_cross.a.valuation == 0 and inv_cross.d.valuation == 0
+                 and inv_cross.b.valuation > 0 and inv_cross.c.valuation > 0)
+            )
+            for name, ok in facts:
+                if not ok:
+                    failures.append(("G", name))
+            for i, gap in lim.diff_vals:
+                measurements.append(f"G gap {i}->{i + 1}: val={gap} bound={1 << (i * q.k)}")
     ident = f"valuation-bounds[{label}]" if label else "valuation-bounds"
     return IdentityReport(ident, 1, f"series(prec={prec})", 0, failures, measurements=measurements)
 

@@ -27,7 +27,6 @@ from .words import (
     DegeneratePeriodic,
     GSpec,
     PSpec,
-    g_normalize,
     g_sigma,
     p_prefix,
     p_to_g,
@@ -179,14 +178,13 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^k for the family-G continued fraction."""
     phi_fn, first_val = spec_series(spec, sp)
     try:
-        norm = g_normalize(spec)
+        lim = g_limits(spec, sp, prec)
     except DegeneratePeriodic:
         return _verdict("theorem-g", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
-    s = norm.s
+    s = lim.norm.s
     k = len(s)
     bound = 1 << k
-    lines = [f"normalized ups={norm.spec.ups} s={s} k={k} bound={bound}"]
-    lim = g_limits(spec, sp, prec)
+    lines = [f"normalized ups={lim.norm.spec.ups} s={s} k={k} bound={bound}"]
     residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
     ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
     e1 = lim.quants.stats.delta[0] if s else 0

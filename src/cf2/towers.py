@@ -270,15 +270,31 @@ class PTower:
         F = self.F
         return F.mul(self.ds[i], F.inv(self.Ls[i + 1]))
 
-    def tail_shift(self, lam):
-        """rho = lam L_1^(2^n - 1) / L_n^2, with lam the determinant drift
-        1/(e_0^(2^n) ... e_(n-1)^2) of one period n.
+    def expansion(self, weights) -> Mat2:
+        """m_0 + sum over j of weights[j] insertion_matrix(j)."""
+        acc = self.m0
+        for j, w in enumerate(weights):
+            acc = acc.add(self.insertion_matrix(j).scale(w))
+        return acc
+
+    def drift(self):
+        """The determinant drift lam = 1/(e_0^(2^n) ... e_(n-1)^2) of one period n."""
+        F = self.F
+        n = self.period
+        lam = F.one
+        for j, ie in enumerate(self.inv_eps):
+            lam = F.mul(lam, F.pow(ie, 1 << (n - j)))
+        return lam
+
+    def tail_shift(self):
+        """rho = lam L_1^(2^n - 1) / L_n^2, with lam the ``drift`` of one period n.
 
         The tail terms T_k = term(kn) satisfy T_(k+1) = rho T_k^(2^n).
         """
         F = self.F
         n = self.period
-        return F.mul(F.mul(lam, F.pow(self.Ls[1], (1 << n) - 1)), F.pow(F.inv(self.Ls[n]), 2))
+        shifted = F.mul(self.drift(), F.pow(self.Ls[1], (1 << n) - 1))
+        return F.mul(shifted, F.pow(F.inv(self.Ls[n]), 2))
 
     def residue_factor(self, j: int):
         """(d_j / d_0^(2^j)) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j)
@@ -312,7 +328,6 @@ class PLimits:
     H: list[LaurentSeries]
     limit_m: Mat2
     cf: LaurentSeries
-    lam: LaurentSeries  # determinant drift 1/(e_0^(2^n) ... e_{n-1}^2)
     diff_vals: list[tuple[int, int]] = dc_field(default_factory=list)
 
     def residual_f(self) -> LaurentSeries:
@@ -321,7 +336,8 @@ class PLimits:
         return self.f.pow(1 << n) * self.tower.Ls[n] + self.f
 
     def residual_h0(self) -> LaurentSeries:
-        """H_0^(2^n) * lam * L_1^(2^n - 1) / L_n^2 + H_0 + d_0 / L_1.
+        """H_0^(2^n) * lam * L_1^(2^n - 1) / L_n^2 + H_0 + d_0 / L_1, with lam
+        the tower's determinant drift.
 
         The tail terms T_k = d_{kn}/L_{kn+1} satisfy T_{k+1} = rho T_k^(2^n)
         with rho = lam L_1^(2^n-1)/L_n^2 (k-independent by the power-shift
@@ -330,7 +346,7 @@ class PLimits:
         H_0^(2^n) lam / L_1 form.
         """
         t = self.tower
-        rho = t.tail_shift(self.lam)
+        rho = t.tail_shift()
         return self.H[0].pow(1 << t.period) * rho + self.H[0] + t.term(0)
 
     def residual_hj(self, j: int) -> LaurentSeries:
@@ -370,16 +386,9 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     H = [F.zero for _ in range(n)]
     for i in range(t.step):
         H[i % n] = H[i % n] + t.term(i)
-    lam_poly = Gf2Poly.one()
-    for j in range(n):
-        lam_poly = lam_poly * sp.poly(spec.eps[j]) ** (1 << (n - j))
-    lam = LaurentSeries.from_rational(Gf2Poly.one(), lam_poly, prec)
-    acc = t.m0
-    for j in range(n):
-        acc = acc.add(t.insertion_matrix(j).scale(H[j]))
-    limit_m = acc.scale(f_val)
+    limit_m = t.expansion(H).scale(f_val)
     cf = cf_ratio(limit_m)
-    return PLimits(tower=t, f=f_val, H=H, limit_m=limit_m, cf=cf, lam=lam, diff_vals=diff_vals)
+    return PLimits(tower=t, f=f_val, H=H, limit_m=limit_m, cf=cf, diff_vals=diff_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +535,32 @@ class GQuantities:
         one_gen = self.cs_mul(self.cs_mul(self.cs_mul(drift, inv_l), self.c[0]), inv_l)
         return self.cs_mul(one_gen, self.cs_pow(self.cs_inv(self.c[0]), 1 << self.k))
 
+    def generations(self):
+        """Yield (L_i, t_i) for i = 0, 1, ...: the running product
+        L_(i+1) = L_i l^(2^(ik)) with L_0 = 1, and the tail term t_i = c_1/L
+        of generation i, with t_0 = c_1 and t_(i+1) = rho t_i^(2^k)."""
+        F = self.F
+        l = self.l_scalar
+        rho = self.rho()
+        L, t = F.one, self.c[0]
+        while True:
+            yield L, t
+            L = F.mul(L, l)
+            l = F.pow(l, 1 << self.k)
+            t = self.cs_mul(rho, self.cs_pow(t, 1 << self.k))
+
+    def limit_terms(self, H1: CoScaled) -> tuple[list[CoScaled], Mat2]:
+        """H_1 .. H_k with H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)), and the
+        limit sum m1 + H_1 + ... + H_k."""
+        Hs = [H1]
+        for j in range(2, self.k + 1):
+            ratio = self.cs_mul(self.c[j - 1], self.cs_pow(self.cs_inv(self.c[0]), 1 << (j - 1)))
+            Hs.append(self.cs_mul(self.cs_pow(H1, 1 << (j - 1)), ratio))
+        acc = self.m1
+        for h in Hs:
+            acc = acc.add(self.cs_to_mat(h))
+        return Hs, acc
+
     def closed_products(self) -> tuple[Mat2, Mat2]:
         """Closed forms of the pair after one driver word, per digit parity."""
         F = self.F
@@ -613,43 +648,27 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
         )
     F, m0, w0 = g_start_matrices(norm.spec, sp, prec)
     q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
-    k = q.k
-    l = q.l_scalar
-    rho = q.rho()
-    Ls = [F.one]
-    cur_l = l  # l^(i), advanced by 2^k powers
-    # term = c_1^(i)/L_i; the generation shift multiplies its 2^k power by rho
-    term = q.c[0]
-    H1 = term
+    walk = q.generations()
+    L, H1 = next(walk)
+    Ls = [L]
     diff_vals: list[tuple[int, int]] = []
-    cap = max(8, (prec.bit_length() // max(1, k)) + 6)
-    i = 0
-    while True:
-        L_next = Ls[-1] * cur_l
+    cap = max(8, (prec.bit_length() // max(1, q.k)) + 6)
+    for i, (L_next, term) in enumerate(walk):
         diff = L_next + Ls[-1]
         dv = diff.known_zero_below()
         diff_vals.append((i, dv))
-        if why := gap_violation(diff, i * k):
+        if why := gap_violation(diff, i * q.k):
             raise ClaimFailed(why)
         Ls.append(L_next)
-        cur_l = cur_l.pow(1 << k)
-        term = q.cs_mul(rho, q.cs_pow(term, 1 << k))
         H1 = q.cs_add(H1, term)
-        i += 1
         if dv >= prec and term.u.known_zero_below() >= prec:
             break
-        if i > cap:
+        if i >= cap:
             raise PrecisionBudget(
                 f"no convergence within {cap} generations (achieved {dv})", dv
             )
     f = Ls[-1]
-    Hs = [H1]
-    for j in range(2, k + 1):
-        ratio = q.cs_mul(q.c[j - 1], q.cs_pow(q.cs_inv(q.c[0]), 1 << (j - 1)))
-        Hs.append(q.cs_mul(q.cs_pow(H1, 1 << (j - 1)), ratio))
-    acc = q.m1
-    for h in Hs:
-        acc = acc.add(q.cs_to_mat(h))
+    Hs, acc = q.limit_terms(H1)
     limit_m = acc.scale(f)
     cf = cf_ratio(limit_m)
     return GLimits(

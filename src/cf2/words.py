@@ -200,7 +200,6 @@ class NormalizedG:
 
     spec: GSpec
     s: str  # one period of swap bits starting after the leading 1
-    shift: int  # doubling steps absorbed into the start words
 
 
 def g_normalize(spec: GSpec) -> NormalizedG:
@@ -226,4 +225,4 @@ def g_normalize(spec: GSpec) -> NormalizedG:
         s = "11"
     else:
         s = ups[1:] + ups[0]
-    return NormalizedG(spec=rotated, s=s, shift=j)
+    return NormalizedG(spec=rotated, s=s)

@@ -117,6 +117,13 @@ def test_relation_rational_honours_degz_zero():
     assert out.splitlines()[-1] == "relation none"
 
 
+def test_relation_spec_miss_exits_one():
+    # eps=110 has degree 8 (degree-ladder rung P3), so none of degree <= 2 exists
+    code, out = run_cli("relation", "--spec", "P w0= eps=110", "--degx", "2", "--prec", "256")
+    assert code == 1
+    assert out.splitlines()[-1] == "relation none degX<=2 degZ=670 prec=2048"
+
+
 @pytest.mark.parametrize(
     "num,den,degx,degz,need",
     [

@@ -48,6 +48,14 @@ CASES = {
     "corollary-k2": (["corollary", "--w0", "", "--eps", "10", "--k", "2"], 0),
     "explore": (["explore-sigma-inv", "--degx", "2", "--degz", "8"], 0),
 }
+# the --help text of cf2 and of every subcommand freezes the CLI surface
+SUBCOMMANDS = (
+    "gen", "sigma", "cf", "tower-trace", "identities", "relation",
+    "theorem1", "theorem2", "corollary", "explore-sigma-inv",
+)
+CASES["help"] = (["--help"], 0)
+CASES.update({f"help-{cmd}": ([cmd, "--help"], 0) for cmd in SUBCOMMANDS})
+HELP_COLUMNS = "80"  # argparse wraps help text to the terminal width
 
 
 def run_cli(argv):
@@ -58,8 +66,9 @@ def run_cli(argv):
 
 
 @pytest.fixture(autouse=True)
-def _default_prec(monkeypatch):
+def _default_env(monkeypatch):
     monkeypatch.delenv("CF2_PREC", raising=False)
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -78,6 +87,7 @@ def test_out_file_matches_stdout(tmp_path):
 
 if __name__ == "__main__":
     os.environ.pop("CF2_PREC", None)  # the transcripts use the default precision
+    os.environ["COLUMNS"] = HELP_COLUMNS
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, code) in sorted(CASES.items()):
         got_code, out = run_cli(argv)

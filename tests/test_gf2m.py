@@ -1,18 +1,21 @@
-"""GF(2^m) field axioms and the published modulus table."""
+"""GF(2^m) field axioms and the least-irreducible moduli."""
 
 import random
 
 import pytest
 
-from cf2.gf2m import MODULI, Gf2m, ext_sample_invertible, field
-from cf2.gf2poly import is_irreducible, min_irreducible
+from cf2.gf2m import Gf2m, ext_sample_invertible, field
+from cf2.gf2poly import is_irreducible
 from cf2.mat2 import Mat2
 
 
-def test_moduli_table_regenerates():
-    for m, bits in MODULI.items():
-        assert bits == min_irreducible(m)
-        assert is_irreducible(bits)
+@pytest.mark.parametrize(
+    "m,modulus", [(2, 0x7), (3, 0xB), (8, 0x11B), (16, 0x1002B), (20, 0x100009), (32, 0x10000008D)]
+)
+def test_field_modulus_is_least_irreducible(m, modulus):
+    # the published least irreducible polynomials, which seed every draw
+    assert field(m).modulus == modulus
+    assert is_irreducible(modulus)
 
 
 def test_inverse_axiom_m2():
@@ -139,8 +142,3 @@ def test_large_degree_field():
     for _ in range(50):
         a = F.sample_invertible(rng)
         assert F.mul(a, F.inv(a)) == 1
-
-
-def test_modulus_degree_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Gf2m(4, modulus=0b111)  # degree-2 modulus for a degree-4 field

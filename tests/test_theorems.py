@@ -4,6 +4,9 @@ import tracemalloc
 
 import pytest
 
+from cf2 import theorems, towers
+from cf2.gf2poly import Gf2Poly
+from cf2.laurent import LaurentSeries
 from cf2.theorems import (
     check_corollary_chain,
     check_theorem_g,
@@ -11,7 +14,7 @@ from cf2.theorems import (
     explore_inverse_sigma,
 )
 from cf2.towers import HypothesisViolation, PrecisionBudget, SpecMap
-from cf2.words import GSpec, PSpec
+from cf2.words import GSpec, PSpec, g_normalize
 
 SPB = SpecMap.binary_default()
 SPAB = SpecMap.parse("a=z,b=z+1")
@@ -95,6 +98,56 @@ def test_explore_reports_without_judgment():
     assert "observation only" in text or "relation found" in text
 
 
+def _rational_oracle(offset=None):
+    """A cf_series_of stand-in returning 1/(z+1), plus, given ``offset``, a
+    term ``offset`` past the first precision asked for."""
+    asked = []
+
+    def oracle(prefix_fn, sp, prec):
+        asked.append(prec)
+        phi = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), prec)
+        if offset is None:
+            return phi
+        return phi + LaurentSeries.from_terms([asked[0] + offset], prec)
+
+    return oracle
+
+
+def test_explore_reports_a_found_relation(monkeypatch):
+    monkeypatch.setattr(theorems, "cf_series_of", _rational_oracle())
+    rep = explore_inverse_sigma(2, 8, 128)
+    assert rep.passed and rep.search.verified
+    assert rep.lines[1] == f"relation found: {rep.search.relation.render()}"
+    assert rep.lines[2].startswith("degree=1 degZ=1 ")
+
+
+def test_explore_reports_a_discarded_candidate(monkeypatch):
+    # the term just past the discovery precision hides from the search and
+    # breaks the candidate (z+1)X + 1 in the verifying series
+    monkeypatch.setattr(theorems, "cf_series_of", _rational_oracle(offset=2))
+    rep = explore_inverse_sigma(2, 8, 128)
+    assert rep.passed and rep.search.relation is None
+    bound = rep.search.residual_bound
+    assert bound == rep.search.discovery_prec + 1
+    assert rep.lines[1] == f"candidate discarded by re-verification (residual {bound})"
+    assert rep.lines[2].startswith("no relation found up to degX 2, degZ 8, ")
+
+
+def test_theorem_g_normalizes_once(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return g_normalize(spec)
+
+    # count a call from the driver too, should it normalize on its own again
+    monkeypatch.setattr(towers, "g_normalize", counting)
+    monkeypatch.setattr(theorems, "g_normalize", counting, raising=False)
+    rep = check_theorem_g(GSpec("a", "b", "11"), SPAB, 256)
+    assert rep.passed and rep.lines[0].startswith("normalized ups=11 s=11 k=2 ")
+    assert len(calls) == 1
+
+
 def test_theorem_g_fuzz_small():
     import random
 
@@ -133,8 +186,6 @@ def test_collapsed_map_goes_quadratic():
 def test_precision_artifact_is_discarded():
     # 1/(z+1) plus a term at z^-80: the relation (z+1)X + 1 found at the
     # discovery precision 64 breaks at z^-79, below the 1.5x threshold 96
-    from cf2.gf2poly import Gf2Poly
-    from cf2.laurent import LaurentSeries
     from cf2.theorems import search_relation
 
     def phi_fn(prec):
