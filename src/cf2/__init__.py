@@ -11,7 +11,7 @@ from .gf2poly import Gf2Poly
 from .gf2m import Gf2m, ext_sample_invertible, field
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
-from .relations import AlgRelation, find_relation, verify_relation
+from .relations import AlgRelation, find_relation
 from .theorems import (
     check_corollary_chain,
     check_theorem_g,
@@ -58,8 +58,7 @@ __all__ = [
     "convergent_series", "explore_inverse_sigma", "ext_sample_invertible",
     "field", "find_relation", "g_cf_series", "g_limits", "g_normalize",
     "g_prefix", "g_sigma", "p_cf_series", "p_limits", "p_prefix", "p_to_g",
-    "pair_tower", "sigma_inv_word", "sigma_word", "verify_relation",
-    "word_stats",
+    "pair_tower", "sigma_inv_word", "sigma_word", "word_stats",
 ]
 
 __version__ = "0.1.0"

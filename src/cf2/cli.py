@@ -4,14 +4,12 @@ Commands map one-to-one onto the library: gen, sigma, cf, tower-trace,
 identities, relation, theorem1, theorem2, corollary, explore-sigma-inv.
 Every run echoes a config line sufficient to reproduce it; output is
 byte-identical for identical (command, seed, prec).  Exit codes: 0 on
-success, 1 on a failed mathematical check, 2 on usage errors, 3 when a
-check is inconclusive because its precision budget ran out.
+success, 1 on a failed mathematical check, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .gf2poly import Gf2Poly
@@ -27,7 +25,6 @@ from .theorems import (
 )
 from .towers import (
     ClaimFailed,
-    PrecisionBudget,
     SpecMap,
     cf_series,
     convergent_series,
@@ -99,16 +96,6 @@ def _specmap(args, alphabet) -> SpecMap:
         missing = sorted(set(alphabet) - sp.letters)
         raise ValueError(f"unmapped letters {missing}")
     return sp
-
-
-def _default_prec() -> int:
-    env = os.environ.get("CF2_PREC")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"bad CF2_PREC value {env!r}") from None
-    return 512
 
 
 def _check_prec(prec: int, minimum: int) -> int:
@@ -317,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, prec_min=1):
-        p.add_argument("--prec", type=int, default=None)
+        p.add_argument("--prec", type=int, default=512)
         p.add_argument("--seed", type=lambda v: int(v, 0), default=1)
         p.set_defaults(prec_min=prec_min)
 
@@ -406,8 +393,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.prec is None:
-            args.prec = _default_prec()
         args.prec = _check_prec(args.prec, getattr(args, "prec_min", 1))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -421,9 +406,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PrecisionBudget as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 3
     except ClaimFailed as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return 1

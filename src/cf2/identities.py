@@ -193,9 +193,7 @@ def check_tail_equations(
         t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n)])
         for _ in range(k_max * n + n):
             t.advance()
-        if F.is_zero(t.ds[0]):
-            raise DegenerateDraw
-        rho = F.mul(t.drift(), F.inv(t.Ls[1])) if mutate else t.tail_shift()
+        rho = F.mul(t.det_ratio(n), F.inv(t.Ls[1])) if mutate else t.tail_shift()
         for k in range(k_max):
             t_k = t.term(k * n)
             if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
@@ -291,12 +289,12 @@ def check_closed_form(
         w0 = _rand_mat(F, rng)
         q = GQuantities(F, w0.mul(m0), m0.mul(w0))
         found = {}
-        # node: prefix, its pair, digit parity t, e(prefix), correction sum, last correction
-        stack = [("", q.m1, q.w1, 0, 0, Mat2.scalar(F, F.zero), None)]
+        # node: prefix, its pair, digit parity t, e(prefix), correction sum
+        stack = [("", q.m1, q.w1, 0, 0, Mat2.scalar(F, F.zero))]
         while stack:
-            p, pm, pw, t, e, acc, c = stack.pop()
+            p, pm, pw, t, e, acc = stack.pop()
             if p in targets:
-                cm, cw = q.closed_pair(t, acc, q.period_cs(len(p), c))
+                cm, cw = q.closed_pair(t, acc, q.period_cs(len(p), e))
                 if mutate:
                     cm = cm.scale(q.d)
                     cw = cw.scale(q.d)
@@ -309,8 +307,8 @@ def check_closed_form(
                 if child in prefixes:
                     ct = t ^ (bit == "1")
                     ce = 2 * e + ct
-                    cc = q.correction(len(child), ce)
-                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, acc.add(q.cs_to_mat(cc)), cc))
+                    cc = q.cs_to_mat(q.correction(len(child), ce))
+                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, acc.add(cc)))
         return [found.get(w) for w in words]
 
     if isinstance(s, str):
@@ -348,10 +346,7 @@ def check_generation_relations(
         chain: list[GQuantities] = []
         pair = (m0, w0)
         for g in range(generations + 2):
-            q = GQuantities(F, pair[1].mul(pair[0]), pair[0].mul(pair[1]), s)
-            if F.is_zero(q.l_scalar):
-                raise DegenerateDraw
-            chain.append(q)
+            chain.append(GQuantities(F, pair[1].mul(pair[0]), pair[0].mul(pair[1]), s))
             pair = pair_tower(*pair, s[:-1])
         base = chain[0]
         walk = list(islice(base.generations(), generations + 2))

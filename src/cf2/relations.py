@@ -162,9 +162,3 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
     if not residual.is_zero:
         return None
     return replace(rel, verified_prec=residual.known_zero_below())
-
-
-def verify_relation(rel: AlgRelation, phi: LaurentSeries) -> int:
-    """Provable lower bound on the residual's vanishing: the exact
-    residual valuation when nonzero, else the residual's precision."""
-    return rel.evaluate(phi).known_zero_below()

@@ -20,6 +20,7 @@ in the identity battery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
@@ -37,14 +38,6 @@ class HypothesisViolation(ValueError):
 
 class ClaimFailed(ArithmeticError):
     """A bound the tower construction rests on was measured false."""
-
-
-class PrecisionBudget(RuntimeError):
-    """Convergence threshold not reached within the step budget."""
-
-    def __init__(self, message: str, achieved: int):
-        super().__init__(message)
-        self.achieved = achieved
 
 
 # ---------------------------------------------------------------------------
@@ -277,31 +270,30 @@ class PTower:
             acc = acc.add(self.insertion_matrix(j).scale(w))
         return acc
 
-    def drift(self):
-        """The determinant drift lam = 1/(e_0^(2^n) ... e_(n-1)^2) of one period n."""
+    def det_ratio(self, j: int):
+        """d_j / d_0^(2^j) = (1/e_0)^(2^j) ... (1/e_(j-1))^2, from d_(i+1) = d_i^2 / e_i^2.
+
+        At j = n it is the determinant drift lam of one period."""
         F = self.F
-        n = self.period
-        lam = F.one
-        for j, ie in enumerate(self.inv_eps):
-            lam = F.mul(lam, F.pow(ie, 1 << (n - j)))
-        return lam
+        ratio = F.one
+        for i in range(j):
+            ratio = F.mul(ratio, F.pow(self.inv_eps[i % self.period], 1 << (j - i)))
+        return ratio
 
     def tail_shift(self):
-        """rho = lam L_1^(2^n - 1) / L_n^2, with lam the ``drift`` of one period n.
+        """rho = lam L_1^(2^n - 1) / L_n^2, with lam = det_ratio(n) the drift of one period n.
 
         The tail terms T_k = term(kn) satisfy T_(k+1) = rho T_k^(2^n).
         """
         F = self.F
         n = self.period
-        shifted = F.mul(self.drift(), F.pow(self.Ls[1], (1 << n) - 1))
+        shifted = F.mul(self.det_ratio(n), F.pow(self.Ls[1], (1 << n) - 1))
         return F.mul(shifted, F.pow(F.inv(self.Ls[n]), 2))
 
     def residue_factor(self, j: int):
-        """(d_j / d_0^(2^j)) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j)
-        times this factor."""
+        """det_ratio(j) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j) times this factor."""
         F = self.F
-        fac = F.mul(self.ds[j], F.pow(F.inv(self.ds[0]), 1 << j))
-        return F.mul(F.mul(fac, F.pow(self.Ls[1], 1 << j)), F.inv(self.Ls[j + 1]))
+        return F.mul(F.mul(self.det_ratio(j), F.pow(self.Ls[1], 1 << j)), F.inv(self.Ls[j + 1]))
 
 
 def p_tower(spec: PSpec, sp: SpecMap, prec: int) -> PTower:
@@ -378,10 +370,7 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
         if f_ready and d_dead and j >= n + 1:
             break
         if j > cap:
-            achieved = min(t.ds[-1].known_zero_below(), diff_vals[-1][1] if diff_vals else 0)
-            raise PrecisionBudget(
-                f"no convergence within {cap} steps (achieved {achieved})", achieved
-            )
+            raise ClaimFailed(f"no convergence within {cap} steps at prec {prec}")
     F = t.F
     H = [F.zero for _ in range(n)]
     for i in range(t.step):
@@ -432,9 +421,11 @@ class GQuantities:
     driver word s: determinant d, trace r, the cross matrix, its scalar
     square gamma, the correction terms c_1..c_k, and the period scalar l.
     Correction terms are carried as CoScaled values (u * cross^b), which
-    keeps every power of the cross matrix in scalar arithmetic.  Without
-    a driver word only the word-independent scalars are set, which every
-    driver word over the same pair shares.
+    keeps every power of the cross matrix in scalar arithmetic.  Every
+    scalar the tower divides by (l, rho, the ratios c_j / c_1^(2^(j-1)))
+    is a monomial in r and cross once its powers of d cancel, so d is
+    only ever multiplied.  Without a driver word only the word-independent
+    scalars are set, which every driver word over the same pair shares.
     """
 
     def __init__(self, F, m1: Mat2, w1: Mat2, s: str = ""):
@@ -450,7 +441,7 @@ class GQuantities:
         if not (F.is_zero(sq.b) and F.is_zero(sq.c) and F.eq(sq.a, sq.d)):
             raise DegenerateDraw("cross square is not scalar (inputs not a cross pair)")
         self.gamma = sq.a
-        for name, val in (("r", self.r), ("d", self.d), ("gamma", self.gamma)):
+        for name, val in (("r", self.r), ("gamma", self.gamma)):
             if F.is_zero(val):
                 raise DegenerateDraw(f"degenerate specialization: {name} not invertible")
         self.inv_r = F.inv(self.r)
@@ -458,29 +449,33 @@ class GQuantities:
         if not s:
             return
         self.stats = word_stats(s)
-        # prefix statistics e_j = e(s(j)) drive the correction exponents
-        self.c = []
-        e = 0
-        t = 0
-        for j, ch in enumerate(s, start=1):
-            t ^= int(ch)
-            e = 2 * e + t
-            self.c.append(self.correction(j, e))
-        self.l_cs = self.period_cs(self.k, self.c[-1])
+        # prefix statistics e_j = e(s(j)) drive the exponents of every monomial
+        self.e = list(accumulate(self.stats.delta, lambda e, t: 2 * e + t))
+        self.c = [self.correction(j, e_j) for j, e_j in enumerate(self.e, start=1)]
+        self.l_cs = self.period_cs(self.k, self.e[-1])
+
+    def monomial(self, i: int, a: int) -> CoScaled:
+        """r^i cross^a for any integers i, a: u = r^i gamma^(a // 2), odd = a & 1."""
+        F = self.F
+        g = a // 2
+        return CoScaled(
+            F.mul(
+                F.pow(self.r, i) if i >= 0 else F.pow(self.inv_r, -i),
+                F.pow(self.gamma, g) if g >= 0 else F.pow(self.inv_gamma, -g),
+            ),
+            a & 1,
+        )
 
     def correction(self, j: int, e_j: int) -> CoScaled:
-        """c_j = d^(2^(j-1)) / r^(2^j - 1 - e_j) / cross^(e_j), with e_j = e(s(j))."""
-        F = self.F
-        u = F.mul(
-            F.pow(self.d, 1 << (j - 1)),
-            F.mul(F.pow(self.inv_r, (1 << j) - 1 - e_j), F.pow(self.inv_gamma, (e_j + 1) // 2)),
+        """c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j, with e_j = e(s(j))."""
+        return self.cs_mul(
+            self.cs(self.F.pow(self.d, 1 << (j - 1))), self.monomial(e_j + 1 - (1 << j), -e_j)
         )
-        return CoScaled(u, e_j & 1)
 
-    def period_cs(self, k: int, c_k: CoScaled) -> CoScaled:
-        """l = d^(2^(k-1)) / c_k for a k-letter driver word; scalar exactly
-        when t(s) = 0 and e(s) even."""
-        return self.cs_mul(self.cs(self.F.pow(self.d, 1 << (k - 1))), self.cs_inv(c_k))
+    def period_cs(self, k: int, e_k: int) -> CoScaled:
+        """l = d^(2^(k-1)) / c_k = r^(2^k - 1 - e_k) cross^(e_k) for a k-letter
+        driver word with e(s) = e_k; scalar exactly when t(s) = 0 and e_k even."""
+        return self.monomial((1 << k) - 1 - e_k, e_k)
 
     # -- CoScaled arithmetic (needs gamma, so it lives here) ---------------
 
@@ -529,11 +524,11 @@ class GQuantities:
 
     def rho(self) -> CoScaled:
         """c_1'/l divided by c_1^(2^k): the generation shift of c_1/L, where
-        c_1' = d^(2^k - 1) / l * c_1 is the next generation's first correction."""
-        inv_l = self.cs_inv(self.l_cs)
-        drift = self.cs(self.F.pow(self.d, (1 << self.k) - 1))
-        one_gen = self.cs_mul(self.cs_mul(self.cs_mul(drift, inv_l), self.c[0]), inv_l)
-        return self.cs_mul(one_gen, self.cs_pow(self.cs_inv(self.c[0]), 1 << self.k))
+        c_1' = d^(2^k - 1) / l * c_1 is the next generation's first correction.
+        The powers of d cancel: rho = r^((1 - e_1) n - 2(n - e_k)) cross^(e_1 n - 2 e_k)
+        with n = 2^k - 1."""
+        e1, ek, n = self.e[0], self.e[-1], (1 << self.k) - 1
+        return self.monomial((1 - e1) * n - 2 * (n - ek), e1 * n - 2 * ek)
 
     def generations(self):
         """Yield (L_i, t_i) for i = 0, 1, ...: the running product
@@ -551,11 +546,14 @@ class GQuantities:
 
     def limit_terms(self, H1: CoScaled) -> tuple[list[CoScaled], Mat2]:
         """H_1 .. H_k with H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)), and the
-        limit sum m1 + H_1 + ... + H_k."""
+        limit sum m1 + H_1 + ... + H_k.  The ratio c_j / c_1^(2^(j-1)) is
+        r^(1 + e_j - (1 + e_1) 2^(j-1)) cross^(e_1 2^(j-1) - e_j)."""
         Hs = [H1]
+        e1 = self.e[0]
         for j in range(2, self.k + 1):
-            ratio = self.cs_mul(self.c[j - 1], self.cs_pow(self.cs_inv(self.c[0]), 1 << (j - 1)))
-            Hs.append(self.cs_mul(self.cs_pow(H1, 1 << (j - 1)), ratio))
+            h, ej = 1 << (j - 1), self.e[j - 1]
+            ratio = self.monomial(1 + ej - (1 + e1) * h, e1 * h - ej)
+            Hs.append(self.cs_mul(self.cs_pow(H1, h), ratio))
         acc = self.m1
         for h in Hs:
             acc = acc.add(self.cs_to_mat(h))
@@ -664,9 +662,7 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
         if dv >= prec and term.u.known_zero_below() >= prec:
             break
         if i >= cap:
-            raise PrecisionBudget(
-                f"no convergence within {cap} generations (achieved {dv})", dv
-            )
+            raise ClaimFailed(f"no convergence within {cap} generations at prec {prec}")
     f = Ls[-1]
     Hs, acc = q.limit_terms(H1)
     limit_m = acc.scale(f)

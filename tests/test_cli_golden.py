@@ -46,6 +46,7 @@ CASES = {
     "theorem2-ups011": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "011", *AB], 0),
     "theorem2-ups10": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "10", *AB], 2),
     "corollary-k2": (["corollary", "--w0", "", "--eps", "10", "--k", "2"], 0),
+    "corollary-k4": (["corollary", "--w0", "", "--eps", "10", "--k", "4"], 0),
     "explore": (["explore-sigma-inv", "--degx", "2", "--degz", "8"], 0),
 }
 # the --help text of cf2 and of every subcommand freezes the CLI surface
@@ -67,7 +68,6 @@ def run_cli(argv):
 
 @pytest.fixture(autouse=True)
 def _default_env(monkeypatch):
-    monkeypatch.delenv("CF2_PREC", raising=False)
     monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
 
 
@@ -86,7 +86,6 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 if __name__ == "__main__":
-    os.environ.pop("CF2_PREC", None)  # the transcripts use the default precision
     os.environ["COLUMNS"] = HELP_COLUMNS
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, code) in sorted(CASES.items()):

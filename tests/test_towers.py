@@ -25,7 +25,7 @@ from cf2.towers import (
     pair_tower,
     word_matrix,
 )
-from cf2.words import GSpec, PSpec, g_prefix, p_prefix
+from cf2.words import GSpec, PSpec, g_prefix, g_sigma, p_prefix, p_to_g
 
 
 def recursive_convergent(word, sp):
@@ -237,6 +237,54 @@ def test_quantities_spot_values_s0():
     # c1 = d/r, l = r
     assert q.cs_to_mat(q.c[0]).eq(Mat2.scalar(F, F.mul(q.d, q.inv_r)))
     assert F.eq(q.l_scalar, q.r)
+
+
+def _mat_pow(m, n):
+    """m^n for any integer n; a negative n goes through the adjugate over det."""
+    F = m.F
+    if n < 0:
+        m, n = Mat2(F, m.d, m.b, m.c, m.a).scale(F.inv(m.det())), -n
+    out = Mat2.identity(F)
+    for _ in range(n):
+        out = out.mul(m)
+    return out
+
+
+def test_coscaled_algebra_matches_matrices():
+    # each CoScaled op and monomial against the matrices it stands for,
+    # negative exponents of both parities included
+    F, q = _random_quants("", seed=7)
+    rng = random.Random(11)
+    r = Mat2.scalar(F, q.r)
+    for i in (-3, -2, 0, 1, 2):
+        for a in (-3, -2, -1, 0, 1, 2, 3):
+            assert q.cs_to_mat(q.monomial(i, a)).eq(_mat_pow(r, i).mul(_mat_pow(q.cross, a)))
+    for x_odd in (0, 1):
+        x = q.cs(F.sample_invertible(rng), x_odd)
+        xm = q.cs_to_mat(x)
+        for y_odd in (0, 1):
+            y = q.cs(F.sample_invertible(rng), y_odd)
+            assert q.cs_to_mat(q.cs_mul(x, y)).eq(xm.mul(q.cs_to_mat(y)))
+            if x_odd == y_odd:
+                assert q.cs_to_mat(q.cs_add(x, y)).eq(xm.add(q.cs_to_mat(y)))
+            else:
+                with pytest.raises(ValueError, match="parity"):
+                    q.cs_add(x, y)
+        assert q.cs_to_mat(q.cs_inv(x)).eq(_mat_pow(xm, -1))
+        for n in (-3, -2, -1, 0, 1, 2, 3):
+            assert q.cs_to_mat(q.cs_pow(x, n)).eq(_mat_pow(xm, n))
+
+
+def test_tower_scalars_keep_full_precision():
+    # in the 4th spec of the k = 4 corollary chain of eps=10, d vanishes to
+    # the working precision 512: l and rho built by dividing out powers of d
+    # kept 2 and -511 bits here
+    g = p_to_g(PSpec("", "10"))
+    for _ in range(3):
+        g = g_sigma(g)
+    q = g_limits(g, SpecMap.binary_default(), 512).quants
+    assert q.d.known_zero_below() == 512
+    assert q.l_cs.u.prec == 512 and q.rho().u.prec >= 512
 
 
 def test_cross_square_is_trace_of_m11():
