@@ -5,8 +5,9 @@ Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``cldivmod`` (2n by n bits), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
 ``Gf2Poly.reverse`` at 16k bits, the family-P oracle ``p_cf_series`` of
-period 110 at precision 16384 and the cube of a three-term series at
-valuation and precision ~10^8; ``Gf2m.mul`` and ``Mat2.mul`` over
+period 110 and the tower limits ``p_limits`` of w0=10, eps=110 at
+precision 16384, the cube of a three-term series at valuation and
+precision ~10^8; ``Gf2m.mul`` and ``Mat2.mul`` over
 GF(2^16) (a dense pair and a pair with a zero entry), ``Mat2.mul`` over
 series at 4k bits and ``pair_tower`` over GF(2^16) along an 8-bit swap
 word, with the field tables and operands built before the first timed
@@ -122,9 +123,12 @@ def cases(gf2poly, laurent):
 
 
 def oracle_cases(towers, words):
-    """(name, function, args) for the convergent-oracle row."""
+    """(name, function, args) for the convergent-oracle and P-limits rows."""
     spb = towers.SpecMap.binary_default()
-    return [("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"]))]
+    return [
+        ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
+        ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
+    ]
 
 
 def worker(src: str, quick: bool) -> None:

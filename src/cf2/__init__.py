@@ -8,7 +8,7 @@ algebraic-relation guesser certifying the degree bounds 2^n and 2^k.
 """
 
 from .gf2poly import Gf2Poly
-from .gf2m import Gf2m, ext_sample_invertible, field
+from .gf2m import Gf2m, field
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
 from .relations import AlgRelation, find_relation
@@ -55,10 +55,10 @@ __all__ = [
     "PSpec", "PTower", "SeriesField", "SpecMap", "WordStats",
     "cf_series", "check_corollary_chain",
     "check_theorem_g", "check_theorem_p", "complement", "convergent_pair",
-    "convergent_series", "explore_inverse_sigma", "ext_sample_invertible",
-    "field", "find_relation", "g_cf_series", "g_limits", "g_normalize",
-    "g_prefix", "g_sigma", "p_cf_series", "p_limits", "p_prefix", "p_to_g",
-    "pair_tower", "sigma_inv_word", "sigma_word", "word_stats",
+    "convergent_series", "explore_inverse_sigma", "field", "find_relation",
+    "g_cf_series", "g_limits", "g_normalize", "g_prefix", "g_sigma",
+    "p_cf_series", "p_limits", "p_prefix", "p_to_g", "pair_tower",
+    "sigma_inv_word", "sigma_word", "word_stats",
 ]
 
 __version__ = "0.1.0"

@@ -170,8 +170,3 @@ def field(m: int) -> Gf2m:
     if m not in _FIELDS:
         _FIELDS[m] = Gf2m(m)
     return _FIELDS[m]
-
-
-def ext_sample_invertible(m: int, rng: random.Random) -> int:
-    """Uniformly random nonzero element of GF(2^m)."""
-    return field(m).sample_invertible(rng)

@@ -28,6 +28,7 @@ from .gf2m import Gf2m, field as ext_field
 from .mat2 import Mat2
 from .towers import (
     ClaimFailed,
+    CoScaled,
     DegenerateDraw,
     GQuantities,
     PTower,
@@ -113,7 +114,8 @@ def _randomized(
 def check_tower_expansion(
     n_steps: int = 5, trials: int = 100, m: int = 16, seed: int = 1, mutate: bool = False
 ) -> IdentityReport:
-    """m_n equals L_n times the accumulated insertion expansion.
+    """m_n of ``PTower.matrices()`` equals L_n times the insertion expansion
+    weighted by the scalar walk, which tests its step l_j = L_j s_j.
 
     Uses fully random m0 and insertion scalars: the identity needs
     neither the word structure nor periodicity.
@@ -122,13 +124,10 @@ def check_tower_expansion(
     def body(F, rng):
         m0 = _rand_mat(F, rng)
         t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n_steps)])
-        ms = [m0]
-        for _ in range(n_steps):
+        for n, m_n in enumerate(islice(t.matrices(), n_steps), start=1):
             t.advance()
-            ms.append(t.m)
-        for n in range(1, n_steps + 1):
             weights = [F.mul(t.ds[j], F.inv(t.Ls[j])) if mutate else t.term(j) for j in range(n)]
-            if not ms[n].eq(t.expansion(weights).scale(t.Ls[n])):
+            if not m_n.eq(t.expansion(weights).scale(t.Ls[n])):
                 return f"step {n}"
         return None
 
@@ -145,8 +144,8 @@ def check_period_power_shift(
 ) -> IdentityReport:
     """Step scalars over a periodic insertion word shift by 2^j powers.
 
-    With period n: l_{n+j} = L_n^(2^j) l_j and L_{n+j} = L_n^(2^j) L_j.
-    The mutated control breaks periodicity, which the identity needs.
+    With period n: l_{n+j} = L_n^(2^j) l_j and L_{n+j} = L_n^(2^j) L_j, for
+    any periodic s.  The mutated control breaks periodicity, which they need.
     """
 
     def body(F, rng):
@@ -183,9 +182,9 @@ def check_tail_equations(
 
     T_{k+1} = rho T_k^(2^n) with rho = lam L_1^(2^n-1)/L_n^2, where lam is
     the tower's determinant drift over one period; likewise the residue-j terms
-    are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}.  The mutated control
-    swaps in the collapsed-product form lam/L_1, which only holds when
-    the running products are trivial.
+    are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}, for any periodic s.  The
+    mutated control swaps in the collapsed-product form lam/L_1, which
+    only holds when the running products are trivial.
     """
 
     def body(F, rng):
@@ -355,7 +354,7 @@ def check_generation_relations(
         def rebase(x, g):
             # generation-g cross is L_g times the base cross, so an odd
             # CoScaled value carries an extra L_g in base coordinates
-            return base.cs(F.mul(x.u, Ls[g]) if x.odd else x.u, x.odd)
+            return CoScaled(F.mul(x.u, Ls[g]) if x.odd else x.u, x.odd)
 
         def cs_neq(x, y):
             return x.odd != y.odd or not F.eq(x.u, y.u)
@@ -380,7 +379,7 @@ def check_generation_relations(
         # c_j/L of generation g is the H_j that limit_terms builds from t_g
         for g in range(generations + 1):
             Hs, _ = base.limit_terms(walk[g][1])
-            inv_L = base.cs(F.inv(Ls[g]))
+            inv_L = CoScaled(F.inv(Ls[g]), 0)
             for j, (c, h) in enumerate(zip(chain[g].c, Hs), start=1):
                 if cs_neq(base.cs_mul(rebase(c, g), inv_L), h):
                     return f"c_{j}/L gen {g}"
@@ -426,9 +425,8 @@ def check_valuation_bounds(
     if pspec is not None:
         t = p_tower(pspec, sp, prec)
         n = t.period
-        for j in range(1, depth + 1):
+        for j, mm in enumerate(islice(t.matrices(), depth), start=1):
             t.advance()
-            mm = t.m
             if not (mm.a.valuation == 0 and mm.b.valuation > 0 and mm.c.valuation > 0 and mm.d.valuation > 0):
                 failures.append(("P", f"entry valuations at step {j}"))
             if t.ls[-1].valuation != 0 or t.Ls[-1].valuation != 0:

@@ -8,8 +8,9 @@ prefixes.  Convergents themselves are computed exactly through the
 classical numerator/denominator recurrence (the descending product
 differs from it only by an invertible scalar, so the ratios agree).
 
-The family-P tower doubles M through m -> m F(e) m and tracks the
-determinant d, the step scalar l, and the running product L.  The
+The family-P tower doubles M through m -> m F(e) m and keeps only the
+scalars d, the step scalar l (read off m0) and the running product L;
+``PTower.matrices()`` is the reference walk of the matrices.  The
 family-G tower walks the pair recurrence (square / cross-multiply)
 driven by swap bits and expresses everything through the scalar
 bookkeeping of d, r = trace, the cross matrix, and correction terms.
@@ -20,7 +21,7 @@ in the identity battery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
@@ -216,18 +217,23 @@ def gap_violation(gap: LaurentSeries, e: int) -> str | None:
 
 
 class PTower:
-    """Doubling tower m -> m F(e) m over any coefficient field.
+    """Doubling tower m -> m F(e) m over any coefficient field, as scalars.
 
     Starts from m0 and repeats one period of inverse insertion letters
-    1/e_0 .. 1/e_(n-1).  Each step records the step scalar
-    l_j = (b + c)/e_j + a of the current matrix, the running product
+    1/e_0 .. 1/e_(n-1).  Each step records the step scalar l_j = L_j s_(j mod n)
+    with s_i = (b_0 + c_0)/e_i + a_0 read off m0, the running product
     L_(j+1) = L_j l_j (L_0 = 1) and the determinant d_(j+1) = d_j^2 / e_j^2.
+    ``matrices()`` is the reference walk of the matrices themselves.
     """
 
     def __init__(self, F, m0: Mat2, inv_eps: list):
         self.F = F
         self.inv_eps = inv_eps
-        self.m0 = self.m = m0
+        self.m0 = m0
+        self.s = [F.add(F.mul(F.add(m0.b, m0.c), ie), m0.a) for ie in inv_eps]
+        # L_j is a product of earlier s's, so l_j vanishes exactly when s_j does
+        if any(F.is_zero(s) for s in self.s):
+            raise DegenerateDraw("zero step scalar")
         self.ds = [m0.det()]  # d_j
         self.ls: list = []  # step scalars l_j
         self.Ls = [F.one]  # running products, L_0 = 1
@@ -242,20 +248,24 @@ class PTower:
         return Mat2.insertion_from_inv(self.F, self.inv_eps[j % self.period])
 
     def advance(self) -> None:
-        """One doubling step; DegenerateDraw when the step scalar vanishes."""
+        """One doubling step of the scalars l, L and d."""
         F = self.F
-        ie = self.inv_eps[self.step % self.period]
-        m = self.m
-        l = F.add(F.mul(F.add(m.b, m.c), ie), m.a)
-        if F.is_zero(l):
-            raise DegenerateDraw("zero step scalar")
+        j = self.step
+        # every insertion matrix has a = 0 and b = c, so m_j keeps a_j = L_j a_0
+        # and b_j + c_j = L_j (b_0 + c_0); hence l_j = (b_j + c_j)/e_j + a_j = L_j s_j
+        l = F.mul(self.Ls[j], self.s[j % self.period])
         self.ls.append(l)
-        self.Ls.append(F.mul(self.Ls[-1], l))
-        self.m = m.mul(Mat2.letter_from_inv(F, ie)).mul(m)
-        # det is multiplicative; squaring avoids the cancellation a direct
-        # determinant of truncated series entries would hit at depth
-        self.ds.append(F.mul(F.square(self.ds[-1]), F.square(ie)))
+        self.Ls.append(F.mul(self.Ls[j], l))
+        # det is multiplicative and det F(e) = 1/e^2
+        self.ds.append(F.mul(F.square(self.ds[j]), F.square(self.inv_eps[j % self.period])))
         self.step += 1
+
+    def matrices(self):
+        """Yield m_1, m_2, ... by m_(j+1) = m_j F(e_j) m_j from m0."""
+        m = self.m0
+        for j in count():
+            m = m.mul(Mat2.letter_from_inv(self.F, self.inv_eps[j % self.period])).mul(m)
+            yield m
 
     def term(self, i: int):
         """d_i / L_(i+1), the weight of insertion_matrix(i) in the expansion
@@ -352,22 +362,16 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     n = t.period
     cap = n * 2 + max(8, prec.bit_length() + 4) + 8
     diff_vals: list[tuple[int, int]] = []
-    f_ready = False
-    f_val = None
     while True:
-        t.advance()
+        for _ in range(n):
+            t.advance()
         j = t.step
-        if j % n == 0 and j >= n:
-            diff = t.Ls[j] + t.Ls[j - n]
-            dv = diff.known_zero_below()
-            diff_vals.append((j, dv))
-            if why := gap_violation(diff, j - n):
-                raise ClaimFailed(why)
-            if dv >= prec:
-                f_ready = True
-                f_val = t.Ls[j]
-        d_dead = t.ds[-1].known_zero_below() >= prec
-        if f_ready and d_dead and j >= n + 1:
+        diff = t.Ls[j] + t.Ls[j - n]
+        dv = diff.known_zero_below()
+        diff_vals.append((j, dv))
+        if why := gap_violation(diff, j - n):
+            raise ClaimFailed(why)
+        if dv >= prec and t.ds[-1].known_zero_below() >= prec:
             break
         if j > cap:
             raise ClaimFailed(f"no convergence within {cap} steps at prec {prec}")
@@ -375,9 +379,9 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     H = [F.zero for _ in range(n)]
     for i in range(t.step):
         H[i % n] = H[i % n] + t.term(i)
-    limit_m = t.expansion(H).scale(f_val)
+    limit_m = t.expansion(H).scale(t.Ls[-1])
     cf = cf_ratio(limit_m)
-    return PLimits(tower=t, f=f_val, H=H, limit_m=limit_m, cf=cf, diff_vals=diff_vals)
+    return PLimits(tower=t, f=t.Ls[-1], H=H, limit_m=limit_m, cf=cf, diff_vals=diff_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +473,7 @@ class GQuantities:
     def correction(self, j: int, e_j: int) -> CoScaled:
         """c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j, with e_j = e(s(j))."""
         return self.cs_mul(
-            self.cs(self.F.pow(self.d, 1 << (j - 1))), self.monomial(e_j + 1 - (1 << j), -e_j)
+            CoScaled(self.F.pow(self.d, 1 << (j - 1)), 0), self.monomial(e_j + 1 - (1 << j), -e_j)
         )
 
     def period_cs(self, k: int, e_k: int) -> CoScaled:
@@ -478,9 +482,6 @@ class GQuantities:
         return self.monomial((1 << k) - 1 - e_k, e_k)
 
     # -- CoScaled arithmetic (needs gamma, so it lives here) ---------------
-
-    def cs(self, u, odd: int = 0) -> CoScaled:
-        return CoScaled(u, odd)
 
     def cs_mul(self, x: CoScaled, y: CoScaled) -> CoScaled:
         F = self.F
@@ -589,7 +590,7 @@ class GQuantities:
                 F.pow(self.d, ((1 << self.k) - 1) * (1 << (j - 1))),
                 F.pow(inv_l, (1 << j) - 1),
             )
-            cj_primed.append(self.cs_mul(self.cs(factor), cj))
+            cj_primed.append(self.cs_mul(CoScaled(factor, 0), cj))
         return {
             "d": F.pow(self.d, 1 << self.k),
             "r": F.mul(l, self.r),

@@ -255,6 +255,13 @@ def test_identities_check_accepts_every_suite_check():
             ["theorem2", "--u0", "a", "--v0", "b", "--ups", "10", "--map", "a=z,b=z+1"],
             "swap period '10' has an odd number of 1s; the degree bound 2^2 requires an even count",
         ),
+        (["tower-trace", "--spec", " "], "empty spec text"),
+        (["tower-trace", "--spec", "P w0"], "bad spec field 'w0'"),
+        (["tower-trace"], "give --family with its word flags, or --spec"),
+        (["cf", "--word", ""], "--word is required"),
+        (["identities", "--check", "nope"], "unknown identity check 'nope'"),
+        (["relation", "--num", "1", "--degx", "1"], "--num and --den go together"),
+        (["relation", "--num", "1", "--den", "0", "--degx", "1"], "zero denominator"),
     ],
 )
 def test_spec_command_rejections(argv, err, capsys):

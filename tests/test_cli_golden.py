@@ -28,6 +28,7 @@ CASES = {
     "cf-long": (["cf", "--word", P_LONG_WORD, "--prec", "64"], 0),
     "cf-short": (["cf", "--word", "ab", *AB, "--prec", "16"], 0),
     "tower-trace-p": (["tower-trace", "--family", "P", "--w0", "", "--eps", "10", "--steps", "6"], 0),
+    "tower-trace-p-weighted": (["tower-trace", "--w0", "10", "--eps", "110", "--steps", "8"], 0),
     "tower-trace-g": (
         ["tower-trace", "--family", "G", "--u0", "a", "--v0", "b", "--ups", "101", *AB, "--steps", "3"], 0,
     ),

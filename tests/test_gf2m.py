@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cf2.gf2m import Gf2m, ext_sample_invertible, field
+from cf2.gf2m import Gf2m, field
 from cf2.gf2poly import is_irreducible
 from cf2.mat2 import Mat2
 
@@ -28,7 +28,7 @@ def test_inverse_axiom_m2():
 
 def test_sampler_never_zero():
     rng = random.Random(3)
-    assert all(ext_sample_invertible(16, rng) != 0 for _ in range(10_000))
+    assert all(field(16).sample_invertible(rng) != 0 for _ in range(10_000))
 
 
 def test_characteristic_two():

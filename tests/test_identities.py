@@ -1,7 +1,10 @@
 """Randomized identity checkers: clean passes, failing mutations, determinism."""
 
+from itertools import count
+
 import pytest
 
+from cf2.cli import main
 from cf2.identities import (
     PAIR_IDENTITY_NAMES,
     all_driver_words,
@@ -35,20 +38,34 @@ def test_tower_expansion_mutation_fails():
     assert not check_tower_expansion(4, 10, 16, 1, mutate=True).passed
 
 
-def test_p_checkers_fail_on_a_broken_tower(monkeypatch):
-    # the P checkers walk towers.PTower, so a doubling step with its
-    # product in the wrong order, F(e) m m instead of m F(e) m, fails them
-    advance = PTower.advance
+def test_wrong_step_scalar_fails_tower_expansion_and_theorem1(monkeypatch, capsys):
+    # s_i = (b_0 + c_0)/e_i^2 + a_0 in place of (b_0 + c_0)/e_i + a_0: the
+    # scalar walk leaves the matrices, which the expansion check and the
+    # theorem's limits see (w0 = 10 is no palindrome, so b_0 != c_0)
+    init = PTower.__init__
 
-    def swapped(self):
-        m, ie = self.m, self.inv_eps[self.step % self.period]
-        advance(self)
-        self.m = Mat2.letter_from_inv(self.F, ie).mul(m).mul(m)
+    def squared(self, F, m0, inv_eps):
+        init(self, F, m0, inv_eps)
+        bc = F.add(m0.b, m0.c)
+        self.s = [F.add(F.mul(bc, F.square(ie)), m0.a) for ie in inv_eps]
 
-    monkeypatch.setattr(PTower, "advance", swapped)
+    monkeypatch.setattr(PTower, "__init__", squared)
     assert not check_tower_expansion(5, 10, 16, 1).passed
-    assert not check_period_power_shift(2, 3, 10, 16, 1).passed
-    assert not check_tail_equations(2, 3, 10, 16, 1).passed
+    assert main(["theorem1", "--w0", "10", "--eps", "110"]) == 1
+    assert "oracle-agreement val>=6 fail" in capsys.readouterr().out.splitlines()
+
+
+def test_reversed_matrix_walk_fails_tower_expansion(monkeypatch):
+    # matrices() with its product in the wrong order, F(e) m m instead of
+    # m F(e) m, no longer matches the scalar walk
+    def reversed_walk(self):
+        m = self.m0
+        for j in count():
+            m = Mat2.letter_from_inv(self.F, self.inv_eps[j % self.period]).mul(m).mul(m)
+            yield m
+
+    monkeypatch.setattr(PTower, "matrices", reversed_walk)
+    assert not check_tower_expansion(5, 10, 16, 1).passed
 
 
 def test_period_power_shift_passes():

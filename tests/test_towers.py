@@ -1,6 +1,7 @@
 """Letter matrices, convergents, and both towers against independent oracles."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from cf2.gf2poly import Gf2Poly
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2, SeriesField
 from cf2.towers import (
+    CoScaled,
     DegenerateDraw,
     GQuantities,
     HypothesisViolation,
@@ -131,21 +133,31 @@ def test_cf_series_needs_long_enough_word():
 def test_ptower_ratio_consistency():
     spec = PSpec("a", "b")
     t = p_tower(spec, SP, 256)
-    for _ in range(4):
-        t.advance()
+    for n, m in enumerate(islice(t.matrices(), 4), start=1):
         # tower matrix is the descending product over the current word
-        n = t.step
         word = p_prefix(spec, (1 << n) * 2 - 1)
         p, q = convergent_pair(word, SP)
-        ratio = t.m.a * t.m.b.inv()
+        ratio = m.a * m.b.inv()
         assert ratio.agrees(LaurentSeries.from_rational(p, q, ratio.prec))
 
 
 def test_ptower_det_multiplicative():
     t = p_tower(PSpec("ab", "c"), SP, 200)
-    for _ in range(3):
+    for m in islice(t.matrices(), 3):
         t.advance()
-        assert (t.ds[-1] + t.m.det()).is_zero
+        assert (t.ds[-1] + m.det()).is_zero
+
+
+@pytest.mark.parametrize("w0", ["10", "011", "ab"])
+def test_ptower_step_scalar_is_read_off_the_matrices(w0):
+    # a non-palindromic w0 has b_0 != c_0, so l_j = L_j s_j carries the
+    # 1/e_j of s_j; it must be the (b_j + c_j)/e_j + a_j of the doubled matrix
+    sp = SP if w0 == "ab" else SpecMap.parse("0=z,1=z^3+z+1")
+    t = p_tower(PSpec(w0, "ba" if w0 == "ab" else "110"), sp, 256)
+    for j, m in enumerate([t.m0, *islice(t.matrices(), 5)]):
+        t.advance()
+        ie = t.inv_eps[j % t.period]
+        assert t.ls[j].agrees((m.b + m.c) * ie + m.a)
 
 
 def test_ptower_step_scalar_char2():
@@ -260,10 +272,10 @@ def test_coscaled_algebra_matches_matrices():
         for a in (-3, -2, -1, 0, 1, 2, 3):
             assert q.cs_to_mat(q.monomial(i, a)).eq(_mat_pow(r, i).mul(_mat_pow(q.cross, a)))
     for x_odd in (0, 1):
-        x = q.cs(F.sample_invertible(rng), x_odd)
+        x = CoScaled(F.sample_invertible(rng), x_odd)
         xm = q.cs_to_mat(x)
         for y_odd in (0, 1):
-            y = q.cs(F.sample_invertible(rng), y_odd)
+            y = CoScaled(F.sample_invertible(rng), y_odd)
             assert q.cs_to_mat(q.cs_mul(x, y)).eq(xm.mul(q.cs_to_mat(y)))
             if x_odd == y_odd:
                 assert q.cs_to_mat(q.cs_add(x, y)).eq(xm.add(q.cs_to_mat(y)))
