@@ -15,10 +15,12 @@ call; and
 ``find_relation`` on the degree ladder's theorem-1 series
 P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
 precision with degX 2^n and degZ 2^n + 8, and on the explore search
-(degX 16, degZ 256).  Each time is the minimum over rounds x reps of the
-mean call time in a batch of calls (at least 5 ms per batch) on seeded
-or fixed operands; it needs only the standard library.  ``--quick`` runs
-one round and drops every case whose first call takes over 1 s.
+(degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
+that precision, and ``AlgRelation.evaluate`` of the relation found there
+on P6's series at twice it.  Each time is the minimum over rounds x reps
+of the mean call time in a batch of calls (at least 5 ms per batch) on
+seeded or fixed operands; it needs only the standard library.  ``--quick``
+runs one round and drops every case whose first call takes over 1 s.
 
     python3 bench/bench.py --out BENCH_8.json
     python3 bench/bench.py --quick --src parent=../parent/src --src change=src
@@ -33,6 +35,7 @@ label, the seconds of every case.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -61,6 +64,13 @@ def relation_cases(relations, towers, words):
         prec = max(512, relations.required_precision(degx, degx + 8, -1))
         phi = towers.p_cf_series(words.PSpec("", eps), spb, prec)
         out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
+    # the top rung's powers 0..degX, and its relation re-verified at 2 * prec;
+    # a tree from before powers by squaring takes the top exponent instead
+    exps = range(degx + 1) if "exps" in inspect.signature(relations._powers).parameters else degx
+    out.append((f"powers.P{n}", relations._powers, (phi, exps)))
+    phi2 = towers.p_cf_series(words.PSpec("", eps), spb, 2 * prec)
+    rel = relations.find_relation(phi, degx, degx + 8)
+    out.append((f"evaluate.P{n}", relations.AlgRelation.evaluate, (rel, phi2)))
     degx, degz = EXPLORE
     period_doubling = words.PSpec("", "10")
     phi = towers.cf_series_of(

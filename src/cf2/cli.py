@@ -200,6 +200,19 @@ def cmd_tower_trace(args, out) -> int:
 
 
 def cmd_identities(args, out) -> int:
+    single = {
+        "tower-expansion": lambda: check_tower_expansion(5, args.trials, args.m, args.seed),
+        "period-power-shift": lambda: check_period_power_shift(2, 3, args.trials, args.m, args.seed),
+        "tail-equations": lambda: check_tail_equations(2, 3, args.trials, args.m, args.seed),
+        "pair-products": lambda: check_pair_products(args.trials, args.m, args.seed),
+        "closed-form": lambda: check_closed_form("101", args.trials, args.m, args.seed),
+        "generation-relations": lambda: check_generation_relations(
+            TOWER_WORDS[0], 3, args.trials, args.m, args.seed),
+        "valuation-bounds": lambda: check_valuation_bounds(
+            pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), prec=args.prec),
+    }
+    if args.check not in (None, "all", *single):
+        raise ValueError(f"unknown identity check {args.check!r}")
     _echo(args, out, "identities", check=args.check or "all", trials=args.trials, m=args.m)
     if args.check in (None, "all"):
         reports = run_identity_suite(
@@ -207,19 +220,6 @@ def cmd_identities(args, out) -> int:
             max_word_len=args.max_word_len, prec=args.prec,
         )
     else:
-        single = {
-            "tower-expansion": lambda: check_tower_expansion(5, args.trials, args.m, args.seed),
-            "period-power-shift": lambda: check_period_power_shift(2, 3, args.trials, args.m, args.seed),
-            "tail-equations": lambda: check_tail_equations(2, 3, args.trials, args.m, args.seed),
-            "pair-products": lambda: check_pair_products(args.trials, args.m, args.seed),
-            "closed-form": lambda: check_closed_form("101", args.trials, args.m, args.seed),
-            "generation-relations": lambda: check_generation_relations(
-                TOWER_WORDS[0], 3, args.trials, args.m, args.seed),
-            "valuation-bounds": lambda: check_valuation_bounds(
-                pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), prec=args.prec),
-        }
-        if args.check not in single:
-            raise ValueError(f"unknown identity check {args.check!r}")
         reports = [single[args.check]()]
     failed = False
     for rep in reports:

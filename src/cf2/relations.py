@@ -11,6 +11,12 @@ guessed; reversed at width d, q gives p_i(z) = z^d * q_i(1/z).  A column
 counts only if required_precision(D, d, 0) fits the order psi_0 carries,
 sigma - D*pole, the fewest of any psi_i.
 
+The powers phi^e carry the precision of the product chain one(p)*phi*...:
+p for e = 0 and p + (e-1)*v + min(v, 0) for e >= 1 (v = val phi; the
+first product loses |v| when v < 0).  ``_powers`` squares, which is linear
+in characteristic 2, and cuts each square to it, so values and precisions
+are the chain's.
+
 A returned relation certifies only "annihilates to this precision";
 callers re-verify at higher precision and discard precision artifacts.
 """
@@ -48,15 +54,17 @@ class AlgRelation:
         return max((p.degree for p in self.coeffs if not p.is_zero()), default=-1)
 
     def evaluate(self, phi: LaurentSeries) -> LaurentSeries:
-        """Residual series sum(p_i * phi^i) at phi's precision."""
-        return self.residual(_powers(phi, len(self.coeffs) - 1))
+        """Residual series sum(p_i * phi^i) at phi's precision, from only
+        the powers phi^i with p_i nonzero."""
+        return self.residual(_powers(phi, [i for i, p in enumerate(self.coeffs) if not p.is_zero()]))
 
-    def residual(self, powers: list[LaurentSeries]) -> LaurentSeries:
-        """sum(p_i * powers[i]), for powers 1, phi, phi^2, ... of phi."""
+    def residual(self, powers) -> LaurentSeries:
+        """sum(p_i * powers[i]) over the nonzero p_i, for powers[i] = phi^i
+        (a list or a mapping that holds at least those i)."""
         acc = None
-        for p, power in zip(self.coeffs, powers):
+        for i, p in enumerate(self.coeffs):
             if not p.is_zero():
-                term = power.mul_poly(p)
+                term = powers[i].mul_poly(p)
                 acc = term if acc is None else acc + term
         if acc is None:
             raise ValueError("empty relation")
@@ -80,12 +88,27 @@ class AlgRelation:
         return self.render()
 
 
-def _powers(phi: LaurentSeries, n: int) -> list[LaurentSeries]:
-    """1, phi, ..., phi^n at phi's precision."""
-    out = [LaurentSeries.one(phi.prec)]
-    for _ in range(n):
-        out.append(out[-1] * phi)
-    return out
+def _powers(phi: LaurentSeries, exps) -> dict[int, LaurentSeries]:
+    """phi^e for each e in exps, at the chain's precision: an even power is
+    the half power squared and cut, an odd one the power below times phi.
+    0..D costs D/2 products, a sparse support about two operations per bit
+    of each exponent.  If phi^1 is zero to precision, the chain is kept."""
+    p, v = phi.prec, phi.val
+    out = {0: LaurentSeries.one(p)}
+    out[1] = out[0] * phi
+    chain = out[1].is_zero
+    need = set()
+    for e in exps:
+        while e not in out and e not in need:
+            need.add(e)
+            e = e - 1 if e & 1 or chain else e >> 1
+    for e in sorted(need):
+        if e & 1 or chain:
+            out[e] = out[e - 1] * phi
+        else:
+            sq = out[e >> 1].square()
+            out[e] = LaurentSeries(sq.val, sq.mask, p + (e - 1) * v + min(v, 0))
+    return {e: out[e] for e in exps}
 
 
 def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
@@ -140,9 +163,9 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
         need = required_precision(degx, degz, 0) + (degx - 1) * pole
         raise ValueError(f"degX {degx} degZ {degz} needs precision {need}, got {phi.prec}")
     sigma = phi.prec + pole
-    powers = _powers(phi, degx)
+    powers = _powers(phi, range(degx + 1))
     low = (1 << sigma) - 1
-    res = [bit_reverse((p.mask << (p.val + degx * pole)) & low, sigma) for p in powers]
+    res = [bit_reverse((p.mask << (p.val + degx * pole)) & low, sigma) for p in powers.values()]
     cols, degs = _order_basis(res, sigma)
     d = min(degs)
     if d > degz:

@@ -266,7 +266,11 @@ def test_identities_check_accepts_every_suite_check():
 )
 def test_spec_command_rejections(argv, err, capsys):
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"]
+    # a rejected input echoes no config line; only the swap-parity
+    # hypothesis is judged after the echo (golden theorem2-ups10)
+    assert out == "" or err.startswith("swap period")
 
 
 def test_theorem1_running_product_gap_is_a_failed_claim(monkeypatch, capsys):

@@ -13,16 +13,25 @@ from cf2.relations import (
     AlgRelation,
     _content_normalize,
     _order_basis,
+    _powers,
     find_relation,
     max_degz,
     required_precision,
 )
-from cf2.theorems import spec_series
+from cf2.theorems import search_relation, spec_series
 from cf2.towers import SpecMap, g_cf_series, p_cf_series
 from cf2.words import GSpec, PSpec
 
 SPB = SpecMap.binary_default()
 SPAB = SpecMap.parse("a=z,b=z+1")
+
+
+def chain(phi: LaurentSeries, n: int) -> list[LaurentSeries]:
+    """Reference powers 1, phi, ..., phi^n by the product chain one(p)*phi*phi*..."""
+    powers = [LaurentSeries.one(phi.prec)]
+    for _ in range(n):
+        powers.append(powers[-1] * phi)
+    return powers
 
 
 def eliminate(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
@@ -32,9 +41,7 @@ def eliminate(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
     normalized, is the minimal-X-degree relation of z-degree <= degz."""
     val = 0 if phi.is_zero else min(0, phi.val)
     assert phi.prec >= required_precision(degx, degz, val)
-    powers = [LaurentSeries.one(phi.prec)]
-    for _ in range(degx):
-        powers.append(powers[-1] * phi)
+    powers = chain(phi, degx)
     t_hi = min(p.prec for p in powers) - degz
     t_lo = min(p.val if not p.is_zero else p.prec for p in powers) - degz
     row_mask = (1 << (t_hi - t_lo)) - 1
@@ -129,6 +136,50 @@ def test_mutated_relation_has_finite_residual():
     res = bad.evaluate(phi)
     assert not res.is_zero
     assert bad.evaluate(phi).known_zero_below() < 64
+
+
+def fields(s: LaurentSeries) -> tuple[int, int, int]:
+    """Object equality: val, mask and prec, also for a series zero to precision."""
+    return s.val, s.mask, s.prec
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        p_cf_series(PSpec("", "110"), SPB, 300),  # first letter z+1: val -1
+        LaurentSeries(0, random.Random(0).getrandbits(300) | 1, 300),
+        LaurentSeries(3, random.Random(3).getrandbits(297) | 1, 300),
+        LaurentSeries.zero(64),
+        LaurentSeries(-3, 0b101, -1),  # one(-1) is zero: so is every power
+    ],
+    ids=["val<0", "val=0", "val>0", "zero", "prec<=0"],
+)
+def test_powers_by_squaring_equal_the_chain(phi):
+    want = [fields(s) for s in chain(phi, 17)]
+    dense = _powers(phi, range(18))
+    assert list(dense) == list(range(18))
+    assert [fields(s) for s in dense.values()] == want
+    sparse = _powers(phi, [17, 0, 16, 12])
+    assert {e: fields(s) for e, s in sparse.items()} == {e: want[e] for e in (17, 0, 16, 12)}
+
+
+@pytest.mark.parametrize(
+    "spec, sp, degx, prec",
+    [
+        (PSpec("", "10"), SPB, 4, 256),  # relation-p golden
+        (GSpec("a", "b", "11"), SPAB, 4, 256),  # relation-g golden
+        (PSpec("", "10"), SPB, 4, 512),  # theorem1-eps10 golden
+    ],
+)
+def test_sparse_evaluate_equals_the_dense_residual(spec, sp, degx, prec):
+    phi_fn, val = spec_series(spec, sp)
+    search = search_relation(phi_fn, degx, prec, sp.max_degree, val)
+    phi = phi_fn(search.verify_prec)
+    coeffs = list(search.relation.coeffs)
+    coeffs[1] = coeffs[1] + Gf2Poly.one()  # a mutant whose residual is not zero
+    for rel in (search.relation, AlgRelation(tuple(coeffs), 0)):
+        dense = chain(phi, len(rel.coeffs) - 1)
+        assert fields(rel.evaluate(phi)) == fields(rel.residual(dense))
 
 
 def test_degree_never_increases_with_precision():
