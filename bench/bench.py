@@ -14,7 +14,10 @@ word, with the field tables and operands built before the first timed
 call; and
 ``find_relation`` on the degree ladder's theorem-1 series
 P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
-precision with degX 2^n and degZ 2^n + 8, and on the explore search
+precision with degX 2^n and degZ 2^n + 8, over all 2^n + 1 powers and,
+for P3-P7 (P7's word 1101000), over the Frobenius support
+{0, 2^n - 2^j (j < n), 2^n} alone (rows that a tree without
+``find_relation``'s ``support`` skips), and on the explore search
 (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
 that precision, and ``AlgRelation.evaluate`` of the relation found there
 on P6's series at twice it.  Each time is the minimum over rounds x reps
@@ -51,6 +54,7 @@ REPS = 3  # timed batches of each case per round
 BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
 QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
+SPARSE_LADDER = {**LADDER, 7: "1101000"}  # rungs of the Frobenius-support rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 
 
@@ -58,14 +62,24 @@ def relation_cases(relations, towers, words):
     """(name, function, args) for the relation-search rows: each series is
     built here, at the precision the first search round uses."""
     spb = towers.SpecMap.binary_default()
-    out = []
-    for n, eps in LADDER.items():
+    rungs, out = {}, []
+    for n, eps in SPARSE_LADDER.items():
         degx = 1 << n
         prec = max(512, relations.required_precision(degx, degx + 8, -1))
         phi = towers.p_cf_series(words.PSpec("", eps), spb, prec)
-        out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
-    # the top rung's powers 0..degX, and its relation re-verified at 2 * prec;
-    # a tree from before powers by squaring takes the top exponent instead
+        rungs[n] = eps, degx, prec, phi
+        if n in LADDER:
+            out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
+    # the Frobenius support {0, 2^n - 2^j (j < n), 2^n}; a tree from before
+    # it has no ``support`` parameter skips these rows
+    if "support" in inspect.signature(relations.find_relation).parameters:
+        for n, (eps, degx, prec, phi) in rungs.items():
+            support = [0, *(degx - (1 << j) for j in range(n)), degx]
+            out.append((f"find_relation.P{n}.sparse", relations.find_relation, (phi, degx, degx + 8, support)))
+    # the top dense rung's powers 0..degX, and its relation re-verified at
+    # 2 * prec; a tree from before powers by squaring takes the top exponent
+    n = max(LADDER)
+    eps, degx, prec, phi = rungs[n]
     exps = range(degx + 1) if "exps" in inspect.signature(relations._powers).parameters else degx
     out.append((f"powers.P{n}", relations._powers, (phi, exps)))
     phi2 = towers.p_cf_series(words.PSpec("", eps), spb, 2 * prec)

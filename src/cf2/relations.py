@@ -11,6 +11,12 @@ guessed; reversed at width d, q gives p_i(z) = z^d * q_i(1/z).  A column
 counts only if required_precision(D, d, 0) fits the order psi_0 carries,
 sigma - D*pole, the fewest of any psi_i.
 
+A ``support`` restricts the columns to psi_e for e in it, such as the
+Frobenius support {0, 2^n - 2^j (j < n), 2^n} of a root of an affine
+additive polynomial of degree 2^n; p_e is zero off it.  The shift, the
+order and the counting rule stay those of all D + 1 powers, so a support
+search certifies no more than the full one at the same precision.
+
 The powers phi^e carry the precision of the product chain one(p)*phi*...:
 p for e = 0 and p + (e-1)*v + min(v, 0) for e >= 1 (v = val phi; the
 first product loses |v| when v < 0).  ``_powers`` squares, which is linear
@@ -151,31 +157,42 @@ def _order_basis(res: list[int], sigma: int) -> tuple[list[int], list[int]]:
     return cols, degs
 
 
-def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> AlgRelation | None:
+def find_relation(
+    phi: LaurentSeries, degx: int, degz: int | None = None, support=None
+) -> AlgRelation | None:
     """Minimal-X-degree relation of z-degree <= degz (default ``max_degz``)
     annihilating phi to its precision, or None; a degz past ``max_degz``
-    raises ValueError naming the precision it needs."""
+    raises ValueError naming the precision it needs.  The relation uses
+    the powers phi^e for e in ``support`` (default 0..degx); the precision
+    rules count all degx + 1 of them either way."""
     if degx < 1 or degz is not None and degz < 0:
         raise ValueError("need degx >= 1 and degz >= 0")
+    exps = sorted(set(range(degx + 1) if support is None else support))
+    if not exps or exps[0] < 0 or exps[-1] > degx:
+        raise ValueError(f"support must be a nonempty subset of 0..{degx}")
     cap, pole = max_degz(phi, degx), max(0, -phi.val)
     degz = max(cap, 0) if degz is None else degz
     if degz > cap:
         need = required_precision(degx, degz, 0) + (degx - 1) * pole
         raise ValueError(f"degX {degx} degZ {degz} needs precision {need}, got {phi.prec}")
     sigma = phi.prec + pole
-    powers = _powers(phi, range(degx + 1))
+    powers = _powers(phi, exps)
     low = (1 << sigma) - 1
     res = [bit_reverse((p.mask << (p.val + degx * pole)) & low, sigma) for p in powers.values()]
     cols, degs = _order_basis(res, sigma)
     d = min(degs)
     if d > degz:
         return None
-    # the relations among the degree-d columns are M*c(X); their leading
-    # coefficients are triangular, so the deg c differ and the first is M.
-    # Read low to high, entry i's bits are p_i's from z^d down.
-    width = (d + 1) * (degx + 1)
+    # over 0..degx the relations among the degree-d columns are M*c(X);
+    # their leading coefficients are triangular, so the deg c differ and
+    # the first is M.  Read low to high, entry i's bits are p_e's from z^d
+    # down, for e = exps[i].
+    m = len(exps)
+    width = (d + 1) * m
     bits = f"{bit_reverse(cols[degs.index(d)], width):0{width}b}"
-    polys = [Gf2Poly(int(bits[i :: degx + 1], 2)) for i in range(degx + 1)]
+    polys = [Gf2Poly.zero()] * (exps[-1] + 1)
+    for i, e in enumerate(exps):
+        polys[e] = Gf2Poly(int(bits[i::m], 2))
     while polys[-1].is_zero():
         polys.pop()
     rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)

@@ -87,30 +87,36 @@ def search_relation(
     max_poly_degree: int,
     leading_val: int,
     degz: int | None = None,
+    support=None,
 ) -> RelationSearch:
     """Find a relation and re-verify it at double the precision: first at
     the demand of degZ ``degz`` (default degx * max_poly_degree + 8), to
     ``degz`` or else the largest degZ the order certifies.  A candidate must
     vanish to 1.5x the discovery precision or is a precision artifact;
     without ``degz``, nothing or an artifact sends the search on to the
-    verifying series, up to precision max(4 * prec, 2048)."""
+    verifying series, up to precision max(4 * prec, 2048).  Each round
+    first searches the powers in ``support``, if it leaves some of 0..degx
+    out, and runs the search over all of them only when no candidate from
+    the support survives, so then the outcome is the full search's."""
     first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
     p1 = max(prec, required_precision(degx, first, leading_val))
     budget = max(4 * prec, 2048)
+    column_sets = [None] if support is None or len(set(support)) > degx else [support, None]
     phi = phi_fn(p1)
     while True:
         degz_used = degz if degz is not None else max_degz(phi, degx)
-        rel = find_relation(phi, degx, degz_used)
-        p2, threshold, bound = 2 * p1, (3 * p1) // 2, None
+        p2, threshold, phi2 = 2 * p1, (3 * p1) // 2, None
         last = degz is not None or p1 >= budget
-        if rel is not None or not last:
-            phi2 = phi_fn(p2)
-        if rel is not None:
-            residual = rel.evaluate(phi2)
-            bound = residual.known_zero_below()
-            if residual.is_zero and bound >= threshold:
-                rel = replace(rel, verified_prec=bound)
-                return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
+        for columns in column_sets:
+            rel, bound = find_relation(phi, degx, degz_used, columns), None
+            if phi2 is None and (rel is not None or not last):
+                phi2 = phi_fn(p2)
+            if rel is not None:
+                residual = rel.evaluate(phi2)
+                bound = residual.known_zero_below()
+                if residual.is_zero and bound >= threshold:
+                    rel = replace(rel, verified_prec=bound)
+                    return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
         if last:
             # nothing found, or a precision artifact: keep its numbers, drop the relation
             return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
@@ -147,10 +153,10 @@ def _series_lines(lines: list[str], cf: LaurentSeries, direct: LaurentSeries, re
 
 def _verdict(
     name: str, bound: int, phi_fn, first_val: int, sp: SpecMap, prec: int, lines: list[str],
-    series_ok: bool = True, agreement: int | None = None,
+    series_ok: bool = True, agreement: int | None = None, support=None,
 ) -> CheckReport:
     """Search for a relation of degree <= bound and judge the whole check."""
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
+    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val, support=support)
     lines.append(search.report_line())
     ok = series_ok and search.verified and search.found_degree <= bound
     return CheckReport(name, ok, bound, lines, search, agreement=agreement)
@@ -160,7 +166,10 @@ _DEGENERATE = "degenerate periodic word; direct quadratic check"
 
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
-    """Degree bound 2^n for the family-P continued fraction."""
+    """Degree bound 2^n for the family-P continued fraction.  The relation
+    search first tries the powers phi^e, e in {0, 2^r - 2^j (j < r), 2^r}
+    (r the length of eps's primitive root): the support of a hyperquadratic
+    relation, as H_0 solves rho X^(2^r) + X + T_0 = 0."""
     n = spec.period
     phi_fn, first_val = spec_series(spec, sp)
     if not spec.w0 and n == 1:
@@ -171,7 +180,9 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
     lines: list[str] = []
     ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
-    return _verdict("theorem-p", 1 << n, phi_fn, first_val, sp, prec, lines, ok, agree)
+    r = (spec.eps * 2).find(spec.eps, 1)  # the least rotation fixing eps
+    support = [0, *((1 << r) - (1 << j) for j in range(r)), 1 << r]
+    return _verdict("theorem-p", 1 << n, phi_fn, first_val, sp, prec, lines, ok, agree, support)
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:

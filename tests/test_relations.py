@@ -384,3 +384,72 @@ def test_order_basis_is_triangular_and_annihilates(seed):
         for e, s in zip(q, series):
             acc ^= clmul(e, s)
         assert acc & ((1 << sigma) - 1) == 0
+
+
+# -- the Frobenius support of family P ---------------------------------------
+
+LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
+
+
+def frobenius_support(n: int) -> list[int]:
+    """S_n = {0, 2^n - 2^j (j < n), 2^n}: the X-support of a root of an
+    affine additive polynomial of degree 2^n."""
+    return [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
+
+
+@pytest.mark.parametrize("n", sorted(LADDER))
+def test_frobenius_support_finds_the_dense_relation(n):
+    # at the first round's precision the n + 2 columns give the relation
+    # the 2^n + 1 give, coefficients and verified precision alike
+    phi, _ = _search_input(PSpec("", LADDER[n]), SPB, 1 << n, 512)
+    dense = find_relation(phi, 1 << n)
+    assert dense is not None and dense.degx == 1 << n
+    assert find_relation(phi, 1 << n, support=frobenius_support(n)) == dense
+
+
+@pytest.mark.parametrize("n", sorted(LADDER))
+def test_support_missing_a_frobenius_column_falls_back_to_dense(n):
+    # mutation control: without phi^(2^n - 1) the support holds no relation,
+    # so no candidate re-verifies and the search is the dense one
+    degx = 1 << n
+    spec = PSpec("", LADDER[n])
+    phi_fn, val = spec_series(spec, SPB)
+    phi, _ = _search_input(spec, SPB, degx, 512)
+    bad = [e for e in frobenius_support(n) if e != degx - 1]
+    rel = find_relation(phi, degx, support=bad)
+    if rel is not None:
+        residual = rel.evaluate(phi_fn(2 * phi.prec))
+        assert not residual.is_zero or residual.known_zero_below() < (3 * phi.prec) // 2
+    dense = search_relation(phi_fn, degx, 512, SPB.max_degree, val)
+    assert dense.verified and dense.found_degree == degx
+    assert search_relation(phi_fn, degx, 512, SPB.max_degree, val, support=bad) == dense
+    good = search_relation(phi_fn, degx, 512, SPB.max_degree, val, support=frobenius_support(n))
+    assert good == dense
+
+
+def test_support_outside_the_degree_raises():
+    phi = p_cf_series(PSpec("", "10"), SPB, 512)
+    for support in ([0, 5], [-1, 4], []):
+        with pytest.raises(ValueError, match="support must be a nonempty subset of 0..4"):
+            find_relation(phi, 4, support=support)
+    # the precision rules count all degx + 1 powers, however few are searched
+    with pytest.raises(ValueError, match=f"degX 8 degZ 64 needs precision {required_precision(8, 64, 0)}"):
+        find_relation(LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64), 8, 64, [0, 1])
+
+
+def test_support_artifact_is_discarded_like_a_dense_one():
+    # w0=00, eps=0001 under 0=z^2, 1=z+1: at the first round's p1 = 1241
+    # the support columns give a candidate that fails the 1.5x
+    # re-verification, and so do the dense ones; the next round finds the
+    # degree-16 relation on the support, as the dense search does
+    sp = SpecMap.parse("0=z^2,1=z+1")
+    spec = PSpec("00", "0001")
+    phi_fn, val = spec_series(spec, sp)
+    phi, _ = _search_input(spec, sp, 16, 256)
+    assert phi.prec == 1241
+    artifact = find_relation(phi, 16, support=frobenius_support(4))
+    residual = artifact.evaluate(phi_fn(2 * phi.prec))
+    assert not residual.is_zero or residual.known_zero_below() < (3 * phi.prec) // 2
+    dense = search_relation(phi_fn, 16, 256, sp.max_degree, val)
+    assert dense.verified and dense.discovery_prec == 2048 and dense.found_degree == 16
+    assert search_relation(phi_fn, 16, 256, sp.max_degree, val, support=frobenius_support(4)) == dense

@@ -1,6 +1,7 @@
 """Theorem-level drivers: bounds, degenerate routes, hypothesis guards."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -181,6 +182,18 @@ def test_theorem_p_fuzz_small():
         w0 = "".join(rng.choice("01") for _ in range(rng.randrange(0, 4)))
         eps = "".join(rng.choice("01") for _ in range(rng.randrange(1, 4)))
         assert check_theorem_p(PSpec(w0, eps), SPB, 256).passed
+
+
+def test_small_p_spec_sweep_stays_within_the_bound():
+    # ROADMAP item 3's small-spec sweep, P half: every seed word of length
+    # <= 2 with every period word of length <= 4, 210 specs at prec 256
+    seeds = [w for m in range(3) for w in product("01", repeat=m)]
+    periods = [e for k in range(1, 5) for e in product("01", repeat=k)]
+    specs = [PSpec("".join(w0), "".join(eps)) for w0 in seeds for eps in periods]
+    assert len(specs) == 210
+    for spec in specs:
+        rep = check_theorem_p(spec, SPB, 256)
+        assert rep.passed and rep.search.found_degree <= 1 << spec.period, spec
 
 
 def test_collapsed_map_goes_quadratic():
