@@ -7,11 +7,13 @@ Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``Gf2Poly.reverse`` at 16k bits, the family-P oracle ``p_cf_series`` of
 period 110 and the tower limits ``p_limits`` of w0=10, eps=110 at
 precision 16384, the cube of a three-term series at valuation and
-precision ~10^8; ``Gf2m.mul`` and ``Mat2.mul`` over
-GF(2^16) (a dense pair and a pair with a zero entry), ``Mat2.mul`` over
-series at 4k bits and ``pair_tower`` over GF(2^16) along an 8-bit swap
-word, with the field tables and operands built before the first timed
-call; and
+precision ~10^8; ``Gf2m.mul``, ``Mat2.mul`` over GF(2^16) (a dense pair
+and a pair with a zero entry) and ``Mat2.square`` of the same two
+left-hand operands (rows that a tree without ``Gf2m.mat_sq`` skips),
+``Mat2.mul`` over series at 4k bits, ``pair_tower`` over GF(2^16) along
+an 8-bit swap word and ``check_closed_form`` over all 510 driver words
+up to length 8 at 10 trials, with the field tables and operands built
+before the first timed call; and
 ``find_relation`` on the degree ladder's theorem-1 series
 P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
 precision with degX 2^n and degZ 2^n + 8, over all 2^n + 1 powers and,
@@ -95,7 +97,7 @@ def relation_cases(relations, towers, words):
     return out
 
 
-def field_cases(gf2m, laurent, mat2, towers):
+def field_cases(gf2m, identities, laurent, mat2, towers):
     """(name, function, args) for the GF(2^16) and series matrix rows."""
     F = gf2m.field(16)
     rng = random.Random(16)
@@ -107,12 +109,22 @@ def field_cases(gf2m, laurent, mat2, towers):
         mat2.Mat2(S, *(laurent.LaurentSeries(0, rng.getrandbits(n) | 1, n) for _ in range(4)))
         for _ in range(2)
     ]
-    return [
+    out = [
         ("Gf2m.mul.gf16", F.mul, (dense[0].a, dense[0].b)),
         ("Mat2.mul.gf16.dense", mat2.Mat2.mul, tuple(dense)),
         ("Mat2.mul.gf16.zero_entry", mat2.Mat2.mul, (dense[0], letter)),
+    ]
+    # the fused square; a tree from before it skips these rows
+    if hasattr(gf2m.Gf2m, "mat_sq"):
+        out += [
+            ("Mat2.square.gf16.dense", mat2.Mat2.square, (dense[0],)),
+            ("Mat2.square.gf16.zero_entry", mat2.Mat2.square, (letter,)),
+        ]
+    return out + [
         ("Mat2.mul.series.4k", mat2.Mat2.mul, tuple(series)),
         ("pair_tower.gf16.8bit", towers.pair_tower, (*dense, "10110100")),
+        ("check_closed_form.gf16.510x10", identities.check_closed_form,
+         (list(identities.all_driver_words(8)), 10, 16, 1)),
     ]
 
 
@@ -158,9 +170,10 @@ def oracle_cases(towers, words):
 def worker(src: str, quick: bool) -> None:
     """Time every case REPS times against ``src`` and print the minima."""
     sys.path.insert(0, src)
-    from cf2 import gf2m, gf2poly, laurent, mat2, relations, towers, words
+    from cf2 import gf2m, gf2poly, identities, laurent, mat2, relations, towers, words
 
-    todo = cases(gf2poly, laurent) + oracle_cases(towers, words) + field_cases(gf2m, laurent, mat2, towers)
+    todo = cases(gf2poly, laurent) + oracle_cases(towers, words)
+    todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     for name, fn, args in todo + relation_cases(relations, towers, words):
         t0 = time.perf_counter()

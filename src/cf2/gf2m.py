@@ -10,7 +10,9 @@ The exp table is stored twice over (exp[i] == exp[i + order]), so a sum
 of two logs indexes it with no reduction mod the group order.  That
 also gives ``mat_mul``, a fused 2x2 product: with all eight entries
 nonzero it looks up each entry's log once and does 8 exp lookups and
-4 XORs.
+4 XORs.  ``mat_sq`` squares a 2x2 matrix through the characteristic-2
+form x^2 = ((a^2 + bc, b(a + d)), (c(a + d), d^2 + bc)): with a, b, c, d
+and the trace a + d nonzero that is 5 log lookups and 5 exp lookups.
 """
 
 from __future__ import annotations
@@ -117,6 +119,23 @@ class Gf2m:
             mul(c, e) ^ mul(d, g),
             mul(c, f) ^ mul(d, h),
         )
+
+    def mat_sq(self, x) -> tuple[int, int, int, int]:
+        """Entries (a, b, c, d) of the square of a ``Mat2``.  The cross
+        terms ab + bd and ca + dc share the trace factor, and the
+        diagonals share bc.  A zero entry or trace, or a tableless
+        field, takes the same formula through ``mul`` and ``square``."""
+        a, b, c, d = x.a, x.b, x.c, x.d
+        tr = a ^ d
+        log = self._log
+        if log is not None and a and b and c and d and tr:
+            exp = self._exp
+            lb, lc, lt = log[b], log[c], log[tr]
+            bc = exp[lb + lc]
+            return exp[2 * log[a]] ^ bc, exp[lb + lt], exp[lc + lt], exp[2 * log[d]] ^ bc
+        mul, sq = self.mul, self.square
+        bc = mul(b, c)
+        return sq(a) ^ bc, mul(b, tr), mul(c, tr), sq(d) ^ bc
 
     def square(self, a: int) -> int:
         return self.mul(a, a) if self._exp is not None else clmod(clsq(a), self.modulus)

@@ -223,7 +223,10 @@ def check_pair_products(
 
     m1 = w0 m0 and w1 = m0 w0 share determinant d and trace r; the cross
     matrix m1 + w1 + r squares to a scalar and twists m1 into w1.
+    ``mutate_id`` names the identity whose mutated control runs.
     """
+    if mutate_id is not None and mutate_id not in PAIR_IDENTITY_NAMES:
+        raise ValueError(f"unknown pair identity {mutate_id!r}")
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
@@ -271,9 +274,9 @@ def check_closed_form(
 
     ``s`` is one driver word or several.  Every word sees the same draws,
     so each draw walks the binary trie of the words depth first: an edge
-    takes one pair step, one correction term and one add to the running
-    correction sum, and every word node compares its pair with the closed
-    form.  Several words give one ``closed-form`` report whose failures
+    takes one pair step, one correction term and one field add to the
+    running correction sum, kept as the scalars even + odd cross, and
+    every word node compares the entries of its pair with the closed form.  Several words give one ``closed-form`` report whose failures
     are ``(word, (trial, detail))``.
     """
     words = [s] if isinstance(s, str) else list(s)
@@ -288,26 +291,28 @@ def check_closed_form(
         w0 = _rand_mat(F, rng)
         q = GQuantities(F, w0.mul(m0), m0.mul(w0))
         found = {}
-        # node: prefix, its pair, digit parity t, e(prefix), correction sum
-        stack = [("", q.m1, q.w1, 0, 0, Mat2.scalar(F, F.zero))]
+        # node: prefix, its pair, digit parity t, e(prefix), and the
+        # correction sum even + odd cross as sums[0], sums[1]
+        stack = [("", q.m1, q.w1, 0, 0, (F.zero, F.zero))]
         while stack:
-            p, pm, pw, t, e, acc = stack.pop()
+            p, pm, pw, t, e, sums = stack.pop()
             if p in targets:
-                cm, cw = q.closed_pair(t, acc, q.period_cs(len(p), e))
+                cm, cw = q.closed_pair(t, *sums, q.period_cs(len(p), e))
                 if mutate:
-                    cm = cm.scale(q.d)
-                    cw = cw.scale(q.d)
-                if not pm.eq(cm):
+                    cm = tuple(F.mul(v, q.d) for v in cm)
+                    cw = tuple(F.mul(v, q.d) for v in cw)
+                if (pm.a, pm.b, pm.c, pm.d) != cm:
                     found[p] = "m branch"
-                elif not pw.eq(cw):
+                elif (pw.a, pw.b, pw.c, pw.d) != cw:
                     found[p] = "w branch"
             for bit in "10":
                 child = p + bit
                 if child in prefixes:
                     ct = t ^ (bit == "1")
                     ce = 2 * e + ct
-                    cc = q.cs_to_mat(q.correction(len(child), ce))
-                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, acc.add(cc)))
+                    c = q.correction(len(child), ce)
+                    csums = (sums[0], F.add(sums[1], c.u)) if c.odd else (F.add(sums[0], c.u), sums[1])
+                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, csums))
         return [found.get(w) for w in words]
 
     if isinstance(s, str):

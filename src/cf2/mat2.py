@@ -2,10 +2,11 @@
 
 A coefficient field is any object with attributes ``zero``/``one`` and
 methods ``add``, ``mul``, ``square``, ``inv``, ``pow``, ``is_zero``,
-``eq`` acting on its element type, and optionally the hook
-``mat_mul(x, y)`` returning the four entries of the 2x2 product x*y,
-which ``Mat2.mul`` calls in place of the entrywise formula.  ``Gf2m``
-(int elements) fits directly and has the hook; ``SeriesField`` adapts
+``eq`` acting on its element type, and optionally the hooks
+``mat_mul(x, y)`` and ``mat_sq(x)`` returning the four entries of the
+2x2 product x*y and of the square x*x, which ``Mat2.mul`` and
+``Mat2.square`` call in place of the entrywise formula.  ``Gf2m`` (int
+elements) fits directly and has both hooks; ``SeriesField`` adapts
 ``LaurentSeries`` values at a working precision and has none.  Scalar
 matrices are identified with scalars throughout: a scalar enters a
 matrix as s*I via ``Mat2.scalar``.
@@ -124,6 +125,9 @@ class Mat2:
     __add__ = add
 
     def square(self) -> Mat2:
+        fused = getattr(self.F, "mat_sq", None)
+        if fused is not None:
+            return Mat2(self.F, *fused(self))
         return self.mul(self)
 
     def scale(self, s) -> Mat2:

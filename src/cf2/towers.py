@@ -21,6 +21,7 @@ in the identity battery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import accumulate, count
 
 from .gf2poly import Gf2Poly
@@ -392,7 +393,7 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
 def pair_step(m: Mat2, w: Mat2, bit: str) -> tuple[Mat2, Mat2]:
     """One swap bit of the pair recurrence: 0 squares both, 1 cross-multiplies."""
     if bit == "0":
-        return m.mul(m), w.mul(w)
+        return m.square(), w.square()
     return w.mul(m), m.mul(w)
 
 
@@ -441,7 +442,7 @@ class GQuantities:
         self.d = m1.det()
         self.r = m1.trace()
         self.cross = m1.add(w1).add_scalar(self.r)
-        sq = self.cross.mul(self.cross)
+        sq = self.cross.square()
         if not (F.is_zero(sq.b) and F.is_zero(sq.c) and F.eq(sq.a, sq.d)):
             raise DegenerateDraw("cross square is not scalar (inputs not a cross pair)")
         self.gamma = sq.a
@@ -472,9 +473,9 @@ class GQuantities:
 
     def correction(self, j: int, e_j: int) -> CoScaled:
         """c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j, with e_j = e(s(j))."""
-        return self.cs_mul(
-            CoScaled(self.F.pow(self.d, 1 << (j - 1)), 0), self.monomial(e_j + 1 - (1 << j), -e_j)
-        )
+        F = self.F
+        x = self.monomial(e_j + 1 - (1 << j), -e_j)
+        return CoScaled(F.mul(F.pow(self.d, 1 << (j - 1)), x.u), x.odd)
 
     def period_cs(self, k: int, e_k: int) -> CoScaled:
         """l = d^(2^(k-1)) / c_k = r^(2^k - 1 - e_k) cross^(e_k) for a k-letter
@@ -563,21 +564,43 @@ class GQuantities:
     def closed_products(self) -> tuple[Mat2, Mat2]:
         """Closed forms of the pair after one driver word, per digit parity."""
         F = self.F
-        acc = Mat2.scalar(F, F.zero)
+        sums = [F.zero, F.zero]  # correction sum even + odd cross
         for cj in self.c:
-            acc = acc.add(self.cs_to_mat(cj))
-        return self.closed_pair(self.stats.t, acc, self.l_cs)
+            sums[cj.odd] = F.add(sums[cj.odd], cj.u)
+        cm, cw = self.closed_pair(self.stats.t, *sums, self.l_cs)
+        return Mat2(F, *cm), Mat2(F, *cw)
 
-    def closed_pair(self, t: int, acc: Mat2, l_cs: CoScaled) -> tuple[Mat2, Mat2]:
-        """Closed forms (first + acc) l and (second + acc) l of the pair after
-        a driver word with digit parity t, correction sum acc and period
-        scalar l; t selects which of m1, w1 comes first.  An even l is a
-        field scalar, so it scales the matrices."""
-        first, second = (self.w1, self.m1) if t else (self.m1, self.w1)
-        if not l_cs.odd:
-            return first.add(acc).scale(l_cs.u), second.add(acc).scale(l_cs.u)
-        scale = self.cs_to_mat(l_cs)
-        return first.add(acc).mul(scale), second.add(acc).mul(scale)
+    @cached_property
+    def _times_cross(self) -> tuple[Mat2, Mat2]:
+        """m1 cross and w1 cross, the bases of the closed forms when l is odd."""
+        return self.m1.mul(self.cross), self.w1.mul(self.cross)
+
+    def closed_pair(self, t: int, even, odd, l_cs: CoScaled) -> tuple[tuple, tuple]:
+        """Entries (a, b, c, d) of the closed forms (first + acc) l and
+        (second + acc) l of the pair after a driver word with digit parity
+        t, correction sum acc = even + odd cross and period scalar l; t
+        selects which of m1, w1 comes first.  With l = u cross^b both are
+        u times a matrix plus a part they share: first + even + odd cross
+        when b = 0, and first cross + even cross + odd gamma when b = 1."""
+        F = self.F
+        add, mul = F.add, F.mul
+        if l_cs.odd:
+            first, second = self._times_cross
+            scale, diag = even, mul(odd, self.gamma)
+        else:
+            first, second = self.m1, self.w1
+            scale, diag = odd, even
+        if t:
+            first, second = second, first
+        x, u = self.cross, l_cs.u
+        sa, sb = add(mul(x.a, scale), diag), mul(x.b, scale)
+        sc, sd = mul(x.c, scale), add(mul(x.d, scale), diag)
+        return (
+            (mul(add(first.a, sa), u), mul(add(first.b, sb), u),
+             mul(add(first.c, sc), u), mul(add(first.d, sd), u)),
+            (mul(add(second.a, sa), u), mul(add(second.b, sb), u),
+             mul(add(second.c, sc), u), mul(add(second.d, sd), u)),
+        )
 
     def primed_check_values(self) -> dict:
         """Closed-form next-generation quantities (hypothesis: t(s)=0, s ends 1)."""

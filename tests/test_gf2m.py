@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from cf2.gf2m import Gf2m, field
 from cf2.gf2poly import is_irreducible
-from cf2.mat2 import Mat2
+from cf2.laurent import LaurentSeries
+from cf2.mat2 import Mat2, SeriesField
 
 
 @pytest.mark.parametrize(
@@ -121,6 +123,33 @@ def test_fused_matrix_product_matches_entrywise(m):
         assert F.mat_mul(a, b) == want
         got = a.mul(b)
         assert (got.a, got.b, got.c, got.d) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 17])
+@given(data=st.data())
+def test_fused_square_matches_product_for_every_zero_pattern(m, data):
+    # GF(2^17) has no tables, so there mat_sq takes its fallback throughout
+    F = field(m)
+    assert (F._log is None) == (m > 16)
+    a, b, c, e = data.draw(st.lists(st.integers(1, F.order), min_size=4, max_size=4))
+    assume(e != a)
+    # the diagonals cover a, d and a + d each zero or not
+    for a_, d_ in ((0, 0), (a, 0), (0, a), (a, a), (a, e)):
+        for b_ in (0, b):
+            for c_ in (0, c):
+                x = Mat2(F, a_, b_, c_, d_)
+                want = F.mat_mul(x, x)
+                assert F.mat_sq(x) == want
+                sq = x.square()
+                assert (sq.a, sq.b, sq.c, sq.d) == want
+
+
+def test_series_square_has_no_hook_and_matches_product():
+    S = SeriesField(256)
+    assert not hasattr(S, "mat_sq")
+    rng = random.Random(9)
+    x = Mat2(S, *(LaurentSeries(rng.randrange(-3, 4), rng.getrandbits(256) | 1, 256) for _ in range(4)))
+    assert x.square().eq(x.mul(x))
 
 
 @pytest.mark.parametrize("m", range(2, 17))

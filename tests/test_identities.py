@@ -5,6 +5,7 @@ from itertools import count
 import pytest
 
 from cf2.cli import main
+from cf2.gf2m import Gf2m
 from cf2.identities import (
     PAIR_IDENTITY_NAMES,
     all_driver_words,
@@ -96,6 +97,13 @@ def test_pair_products_pass():
 @pytest.mark.parametrize("name", PAIR_IDENTITY_NAMES)
 def test_pair_product_mutations_fail(name):
     assert not check_pair_products(10, 16, 1, mutate_id=name).passed
+
+
+@pytest.mark.parametrize("name", ["det_eq", "", "closed-form"])
+def test_pair_products_reject_unknown_mutation(name):
+    # a misspelt control must not run the unmutated check and pass
+    with pytest.raises(ValueError, match="unknown pair identity"):
+        check_pair_products(5, 16, 1, mutate_id=name)
 
 
 def test_closed_form_small_words():
@@ -241,17 +249,30 @@ def _closed_form_per_word(s, trials, m, seed, mutate=False):
 
 @pytest.mark.parametrize(
     "max_len, trials, m, seed",
-    [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1)],
+    # GF(2^16) at depth 8 is the battery's word set; GF(2^17) has no
+    # tables, so its squarings take mat_sq's fallback
+    [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1), (8, 2, 16, 1), (3, 10, 17, 1)],
 )
-def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed):
+def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed, monkeypatch):
+    paths = set()  # which branch of mat_sq each squaring took
+    fused = Gf2m.mat_sq
+
+    def spy(F, x):
+        dense = F._log is not None and all((x.a, x.b, x.c, x.d, x.a ^ x.d))
+        paths.add("table" if dense else "fallback")
+        return fused(F, x)
+
+    monkeypatch.setattr(Gf2m, "mat_sq", spy)
     words = list(all_driver_words(max_len))
     failures, resamples = [], 0
     for s in words:
         ref = _closed_form_per_word(s, trials, m, seed)
         failures.extend((s, f) for f in ref.failures)
         resamples += ref.resamples
+    paths.clear()
     rep = check_closed_form(words, trials, m, seed)
     assert rep.failures == failures and rep.resamples == resamples
+    assert paths == ({"fallback"} if m > 16 else {"table", "fallback"})
     if m < 16:
         assert resamples > 0  # the shared redraw path is exercised
     for s in words[:6]:

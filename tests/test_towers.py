@@ -232,16 +232,23 @@ def test_quantities_spot_values_s101():
 
 @pytest.mark.parametrize("s, odd", [("11", 0), ("0", 0), ("1", 1), ("10", 1)])
 def test_closed_pair_equals_product_by_period_matrix(s, odd):
+    # the matrix formula (first + even + odd cross) * l is the oracle of
+    # closed_pair's scalar-coordinate entries, for both digit parities and
+    # zero sums included
     F, q = _random_quants(s, seed=3)
     assert q.l_cs.odd == odd
     rng = random.Random(5)
-    acc = Mat2(F, *(F.sample(rng) for _ in range(4)))
-    for t in (0, 1):
-        first, second = (q.w1, q.m1) if t else (q.m1, q.w1)
-        scale = q.cs_to_mat(q.l_cs)
-        cm, cw = q.closed_pair(t, acc, q.l_cs)
-        assert cm.eq(first.add(acc).mul(scale))
-        assert cw.eq(second.add(acc).mul(scale))
+    scale = q.cs_to_mat(q.l_cs)
+    sums = [(F.sample(rng), F.sample(rng)) for _ in range(20)]
+    sums += [(0, 0), (F.sample_invertible(rng), 0), (0, F.sample_invertible(rng))]
+    for even, odd_sum in sums:
+        acc = Mat2.scalar(F, even).add(q.cross.scale(odd_sum))
+        for t in (0, 1):
+            first, second = (q.w1, q.m1) if t else (q.m1, q.w1)
+            cm, cw = q.closed_pair(t, even, odd_sum, q.l_cs)
+            for got, base in ((cm, first), (cw, second)):
+                want = base.add(acc).mul(scale)
+                assert got == (want.a, want.b, want.c, want.d)
 
 
 def test_quantities_spot_values_s0():
