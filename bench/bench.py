@@ -22,7 +22,10 @@ for P3-P7 (P7's word 1101000), over the Frobenius support
 ``find_relation``'s ``support`` skips), and on the explore search
 (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
 that precision, and ``AlgRelation.evaluate`` of the relation found there
-on P6's series at twice it.  Each time is the minimum over rounds x reps
+on P6's series at twice it; ``search_relation`` over the Frobenius support
+on the two family-P specs whose first round gives a precision artifact
+under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5 (w0=00,
+eps=00001) at prec 512.  Each time is the minimum over rounds x reps
 of the mean call time in a batch of calls (at least 5 ms per batch) on
 seeded or fixed operands; it needs only the standard library.  ``--quick``
 runs one round and drops every case whose first call takes over 1 s.
@@ -58,6 +61,8 @@ QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 SPARSE_LADDER = {**LADDER, 7: "1101000"}  # rungs of the Frobenius-support rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
+ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
+ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
 
 
 def relation_cases(relations, towers, words):
@@ -94,6 +99,21 @@ def relation_cases(relations, towers, words):
         spb, max(512, relations.required_precision(degx, degz, -1)),
     )
     out.append(("find_relation.explore", relations.find_relation, (phi, degx, degz)))
+    return out
+
+
+def search_cases(theorems, towers, words):
+    """(name, function, args) for the whole-search rows: each call builds
+    its spec's series at every round's precision, as a theorem check does."""
+    if "support" not in inspect.signature(theorems.search_relation).parameters:
+        return []
+    sp = towers.SpecMap.parse(ARTIFACT_MAP)
+    out = []
+    for n, (eps, prec) in ARTIFACTS.items():
+        phi_fn, val = theorems.spec_series(words.PSpec("00", eps), sp)
+        support = [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
+        args = (phi_fn, 1 << n, prec, sp.max_degree, val, None, support)
+        out.append((f"search_relation.P{n}.artifact", theorems.search_relation, args))
     return out
 
 
@@ -170,12 +190,13 @@ def oracle_cases(towers, words):
 def worker(src: str, quick: bool) -> None:
     """Time every case REPS times against ``src`` and print the minima."""
     sys.path.insert(0, src)
-    from cf2 import gf2m, gf2poly, identities, laurent, mat2, relations, towers, words
+    from cf2 import gf2m, gf2poly, identities, laurent, mat2, relations, theorems, towers, words
 
     todo = cases(gf2poly, laurent) + oracle_cases(towers, words)
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
-    for name, fn, args in todo + relation_cases(relations, towers, words):
+    todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
+    for name, fn, args in todo:
         t0 = time.perf_counter()
         fn(*args)
         first = time.perf_counter() - t0

@@ -84,6 +84,8 @@ def _randomized(
     one detail (or None) per word: failures are then ``(word, (trial,
     detail))`` in word order, and a redraw counts once per word.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     F = ext_field(m)
     rng = random.Random(seed)
     width = 1 if words is None else len(words)
@@ -276,10 +278,13 @@ def check_closed_form(
     so each draw walks the binary trie of the words depth first: an edge
     takes one pair step, one correction term and one field add to the
     running correction sum, kept as the scalars even + odd cross, and
-    every word node compares the entries of its pair with the closed form.  Several words give one ``closed-form`` report whose failures
-    are ``(word, (trial, detail))``.
+    every word node compares the entries of its pair with the closed form.
+    Several words give one ``closed-form`` report whose failures are
+    ``(word, (trial, detail))``.
     """
     words = [s] if isinstance(s, str) else list(s)
+    if not words:
+        raise ValueError("closed form needs at least one driver word")
     for w in words:
         if not w or w.strip("01"):
             raise ValueError(f"driver word must be a nonempty binary word, got {w!r}")

@@ -94,29 +94,24 @@ def search_relation(
     ``degz`` or else the largest degZ the order certifies.  A candidate must
     vanish to 1.5x the discovery precision or is a precision artifact;
     without ``degz``, nothing or an artifact sends the search on to the
-    verifying series, up to precision max(4 * prec, 2048).  Each round
-    first searches the powers in ``support``, if it leaves some of 0..degx
-    out, and runs the search over all of them only when no candidate from
-    the support survives, so then the outcome is the full search's."""
+    verifying series, up to precision max(4 * prec, 2048).  Every round
+    searches the powers phi^e for e in ``support`` (default 0..degx)."""
     first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
     p1 = max(prec, required_precision(degx, first, leading_val))
     budget = max(4 * prec, 2048)
-    column_sets = [None] if support is None or len(set(support)) > degx else [support, None]
     phi = phi_fn(p1)
     while True:
         degz_used = degz if degz is not None else max_degz(phi, degx)
-        p2, threshold, phi2 = 2 * p1, (3 * p1) // 2, None
+        p2, threshold = 2 * p1, (3 * p1) // 2
         last = degz is not None or p1 >= budget
-        for columns in column_sets:
-            rel, bound = find_relation(phi, degx, degz_used, columns), None
-            if phi2 is None and (rel is not None or not last):
-                phi2 = phi_fn(p2)
-            if rel is not None:
-                residual = rel.evaluate(phi2)
-                bound = residual.known_zero_below()
-                if residual.is_zero and bound >= threshold:
-                    rel = replace(rel, verified_prec=bound)
-                    return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
+        rel, bound = find_relation(phi, degx, degz_used, support), None
+        phi2 = phi_fn(p2) if rel is not None or not last else None
+        if rel is not None:
+            residual = rel.evaluate(phi2)
+            bound = residual.known_zero_below()
+            if residual.is_zero and bound >= threshold:
+                rel = replace(rel, verified_prec=bound)
+                return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
         if last:
             # nothing found, or a precision artifact: keep its numbers, drop the relation
             return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
@@ -167,9 +162,11 @@ _DEGENERATE = "degenerate periodic word; direct quadratic check"
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^n for the family-P continued fraction.  The relation
-    search first tries the powers phi^e, e in {0, 2^r - 2^j (j < r), 2^r}
-    (r the length of eps's primitive root): the support of a hyperquadratic
-    relation, as H_0 solves rho X^(2^r) + X + T_0 = 0."""
+    search runs over the powers phi^e, e in {0, 2^r - 2^j (j < r), 2^r}
+    (r the length of eps's primitive root).  That support is sound: 1/phi
+    is affine in the H_0^(2^j) and H_0 solves rho X^(2^r) + X + T_0 = 0, so
+    1/phi is a root of an affine additive polynomial, whose reversal is a
+    relation of phi on the support."""
     n = spec.period
     phi_fn, first_val = spec_series(spec, sp)
     if not spec.w0 and n == 1:
@@ -208,6 +205,8 @@ def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) 
     """Iterated prefix sums of a binary family-P word stay within 2^n."""
     if not spec.is_binary():
         raise ValueError("corollary chain needs a binary P-spec")
+    if iterations < 1:
+        raise ValueError(f"corollary chain needs k >= 1, got {iterations}")
     n = spec.period
     bound = 1 << n
     subs: list[CheckReport] = []

@@ -273,6 +273,26 @@ def test_spec_command_rejections(argv, err, capsys):
     assert out == "" or err.startswith("swap period")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["identities", "--all", "--trials", "0"], "need at least one trial, got 0"),
+        (["identities", "--check", "pair-products", "--trials", "-1"], "need at least one trial, got -1"),
+        (["identities", "--all", "--trials", "3", "--max-word-len", "0"],
+         "closed form needs at least one driver word"),
+        (["corollary", "--eps", "10", "--k", "0"], "corollary chain needs k >= 1, got 0"),
+        (["corollary", "--eps", "10", "--k", "-2"], "corollary chain needs k >= 1, got -2"),
+    ],
+)
+def test_a_check_over_nothing_is_a_usage_error(argv, err, capsys):
+    # no trial, no driver word or no chain step: the check would pass
+    # vacuously, so it is refused after the config echo with no verdict line
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"]
+    assert [line.split()[0] for line in out.splitlines()] == ["config"]
+
+
 def test_theorem1_running_product_gap_is_a_failed_claim(monkeypatch, capsys):
     # corrupt L_4 of the n=2 tower by 1/z, so L_4 - L_2 has valuation 1
     # where the tower proves at least 2^(4-2)

@@ -308,3 +308,18 @@ def test_closed_form_rejects_bad_words():
     for bad in ("", "012"):
         with pytest.raises(ValueError):
             check_closed_form(bad, 5, 16, 1)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_zero_trials_are_rejected(trials):
+    # a randomized check over no draw would report a pass having checked nothing
+    with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
+        check_tower_expansion(5, trials)
+    with pytest.raises(ValueError, match="need at least one trial"):
+        check_closed_form(list(all_driver_words(2)), trials)
+
+
+def test_closed_form_rejects_an_empty_word_list():
+    for words in ([], all_driver_words(0)):
+        with pytest.raises(ValueError, match="at least one driver word"):
+            check_closed_form(words, 5, 16, 1)
