@@ -4,10 +4,11 @@ relation search.
 Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``cldivmod`` (2n by n bits), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
-``Gf2Poly.reverse`` at 16k bits, the family-P oracle ``p_cf_series`` of
-period 110 and the tower limits ``p_limits`` of w0=10, eps=110 at
-precision 16384, the cube of a three-term series at valuation and
-precision ~10^8; ``Gf2m.mul``, ``Mat2.mul`` over GF(2^16) (a dense pair
+``Gf2Poly.reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
+the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
+65536, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
+of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, the cube of a
+three-term series at valuation and precision ~10^8; ``Gf2m.mul``, ``Mat2.mul`` over GF(2^16) (a dense pair
 and a pair with a zero entry) and ``Mat2.square`` of the same two
 left-hand operands (rows that a tree without ``Gf2m.mat_sq`` skips),
 ``Mat2.mul`` over series at 4k bits, ``pair_tower`` over GF(2^16) along
@@ -171,19 +172,24 @@ def cases(gf2poly, laurent):
         ]
     n = SIZES["16k"]
     poly = gf2poly.Gf2Poly(random.Random(n).getrandbits(n) | (1 << (n - 1)))
+    sa = laurent.LaurentSeries(0, poly.bits, n)
     huge = laurent.LaurentSeries(10**8, 0b1011, 10**8 + 64)
     return out + [
         ("Gf2Poly.reverse.16k", gf2poly.Gf2Poly.reverse, (poly,)),
+        ("LaurentSeries.pow256.16k", laurent.LaurentSeries.pow, (sa, 1 << 8)),
         ("LaurentSeries.pow.hugeprec", laurent.LaurentSeries.pow, (huge, 3)),
     ]
 
 
 def oracle_cases(towers, words):
-    """(name, function, args) for the convergent-oracle and P-limits rows."""
+    """(name, function, args) for the convergent-oracle and tower-limits rows."""
     spb = towers.SpecMap.binary_default()
+    spab = towers.SpecMap.parse("a=z,b=z+1")
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
+        ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
+        ("g_limits.16k", towers.g_limits, (words.GSpec("ab", "ba", "11"), spab, SIZES["16k"])),
     ]
 
 

@@ -73,6 +73,11 @@ def _rand_mat(F: Gf2m, rng: random.Random) -> Mat2:
     return Mat2(F, F.sample(rng), F.sample(rng), F.sample(rng), F.sample(rng))
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
 def _randomized(
     ident: str, trials: int, m: int, seed: int, body, words: list[str] | None = None
 ) -> IdentityReport:
@@ -84,8 +89,7 @@ def _randomized(
     one detail (or None) per word: failures are then ``(word, (trial,
     detail))`` in word order, and a redraw counts once per word.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    _require_trials(trials)
     F = ext_field(m)
     rng = random.Random(seed)
     width = 1 if words is None else len(words)
@@ -508,6 +512,11 @@ def run_identity_suite(
     generations: int = 3, prec: int = 512,
 ) -> list[IdentityReport]:
     """The full identity battery with acceptance-grade fixtures."""
+    # refuse a battery over nothing before any check runs
+    _require_trials(trials)
+    driver_words = list(all_driver_words(max_word_len))
+    if not driver_words:
+        raise ValueError("closed form needs at least one driver word")
     reports = [
         check_tower_expansion(5, trials, m, seed),
         check_period_power_shift(2, 3, trials, m, seed),
@@ -516,7 +525,7 @@ def run_identity_suite(
         check_tail_equations(3, 2, trials, m, seed + 1),
         check_pair_products(trials, m, seed),
     ]
-    reports.append(check_closed_form(all_driver_words(max_word_len), trials, m, seed))
+    reports.append(check_closed_form(driver_words, trials, m, seed))
     for s in TOWER_WORDS:
         reports.append(check_generation_relations(s, generations, trials, m, seed))
     # one weightless seed (collapsed running products) and one with weight

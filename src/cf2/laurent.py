@@ -18,6 +18,13 @@ Precision bookkeeping (p = abs. precision, v = valuation):
   inv      p_a - 2 * v_a
 The square rule is exact: the unknown tail t of a has valuation >= p,
 and (k + t)^2 = k^2 + t^2 carries its first unknown coefficient at 2p.
+In windows (w = p - v, the coefficients known past the valuation) a
+product keeps the smaller window and a square doubles it.  So ``pow``
+clips its base to about half the result's window before each square,
+and a power 2^k squares O(p) bits, not 2^k p.  ``clip`` drops
+coefficients a caller will never read: ``SeriesField.square`` keeps a
+square only to the working precision, or to one coefficient past its
+exact valuation when that lies beyond it.
 
 Every int built here is sized by the bits a value keeps, never by its
 precision: a mask is cut to its window only when it is wider than the
@@ -177,17 +184,28 @@ class LaurentSeries:
         nbits = self.prec - self.val
         return LaurentSeries(-self.val, _inv_mask(self.mask, nbits), self.prec - 2 * self.val)
 
+    def clip(self, window: int) -> LaurentSeries:
+        """The same series known only to window coefficients past its
+        valuation (window >= 1); itself when it knows no more than that."""
+        if self.mask == 0 or self.prec - self.val <= window:
+            return self
+        return LaurentSeries(self.val, self.mask, self.val + window)
+
     def pow(self, n: int) -> LaurentSeries:
         if n < 0:
             return self.inv().pow(-n)
+        # a product's window is the smaller of its factors' windows, and the
+        # result starts as one(prec), so no factor needs more than max(prec, 1)
+        # coefficients and a base about to be squared needs half of that
+        window = max(self.prec, 1)
         result = LaurentSeries.one(self.prec)
-        base = self
+        base = self.clip(window)
         while n:
             if n & 1:
                 result = result * base
             n >>= 1
             if n:
-                base = base.square()
+                base = base.clip((window + 1) // 2).square()
         return result
 
     def mul_poly(self, poly: Gf2Poly) -> LaurentSeries:

@@ -5,8 +5,9 @@ word w gives the descending product M(w) = F(w_last) ... F(w_first) of
 letter matrices F(x) = ((1, 1/x), (1/x, 0)), and the continued fraction
 [w_0, w_1, ...] is the limit of entry(0,0)/entry(0,1) of M over growing
 prefixes.  Convergents themselves are computed exactly through the
-classical numerator/denominator recurrence (the descending product
-differs from it only by an invertible scalar, so the ratios agree).
+classical numerator/denominator recurrence, in blocks joined by a product
+tree (the descending product differs from it only by an invertible
+scalar, so the ratios agree).
 
 The family-P tower doubles M through m -> m F(e) m and keeps only the
 scalars d, the step scalar l (read off m0) and the running product L;
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import accumulate, count
 
-from .gf2poly import Gf2Poly
+from .gf2poly import Gf2Poly, clmul
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
 from .words import GSpec, NormalizedG, PSpec, g_normalize, g_prefix, p_prefix, word_stats
@@ -112,34 +113,50 @@ class SpecMap:
 # ---------------------------------------------------------------------------
 
 
-def _convergents(word: str, sp: SpecMap):
-    """Exact (numerator, denominator) of [word[:i]] for i = 1 .. len(word).
+# letters per block of the small-int recurrence in convergent_pair
+CF_BLOCK = 256
 
-    The recurrence runs on bit-packed ints: a letter is one or a few
-    terms, so u*p is a shifted XOR per set bit of u."""
-    if not word:
-        raise ValueError("empty word has no convergent")
-    taps: dict[str, list[int]] = {}  # letter -> exponents of its polynomial
-    p_prev, q_prev = 1, 0
-    p, q = sp.poly(word[0]).bits, 1
-    yield Gf2Poly(p), Gf2Poly(q)
-    for letter in word[1:]:
+
+def _block_product(word: str, taps: dict[str, list[int]], sp: SpecMap) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the product of ((u, 1), (1, 0)) over the
+    letters u of a short word, as bit-packed ints: a letter is one or a few
+    terms, so each step is a shifted XOR per set bit of u."""
+    a, b, c, d = 1, 0, 0, 1
+    for letter in word:
         if letter not in taps:
             u = sp.poly(letter)
             taps[letter] = [i for i in range(u.degree + 1) if u.coeff(i)]
-        p_next, q_next = p_prev, q_prev
+        a_next, c_next = b, d
         for i in taps[letter]:
-            p_next ^= p << i
-            q_next ^= q << i
-        p, p_prev, q, q_prev = p_next, p, q_next, q
-        yield Gf2Poly(p), Gf2Poly(q)
+            a_next ^= a << i
+            c_next ^= c << i
+        a, b, c, d = a_next, a, c_next, c
+    return a, b, c, d
+
+
+def _mat_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        clmul(xa, ya) ^ clmul(xb, yc), clmul(xa, yb) ^ clmul(xb, yd),
+        clmul(xc, ya) ^ clmul(xd, yc), clmul(xc, yb) ^ clmul(xd, yd),
+    )
 
 
 def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
-    """Exact (numerator, denominator) of the convergent [word]."""
-    for pq in _convergents(word, sp):
-        pass
-    return pq
+    """Exact (numerator, denominator) of the convergent [word].
+
+    They are the first column of the product of ((u, 1), (1, 0)) over the
+    letters u.  Blocks of CF_BLOCK letters run the small-int recurrence, and
+    a pairwise tree joins the blocks, so the long products are balanced."""
+    if not word:
+        raise ValueError("empty word has no convergent")
+    taps: dict[str, list[int]] = {}  # letter -> exponents of its polynomial
+    mats = [_block_product(word[i:i + CF_BLOCK], taps, sp) for i in range(0, len(word), CF_BLOCK)]
+    while len(mats) > 1:
+        mats = [_mat_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i] for i in range(0, len(mats), 2)]
+    a, _, c, _ = mats[0]
+    return Gf2Poly(a), Gf2Poly(c)
 
 
 def convergent_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
@@ -155,15 +172,23 @@ CF_MARGIN = 8
 def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
     """Series of the continued fraction of the infinite word starting as given.
 
-    Consumes letters until consecutive convergent denominators guarantee
-    the expansion below ``prec`` (plus CF_MARGIN); raises ValueError naming
-    the shortfall when the supplied prefix is too short.
+    Uses the shortest prefix whose convergent denominator and the next one
+    have degrees summing to ``prec`` plus CF_MARGIN, which guarantees the
+    expansion below ``prec``.  deg q_i is the sum of the degrees of letters
+    1 .. i, so the stop index comes from the degrees alone, and no letter
+    past it is read.  Raises ValueError naming the shortfall when the
+    supplied prefix is too short.
     """
-    prev = None
-    for p, q in _convergents(word, sp):
-        if prev is not None and prev[1].degree + q.degree >= prec + CF_MARGIN:
-            return LaurentSeries.from_rational(*prev, prec)
-        prev = p, q
+    degree: dict[str, int] = {}
+    prev = deg = 0  # deg q_(i-1) and deg q_i
+    for i in range(1, len(word)):
+        letter = word[i]
+        if letter not in degree:
+            degree[letter] = sp.poly(letter).degree
+        prev, deg = deg, deg + degree[letter]
+        if prev + deg >= prec + CF_MARGIN:
+            return convergent_series(word[:i], sp, prec)
+    _, q = convergent_pair(word, sp)
     raise ValueError(
         f"prefix of length {len(word)} too short for precision {prec}"
         f" (denominator degree reached {q.degree})"
@@ -257,8 +282,8 @@ class PTower:
         l = F.mul(self.Ls[j], self.s[j % self.period])
         self.ls.append(l)
         self.Ls.append(F.mul(self.Ls[j], l))
-        # det is multiplicative and det F(e) = 1/e^2
-        self.ds.append(F.mul(F.square(self.ds[j]), F.square(self.inv_eps[j % self.period])))
+        # det is multiplicative and det F(e) = 1/e^2, so d_(j+1) = (d_j / e_j)^2
+        self.ds.append(F.square(F.mul(self.ds[j], self.inv_eps[j % self.period])))
         self.step += 1
 
     def matrices(self):
@@ -329,7 +354,6 @@ class PLimits:
     tower: PTower
     f: LaurentSeries
     H: list[LaurentSeries]
-    limit_m: Mat2
     cf: LaurentSeries
     diff_vals: list[tuple[int, int]] = dc_field(default_factory=list)
 
@@ -380,9 +404,9 @@ def p_limits(spec: PSpec, sp: SpecMap, prec: int) -> PLimits:
     H = [F.zero for _ in range(n)]
     for i in range(t.step):
         H[i % n] = H[i % n] + t.term(i)
-    limit_m = t.expansion(H).scale(t.Ls[-1])
-    cf = cf_ratio(limit_m)
-    return PLimits(tower=t, f=t.Ls[-1], H=H, limit_m=limit_m, cf=cf, diff_vals=diff_vals)
+    # the limit product is f times this expansion, and f cancels in the ratio
+    cf = cf_ratio(t.expansion(H))
+    return PLimits(tower=t, f=t.Ls[-1], H=H, cf=cf, diff_vals=diff_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +657,6 @@ class GLimits:
     f: LaurentSeries
     H1: CoScaled
     Hs: list[CoScaled]
-    limit_m: Mat2
     cf: LaurentSeries
     diff_vals: list[tuple[int, int]] = dc_field(default_factory=list)
 
@@ -687,13 +710,10 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
             break
         if i >= cap:
             raise ClaimFailed(f"no convergence within {cap} generations at prec {prec}")
-    f = Ls[-1]
     Hs, acc = q.limit_terms(H1)
-    limit_m = acc.scale(f)
-    cf = cf_ratio(limit_m)
+    # the limit product is f times the limit sum, and f cancels in the ratio
     return GLimits(
-        norm=norm, quants=q, Ls=Ls, f=f, H1=H1, Hs=Hs,
-        limit_m=limit_m, cf=cf, diff_vals=diff_vals,
+        norm=norm, quants=q, Ls=Ls, f=Ls[-1], H1=H1, Hs=Hs, cf=cf_ratio(acc), diff_vals=diff_vals,
     )
 
 

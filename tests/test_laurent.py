@@ -7,7 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from cf2.gf2poly import Gf2Poly
+from cf2 import laurent
+from cf2.gf2poly import Gf2Poly, clsq
 from cf2.laurent import LaurentSeries
 
 
@@ -167,6 +168,64 @@ def test_precision_soundness_pipeline():
 def test_pow_negative():
     s = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64)
     assert (s.pow(-2) * s.pow(2)).agrees(LaurentSeries.one(32))
+
+
+def naive_pow(s: LaurentSeries, n: int) -> LaurentSeries:
+    """s^n by square-and-multiply from one(prec), with no window cut."""
+    if n < 0:
+        s, n = s.inv(), -n
+    out = LaurentSeries.one(s.prec)
+    while n:
+        if n & 1:
+            out = out * s
+        n >>= 1
+        s = s.square()
+    return out
+
+
+@pytest.mark.parametrize("val", [-7, -1, 0, 3])
+def test_pow_matches_a_multiply_loop(val):
+    rng = random.Random(val)
+    exps = [*range(-5, 41), *(1 << k for k in range(6, 11))]
+    # windows from none (the zero sentinel) and one bit up to 300 bits, and
+    # absolute precisions on both sides of zero
+    for width in (-2, 0, 1, 2, 5, 64, 300):
+        mask = rng.getrandbits(max(width, 1)) | 1 if width > 0 else 0
+        s = LaurentSeries(val, mask, val + width)
+        for n in exps:
+            if n < 0 and s.is_zero:
+                with pytest.raises(ZeroDivisionError):
+                    s.pow(n)
+                continue
+            got, want = s.pow(n), naive_pow(s, n)
+            assert (got.val, got.mask, got.prec) == (want.val, want.mask, want.prec), (width, n)
+            if s.is_zero:
+                continue
+            # n plain products know less (a square doubles the window, a
+            # product keeps the smaller one) but agree where they know
+            base = s if n >= 0 else s.inv()
+            prod = LaurentSeries.one(base.prec)
+            for _ in range(abs(n)):
+                prod = prod * base
+            assert prod.agrees(got) and prod.prec <= got.prec
+            assert prod.is_zero or got.val == prod.val
+
+
+def test_pow_squares_no_more_than_the_window_it_keeps(monkeypatch):
+    # a square doubles the window, so pow(x, 2^10) of a 16k-bit window
+    # squares at most the bits that the result keeps
+    prec = 1 << 14
+    x = LaurentSeries(0, random.Random(14).getrandbits(prec) | 1, prec)
+    widths = []
+
+    def spy(m):
+        widths.append(m.bit_length())
+        return clsq(m)
+
+    monkeypatch.setattr(laurent, "clsq", spy)
+    y = x.pow(1 << 10)
+    assert len(widths) == 10 and max(widths) <= 2 * prec
+    assert (y.val, y.prec) == (0, prec)
 
 
 def test_render_tail_only_and_order():

@@ -1,7 +1,8 @@
 """Letter matrices, convergents, and both towers against independent oracles."""
 
+import hashlib
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -10,12 +11,13 @@ from cf2.gf2poly import Gf2Poly
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2, SeriesField
 from cf2.towers import (
+    CF_BLOCK,
+    CF_MARGIN,
     CoScaled,
     DegenerateDraw,
     GQuantities,
     HypothesisViolation,
     SpecMap,
-    _convergents,
     cf_series,
     convergent_pair,
     convergent_series,
@@ -25,6 +27,7 @@ from cf2.towers import (
     p_limits,
     p_tower,
     pair_tower,
+    predicted_det_val,
     word_matrix,
 )
 from cf2.words import GSpec, PSpec, g_prefix, g_sigma, p_prefix, p_to_g
@@ -41,6 +44,8 @@ def recursive_convergent(word, sp):
 
 
 SP = SpecMap.parse("a=z,b=z+1,c=z^2+z+1")
+# _limits_digest(512) as computed with every intermediate series at full width
+LIMITS_DIGEST_512 = "4cf9d05f25d4ec6d2c74bb27c5a90ae366844f8bc4a4c8a304412302eaaf8c43"
 
 
 def test_specmap_validation():
@@ -82,11 +87,12 @@ def test_convergent_matches_recursive_oracle():
         assert p.gcd(q).degree == 0
 
 
-def test_convergents_match_the_polynomial_recurrence():
-    # letters of up to three terms, so the raw-int loop shifts several taps
+def test_convergent_pair_matches_the_polynomial_recurrence_on_every_prefix():
+    # letters of up to three terms, so the raw-int loop shifts several taps;
+    # 600 letters span three blocks of CF_BLOCK, an odd count for the tree
     sp = SpecMap.parse("a=z^5+z^2+1,b=z^3+z")
     rng = random.Random(5)
-    for length in (1, 2, 3, 40, 300):
+    for length in (1, 2, 3, 40, CF_BLOCK, CF_BLOCK + 1, 600):
         word = "".join(rng.choice("ab") for _ in range(length))
         p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
         p, q = sp.poly(word[0]), Gf2Poly.one()
@@ -96,15 +102,38 @@ def test_convergents_match_the_polynomial_recurrence():
             p, p_prev = u * p + p_prev, p
             q, q_prev = u * q + q_prev, q
             want.append((p, q))
-        assert list(_convergents(word, sp)) == want
+        assert [convergent_pair(word[:i], sp) for i in range(1, length + 1)] == want
 
 
-def test_convergents_name_an_unmapped_letter_when_reached():
-    steps = _convergents("aab", SpecMap.parse("a=z"))
-    assert next(steps) == (Gf2Poly.parse("z"), Gf2Poly.one())
-    assert next(steps) == (Gf2Poly.parse("z^2+1"), Gf2Poly.parse("z"))
+def test_convergent_pair_names_an_unmapped_letter():
+    sp = SpecMap.parse("a=z")
+    assert convergent_pair("aa", sp) == (Gf2Poly.parse("z^2+1"), Gf2Poly.parse("z"))
     with pytest.raises(ValueError, match="unmapped letter 'b'"):
-        next(steps)
+        convergent_pair("aab", sp)
+    with pytest.raises(ValueError, match="empty word has no convergent"):
+        convergent_pair("", sp)
+
+
+def test_cf_series_stops_at_the_first_degree_sum_past_the_margin():
+    # under a=z, deg q_i = i, so the stop index i is the first with
+    # (i - 1) + i >= prec + CF_MARGIN, and cf_series reads letters 1 .. i
+    sp = SpecMap.parse("a=z")
+    for prec in (1, 2, 17, 64):
+        stop = next(i for i in count(1) if 2 * i - 1 >= prec + CF_MARGIN)
+        word = "a" * (stop + 1)
+        want = LaurentSeries.from_rational(*convergent_pair(word[:stop], sp), prec)
+        assert cf_series(word, sp, prec) == want
+        # a letter past the stop index is never read
+        assert cf_series(word + "b", sp, prec) == want
+        with pytest.raises(ValueError, match="unmapped letter 'b'"):
+            cf_series(word[:stop] + "b", sp, prec)
+        short = word[:stop]
+        with pytest.raises(ValueError) as err:
+            cf_series(short, sp, prec)
+        assert str(err.value) == (
+            f"prefix of length {stop} too short for precision {prec}"
+            f" (denominator degree reached {stop - 1})"
+        )
 
 
 def test_convergent_series_expansion():
@@ -180,6 +209,47 @@ def test_p_limits_match_direct():
         assert lim.residual_h0().is_zero
         for j in range(1, len(eps)):
             assert lim.residual_hj(j).is_zero
+
+
+def test_series_ptower_determinants_keep_only_the_working_precision():
+    # d_(j+1) = (d_j / e_j)^2 is squared at the working precision, or to one
+    # coefficient past its exact valuation once that lies beyond it
+    spb = SpecMap.binary_default()
+    for spec, prec in [(PSpec("10", "110"), 512), (PSpec("", "10"), 300), (PSpec("011", "1101"), 1024)]:
+        t = p_tower(spec, spb, prec)
+        for _ in range(4 * prec.bit_length()):
+            t.advance()
+        for j, d in enumerate(t.ds):
+            assert d.val == predicted_det_val(spec, spb, j)
+            if j:
+                assert d.prec == max(prec, d.val + 1)
+                assert d.mask.bit_length() <= d.prec - d.val
+
+
+def _limits_digest(prec: int) -> str:
+    """sha256 over (val, mask, prec) of f, cf, H and the residuals of a
+    small P and G grid."""
+    def key(x):
+        return x.val, x.mask, x.prec
+
+    out = []
+    for one in ("z+1", "z^3+z+1"):
+        sp = SpecMap.parse(f"0=z,1={one}")
+        for w0, eps in [("", "10"), ("10", "110"), ("011", "1101"), ("1", "0110")]:
+            lim = p_limits(PSpec(w0, eps), sp, prec)
+            series = [lim.f, lim.cf, *lim.H, lim.residual_f(), lim.residual_h0()]
+            out.append([key(x) for x in series + [lim.residual_hj(j) for j in range(1, len(eps))]])
+        sp = SpecMap.parse(f"a=z,b={one}")
+        for u0, v0, ups in [("a", "b", "11"), ("ab", "ba", "101"), ("ab", "bb", "0011")]:
+            lim = g_limits(GSpec(u0, v0, ups), sp, prec)
+            series = [lim.f, lim.cf, lim.H1.u, *(h.u for h in lim.Hs), lim.residual_f(), lim.residual_h()]
+            out.append([key(x) for x in series])
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def test_limits_hash_grid_is_frozen():
+    # every series the limits return keeps its val, mask and prec exactly
+    assert _limits_digest(512) == LIMITS_DIGEST_512
 
 
 def test_pair_tower_base_case():
