@@ -8,53 +8,70 @@ Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
 65536, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
 of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, the cube of a
-three-term series at valuation and precision ~10^8; ``Gf2m.mul``, ``Mat2.mul`` over GF(2^16) (a dense pair
-and a pair with a zero entry) and ``Mat2.square`` of the same two
-left-hand operands (rows that a tree without ``Gf2m.mat_sq`` skips),
-``Mat2.mul`` over series at 4k bits, ``pair_tower`` over GF(2^16) along
-an 8-bit swap word and ``check_closed_form`` over all 510 driver words
-up to length 8 at 10 trials, with the field tables and operands built
-before the first timed call; and
-``find_relation`` on the degree ladder's theorem-1 series
-P3-P6 (period words 110, 1101, 11010, 110100) at their first-round
-precision with degX 2^n and degZ 2^n + 8, over all 2^n + 1 powers and,
-for P3-P7 (P7's word 1101000), over the Frobenius support
-{0, 2^n - 2^j (j < n), 2^n} alone (rows that a tree without
-``find_relation``'s ``support`` skips), and on the explore search
+three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
+``Mat2.mul`` and ``Mat2.square`` over GF(2^16) (a dense operand and one
+with a zero entry), ``Mat2.mul`` over series at 4k bits and
+``Mat2.square`` at 16k bits, ``pair_tower`` over GF(2^16) along an 8-bit
+swap word, ``check_closed_form`` over all 510 driver words up to length
+8 at 10 trials and ``check_generation_relations`` of the word 1001 over 3
+generations at 10 trials, with the field tables and operands built
+before the first timed call; and ``find_relation`` on the degree
+ladder's theorem-1 series P3-P6 (period words 110, 1101, 11010, 110100)
+at their first-round precision with degX 2^n and degZ 2^n + 8, over all
+2^n + 1 powers and, for P3-P7 (P7's word 1101000), over the Frobenius
+support {0, 2^n - 2^j (j < n), 2^n} alone, and on the explore search
 (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
 that precision, and ``AlgRelation.evaluate`` of the relation found there
 on P6's series at twice it; ``search_relation`` over the Frobenius support
-on the two family-P specs whose first round gives a precision artifact
+as ``check_theorem_p`` runs it for P6 at prec 512 (binary map), and on
+the two family-P specs whose first round gives a precision artifact
 under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5 (w0=00,
-eps=00001) at prec 512.  Each time is the minimum over rounds x reps
-of the mean call time in a batch of calls (at least 5 ms per batch) on
-seeded or fixed operands; it needs only the standard library.  ``--quick``
-runs one round and drops every case whose first call takes over 1 s.
+eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
+(at least 5 ms per batch) on seeded or fixed operands.  The raw time of a
+case is its least rep over rounds x reps.  Its scaled time reads the
+reps at a nominal machine speed: ``speed.sample(1)`` (``perfbench/speed.py``)
+runs a reference loop before the first rep and after each, a rep is
+multiplied by the mean factor of the two samples around it, a round keeps
+its least scaled rep, and the scaled time is the median over rounds.  On
+two copies of one tree that median spread least of the estimators tried
+(the least raw rep, or the least or median scaled round with one factor
+per case).  It needs only the standard library.
+``--quick`` runs one round and drops every case whose first call takes
+over 1 s.
 
     python3 bench/bench.py --out BENCH_8.json
     python3 bench/bench.py --quick --src parent=../parent/src --src change=src
 
 Each ``--src [LABEL=]DIR`` (default: this checkout's ``src``) is timed in
 its own fresh process per round, alternating which goes first, so two
-versions of cf2 can be compared on one machine in one run.  The JSON
-record holds the Python version, ``nproc``, the CPU model and, per
-label, the seconds of every case.
+versions of cf2 can be compared on one machine in one run.  Give two
+copies of one tree (``--src a=src --src b=/tmp/copy/src``) to see how far
+identical code reads apart: labels whose ``cf2`` sources hash alike are
+paired, and the record states the least, median and greatest ratio of
+their scaled times over all cases.  The JSON record holds the Python
+version, ``nproc``, the CPU model and, per label, the source hash and
+the scaled and raw seconds of every case.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import hashlib
 import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import speed  # noqa: E402  (perfbench/speed.py: the nominal-speed meter)
+
 SIZES = {"1k": 1 << 10, "4k": 1 << 12, "16k": 1 << 14, "64k": 1 << 16}
 REPS = 3  # timed batches of each case per round
 BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
@@ -78,18 +95,13 @@ def relation_cases(relations, towers, words):
         rungs[n] = eps, degx, prec, phi
         if n in LADDER:
             out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
-    # the Frobenius support {0, 2^n - 2^j (j < n), 2^n}; a tree from before
-    # it has no ``support`` parameter skips these rows
-    if "support" in inspect.signature(relations.find_relation).parameters:
-        for n, (eps, degx, prec, phi) in rungs.items():
-            support = [0, *(degx - (1 << j) for j in range(n)), degx]
-            out.append((f"find_relation.P{n}.sparse", relations.find_relation, (phi, degx, degx + 8, support)))
-    # the top dense rung's powers 0..degX, and its relation re-verified at
-    # 2 * prec; a tree from before powers by squaring takes the top exponent
+    # the Frobenius support {0, 2^n - 2^j (j < n), 2^n}
+    for n, (eps, degx, prec, phi) in rungs.items():
+        out.append((f"find_relation.P{n}.sparse", relations.find_relation, (phi, degx, degx + 8, _support(n))))
+    # the top dense rung's powers 0..degX, and its relation re-verified at 2 * prec
     n = max(LADDER)
     eps, degx, prec, phi = rungs[n]
-    exps = range(degx + 1) if "exps" in inspect.signature(relations._powers).parameters else degx
-    out.append((f"powers.P{n}", relations._powers, (phi, exps)))
+    out.append((f"powers.P{n}", relations._powers, (phi, range(degx + 1))))
     phi2 = towers.p_cf_series(words.PSpec("", eps), spb, 2 * prec)
     rel = relations.find_relation(phi, degx, degx + 8)
     out.append((f"evaluate.P{n}", relations.AlgRelation.evaluate, (rel, phi2)))
@@ -103,17 +115,23 @@ def relation_cases(relations, towers, words):
     return out
 
 
+def _support(n: int) -> list[int]:
+    """The Frobenius support {0, 2^n - 2^j (j < n), 2^n} of a period-n P spec."""
+    return [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
+
+
 def search_cases(theorems, towers, words):
     """(name, function, args) for the whole-search rows: each call builds
     its spec's series at every round's precision, as a theorem check does."""
-    if "support" not in inspect.signature(theorems.search_relation).parameters:
-        return []
+    n = max(LADDER)
+    spb = towers.SpecMap.binary_default()
+    phi_fn, val = theorems.spec_series(words.PSpec("", LADDER[n]), spb)
+    out = [(f"search_relation.P{n}", theorems.search_relation,
+            (phi_fn, 1 << n, 512, spb.max_degree, val, None, _support(n)))]
     sp = towers.SpecMap.parse(ARTIFACT_MAP)
-    out = []
     for n, (eps, prec) in ARTIFACTS.items():
         phi_fn, val = theorems.spec_series(words.PSpec("00", eps), sp)
-        support = [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
-        args = (phi_fn, 1 << n, prec, sp.max_degree, val, None, support)
+        args = (phi_fn, 1 << n, prec, sp.max_degree, val, None, _support(n))
         out.append((f"search_relation.P{n}.artifact", theorems.search_relation, args))
     return out
 
@@ -124,28 +142,23 @@ def field_cases(gf2m, identities, laurent, mat2, towers):
     rng = random.Random(16)
     dense = [mat2.Mat2(F, *(F.sample_invertible(rng) for _ in range(4))) for _ in range(2)]
     letter = mat2.Mat2.letter(F, F.sample_invertible(rng))
-    n = SIZES["4k"]
-    S = mat2.SeriesField(n)
-    series = [
-        mat2.Mat2(S, *(laurent.LaurentSeries(0, rng.getrandbits(n) | 1, n) for _ in range(4)))
-        for _ in range(2)
-    ]
-    out = [
+
+    def series_mat(n):
+        S = mat2.SeriesField(n)
+        return mat2.Mat2(S, *(laurent.LaurentSeries(0, rng.getrandbits(n) | 1, n) for _ in range(4)))
+
+    return [
         ("Gf2m.mul.gf16", F.mul, (dense[0].a, dense[0].b)),
         ("Mat2.mul.gf16.dense", mat2.Mat2.mul, tuple(dense)),
         ("Mat2.mul.gf16.zero_entry", mat2.Mat2.mul, (dense[0], letter)),
-    ]
-    # the fused square; a tree from before it skips these rows
-    if hasattr(gf2m.Gf2m, "mat_sq"):
-        out += [
-            ("Mat2.square.gf16.dense", mat2.Mat2.square, (dense[0],)),
-            ("Mat2.square.gf16.zero_entry", mat2.Mat2.square, (letter,)),
-        ]
-    return out + [
-        ("Mat2.mul.series.4k", mat2.Mat2.mul, tuple(series)),
+        ("Mat2.square.gf16.dense", mat2.Mat2.square, (dense[0],)),
+        ("Mat2.square.gf16.zero_entry", mat2.Mat2.square, (letter,)),
+        ("Mat2.mul.series.4k", mat2.Mat2.mul, (series_mat(SIZES["4k"]), series_mat(SIZES["4k"]))),
+        ("Mat2.square.series.16k", mat2.Mat2.square, (series_mat(SIZES["16k"]),)),
         ("pair_tower.gf16.8bit", towers.pair_tower, (*dense, "10110100")),
         ("check_closed_form.gf16.510x10", identities.check_closed_form,
          (list(identities.all_driver_words(8)), 10, 16, 1)),
+        ("check_generation_relations.gf16", identities.check_generation_relations, ("1001", 3, 10, 16, 1)),
     ]
 
 
@@ -194,7 +207,8 @@ def oracle_cases(towers, words):
 
 
 def worker(src: str, quick: bool) -> None:
-    """Time every case REPS times against ``src`` and print the minima."""
+    """Time every case REPS times against ``src`` and print, per case, the
+    least rep and the least rep scaled to nominal speed."""
     sys.path.insert(0, src)
     from cf2 import gf2m, gf2poly, identities, laurent, mat2, relations, theorems, towers, words
 
@@ -209,14 +223,38 @@ def worker(src: str, quick: bool) -> None:
         if quick and first > QUICK_MAX_S:
             continue
         number = max(1, int(BATCH_S / first))
-        times = []
+        factors, times = [speed.sample(1)], []
         for _ in range(REPS):
             t0 = time.perf_counter()
             for _ in range(number):
                 fn(*args)
             times.append((time.perf_counter() - t0) / number)
-        best[name] = min(times)
+            factors.append(speed.sample(1))
+        best[name] = min(times), min(t * (f0 + f1) / 2 for t, f0, f1 in zip(times, factors, factors[1:]))
     print(json.dumps(best))
+
+
+def tree_sha(src: str) -> str:
+    """sha256 over the names and bytes of a tree's ``cf2/*.py``."""
+    h = hashlib.sha256()
+    for path in sorted((Path(src) / "cf2").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def spreads(scaled: dict, shas: dict) -> dict:
+    """For each pair of labels over identical sources: the least, median
+    and greatest ratio second/first of their scaled times over all cases."""
+    out = {}
+    for x, y in combinations(scaled, 2):
+        if shas[x] != shas[y]:
+            continue
+        ratios = [scaled[y][name] / scaled[x][name] for name in scaled[x] if name in scaled[y]]
+        if ratios:
+            out[f"{y}/{x}"] = {
+                "min": min(ratios), "median": statistics.median(ratios), "max": max(ratios), "cases": len(ratios),
+            }
+    return out
 
 
 def cpu_model() -> str:
@@ -242,7 +280,7 @@ def main(argv=None) -> int:
 
     srcs = dict(s.split("=", 1) if "=" in s else (s, s) for s in args.src or [str(ROOT / "src")])
     rounds = 1 if args.quick else 5
-    results = {}
+    runs = {label: {} for label in srcs}  # label -> case -> [(raw, scaled) per round]
     for r in range(rounds):
         order = list(srcs) if r % 2 == 0 else list(srcs)[::-1]
         for label in order:
@@ -251,25 +289,37 @@ def main(argv=None) -> int:
                 + ["--quick"] * args.quick,
                 capture_output=True, text=True, check=True,
             )
-            best = results.setdefault(label, {})
-            for name, s in json.loads(done.stdout).items():
-                best[name] = min(best.get(name, s), s)
+            for name, times in json.loads(done.stdout).items():
+                runs[label].setdefault(name, []).append(times)
+    raw = {label: {name: min(t[0] for t in ts) for name, ts in cases.items()} for label, cases in runs.items()}
+    scaled = {
+        label: {name: statistics.median(t[1] for t in ts) for name, ts in cases.items()}
+        for label, cases in runs.items()
+    }
 
+    shas = {label: tree_sha(src) for label, src in srcs.items()}
     record = {
-        "bench": "cf2 layer bench: min over rounds x reps of the mean call time of a batch",
+        "bench": "cf2 layer bench: median over rounds of the least rep (mean call time of a batch)"
+        " scaled to nominal speed by perfbench/speed.py; raw_results: least unscaled rep",
         "batch_s": BATCH_S,
         "unit": "s",
         "rounds": rounds,
         "reps": REPS,
+        "nominal_s": speed.NOMINAL_S,
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "cpu_model": cpu_model(),
-        "results": results,
+        "tree_sha": shas,
+        "same_tree_spread": spreads(scaled, shas),
+        "results": scaled,
+        "raw_results": raw,
     }
-    print("case".ljust(32) + "".join(label[-24:].rjust(26) for label in srcs))
-    for name in dict.fromkeys(name for label in srcs for name in results[label]):
-        times = (results[label].get(name) for label in srcs)
+    print("case (scaled)".ljust(32) + "".join(label[-24:].rjust(26) for label in srcs))
+    for name in dict.fromkeys(name for label in srcs for name in scaled[label]):
+        times = (scaled[label].get(name) for label in srcs)
         print(name.ljust(32) + "".join("-".rjust(26) if t is None else f"{t * 1e6:23.3f} us" for t in times))
+    for pair, sp in record["same_tree_spread"].items():
+        print(f"same tree {pair}: ratio min {sp['min']:.3f} median {sp['median']:.3f} max {sp['max']:.3f}")
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     return 0

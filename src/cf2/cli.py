@@ -149,7 +149,13 @@ def cmd_gen(args, out) -> int:
     return 0
 
 
+def _require_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
 def cmd_sigma(args, out) -> int:
+    _require_nonnegative("count", args.count)
     _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
     word = args.word
     for _ in range(args.count):
@@ -173,6 +179,7 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_tower_trace(args, out) -> int:
+    _require_nonnegative("steps", args.steps)
     spec, sp = _spec_prologue(args, out, steps=args.steps)
     if isinstance(spec, PSpec):
         tower = p_tower(spec, sp, args.prec)

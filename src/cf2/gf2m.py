@@ -8,11 +8,11 @@ machines.  For m <= 16 multiplication goes through exp/log tables; the
 generic path reduces carry-less products modulo the field polynomial.
 The exp table is stored twice over (exp[i] == exp[i + order]), so a sum
 of two logs indexes it with no reduction mod the group order.  That
-also gives ``mat_mul``, a fused 2x2 product: with all eight entries
-nonzero it looks up each entry's log once and does 8 exp lookups and
-4 XORs.  ``mat_sq`` squares a 2x2 matrix through the characteristic-2
-form x^2 = ((a^2 + bc, b(a + d)), (c(a + d), d^2 + bc)): with a, b, c, d
-and the trace a + d nonzero that is 5 log lookups and 5 exp lookups.
+also gives the table fast paths ``mat_mul`` and ``mat_sq`` of a 2x2
+product and square (see ``mat2``): with every entry nonzero, a product
+is 8 log lookups, 8 exp lookups and 4 XORs, and a square through
+x^2 = ((a^2 + bc, b(a + d)), (c(a + d), d^2 + bc)) with a nonzero trace
+is 5 of each.  In every other case they return ``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -95,47 +95,38 @@ class Gf2m:
             return self._exp[self._log[a] + self._log[b]]
         return self._raw_mul(a, b)
 
-    def mat_mul(self, x, y) -> tuple[int, int, int, int]:
-        """Entries (a, b, c, d) of the 2x2 product x*y of two ``Mat2``.
-        Letter, insertion and scalar matrices have zero entries, so they
-        and tableless fields take the entrywise formula."""
+    def mat_mul(self, x, y):
+        """Entries (a, b, c, d) of the 2x2 product x*y of two ``Mat2`` by
+        the tables; ``NotImplemented`` for a zero entry (letter, insertion
+        and scalar matrices) or a tableless field."""
         a, b, c, d = x.a, x.b, x.c, x.d
         e, f, g, h = y.a, y.b, y.c, y.d
         log = self._log
-        if log is not None and a and b and c and d and e and f and g and h:
-            exp = self._exp
-            la, lb, lc, ld = log[a], log[b], log[c], log[d]
-            le, lf, lg, lh = log[e], log[f], log[g], log[h]
-            return (
-                exp[la + le] ^ exp[lb + lg],
-                exp[la + lf] ^ exp[lb + lh],
-                exp[lc + le] ^ exp[ld + lg],
-                exp[lc + lf] ^ exp[ld + lh],
-            )
-        mul = self.mul
+        if log is None or not (a and b and c and d and e and f and g and h):
+            return NotImplemented
+        exp = self._exp
+        la, lb, lc, ld = log[a], log[b], log[c], log[d]
+        le, lf, lg, lh = log[e], log[f], log[g], log[h]
         return (
-            mul(a, e) ^ mul(b, g),
-            mul(a, f) ^ mul(b, h),
-            mul(c, e) ^ mul(d, g),
-            mul(c, f) ^ mul(d, h),
+            exp[la + le] ^ exp[lb + lg],
+            exp[la + lf] ^ exp[lb + lh],
+            exp[lc + le] ^ exp[ld + lg],
+            exp[lc + lf] ^ exp[ld + lh],
         )
 
-    def mat_sq(self, x) -> tuple[int, int, int, int]:
-        """Entries (a, b, c, d) of the square of a ``Mat2``.  The cross
-        terms ab + bd and ca + dc share the trace factor, and the
-        diagonals share bc.  A zero entry or trace, or a tableless
-        field, takes the same formula through ``mul`` and ``square``."""
+    def mat_sq(self, x):
+        """Entries (a, b, c, d) of the square of a ``Mat2`` by the tables,
+        through ``Mat2.square``'s formula; ``NotImplemented`` for a zero
+        entry or trace, or a tableless field."""
         a, b, c, d = x.a, x.b, x.c, x.d
         tr = a ^ d
         log = self._log
-        if log is not None and a and b and c and d and tr:
-            exp = self._exp
-            lb, lc, lt = log[b], log[c], log[tr]
-            bc = exp[lb + lc]
-            return exp[2 * log[a]] ^ bc, exp[lb + lt], exp[lc + lt], exp[2 * log[d]] ^ bc
-        mul, sq = self.mul, self.square
-        bc = mul(b, c)
-        return sq(a) ^ bc, mul(b, tr), mul(c, tr), sq(d) ^ bc
+        if log is None or not (a and b and c and d and tr):
+            return NotImplemented
+        exp = self._exp
+        lb, lc, lt = log[b], log[c], log[tr]
+        bc = exp[lb + lc]
+        return exp[2 * log[a]] ^ bc, exp[lb + lt], exp[lc + lt], exp[2 * log[d]] ^ bc
 
     def square(self, a: int) -> int:
         return self.mul(a, a) if self._exp is not None else clmod(clsq(a), self.modulus)

@@ -8,7 +8,7 @@ of T clean trials is bounded by (D/2^m)^T for identities of total
 degree D.  Draws that hit the degenerate locus are resampled with a
 capped budget and counted.  Every checker owns a mutated variant (one
 perturbed exponent or term) that must fail, as a negative control.
-The checkers run the towers of ``towers`` (``PTower``, ``pair_tower``,
+The checkers run the towers of ``towers`` (``PTower``, ``pair_step``,
 ``GQuantities``) and their tail recurrences (the P drift and limit
 expansion, the G generation walk and limit terms) over GF(2^m), so they
 test the code the theorem drivers run over series.
@@ -37,7 +37,6 @@ from .towers import (
     gap_violation,
     p_tower,
     pair_step,
-    pair_tower,
     predicted_det_val,
 )
 from .words import GSpec, PSpec, word_stats
@@ -341,13 +340,14 @@ def check_generation_relations(
 ) -> IdentityReport:
     """Next-generation quantities and the tail identities across generations.
 
-    Requires the driver word to end in 1 with an even digit sum.  Builds
-    one GQuantities per generation from ``pair_tower`` and checks against
-    them the primed closed forms (d, r, cross, l, c_j), the base
-    generation's walk (L_g and t_g = c_1/L of generation g) and the
-    H_j that ``limit_terms`` builds from t_g (c_j/L of generation g); then
-    the product of the repeated driver word against the limit sum of the
-    walk's partial H_1.
+    Requires the driver word to end in 1 with an even digit sum.  Walks
+    the pair recurrence along s once per generation into one GQuantities
+    per generation and checks against them the primed closed forms (d, r,
+    cross, l, c_j), the base generation's walk (L_g and t_g = c_1/L of
+    generation g) and the H_j that ``limit_terms`` builds from t_g (c_j/L
+    of generation g); then the product of the repeated driver word, the
+    m1 of a later generation, against the limit sum of the walk's
+    partial H_1.
     """
     stats = word_stats(s)
     if stats.t != 0 or not s.endswith("1"):
@@ -356,11 +356,13 @@ def check_generation_relations(
     def body(F, rng):
         m0 = _rand_mat(F, rng)
         w0 = _rand_mat(F, rng)
-        chain: list[GQuantities] = []
-        pair = (m0, w0)
-        for g in range(generations + 2):
-            chain.append(GQuantities(F, pair[1].mul(pair[0]), pair[0].mul(pair[1]), s))
-            pair = pair_tower(*pair, s[:-1])
+        # s ends with the cross bit: walking it gives the next generation's m1, w1
+        m, w = w0.mul(m0), m0.mul(w0)
+        chain = [GQuantities(F, m, w, s)]
+        for _ in range(generations + 1):
+            for bit in s:
+                m, w = pair_step(m, w, bit)
+            chain.append(GQuantities(F, m, w, s))
         base = chain[0]
         walk = list(islice(base.generations(), generations + 2))
         Ls = [L for L, _ in walk]
@@ -397,12 +399,11 @@ def check_generation_relations(
             for j, (c, h) in enumerate(zip(chain[g].c, Hs), start=1):
                 if cs_neq(base.cs_mul(rebase(c, g), inv_L), h):
                     return f"c_{j}/L gen {g}"
-        # the repeated driver word expands to L_i times the limit sum of the
-        # partial H_1 = t_0 + ... + t_(i-1)
+        # the repeated driver word s^i expands to L_i times the limit sum of
+        # the partial H_1 = t_0 + ... + t_(i-1); its product is chain[i].m1
         H1 = walk[0][1]
         for i in range(1, generations + 1):
-            direct_m, _ = pair_tower(m0, w0, s * i)
-            if not direct_m.eq(base.limit_terms(H1)[1].scale(Ls[i])):
+            if not chain[i].m1.eq(base.limit_terms(H1)[1].scale(Ls[i])):
                 return f"expansion i={i}"
             H1 = base.cs_add(H1, walk[i][1])
         return None

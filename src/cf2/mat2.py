@@ -2,11 +2,12 @@
 
 A coefficient field is any object with attributes ``zero``/``one`` and
 methods ``add``, ``mul``, ``square``, ``inv``, ``pow``, ``is_zero``,
-``eq`` acting on its element type, and optionally the hooks
-``mat_mul(x, y)`` and ``mat_sq(x)`` returning the four entries of the
-2x2 product x*y and of the square x*x, which ``Mat2.mul`` and
-``Mat2.square`` call in place of the entrywise formula.  ``Gf2m`` (int
-elements) fits directly and has both hooks; ``SeriesField`` adapts
+``eq`` acting on its element type, and optionally the fast paths
+``mat_mul(x, y)`` and ``mat_sq(x)``: the four entries of x*y and of x*x,
+or ``NotImplemented`` for inputs they decline, as Python's binary
+operators do.  ``Mat2.mul`` and ``Mat2.square`` hold the only formulas
+and take them when no fast path answers.  ``Gf2m`` (int elements) fits
+directly and has both fast paths; ``SeriesField`` adapts
 ``LaurentSeries`` values at a working precision and has none.  Scalar
 matrices are identified with scalars throughout: a scalar enters a
 matrix as s*I via ``Mat2.scalar``.
@@ -111,9 +112,9 @@ class Mat2:
 
     def mul(self, o: Mat2) -> Mat2:
         F = self.F
-        fused = getattr(F, "mat_mul", None)
-        if fused is not None:
-            return Mat2(F, *fused(self, o))
+        fast = getattr(F, "mat_mul", None)
+        if fast is not None and (entries := fast(self, o)) is not NotImplemented:
+            return Mat2(F, *entries)
         return Mat2(
             F,
             F.add(F.mul(self.a, o.a), F.mul(self.b, o.c)),
@@ -129,10 +130,14 @@ class Mat2:
     __add__ = add
 
     def square(self) -> Mat2:
-        fused = getattr(self.F, "mat_sq", None)
-        if fused is not None:
-            return Mat2(self.F, *fused(self))
-        return self.mul(self)
+        """x^2 = ((a^2 + bc, b(a + d)), (c(a + d), d^2 + bc)) in characteristic 2."""
+        F = self.F
+        fast = getattr(F, "mat_sq", None)
+        if fast is not None and (entries := fast(self)) is not NotImplemented:
+            return Mat2(F, *entries)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        bc, tr = F.mul(b, c), F.add(a, d)
+        return Mat2(F, F.add(F.square(a), bc), F.mul(b, tr), F.mul(c, tr), F.add(F.square(d), bc))
 
     def scale(self, s) -> Mat2:
         F = self.F

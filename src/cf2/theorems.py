@@ -95,28 +95,28 @@ def search_relation(
     vanish to 1.5x the discovery precision or is a precision artifact;
     without ``degz``, nothing or an artifact sends the search on to the
     verifying series, up to precision max(4 * prec, 2048).  Every round
-    searches the powers phi^e for e in ``support`` (default 0..degx)."""
+    searches the powers phi^e for e in ``support`` (default 0..degx) and
+    builds one series: ``phi_fn`` is exact below its precision, so the
+    discovery series is the verifying one cut to p1."""
     first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
     p1 = max(prec, required_precision(degx, first, leading_val))
     budget = max(4 * prec, 2048)
-    phi = phi_fn(p1)
     while True:
-        degz_used = degz if degz is not None else max_degz(phi, degx)
         p2, threshold = 2 * p1, (3 * p1) // 2
-        last = degz is not None or p1 >= budget
+        phi2 = phi_fn(p2)
+        phi = LaurentSeries(phi2.val, phi2.mask, p1)
+        degz_used = degz if degz is not None else max_degz(phi, degx)
         rel, bound = find_relation(phi, degx, degz_used, support), None
-        phi2 = phi_fn(p2) if rel is not None or not last else None
         if rel is not None:
             residual = rel.evaluate(phi2)
             bound = residual.known_zero_below()
             if residual.is_zero and bound >= threshold:
                 rel = replace(rel, verified_prec=bound)
                 return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
-        if last:
+        if degz is not None or p1 >= budget:
             # nothing found, or a precision artifact: keep its numbers, drop the relation
             return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
         p1 = min(p2, budget)
-        phi = LaurentSeries(phi2.val, phi2.mask, p1)
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):

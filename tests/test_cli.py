@@ -276,6 +276,31 @@ def test_spec_command_rejections(argv, err, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
+        (["sigma", "--word", "10", "--count", "-1"], "count must be nonnegative, got -1"),
+        (["sigma", "--word", "10", "--inverse", "--count", "-3"], "count must be nonnegative, got -3"),
+        (["tower-trace", "--family", "P", "--eps", "10", "--steps", "-2"], "steps must be nonnegative, got -2"),
+        (
+            ["tower-trace", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1", "--steps", "-1"],
+            "steps must be nonnegative, got -1",
+        ),
+    ],
+)
+def test_negative_count_is_refused_before_the_echo(argv, err, capsys):
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+def test_zero_count_stays_valid():
+    code, out = run_cli("sigma", "--word", "10", "--count", "0")
+    assert code == 0 and out.splitlines()[1:] == ["10"]
+    code, out = run_cli("tower-trace", "--family", "P", "--eps", "10", "--steps", "0")
+    assert code == 0 and [line.split()[0] for line in out.splitlines()] == ["config"]
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
         (["identities", "--all", "--trials", "0"], "need at least one trial, got 0"),
         (["identities", "--check", "pair-products", "--trials", "-1"], "need at least one trial, got -1"),
         (["identities", "--all", "--trials", "3", "--max-word-len", "0"],

@@ -8,6 +8,7 @@ that is meant to alter the output, rewrite the files with
 
 import io
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -86,6 +87,26 @@ def test_out_file_matches_stdout(tmp_path):
     got_code, stdout = run_cli(["--out", str(path), *argv])
     assert (got_code, stdout) == (code, b"")
     assert path.read_bytes() == (GOLDEN / "theorem1-eps10.txt").read_bytes()
+
+
+def run_module(argv):
+    """Exit code and stdout of ``python -m cf2`` in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src"), "COLUMNS": HELP_COLUMNS}
+    proc = subprocess.run([sys.executable, "-m", "cf2", *argv], capture_output=True, env=env, check=False)
+    return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("name, code", [("theorem1-eps10", 0), ("theorem2-ups10", 2)])
+def test_module_entry_point_matches_golden(name, code):
+    argv, want = CASES[name]
+    assert want == code
+    assert run_module(argv) == (code, (GOLDEN / f"{name}.txt").read_bytes())
+
+
+def test_module_entry_point_exits_one_on_a_miss():
+    code, out = run_module(["relation", "--spec", "P w0= eps=10", "--degx", "4", "--degz", "0", "--prec", "64"])
+    assert code == 1
+    assert out.decode().splitlines()[-1] == "relation none degX<=4 degZ=0 prec=64"
 
 
 if __name__ == "__main__":

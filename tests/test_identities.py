@@ -1,13 +1,15 @@
 """Randomized identity checkers: clean passes, failing mutations, determinism."""
 
+import random
 from itertools import count
 
 import pytest
 
 from cf2.cli import main
-from cf2.gf2m import Gf2m
+from cf2.gf2m import Gf2m, field
 from cf2.identities import (
     PAIR_IDENTITY_NAMES,
+    TOWER_WORDS,
     all_driver_words,
     check_closed_form,
     check_generation_relations,
@@ -19,7 +21,7 @@ from cf2.identities import (
 )
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2
-from cf2.towers import GQuantities, PTower
+from cf2.towers import GQuantities, PTower, pair_step, pair_tower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -124,6 +126,23 @@ def test_closed_form_mutation_fails():
 def test_generation_relations_pass():
     for s in ["11", "101", "0011"]:
         assert check_generation_relations(s, 3, TRIALS, 16, 1).passed, s
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_generation_walk_matches_the_pair_tower(m):
+    # each driver word ends with the cross bit, so walking it i times from
+    # (w0*m0, m0*w0) is the pair tower of its i-th power: the chain that
+    # check_generation_relations walks once per generation
+    F = field(m)
+    rng = random.Random(m)
+    for s in TOWER_WORDS:
+        m0, w0 = (Mat2(F, *(F.sample(rng) for _ in range(4))) for _ in range(2))
+        pair = (w0.mul(m0), m0.mul(w0))
+        for i in range(1, 5):
+            for bit in s:
+                pair = pair_step(*pair, bit)
+            tower = pair_tower(m0, w0, s * i)
+            assert pair[0].eq(tower[0]) and pair[1].eq(tower[1]), (s, i)
 
 
 def test_generation_relations_mutation_fails():
@@ -250,17 +269,18 @@ def _closed_form_per_word(s, trials, m, seed, mutate=False):
 @pytest.mark.parametrize(
     "max_len, trials, m, seed",
     # GF(2^16) at depth 8 is the battery's word set; GF(2^17) has no
-    # tables, so its squarings take mat_sq's fallback
+    # tables, so mat_sq declines every squaring and Mat2.square's own
+    # formula takes it
     [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1), (8, 2, 16, 1), (3, 10, 17, 1)],
 )
 def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed, monkeypatch):
-    paths = set()  # which branch of mat_sq each squaring took
+    paths = set()  # whether mat_sq answered each squaring or declined it
     fused = Gf2m.mat_sq
 
     def spy(F, x):
-        dense = F._log is not None and all((x.a, x.b, x.c, x.d, x.a ^ x.d))
-        paths.add("table" if dense else "fallback")
-        return fused(F, x)
+        entries = fused(F, x)
+        paths.add("fallback" if entries is NotImplemented else "table")
+        return entries
 
     monkeypatch.setattr(Gf2m, "mat_sq", spy)
     words = list(all_driver_words(max_len))

@@ -13,6 +13,7 @@ from cf2.theorems import (
     check_theorem_g,
     check_theorem_p,
     explore_inverse_sigma,
+    spec_series,
 )
 from cf2.towers import HypothesisViolation, SpecMap
 from cf2.words import GSpec, PSpec, g_normalize
@@ -113,17 +114,15 @@ def test_explore_reports_without_judgment():
     assert "observation only" in text or "relation found" in text
 
 
-def _rational_oracle(offset=None):
-    """A cf_series_of stand-in returning 1/(z+1), plus, given ``offset``, a
-    term ``offset`` past the first precision asked for."""
-    asked = []
+def _rational_oracle(term=None):
+    """A cf_series_of stand-in returning 1/(z+1), plus, given ``term``, the
+    term z^-term."""
 
     def oracle(prefix_fn, sp, prec):
-        asked.append(prec)
         phi = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), prec)
-        if offset is None:
+        if term is None:
             return phi
-        return phi + LaurentSeries.from_terms([asked[0] + offset], prec)
+        return phi + LaurentSeries.from_terms([term], prec)
 
     return oracle
 
@@ -137,10 +136,11 @@ def test_explore_reports_a_found_relation(monkeypatch):
 
 
 def test_explore_reports_a_discarded_candidate(monkeypatch):
-    # the term just past the discovery precision hides from the search and
-    # breaks the candidate (z+1)X + 1 in the verifying series
-    monkeypatch.setattr(theorems, "cf_series_of", _rational_oracle(offset=2))
+    # the term at z^-130, just past the discovery precision 128, hides from
+    # the search and breaks the candidate (z+1)X + 1 in the verifying series
+    monkeypatch.setattr(theorems, "cf_series_of", _rational_oracle(term=130))
     rep = explore_inverse_sigma(2, 8, 128)
+    assert rep.search.discovery_prec == 128
     assert rep.passed and rep.search.relation is None
     bound = rep.search.residual_bound
     assert bound == rep.search.discovery_prec + 1
@@ -287,3 +287,52 @@ def test_artifact_moves_the_search_to_the_next_rung():
     rep = check_theorem_g(GSpec("a", "b", "0011"), SPAB, 1024)
     assert rep.passed
     assert rep.lines[-1] == "degree=16 degZ=128 residual_val=8056 prec=8192"
+
+
+def _search_oracle_calls(monkeypatch, spec, sp, prec):
+    """The driver's report on ``spec`` and the precisions its relation
+    search asks of the oracle series."""
+    asked = []
+    search = theorems.search_relation
+
+    def recording(phi_fn, *args, **kwargs):
+        def oracle(p):
+            asked.append(p)
+            return phi_fn(p)
+
+        return search(oracle, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "search_relation", recording)
+    check = check_theorem_p if isinstance(spec, PSpec) else check_theorem_g
+    return check(spec, sp, prec), asked
+
+
+@pytest.mark.parametrize(
+    "spec, sp, prec, asked",
+    [
+        (PSpec("", "110"), SPB, 512, [1024]),
+        # the three rounds of test_artifact_moves_the_search_to_the_next_rung
+        (GSpec("a", "b", "0011"), SPAB, 1024, [2048, 4096, 8192]),
+    ],
+)
+def test_search_builds_one_oracle_series_per_round(monkeypatch, spec, sp, prec, asked):
+    rep, calls = _search_oracle_calls(monkeypatch, spec, sp, prec)
+    assert rep.passed and calls == asked
+    assert rep.search.verify_prec == asked[-1] == 2 * rep.search.discovery_prec
+
+
+@pytest.mark.parametrize(
+    "spec, sp",
+    [(PSpec("", "110100"), SPB), (PSpec("010", "110"), SPB), (GSpec("a", "b", "0101"), SPAB)],
+)
+def test_discovery_series_is_the_verifying_series_cut(monkeypatch, spec, sp):
+    # cf_series is exact below its precision, so each round's discovery
+    # series, cut from the verifying one, is the oracle series at p1
+    rep, asked = _search_oracle_calls(monkeypatch, spec, sp, 512)
+    assert rep.passed and asked
+    phi_fn, _ = spec_series(spec, sp)
+    for p2 in asked:
+        p1 = p2 // 2
+        phi2, phi = phi_fn(p2), phi_fn(p1)
+        cut = LaurentSeries(phi2.val, phi2.mask, p1)
+        assert (cut.val, cut.mask, cut.prec) == (phi.val, phi.mask, phi.prec)
