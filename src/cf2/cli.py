@@ -10,7 +10,10 @@ success, 1 on a failed mathematical check, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from dataclasses import fields
+from itertools import accumulate, repeat
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
@@ -53,34 +56,40 @@ from .words import (
 )
 
 
+# each family's spec class; its dataclass fields are the spec's words, in
+# the order of the text form, the --help flags and the config echo
+_SPECS = {"P": PSpec, "G": GSpec}
+
+
 def parse_spec_text(text: str) -> PSpec | GSpec:
     """Parse the spec text form: `P w0=<word> eps=<word>` or
     `G u0=<word> v0=<word> ups=<bits>`."""
     parts = text.split()
     if not parts:
         raise ValueError("empty spec text")
-    family, fields = parts[0], {}
+    family, words = parts[0], {}
     for item in parts[1:]:
         if "=" not in item:
             raise ValueError(f"bad spec field {item!r}")
         key, value = item.split("=", 1)
-        fields[key] = value
-    if family == "P":
-        return PSpec(fields.get("w0", ""), fields.get("eps", ""))
-    if family == "G":
-        return GSpec(fields.get("u0", ""), fields.get("v0", ""), fields.get("ups", ""))
-    raise ValueError(f"unknown family {family!r}")
+        words[key] = value
+    if family not in _SPECS:
+        raise ValueError(f"unknown family {family!r}")
+    cls = _SPECS[family]
+    return cls(*(words.get(f.name, "") for f in fields(cls)))
 
 
 def _spec_from_args(args) -> PSpec | GSpec:
     if getattr(args, "spec", None):
         return parse_spec_text(args.spec)
     family = getattr(args, "family", None)
-    if family == "P" or (family is None and args.eps is not None):
-        return PSpec(args.w0 or "", args.eps or "")
-    if family == "G" or (family is None and args.ups is not None):
-        return GSpec(args.u0 or "", args.v0 or "", args.ups or "")
-    raise ValueError("give --family with its word flags, or --spec")
+    if family is None:  # the first family whose period word, its last field, is given
+        given = (f for f, cls in _SPECS.items() if getattr(args, fields(cls)[-1].name) is not None)
+        family = next(given, None)
+    if family is None:
+        raise ValueError("give --family with its word flags, or --spec")
+    cls = _SPECS[family]
+    return cls(*(getattr(args, f.name) or "" for f in fields(cls)))
 
 
 def _specmap(args, alphabet) -> SpecMap:
@@ -92,16 +101,21 @@ def _specmap(args, alphabet) -> SpecMap:
         raise ValueError(
             f"specialization map required for alphabet {sorted(set(alphabet))}"
         )
-    if not sp.covers(alphabet):
-        missing = sorted(set(alphabet) - sp.letters)
-        raise ValueError(f"unmapped letters {missing}")
+    sp.check_covers(alphabet)
     return sp
 
 
-def _check_prec(prec: int, minimum: int) -> int:
-    if prec < minimum:
-        raise ValueError(f"prec must be at least {minimum}, got {prec}")
-    return prec
+# least value of each integer flag, refused before the command echoes its
+# config line; prec's least value is the command's own prec_min
+_LEAST = {"count": 0, "steps": 0, "len": 0, "m": 2, "degx": 1, "degz": 0}
+
+
+def _check_bounds(args) -> None:
+    for name, least in {"prec": args.prec_min, **_LEAST}.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            rule = "nonnegative" if least == 0 else f"at least {least}"
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _echo(args, out, command: str, **extra) -> None:
@@ -114,9 +128,8 @@ def _echo(args, out, command: str, **extra) -> None:
 
 
 def _spec_echo(spec) -> str:
-    if isinstance(spec, PSpec):
-        return f"P w0={spec.w0} eps={spec.eps}"
-    return f"G u0={spec.u0} v0={spec.v0} ups={spec.ups}"
+    words = (f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
+    return " ".join([type(spec).__name__[0], *words])
 
 
 # the spec family each theorem command takes, checked before its map
@@ -149,13 +162,7 @@ def cmd_gen(args, out) -> int:
     return 0
 
 
-def _require_nonnegative(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 def cmd_sigma(args, out) -> int:
-    _require_nonnegative("count", args.count)
     _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
     word = args.word
     for _ in range(args.count):
@@ -179,30 +186,25 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_tower_trace(args, out) -> int:
-    _require_nonnegative("steps", args.steps)
     spec, sp = _spec_prologue(args, out, steps=args.steps)
     if isinstance(spec, PSpec):
         tower = p_tower(spec, sp, args.prec)
-        one = LaurentSeries.one(args.prec)
         for _ in range(args.steps):
             tower.advance()
-            j = tower.step
-            vd = tower.ds[j].known_zero_below()
-            vl = (tower.Ls[j] + one).known_zero_below()
-            print(f"step={j} val(d)={vd} val(L-1)={vl}", file=out)
+        rows = zip(tower.ds[1:], tower.Ls[1:])
     else:
         try:
             lim = g_limits(spec, sp, args.prec)
         except DegeneratePeriodic as exc:
             print(exc, file=out)
             return 0
-        one = LaurentSeries.one(args.prec)
-        d_gen = lim.quants.d
-        for i in range(min(args.steps, len(lim.Ls) - 1)):
-            vd = d_gen.known_zero_below()
-            vl = (lim.Ls[i + 1] + one).known_zero_below()
-            print(f"step={i + 1} val(d)={vd} val(L-1)={vl}", file=out)
-            d_gen = d_gen.pow(1 << lim.quants.k)
+        # generation i's determinant is d^(2^(k i))
+        ds = accumulate(repeat(1 << lim.quants.k), LaurentSeries.pow, initial=lim.quants.d)
+        rows = zip(ds, lim.Ls[1:args.steps + 1])
+    one = LaurentSeries.one(args.prec)
+    for step, (d, L) in enumerate(rows, 1):
+        vd, vl = d.known_zero_below(), (L + one).known_zero_below()
+        print(f"step={step} val(d)={vd} val(L-1)={vl}", file=out)
     return 0
 
 
@@ -259,12 +261,10 @@ def cmd_relation(args, out) -> int:
     spec, sp = _spec_prologue(args, out, degx=args.degx, **degz)
     phi_fn, first_val = spec_series(spec, sp)
     search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
-    if search.relation is None:
-        print(search.report_line(), file=out)
-        return 1
-    print(search.relation.render(), file=out)
+    if search.verified:
+        print(search.relation.render(), file=out)
     print(search.report_line(), file=out)
-    return 0
+    return 0 if search.verified else 1
 
 
 def _print_report(report, out) -> int:
@@ -293,12 +293,10 @@ def cmd_explore(args, out) -> int:
 
 def _add_spec_flags(sub) -> None:
     sub.add_argument("--spec", help="spec text form, e.g. 'P w0= eps=10'")
-    sub.add_argument("--family", choices=["P", "G"])
-    sub.add_argument("--w0", default=None)
-    sub.add_argument("--eps", default=None)
-    sub.add_argument("--u0", default=None)
-    sub.add_argument("--v0", default=None)
-    sub.add_argument("--ups", default=None)
+    sub.add_argument("--family", choices=list(_SPECS))
+    for cls in _SPECS.values():
+        for f in fields(cls):
+            sub.add_argument(f"--{f.name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,16 +397,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # --out is written only when the command printed something, so a
+    # rejected input leaves an existing file as it was
+    out = io.StringIO() if args.out else sys.stdout
     try:
-        args.prec = _check_prec(args.prec, getattr(args, "prec_min", 1))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = sys.stdout
-    close = None
-    if args.out:
-        out = close = open(args.out, "w")
-    try:
+        _check_bounds(args)
         return args.fn(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -417,8 +410,9 @@ def main(argv=None) -> int:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
     finally:
-        if close is not None:
-            close.close()
+        if args.out and out.getvalue():
+            with open(args.out, "w") as f:
+                f.write(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -89,12 +89,11 @@ class SpecMap:
         except KeyError:
             raise ValueError(f"unmapped letter {letter!r}") from None
 
-    def covers(self, alphabet) -> bool:
-        return set(alphabet) <= set(self._map)
-
-    @property
-    def letters(self) -> set[str]:
-        return set(self._map)
+    def check_covers(self, alphabet) -> None:
+        """Raise ValueError naming every letter of ``alphabet`` left unmapped."""
+        missing = sorted(set(alphabet) - set(self._map))
+        if missing:
+            raise ValueError(f"unmapped letters {missing}")
 
     @property
     def max_degree(self) -> int:
@@ -188,10 +187,11 @@ def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
         prev, deg = deg, deg + degree[letter]
         if prev + deg >= prec + CF_MARGIN:
             return convergent_series(word[:i], sp, prec)
-    _, q = convergent_pair(word, sp)
+    if not word:
+        raise ValueError("empty word has no convergent")
     raise ValueError(
         f"prefix of length {len(word)} too short for precision {prec}"
-        f" (denominator degree reached {q.degree})"
+        f" (denominator degree reached {deg})"
     )
 
 
@@ -207,9 +207,7 @@ def cf_series_of(prefix_fn, sp: SpecMap, prec: int) -> LaurentSeries:
 
 def _inverse_letters(alphabet: set[str], sp: SpecMap, prec: int) -> dict[str, LaurentSeries]:
     """The series 1/x of every letter of the alphabet under the map."""
-    if not sp.covers(alphabet):
-        missing = sorted(alphabet - sp.letters)
-        raise ValueError(f"unmapped letters {missing}")
+    sp.check_covers(alphabet)
     return {c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec) for c in alphabet}
 
 

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from cf2 import towers
-from cf2.cli import main, parse_spec_text
+from cf2.cli import _spec_echo, _spec_from_args, build_parser, main, parse_spec_text
 from cf2.identities import run_identity_suite
 from cf2.laurent import LaurentSeries
 from cf2.words import GSpec, PSpec
@@ -43,6 +43,29 @@ def test_parse_spec_text():
         parse_spec_text("Q x=1")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [PSpec("", "10"), PSpec("ab", "cab"), GSpec("a", "b", "1"), GSpec("ab", "bba", "0110")],
+)
+def test_spec_echo_parses_back(spec):
+    assert parse_spec_text(_spec_echo(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--family", "G", "--u0", "a", "--v0", "b", "--ups", "1", "--eps", "10"], GSpec("a", "b", "1")),
+        (["--family", "P", "--eps", "10", "--u0", "a", "--v0", "b", "--ups", "1"], PSpec("", "10")),
+        # without --family, the first family whose period word is given
+        (["--eps", "10", "--u0", "a", "--v0", "b", "--ups", "1"], PSpec("", "10")),
+        (["--w0", "1", "--u0", "a", "--v0", "b", "--ups", "1"], GSpec("a", "b", "1")),
+    ],
+)
+def test_family_flag_wins_over_the_word_flags(argv, want):
+    args = build_parser().parse_args(["gen", *argv, "--len", "4"])
+    assert _spec_from_args(args) == want
+
+
 def test_sigma_and_inverse():
     code, out = run_cli("sigma", "--word", "10111010")
     assert code == 0 and out.splitlines()[-1] == "011010011"
@@ -71,9 +94,22 @@ def test_constant_specialization_rejected():
     assert code == 2
 
 
-def test_unmapped_letter_rejected():
-    code, _ = run_cli("cf", "--word", "abq", "--map", "a=z,b=z+1", "--prec", "64")
-    assert code == 2
+def test_unmapped_letter_rejected(monkeypatch, capsys):
+    # the CLI's map check and the towers' letter inverses share one check
+    calls = []
+    check_covers = towers.SpecMap.check_covers
+
+    def spy(sp, alphabet):
+        calls.append(sorted(alphabet))
+        return check_covers(sp, alphabet)
+
+    monkeypatch.setattr(towers.SpecMap, "check_covers", spy)
+    assert main(["cf", "--word", "abqr", "--map", "a=z,b=z+1", "--prec", "64"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: unmapped letters ['q', 'r']\n")
+    with pytest.raises(ValueError, match=r"^unmapped letters \['q'\]$"):
+        towers.p_tower(PSpec("a", "bq"), towers.SpecMap.parse("a=z,b=z+1"), 64)
+    assert calls == [["a", "b", "q", "r"], ["a", "b", "q"]]
 
 
 def test_default_binary_map():
@@ -283,6 +319,12 @@ def test_spec_command_rejections(argv, err, capsys):
             ["tower-trace", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1", "--steps", "-1"],
             "steps must be nonnegative, got -1",
         ),
+        (["gen", "--eps", "10", "--len", "-1"], "len must be nonnegative, got -1"),
+        (["identities", "--check", "pair-products", "--m", "1"], "m must be at least 2, got 1"),
+        (["relation", "--spec", "P w0= eps=10", "--degx", "0"], "degx must be at least 1, got 0"),
+        (["relation", "--num", "1", "--den", "z+1", "--degx", "2", "--degz", "-1"], "degz must be nonnegative, got -1"),
+        (["explore-sigma-inv", "--degz", "-1"], "degz must be nonnegative, got -1"),
+        (["sigma", "--word", "10", "--count", "-1", "--prec", "0"], "prec must be at least 1, got 0"),
     ],
 )
 def test_negative_count_is_refused_before_the_echo(argv, err, capsys):

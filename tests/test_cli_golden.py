@@ -83,10 +83,29 @@ def test_golden_transcript(name):
 
 def test_out_file_matches_stdout(tmp_path):
     path = tmp_path / "out.txt"
+    path.write_bytes(b"known bytes\n" * 1000)
     argv, code = CASES["theorem1-eps10"]
     got_code, stdout = run_cli(["--out", str(path), *argv])
     assert (got_code, stdout) == (code, b"")
     assert path.read_bytes() == (GOLDEN / "theorem1-eps10.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["sigma", "--word", "10", "--count", "-1"], None),
+        (["cf", "--word", "abq", *AB], None),
+        (CASES["theorem2-ups10"][0], "theorem2-ups10"),
+    ],
+)
+def test_out_file_is_written_only_when_the_command_printed(tmp_path, argv, golden):
+    # a refused input leaves the file as it was; one refused after its
+    # config echo leaves exactly what it printed
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"known bytes\n")
+    assert run_cli(["--out", str(path), *argv]) == (2, b"")
+    want = b"known bytes\n" if golden is None else (GOLDEN / f"{golden}.txt").read_bytes()
+    assert path.read_bytes() == want
 
 
 def run_module(argv):

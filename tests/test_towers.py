@@ -6,6 +6,7 @@ from itertools import count, islice
 
 import pytest
 
+from cf2 import towers
 from cf2.gf2m import field
 from cf2.gf2poly import Gf2Poly
 from cf2.laurent import LaurentSeries
@@ -114,10 +115,17 @@ def test_convergent_pair_names_an_unmapped_letter():
         convergent_pair("", sp)
 
 
-def test_cf_series_stops_at_the_first_degree_sum_past_the_margin():
+def test_cf_series_stops_at_the_first_degree_sum_past_the_margin(monkeypatch):
     # under a=z, deg q_i = i, so the stop index i is the first with
     # (i - 1) + i >= prec + CF_MARGIN, and cf_series reads letters 1 .. i
     sp = SpecMap.parse("a=z")
+    built = []
+
+    def spy(word, sp):
+        built.append(word)
+        return convergent_pair(word, sp)
+
+    monkeypatch.setattr(towers, "convergent_pair", spy)
     for prec in (1, 2, 17, 64):
         stop = next(i for i in count(1) if 2 * i - 1 >= prec + CF_MARGIN)
         word = "a" * (stop + 1)
@@ -128,12 +136,17 @@ def test_cf_series_stops_at_the_first_degree_sum_past_the_margin():
         with pytest.raises(ValueError, match="unmapped letter 'b'"):
             cf_series(word[:stop] + "b", sp, prec)
         short = word[:stop]
+        built.clear()
         with pytest.raises(ValueError) as err:
             cf_series(short, sp, prec)
         assert str(err.value) == (
             f"prefix of length {stop} too short for precision {prec}"
             f" (denominator degree reached {stop - 1})"
         )
+        # the shortfall is the degree the loop summed; no convergent is built
+        assert built == []
+    with pytest.raises(ValueError, match="^empty word has no convergent$"):
+        cf_series("", sp, 8)
 
 
 def test_convergent_series_expansion():
