@@ -13,7 +13,7 @@ import argparse
 import io
 import sys
 from dataclasses import fields
-from itertools import accumulate, repeat
+from itertools import chain, repeat
 
 from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
@@ -34,17 +34,7 @@ from .towers import (
     g_limits,
     p_tower,
 )
-from .identities import (
-    TOWER_WORDS,
-    check_closed_form,
-    check_generation_relations,
-    check_pair_products,
-    check_period_power_shift,
-    check_tail_equations,
-    check_tower_expansion,
-    check_valuation_bounds,
-    run_identity_suite,
-)
+from .identities import identity_battery
 from .words import (
     DegeneratePeriodic,
     GSpec,
@@ -163,10 +153,10 @@ def cmd_gen(args, out) -> int:
 
 
 def cmd_sigma(args, out) -> int:
-    _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
     word = args.word
     for _ in range(args.count):
         word = sigma_inv_word(word) if args.inverse else sigma_word(word)
+    _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
     print(word, file=out)
     return 0
 
@@ -191,45 +181,30 @@ def cmd_tower_trace(args, out) -> int:
         tower = p_tower(spec, sp, args.prec)
         for _ in range(args.steps):
             tower.advance()
-        rows = zip(tower.ds[1:], tower.Ls[1:])
+        rows = zip(map(LaurentSeries.known_zero_below, tower.ds[1:]), tower.Ls[1:])
     else:
         try:
             lim = g_limits(spec, sp, args.prec)
         except DegeneratePeriodic as exc:
             print(exc, file=out)
             return 0
-        # generation i's determinant is d^(2^(k i))
-        ds = accumulate(repeat(1 << lim.quants.k), LaurentSeries.pow, initial=lim.quants.d)
-        rows = zip(ds, lim.Ls[1:args.steps + 1])
+        # generation i's determinant is d^(2^(k i)), so its valuation is
+        # val(d) 2^(k i); past convergence L stays at its limit
+        v, k = lim.quants.d.known_zero_below(), lim.quants.k
+        rows = zip((v << (k * i) for i in range(args.steps)), chain(lim.Ls[1:], repeat(lim.Ls[-1])))
     one = LaurentSeries.one(args.prec)
-    for step, (d, L) in enumerate(rows, 1):
-        vd, vl = d.known_zero_below(), (L + one).known_zero_below()
-        print(f"step={step} val(d)={vd} val(L-1)={vl}", file=out)
+    for step, (vd, L) in enumerate(rows, 1):
+        print(f"step={step} val(d)={vd} val(L-1)={(L + one).known_zero_below()}", file=out)
     return 0
 
 
 def cmd_identities(args, out) -> int:
-    single = {
-        "tower-expansion": lambda: check_tower_expansion(5, args.trials, args.m, args.seed),
-        "period-power-shift": lambda: check_period_power_shift(2, 3, args.trials, args.m, args.seed),
-        "tail-equations": lambda: check_tail_equations(2, 3, args.trials, args.m, args.seed),
-        "pair-products": lambda: check_pair_products(args.trials, args.m, args.seed),
-        "closed-form": lambda: check_closed_form("101", args.trials, args.m, args.seed),
-        "generation-relations": lambda: check_generation_relations(
-            TOWER_WORDS[0], 3, args.trials, args.m, args.seed),
-        "valuation-bounds": lambda: check_valuation_bounds(
-            pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), prec=args.prec),
-    }
-    if args.check not in (None, "all", *single):
+    settings = {k: getattr(args, k) for k in ("trials", "m", "seed", "max_word_len", "prec")}
+    battery = identity_battery(**settings)
+    if args.check not in (None, "all", *dict(battery)):
         raise ValueError(f"unknown identity check {args.check!r}")
     _echo(args, out, "identities", check=args.check or "all", trials=args.trials, m=args.m)
-    if args.check in (None, "all"):
-        reports = run_identity_suite(
-            trials=args.trials, m=args.m, seed=args.seed,
-            max_word_len=args.max_word_len, prec=args.prec,
-        )
-    else:
-        reports = [single[args.check]()]
+    reports = [run() for name, run in battery if args.check in (None, "all", name)]
     failed = False
     for rep in reports:
         print(rep.line(), file=out)

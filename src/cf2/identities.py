@@ -20,7 +20,7 @@ exact expected determinant valuations from degree bookkeeping.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
 
@@ -449,12 +449,11 @@ def check_valuation_bounds(
             dv = t.ds[j].known_zero_below()
             expect = predicted_det_val(pspec, sp, j)
             claim = expect + 1 if mutate else expect
-            measured = dv if t.ds[j].is_zero else t.ds[j].valuation
             measurements.append(
-                f"P step {j}: val(d)={measured} expected={expect} quadratic-exponent 2^(2j)={1 << (2 * j)}"
+                f"P step {j}: val(d)={dv} expected={expect} quadratic-exponent 2^(2j)={1 << (2 * j)}"
             )
-            if not t.ds[j].is_zero and measured < claim:
-                failures.append(("P", f"det valuation at step {j}: {measured} < {claim}"))
+            if not t.ds[j].is_zero and dv < claim:
+                failures.append(("P", f"det valuation at step {j}: {dv} < {claim}"))
             if j % n == 0 and j >= 2 * n:
                 gap = t.Ls[j] + t.Ls[j - n]
                 measurements.append(f"P gap {j - n}->{j}: val={gap.known_zero_below()} bound={1 << (j - n)}")
@@ -508,6 +507,32 @@ def all_driver_words(max_len: int = 8):
             yield format(bits, f"0{length}b")
 
 
+def identity_battery(
+    trials: int = 100, m: int = 16, seed: int = 1, max_word_len: int = 8,
+    generations: int = 3, prec: int = 512,
+) -> list[tuple[str, Callable[[], IdentityReport]]]:
+    """The identity battery with acceptance-grade fixtures, in suite order:
+    (check name, run) pairs, where run() returns one report of that check."""
+    return [
+        ("tower-expansion", lambda: check_tower_expansion(5, trials, m, seed)),
+        ("period-power-shift", lambda: check_period_power_shift(2, 3, trials, m, seed)),
+        ("period-power-shift", lambda: check_period_power_shift(3, 3, trials, m, seed + 1)),
+        ("tail-equations", lambda: check_tail_equations(2, 3, trials, m, seed)),
+        ("tail-equations", lambda: check_tail_equations(3, 2, trials, m, seed + 1)),
+        ("pair-products", lambda: check_pair_products(trials, m, seed)),
+        ("closed-form", lambda: check_closed_form(all_driver_words(max_word_len), trials, m, seed)),
+        *(
+            ("generation-relations", lambda s=s: check_generation_relations(s, generations, trials, m, seed))
+            for s in TOWER_WORDS
+        ),
+        # one weightless seed (collapsed running products) and one with weight
+        ("valuation-bounds", lambda: check_valuation_bounds(
+            pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), prec=prec, label="weightless")),
+        ("valuation-bounds", lambda: check_valuation_bounds(
+            pspec=PSpec("10", "10"), gspec=GSpec("01", "10", "11"), prec=prec, label="weighted")),
+    ]
+
+
 def run_identity_suite(
     trials: int = 100, m: int = 16, seed: int = 1, max_word_len: int = 8,
     generations: int = 3, prec: int = 512,
@@ -515,31 +540,6 @@ def run_identity_suite(
     """The full identity battery with acceptance-grade fixtures."""
     # refuse a battery over nothing before any check runs
     _require_trials(trials)
-    driver_words = list(all_driver_words(max_word_len))
-    if not driver_words:
+    if max_word_len < 1:
         raise ValueError("closed form needs at least one driver word")
-    reports = [
-        check_tower_expansion(5, trials, m, seed),
-        check_period_power_shift(2, 3, trials, m, seed),
-        check_period_power_shift(3, 3, trials, m, seed + 1),
-        check_tail_equations(2, 3, trials, m, seed),
-        check_tail_equations(3, 2, trials, m, seed + 1),
-        check_pair_products(trials, m, seed),
-    ]
-    reports.append(check_closed_form(driver_words, trials, m, seed))
-    for s in TOWER_WORDS:
-        reports.append(check_generation_relations(s, generations, trials, m, seed))
-    # one weightless seed (collapsed running products) and one with weight
-    reports.append(
-        check_valuation_bounds(
-            pspec=PSpec("", "10"), gspec=GSpec("0", "1", "11"), depth=6, prec=prec,
-            label="weightless",
-        )
-    )
-    reports.append(
-        check_valuation_bounds(
-            pspec=PSpec("10", "10"), gspec=GSpec("01", "10", "11"), depth=6, prec=prec,
-            label="weighted",
-        )
-    )
-    return reports
+    return [run() for _, run in identity_battery(trials, m, seed, max_word_len, generations, prec)]

@@ -41,8 +41,6 @@ class SeriesField:
     def square(self, a):
         """a^2 to the working precision, or to one coefficient past its
         exact valuation when that lies beyond the working precision."""
-        if a.is_zero:
-            return a.square()
         window = max(self.prec - 2 * a.val, 1)
         return a.clip((window + 1) // 2).square().clip(window)
 

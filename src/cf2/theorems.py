@@ -5,8 +5,8 @@ Each driver builds the continued-fraction series of a spec two ways
 and the closed equations satisfied by the limit scalars, then searches
 for an annihilating polynomial and re-verifies it at double precision.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
-family G with (normalized) swap period k.  Degenerate purely periodic
-specs route to a direct quadratic-relation check instead of a tower.
+family G with (normalized) swap period k.  Only family G's all-zero swap
+period is degenerate: it has no tower, so it takes a direct quadratic check.
 """
 
 from __future__ import annotations
@@ -169,9 +169,6 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     relation of phi on the support."""
     n = spec.period
     phi_fn, first_val = spec_series(spec, sp)
-    if not spec.w0 and n == 1:
-        # purely periodic repetition of one letter: quadratic at most
-        return _verdict("theorem-p", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
     lim = p_limits(spec, sp, prec)
     residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
@@ -195,7 +192,7 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     lines = [f"normalized ups={lim.norm.spec.ups} s={s} k={k} bound={bound}"]
     residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
     ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
-    e1 = lim.quants.stats.delta[0] if s else 0
+    e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
     return _verdict("theorem-g", bound, phi_fn, first_val, sp, prec, lines, ok and scalar_ok, agree)

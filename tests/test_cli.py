@@ -1,7 +1,9 @@
 """CLI surface: flag parsing, exit codes, reproducible output."""
 
 import io
+import shlex
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -233,13 +235,22 @@ def test_relation_family_path():
 
 
 def test_tower_trace_family_g():
-    code, out = run_cli(
-        "tower-trace", "--family", "G", "--u0", "a", "--v0", "b", "--ups", "11",
-        "--map", "a=z,b=z+1", "--steps", "3", "--prec", "256",
-    )
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("step=")]
-    assert len(lines) == 3 and all("val(d)=" in l and "val(L-1)=" in l for l in lines)
+    # the G trace prints every generation asked for, as the P trace prints
+    # every step, also past the generation where g_limits converged; those
+    # rows cost no series work, though d^(2^(k i)) would carry a window that
+    # grows with its valuation (far past prec 16 in the aab/bba case)
+    cases = [("a", "b", "11", 3, 256), ("aab", "bba", "11", 40, 16), ("a", "b", "101", 20, 128)]
+    for u0, v0, ups, steps, prec in cases:
+        code, out = run_cli(
+            "tower-trace", "--family", "G", "--u0", u0, "--v0", v0, "--ups", ups,
+            "--map", "a=z,b=z+1", "--steps", str(steps), "--prec", str(prec),
+        )
+        assert code == 0
+        lines = out.splitlines()[1:]
+        assert [l.split()[0] for l in lines] == [f"step={i}" for i in range(1, steps + 1)]
+        assert all("val(d)=" in l and "val(L-1)=" in l for l in lines)
+    # ups=101 has k=3: val(d^(2^(3i))) = 4 * 8^i, and L stays at its limit
+    assert lines == [f"step={i + 1} val(d)={4 << (3 * i)} val(L-1)=4" for i in range(20)]
 
 
 def test_gen_spec_text_family_g():
@@ -269,14 +280,21 @@ def test_corollary_k4_passes_at_default_prec(capsys):
 
 
 def test_identities_check_accepts_every_suite_check():
-    # each check the suite reports (its name up to "[") runs alone
-    reports = run_identity_suite(trials=1, max_word_len=1, generations=1, prec=64)
-    names = sorted({rep.ident.split("[")[0] for rep in reports})
-    assert "tail-equations" in names
+    # --check NAME prints exactly the suite's reports of the check NAME
+    # (each report's name up to "["), in suite order
+    reports = run_identity_suite(trials=3, max_word_len=3, prec=128)
+    names = list(dict.fromkeys(rep.ident.split("[")[0] for rep in reports))
+    assert len(names) == 7
     for name in names:
-        code, out = run_cli("identities", "--check", name, "--trials", "3", "--prec", "128")
+        want = [
+            line
+            for rep in reports if rep.ident.split("[")[0] == name
+            for line in (rep.line(), *(f"  {m}" for m in rep.measurements))
+        ]
+        argv = ("--check", name, "--trials", "3", "--max-word-len", "3", "--prec", "128", "--verbose")
+        code, out = run_cli("identities", *argv)
         assert code == 0, name
-        assert out.splitlines()[1].startswith(name) and " pass " in out.splitlines()[1]
+        assert out.splitlines()[1:] == want, name
 
 
 @pytest.mark.parametrize(
@@ -325,6 +343,8 @@ def test_spec_command_rejections(argv, err, capsys):
         (["relation", "--num", "1", "--den", "z+1", "--degx", "2", "--degz", "-1"], "degz must be nonnegative, got -1"),
         (["explore-sigma-inv", "--degz", "-1"], "degz must be nonnegative, got -1"),
         (["sigma", "--word", "10", "--count", "-1", "--prec", "0"], "prec must be at least 1, got 0"),
+        (["sigma", "--word", "12"], "word must be binary, got '12'"),
+        (["sigma", "--word", "1", "--inverse"], "need at least two letters"),
     ],
 )
 def test_negative_count_is_refused_before_the_echo(argv, err, capsys):
@@ -402,3 +422,27 @@ def test_theorem2_ups10001_passes_at_prec_1024():
 def test_theorem2_ups10001_passes_at_default_prec():
     code, out = run_cli(*UPS_10001)
     assert code == 0 and out.splitlines()[-1] == "theorem-g pass"
+
+
+def _readme_examples():
+    """(command line, output lines shown under it) of each `cf2 ...` line
+    in the README's CLI example block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("cf2 "):
+            examples.append((line, []))
+        elif line.strip() not in ("", "..."):
+            examples[-1][1].append(line.strip())
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("line, shown", README_EXAMPLES, ids=[line for line, _ in README_EXAMPLES])
+def test_readme_cli_examples_hold(line, shown):
+    code, out = run_cli(*shlex.split(line, comments=True)[1:])
+    assert code == 0
+    assert [want for want in shown if want not in out.splitlines()] == []

@@ -5,6 +5,7 @@ from itertools import count
 
 import pytest
 
+import cf2.identities
 from cf2.cli import main
 from cf2.gf2m import Gf2m, field
 from cf2.identities import (
@@ -21,7 +22,7 @@ from cf2.identities import (
 )
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2
-from cf2.towers import GQuantities, PTower, pair_step, pair_tower
+from cf2.towers import CoScaled, GQuantities, PTower, pair_step, pair_tower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -343,3 +344,119 @@ def test_closed_form_rejects_an_empty_word_list():
     for words in ([], all_driver_words(0)):
         with pytest.raises(ValueError, match="at least one driver word"):
             check_closed_form(words, 5, 16, 1)
+
+
+# -- failure details: each checker names the quantity that disagreed ---------
+
+
+def _bumped(F, x):
+    """x + 1: a field scalar, or a CoScaled value, that differs from x."""
+    return CoScaled(F.add(x.u, F.one), x.odd) if isinstance(x, CoScaled) else F.add(x, F.one)
+
+
+def _bump_primed(key):
+    primed = GQuantities.primed_check_values
+
+    def patched(q):
+        want = primed(q)
+        want[key] = [_bumped(q.F, want[key][0]), *want[key][1:]] if key == "c" else _bumped(q.F, want[key])
+        return want
+
+    return "primed_check_values", patched
+
+
+def _bump_walk_L():
+    walk = GQuantities.generations
+
+    def patched(q):
+        for i, (L, t) in enumerate(walk(q)):
+            yield (_bumped(q.F, L) if i else L), t
+
+    return "generations", patched
+
+
+def _bump_limit_terms(part):
+    limit_terms = GQuantities.limit_terms
+
+    def patched(q, H1):
+        Hs, acc = limit_terms(q, H1)
+        if part == "H":
+            return [_bumped(q.F, Hs[0]), *Hs[1:]], acc
+        return Hs, acc.add_scalar(q.F.one)
+
+    return "limit_terms", patched
+
+
+@pytest.mark.parametrize(
+    "patch, detail",
+    [
+        (_bump_walk_L, "L chain at 0"),
+        (lambda: _bump_primed("d"), "gen 0: d'"),
+        (lambda: _bump_primed("r"), "gen 0: r'"),
+        (lambda: _bump_primed("l"), "gen 0: l'"),
+        (lambda: _bump_primed("c"), "gen 0: c_1'"),
+        (lambda: _bump_limit_terms("H"), "c_1/L gen 0"),
+        (lambda: _bump_limit_terms("sum"), "expansion i=1"),
+    ],
+)
+def test_generation_relations_failure_details(patch, detail, monkeypatch):
+    monkeypatch.setattr(GQuantities, *patch())
+    rep = check_generation_relations("11", 2, 3, 16, 1)
+    assert rep.failures == [(trial, detail) for trial in range(3)]
+
+
+def test_tail_equations_residue_term_detail(monkeypatch):
+    monkeypatch.setattr(PTower, "residue_factor", lambda t, j: t.F.one)
+    rep = check_tail_equations(2, 3, 3, 16, 1)
+    assert rep.failures == [(trial, "residue term j=1 k=0") for trial in range(3)]
+
+
+def test_closed_form_w_branch_detail(monkeypatch):
+    closed_pair = GQuantities.closed_pair
+
+    def patched(q, *args):
+        cm, cw = closed_pair(q, *args)
+        return cm, tuple(_bumped(q.F, v) for v in cw)
+
+    monkeypatch.setattr(GQuantities, "closed_pair", patched)
+    assert check_closed_form("101", 3, 16, 1).failures == [(trial, "w branch") for trial in range(3)]
+    rep = check_closed_form(["1", "10"], 2, 16, 1)
+    assert rep.failures == [(s, (trial, "w branch")) for s in ("1", "10") for trial in range(2)]
+
+
+def test_valuation_bounds_p_entry_and_step_scalar_details(monkeypatch):
+    # m_j with its top row swapped has a[0,0] of positive valuation, and a
+    # step scalar times 1/z has valuation 1, where both must be units
+    matrices, advance = PTower.matrices, PTower.advance
+    z_inv = LaurentSeries.from_terms([1], 128)
+
+    def swapped(t):
+        for m in matrices(t):
+            yield Mat2(t.F, m.b, m.a, m.c, m.d)
+
+    def scaled(t):
+        advance(t)
+        t.ls[-1] = t.ls[-1] * z_inv
+
+    monkeypatch.setattr(PTower, "matrices", swapped)
+    monkeypatch.setattr(PTower, "advance", scaled)
+    rep = check_valuation_bounds(pspec=PSpec("", "10"), depth=3, prec=128)
+    assert rep.failures == [
+        failure
+        for j in (1, 2, 3)
+        for failure in (("P", f"entry valuations at step {j}"), ("P", f"step scalar valuation at {j}"))
+    ]
+
+
+def test_valuation_bounds_g_fact_detail(monkeypatch):
+    # a determinant plus 1 is a unit, where val(d) > 0 must hold
+    g_limits = cf2.identities.g_limits
+
+    def patched(*args):
+        lim = g_limits(*args)
+        lim.quants.d = lim.quants.d + LaurentSeries.one(lim.quants.d.prec)
+        return lim
+
+    monkeypatch.setattr(cf2.identities, "g_limits", patched)
+    rep = check_valuation_bounds(gspec=GSpec("0", "1", "11"), prec=128)
+    assert rep.failures == [("G", "val(d)>0")]

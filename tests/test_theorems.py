@@ -35,10 +35,18 @@ def test_theorem_p_nonempty_seed():
 
 
 def test_theorem_p_degenerate_single_letter():
+    # a one-letter period is a period like any other: its limit meets the
+    # oracle and the tail equations, and the Frobenius support {0, 1, 2}
+    # gives the quadratic relation
     rep = check_theorem_p(PSpec("", "0"), SPB, 256)
     assert rep.passed
     assert rep.search.found_degree == 2
-    assert any("degenerate" in line for line in rep.lines)
+    assert rep.lines == [
+        "oracle-agreement val>=254 pass",
+        "equation f residual>=256 pass",
+        "equation H0 residual>=256 pass",
+        "degree=2 degZ=1 residual_val=510 prec=512",
+    ]
 
 
 def test_theorem_g_thue_morse():
@@ -196,11 +204,18 @@ def test_small_p_spec_sweep_stays_within_the_bound():
     # <= 2 with every period word of length <= 4, 210 specs at prec 256
     seeds = [w for m in range(3) for w in product("01", repeat=m)]
     periods = [e for k in range(1, 5) for e in product("01", repeat=k)]
-    specs = [PSpec("".join(w0), "".join(eps)) for w0 in seeds for eps in periods]
-    assert len(specs) == 210
-    for spec in specs:
-        rep = check_theorem_p(spec, SPB, 256)
-        assert rep.passed and rep.search.found_degree <= 1 << spec.period, spec
+    cases = [(PSpec("".join(w0), "".join(eps)), SPB, 256) for w0 in seeds for eps in periods]
+    # and the one-letter periods with an empty seed word under four maps,
+    # 40 specs at prec 64 to 1024
+    maps = ("0=z,1=z+1", "0=z^2,1=z+1", "0=z^3+z+1,1=z", "0=z^5+z^2+1,1=z^4")
+    cases += [
+        (PSpec("", eps), SpecMap.parse(text), prec)
+        for eps in "01" for text in maps for prec in (64, 128, 256, 512, 1024)
+    ]
+    assert len(cases) == 250
+    for spec, sp, prec in cases:
+        rep = check_theorem_p(spec, sp, prec)
+        assert rep.passed and rep.search.found_degree <= 1 << spec.period, (spec, sp, prec)
 
 
 def test_collapsed_map_goes_quadratic():
