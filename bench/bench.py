@@ -2,7 +2,8 @@
 relation search.
 
 Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
-``cldivmod`` (2n by n bits), ``laurent._inv_mask`` and the
+``cldivmod`` (2n by n bits), ``clgcd`` (n and n bits, one ``cldivmod``
+per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
 ``Gf2Poly.reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
@@ -22,7 +23,9 @@ at their first-round precision with degX 2^n and degZ 2^n + 8, over all
 support {0, 2^n - 2^j (j < n), 2^n} alone, and on the explore search
 (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
 that precision, and ``AlgRelation.evaluate`` of the relation found there
-on P6's series at twice it; ``search_relation`` over the Frobenius support
+on P6's series at twice it; ``theorems.p_relation``, theorem 1's exact
+relation over GF(2)(z), for P6-P9 (P8's word 11010000, P9's 110100000);
+``search_relation`` over the Frobenius support
 as ``check_theorem_p`` runs it for P6 at prec 512 (binary map), and on
 the two family-P specs whose first round gives a precision artifact
 under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5 (w0=00,
@@ -78,6 +81,7 @@ BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
 QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 SPARSE_LADDER = {**LADDER, 7: "1101000"}  # rungs of the Frobenius-support rows
+EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # rungs of the exact rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
 ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
@@ -118,6 +122,15 @@ def relation_cases(relations, towers, words):
 def _support(n: int) -> list[int]:
     """The Frobenius support {0, 2^n - 2^j (j < n), 2^n} of a period-n P spec."""
     return [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
+
+
+def exact_cases(theorems, towers, words):
+    """(name, function, args) for the exact theorem-1 relation rows; none for
+    a tree older than ``theorems.p_relation``, so trees from before it compare."""
+    if not hasattr(theorems, "p_relation"):
+        return []
+    spb = towers.SpecMap.binary_default()
+    return [(f"p_relation.P{n}", theorems.p_relation, (words.PSpec("", eps), spb)) for n, eps in EXACT_LADDER.items()]
 
 
 def search_cases(theorems, towers, words):
@@ -178,6 +191,7 @@ def cases(gf2poly, laurent):
             (f"clmul.unbalanced.{label}", gf2poly.clmul, (a, short)),
             (f"clsq.{label}", gf2poly.clsq, (a,)),
             (f"cldivmod.{label}", gf2poly.cldivmod, (wide, b)),
+            (f"clgcd.{label}", gf2poly.clgcd, (a, b)),
             (f"laurent._inv_mask.{label}", laurent._inv_mask, (a, n)),
             (f"LaurentSeries.__mul__.{label}", laurent.LaurentSeries.__mul__, (sa, sb)),
             (f"LaurentSeries.inv.{label}", laurent.LaurentSeries.inv, (sa,)),
@@ -216,6 +230,7 @@ def worker(src: str, quick: bool) -> None:
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
+    todo += exact_cases(theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()
         fn(*args)

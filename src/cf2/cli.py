@@ -4,13 +4,15 @@ Commands map one-to-one onto the library: gen, sigma, cf, tower-trace,
 identities, relation, theorem1, theorem2, corollary, explore-sigma-inv.
 Every run echoes a config line sufficient to reproduce it; output is
 byte-identical for identical (command, seed, prec).  Exit codes: 0 on
-success, 1 on a failed mathematical check, 2 on usage errors.
+success, 1 on a failed mathematical check, 2 on usage errors, and
+EXIT_PIPE when the reader closes stdout first (``cf2 gen ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import fields
 from itertools import chain, repeat
@@ -41,9 +43,13 @@ from .words import (
     PSpec,
     g_prefix,
     p_prefix,
+    _check_binary,
     sigma_inv_word,
     sigma_word,
 )
+
+# 128 + SIGPIPE: what a shell reports for a writer stopped by a closed pipe
+EXIT_PIPE = 141
 
 
 # each family's spec class; its dataclass fields are the spec's words, in
@@ -154,6 +160,7 @@ def cmd_gen(args, out) -> int:
 
 def cmd_sigma(args, out) -> int:
     word = args.word
+    _check_binary(word)
     for _ in range(args.count):
         word = sigma_inv_word(word) if args.inverse else sigma_word(word)
     _echo(args, out, "sigma", word=args.word, inverse=args.inverse, count=args.count)
@@ -377,7 +384,16 @@ def main(argv=None) -> int:
     out = io.StringIO() if args.out else sys.stdout
     try:
         _check_bounds(args)
-        return args.fn(args, out)
+        code = args.fn(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go nowhere instead of raising
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):
+            pass
+        return EXIT_PIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

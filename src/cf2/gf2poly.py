@@ -103,21 +103,20 @@ def _square(a: int) -> int:
 
 
 def cldivmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of bit-packed GF(2) polynomials, b != 0."""
+    """Quotient and remainder of bit-packed GF(2) polynomials, b != 0.
+
+    Each pass cancels the remainder's leading term and reads the next one
+    off ``bit_length``, so the loop runs once per nonzero quotient term;
+    b = 1, the denominator of every polynomial in GF(2)(z), takes none."""
     if b == 0:
         raise ZeroDivisionError("zero divisor")
-    m = a.bit_length() - 1
-    n = b.bit_length() - 1
-    if m < n:
-        return 0, a
+    if b == 1:
+        return a, 0
+    n = b.bit_length()
     q = 0
-    b <<= m - n
-    for i in range(m - n + 1):
-        q <<= 1
-        if (a >> (m - i)) & 1:
-            a ^= b
-            q |= 1
-        b >>= 1
+    while (shift := a.bit_length() - n) >= 0:
+        a ^= b << shift
+        q |= 1 << shift
     return q, a
 
 

@@ -8,13 +8,15 @@ or ``NotImplemented`` for inputs they decline, as Python's binary
 operators do.  ``Mat2.mul`` and ``Mat2.square`` hold the only formulas
 and take them when no fast path answers.  ``Gf2m`` (int elements) fits
 directly and has both fast paths; ``SeriesField`` adapts
-``LaurentSeries`` values at a working precision and has none.  Scalar
+``LaurentSeries`` values at a working precision and ``RationalField``
+holds exact elements of K = GF(2)(z); neither has a fast path.  Scalar
 matrices are identified with scalars throughout: a scalar enters a
 matrix as s*I via ``Mat2.scalar``.
 """
 
 from __future__ import annotations
 
+from .gf2poly import Gf2Poly, cldivmod, clgcd, clmul, clsq
 from .laurent import LaurentSeries
 
 
@@ -63,6 +65,63 @@ class SeriesField:
     @property
     def name(self) -> str:
         return f"series(prec={self.prec})"
+
+
+def _quo(a: int, b: int) -> int:
+    return cldivmod(a, b)[0]
+
+
+class RationalField:
+    """The field K = GF(2)(z), exact.
+
+    An element is a pair (num, den) of bit-packed GF(2)[z] ints, coprime
+    and with den nonzero.  GF(2)[z] has no unit but 1, so the pair is the
+    unique form of its value and equality is equality of pairs.  Sums and
+    products cancel the common factors they can create (Henrici), so
+    each gcd runs on the smallest operands available.
+    """
+
+    zero = (0, 1)
+    one = (1, 1)
+
+    @staticmethod
+    def add(x, y):
+        (a, b), (c, d) = x, y
+        g = clgcd(b, d)
+        b, d = _quo(b, g), _quo(d, g)
+        num = clmul(a, d) ^ clmul(c, b)
+        # num is prime to b and d, so only g's factors can cancel
+        h = clgcd(num, g)
+        return _quo(num, h), clmul(clmul(b, d), _quo(g, h))
+
+    @staticmethod
+    def mul(x, y):
+        (a, b), (c, d) = x, y
+        g, h = clgcd(a, d), clgcd(c, b)
+        return clmul(_quo(a, g), _quo(c, h)), clmul(_quo(b, h), _quo(d, g))
+
+    @staticmethod
+    def square(x):
+        return clsq(x[0]), clsq(x[1])
+
+    @staticmethod
+    def inv(x):
+        if x[0] == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return x[1], x[0]
+
+    @classmethod
+    def pow(cls, x, n: int):
+        num, den = x if n >= 0 else cls.inv(x)
+        return (Gf2Poly(num) ** abs(n)).bits, (Gf2Poly(den) ** abs(n)).bits
+
+    @staticmethod
+    def is_zero(x) -> bool:
+        return x[0] == 0
+
+    @staticmethod
+    def eq(x, y) -> bool:
+        return x == y
 
 
 class Mat2:

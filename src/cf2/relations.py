@@ -25,14 +25,19 @@ are the chain's.
 
 A returned relation certifies only "annihilates to this precision";
 callers re-verify at higher precision and discard precision artifacts.
+
+``frobenius_relation`` needs no precision: it derives the relation of
+phi = 1/Y exactly over K = GF(2)(z) when Y is affine in the Frobenius
+powers of a root of rho X^(2^n) + X + t0, as family P's 1/phi is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gf2poly import Gf2Poly, bit_reverse
+from .gf2poly import Gf2Poly, bit_reverse, cldivmod, clgcd, clmul
 from .laurent import LaurentSeries
+from .mat2 import RationalField
 
 
 def required_precision(degx: int, degz: int, val: int) -> int:
@@ -202,3 +207,53 @@ def find_relation(
     if not residual.is_zero:
         return None
     return replace(rel, verified_prec=residual.known_zero_below())
+
+
+def frobenius_relation(y0, lams, rho, t0) -> AlgRelation:
+    """The relation of phi = 1/Y for Y = y0 + sum_j lams[j] X^(2^j), with X
+    a root of rho X^(2^n) + X + t0 (n = len(lams)) and every coefficient in
+    K = GF(2)(z) as a ``RationalField`` pair, rho nonzero.
+
+    Rewriting X^(2^n) as (X + t0)/rho keeps each Y^(2^i) affine in X, ...,
+    X^(2^(n-1)), so its non-constant part is a vector in K^n and some
+    i <= n has the first K-linear dependency sum_(k<=i) alpha_k Y^(2^k) =
+    beta, alpha_i = 1: the least affine additive relation of Y (a left
+    multiple in the Frobenius-twisted ring K{tau}).  Times phi^(2^i) it
+    is sum_k alpha_k phi^(2^i - 2^k) + beta phi^(2^i) = 0, returned with
+    denominators and content cleared."""
+    F = RationalField()
+    n, inv_rho = len(lams), F.inv(rho)
+    const, part = y0, list(lams)  # Y^(2^i) = const + sum_j part[j] X^(2^j)
+    consts, rows = [], []  # rows: (pivot, reduced part, its alpha over the Y^(2^k))
+    # n + 1 parts in K^n: the loop ends on a dependency by i = n
+    for i in range(n + 1):
+        consts.append(const)
+        vec, alpha = part, [F.one if k == i else F.zero for k in range(n + 1)]
+        for p, row, row_alpha in rows:
+            f = vec[p]
+            if not F.is_zero(f):
+                vec = [F.add(x, F.mul(f, y)) for x, y in zip(vec, row)]
+                alpha = [F.add(x, F.mul(f, y)) for x, y in zip(alpha, row_alpha)]
+        pivot = next((j for j, x in enumerate(vec) if not F.is_zero(x)), None)
+        if pivot is None:
+            break
+        s = F.inv(vec[pivot])
+        rows.append((pivot, [F.mul(s, x) for x in vec], [F.mul(s, x) for x in alpha]))
+        # square, then feed the top term X^(2^n) = (X + t0)/rho back
+        top = F.mul(F.square(part[-1]), inv_rho)
+        const = F.add(F.square(const), F.mul(top, t0))
+        part = [top, *map(F.square, part[:-1])]
+    beta = F.zero
+    for a, c in zip(alpha, consts):
+        beta = F.add(beta, F.mul(a, c))
+    terms = {(1 << i) - (1 << k): alpha[k] for k in range(i + 1)}
+    terms[1 << i] = beta
+    lcm = 1
+    for _, den in terms.values():
+        lcm = clmul(lcm, cldivmod(den, clgcd(lcm, den))[0])
+    polys = [Gf2Poly.zero()] * ((1 << i) + 1)
+    for e, (num, den) in terms.items():
+        polys[e] = Gf2Poly(clmul(num, cldivmod(lcm, den)[0]))
+    while polys[-1].is_zero():
+        polys.pop()
+    return AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)

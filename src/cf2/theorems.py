@@ -2,8 +2,10 @@
 
 Each driver builds the continued-fraction series of a spec two ways
 (product-tower limit and direct convergents), asserts their agreement
-and the closed equations satisfied by the limit scalars, then searches
-for an annihilating polynomial and re-verifies it at double precision.
+and the closed equations satisfied by the limit scalars, then takes an
+annihilating polynomial and verifies it on the convergent series at
+double precision.  Family P derives its relation exactly over GF(2)(z)
+from the tower; family G, explore and ``cf2 relation`` search for one.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, so it takes a direct quadratic check.
@@ -14,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from .laurent import LaurentSeries
-from .relations import AlgRelation, find_relation, max_degz, required_precision
+from .relations import AlgRelation, find_relation, frobenius_relation, max_degz, required_precision
 from .towers import (
     SpecMap,
     cf_series_of,
+    exact_p_tower,
     g_cf_series,
     g_limits,
     p_cf_series,
@@ -57,7 +60,8 @@ class RelationSearch:
                 f"relation none degX<={self.degx_limit} degZ={self.degz_used}"
                 f" prec={self.discovery_prec}"
             )
-        return self.relation.summary(self.verify_prec)
+        line = self.relation.summary(self.verify_prec)
+        return line if self.verified else f"{line} below {self.threshold}"
 
 
 @dataclass
@@ -98,8 +102,7 @@ def search_relation(
     searches the powers phi^e for e in ``support`` (default 0..degx) and
     builds one series: ``phi_fn`` is exact below its precision, so the
     discovery series is the verifying one cut to p1."""
-    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
-    p1 = max(prec, required_precision(degx, first, leading_val))
+    p1 = _first_precision(degx, prec, max_poly_degree, leading_val, degz)
     budget = max(4 * prec, 2048)
     while True:
         p2, threshold = 2 * p1, (3 * p1) // 2
@@ -108,15 +111,28 @@ def search_relation(
         degz_used = degz if degz is not None else max_degz(phi, degx)
         rel, bound = find_relation(phi, degx, degz_used, support), None
         if rel is not None:
-            residual = rel.evaluate(phi2)
-            bound = residual.known_zero_below()
-            if residual.is_zero and bound >= threshold:
-                rel = replace(rel, verified_prec=bound)
+            rel, bound, verified = _reverify(rel, phi2, threshold)
+            if verified:
                 return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
         if degz is not None or p1 >= budget:
             # nothing found, or a precision artifact: keep its numbers, drop the relation
             return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
         p1 = min(p2, budget)
+
+
+def _first_precision(degx: int, prec: int, max_poly_degree: int, leading_val: int, degz=None) -> int:
+    """The discovery precision of a search's first round: ``prec``, or the
+    demand of degZ ``degz`` (default degx * max_poly_degree + 8) if higher."""
+    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
+    return max(prec, required_precision(degx, first, leading_val))
+
+
+def _reverify(rel: AlgRelation, phi2: LaurentSeries, threshold: int) -> tuple[AlgRelation, int, bool]:
+    """rel carrying its residual bound on phi2, the bound, and whether the
+    residual vanishes to ``threshold``."""
+    residual = rel.evaluate(phi2)
+    bound = residual.known_zero_below()
+    return replace(rel, verified_prec=bound), bound, residual.is_zero and bound >= threshold
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):
@@ -148,10 +164,10 @@ def _series_lines(lines: list[str], cf: LaurentSeries, direct: LaurentSeries, re
 
 def _verdict(
     name: str, bound: int, phi_fn, first_val: int, sp: SpecMap, prec: int, lines: list[str],
-    series_ok: bool = True, agreement: int | None = None, support=None,
+    series_ok: bool = True, agreement: int | None = None,
 ) -> CheckReport:
     """Search for a relation of degree <= bound and judge the whole check."""
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val, support=support)
+    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
     lines.append(search.report_line())
     ok = series_ok and search.verified and search.found_degree <= bound
     return CheckReport(name, ok, bound, lines, search, agreement=agreement)
@@ -160,23 +176,51 @@ def _verdict(
 _DEGENERATE = "degenerate periodic word; direct quadratic check"
 
 
+def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:
+    """phi's relation for a family-P spec, derived exactly over K = GF(2)(z),
+    or None when the tail step fails: rho = 0 or T_1 != rho T_0^(2^n).
+
+    Every insertion matrix has a = 0, so phi = a_0 / (b_0 + sum_j H_j/e_j)
+    and H_j = residue_factor(j) H_0^(2^j): 1/phi is affine in the
+    H_0^(2^j) over K, and H_0 solves rho X^(2^n) + X + T_0 = 0."""
+    t = exact_p_tower(spec, sp)
+    n = t.period
+    for _ in range(n + 1):
+        t.advance()
+    F = t.F
+    rho, t0 = t.tail_shift(), t.term(0)
+    if F.is_zero(rho) or not F.eq(t.term(n), F.mul(rho, F.pow(t0, 1 << n))):
+        return None
+    ia = F.inv(t.m0.a)
+    lams = [F.mul(F.mul(t.residue_factor(j), t.inv_eps[j]), ia) for j in range(n)]
+    return frobenius_relation(F.mul(t.m0.b, ia), lams, rho, t0)
+
+
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
-    """Degree bound 2^n for the family-P continued fraction.  The relation
-    search runs over the powers phi^e, e in {0, 2^r - 2^j (j < r), 2^r}
-    (r the length of eps's primitive root).  That support is sound: 1/phi
-    is affine in the H_0^(2^j) and H_0 solves rho X^(2^r) + X + T_0 = 0, so
-    1/phi is a root of an affine additive polynomial, whose reversal is a
-    relation of phi on the support."""
+    """Degree bound 2^n for the family-P continued fraction.  No search:
+    ``p_relation`` derives phi's relation exactly, from a tail step checked
+    exactly (its line appears only when it fails), and the relation must
+    vanish on the convergent series at the precision p2 = 2 p1 where a
+    search's first round would verify it, to the same 1.5 p1."""
     n = spec.period
+    bound = 1 << n
     phi_fn, first_val = spec_series(spec, sp)
     lim = p_limits(spec, sp, prec)
     residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
     lines: list[str] = []
     ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
-    r = (spec.eps * 2).find(spec.eps, 1)  # the least rotation fixing eps
-    support = [0, *((1 << r) - (1 << j) for j in range(r)), 1 << r]
-    return _verdict("theorem-p", 1 << n, phi_fn, first_val, sp, prec, lines, ok, agree, support)
+    rel = p_relation(spec, sp)
+    if rel is None:
+        lines.append(f"tail-step T1=rho*T0^{bound} fail")
+        return CheckReport("theorem-p", False, bound, lines, agreement=agree)
+    p1 = _first_precision(bound, prec, sp.max_degree, first_val)
+    p2, threshold = 2 * p1, (3 * p1) // 2
+    rel, residual_bound, verified = _reverify(rel, phi_fn(p2), threshold)
+    search = RelationSearch(rel, bound, rel.degz, p1, p2, threshold, residual_bound, verified)
+    lines.append(search.report_line())
+    ok = ok and verified and rel.degx <= bound
+    return CheckReport("theorem-p", ok, bound, lines, search, agreement=agree)
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:

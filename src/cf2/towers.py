@@ -27,7 +27,7 @@ from itertools import accumulate, count
 
 from .gf2poly import Gf2Poly, clmul
 from .laurent import LaurentSeries
-from .mat2 import Mat2, SeriesField
+from .mat2 import Mat2, RationalField, SeriesField
 from .words import GSpec, NormalizedG, PSpec, g_normalize, g_prefix, p_prefix, word_stats
 
 
@@ -211,8 +211,9 @@ def _inverse_letters(alphabet: set[str], sp: SpecMap, prec: int) -> dict[str, La
     return {c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec) for c in alphabet}
 
 
-def word_matrix(word: str, F: SeriesField, inv_letters: dict[str, LaurentSeries]) -> Mat2:
-    """Descending product of letter matrices over a word (identity if empty)."""
+def word_matrix(word: str, F, inv_letters: dict) -> Mat2:
+    """Descending product of letter matrices over a word (identity if empty),
+    given each letter's inverse in the field F."""
     m = Mat2.identity(F)
     for letter in word:
         m = Mat2.letter_from_inv(F, inv_letters[letter]).mul(m)
@@ -334,6 +335,14 @@ def p_tower(spec: PSpec, sp: SpecMap, prec: int) -> PTower:
     """The series tower of a family-P spec at working precision prec."""
     inv_letters = _inverse_letters(spec.alphabet, sp, prec)
     F = SeriesField(prec)
+    return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
+
+
+def exact_p_tower(spec: PSpec, sp: SpecMap) -> PTower:
+    """The tower of a family-P spec over K = GF(2)(z), every scalar exact."""
+    sp.check_covers(spec.alphabet)
+    F = RationalField()
+    inv_letters = {c: F.inv((sp.poly(c).bits, 1)) for c in spec.alphabet}
     return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
 
 

@@ -1,14 +1,17 @@
 """CLI surface: flag parsing, exit codes, reproducible output."""
 
 import io
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from cf2 import towers
-from cf2.cli import _spec_echo, _spec_from_args, build_parser, main, parse_spec_text
+from cf2.cli import EXIT_PIPE, _spec_echo, _spec_from_args, build_parser, main, parse_spec_text
 from cf2.identities import run_identity_suite
 from cf2.laurent import LaurentSeries
 from cf2.words import GSpec, PSpec
@@ -345,12 +348,35 @@ def test_spec_command_rejections(argv, err, capsys):
         (["sigma", "--word", "10", "--count", "-1", "--prec", "0"], "prec must be at least 1, got 0"),
         (["sigma", "--word", "12"], "word must be binary, got '12'"),
         (["sigma", "--word", "1", "--inverse"], "need at least two letters"),
+        # with no step to take, the input word is still checked
+        (["sigma", "--word", "12", "--count", "0"], "word must be binary, got '12'"),
     ],
 )
 def test_negative_count_is_refused_before_the_echo(argv, err, capsys):
     assert main(argv) == 2
     out, got = capsys.readouterr()
     assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "P", "--w0", "", "--eps", "10", "--len", "200000"],
+        ["gen", "--spec", "G u0=a v0=b ups=011", "--len", "200000"],
+    ],
+)
+def test_closed_pipe_is_not_a_failed_claim(argv):
+    # `cf2 gen ... | head -c 10`: the reader leaves before the output is
+    # written, which is neither a failed claim (exit 1) nor a traceback;
+    # 200 kB outgrow any pipe buffer, so the writer always meets the close
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cf2", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.read(10) == b"config com"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_PIPE == 141 and err == b""
 
 
 def test_zero_count_stays_valid():

@@ -45,6 +45,7 @@ CASES = {
     "theorem1-w010-eps110": (["theorem1", "--w0", "10", "--eps", "110"], 0),
     "theorem1-eps110100": (["theorem1", "--w0", "", "--eps", "110100"], 0),
     "theorem1-eps1101000": (["theorem1", "--w0", "", "--eps", "1101000"], 0),
+    "theorem1-eps11010000": (["theorem1", "--w0", "", "--eps", "11010000"], 0),
     "theorem2-ups1": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "1", *AB], 0),
     "theorem2-ups0": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "0", *AB], 0),
     "theorem2-ups011": (["theorem2", "--u0", "a", "--v0", "b", "--ups", "011", *AB], 0),

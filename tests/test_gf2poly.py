@@ -159,6 +159,41 @@ def test_divmod_reconstructs(a, b):
     assert r.degree < pb.degree
 
 
+def bit_serial_divmod(a: int, b: int) -> tuple[int, int]:
+    """Long division one quotient bit at a time, the reference form."""
+    m, n = a.bit_length() - 1, b.bit_length() - 1
+    if m < n:
+        return 0, a
+    q = 0
+    b <<= m - n
+    for i in range(m - n + 1):
+        q <<= 1
+        if (a >> (m - i)) & 1:
+            a ^= b
+            q |= 1
+        b >>= 1
+    return q, a
+
+
+def test_cldivmod_matches_bit_serial_division():
+    # dividend and divisor lengths from 0 to 2048 bits, with dense, sparse
+    # and single-term operands, so quotients run from empty to every bit set
+    rng = random.Random(600)
+    pairs = 0
+    for _ in range(600):
+        la, lb = rng.randrange(0, 2049), rng.randrange(1, 1025)
+        a = rng.getrandbits(la) if rng.random() < 0.7 else 1 << la
+        b = rng.getrandbits(lb) | 1 << (lb - 1)
+        if rng.random() < 0.3:
+            b = (1 << (lb - 1)) | rng.getrandbits(3)
+        assert gf2poly.cldivmod(a, b) == bit_serial_divmod(a, b), (a, b)
+        pairs += 1
+    assert pairs == 600
+    assert gf2poly.cldivmod(0, 5) == (0, 0) and gf2poly.cldivmod(3, 1) == (3, 0)
+    with pytest.raises(ZeroDivisionError):
+        gf2poly.cldivmod(7, 0)
+
+
 @given(st.integers(0, 1 << 40))
 def test_add_self_inverse(a):
     p = Gf2Poly(a)

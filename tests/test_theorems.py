@@ -1,13 +1,17 @@
 """Theorem-level drivers: bounds, degenerate routes, hypothesis guards."""
 
+import io
 import tracemalloc
+from contextlib import redirect_stdout
 from itertools import product
 
 import pytest
 
-from cf2 import theorems, towers
+from cf2 import relations, theorems, towers
+from cf2.cli import main as cli_main
 from cf2.gf2poly import Gf2Poly
 from cf2.laurent import LaurentSeries
+from cf2.mat2 import RationalField
 from cf2.theorems import (
     check_corollary_chain,
     check_theorem_g,
@@ -47,6 +51,84 @@ def test_theorem_p_degenerate_single_letter():
         "equation H0 residual>=256 pass",
         "degree=2 degZ=1 residual_val=510 prec=512",
     ]
+
+
+P_SPECS = [("", e, SPB) for e in ("0", "1", "00", "10", "110", "1101", "11010", "110100")]
+P_SPECS += [("10", "110", SPB), ("010", "110", SPB), ("1", "1010", SPB)]
+P_SPECS += [("00", "00001", SpecMap.parse("0=z^2,1=z+1"))]
+
+
+@pytest.mark.parametrize("w0, eps, sp", P_SPECS)
+def test_exact_relation_is_the_searched_relation(w0, eps, sp):
+    # the relation derived over GF(2)(z) is, coefficient for coefficient,
+    # the one the order-basis search finds on the Frobenius support of
+    # eps's primitive period r (at prec 2048, where every search here ends)
+    spec = PSpec(w0, eps)
+    phi_fn, first_val = spec_series(spec, sp)
+    r = (eps * 2).find(eps, 1)
+    support = [0, *((1 << r) - (1 << j) for j in range(r)), 1 << r]
+    search = theorems.search_relation(
+        phi_fn, 1 << spec.period, 2048, sp.max_degree, first_val, support=support
+    )
+    assert search.verified
+    assert theorems.p_relation(spec, sp).coeffs == search.relation.coeffs
+
+
+def test_theorem_p_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the P verdict searched")
+
+    monkeypatch.setattr(theorems, "search_relation", refuse)
+    monkeypatch.setattr(theorems, "find_relation", refuse)
+    monkeypatch.setattr(relations, "find_relation", refuse)
+    for w0, eps, sp in P_SPECS:
+        assert check_theorem_p(PSpec(w0, eps), sp, 256).passed, (w0, eps)
+
+
+def _flip(x, bit):
+    """A RationalField value with one numerator bit flipped, in lowest terms."""
+    F = RationalField()
+    return F.mul((x[0] ^ (1 << bit), 1), F.inv((x[1], 1)))
+
+
+@pytest.mark.parametrize("which", ["rho", "t0"])
+@pytest.mark.parametrize("bit", [1, 3])
+def test_relation_from_a_flipped_bit_fails_on_the_oracle(monkeypatch, which, bit):
+    # mutation control: a relation built from a rho or T_0 off by one bit
+    # must not vanish on the convergent series
+    derive = theorems.frobenius_relation
+
+    def mutated(y0, lams, rho, t0):
+        if which == "rho":
+            return derive(y0, lams, _flip(rho, bit), t0)
+        return derive(y0, lams, rho, _flip(t0, bit))
+
+    monkeypatch.setattr(theorems, "frobenius_relation", mutated)
+    rep = check_theorem_p(PSpec("", "110"), SPB, 256)
+    assert not rep.passed and not rep.search.verified
+    assert rep.lines[-1].endswith(f"below {rep.search.threshold}")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli_main(["theorem1", "--w0", "10", "--eps", "110"])
+    assert code == 1 and buf.getvalue().splitlines()[-1] == "theorem-p fail"
+
+
+@pytest.mark.parametrize("rho", ["zero", "flipped"])
+def test_failed_tail_step_fails_the_check(monkeypatch, rho):
+    # rho = 0 or T_1 != rho T_0^(2^n) over GF(2)(z): no relation is derived
+    build = theorems.exact_p_tower
+
+    def broken(spec, sp):
+        t = build(spec, sp)
+        shift = t.tail_shift
+        t.tail_shift = (lambda: t.F.zero) if rho == "zero" else (lambda: _flip(shift(), 0))
+        return t
+
+    monkeypatch.setattr(theorems, "exact_p_tower", broken)
+    rep = check_theorem_p(PSpec("", "10"), SPB, 256)
+    assert not rep.passed and rep.search is None
+    assert rep.lines[-1] == "tail-step T1=rho*T0^4 fail"
+    assert rep.all_lines()[-1] == "theorem-p fail"
 
 
 def test_theorem_g_thue_morse():
@@ -265,17 +347,22 @@ def test_item3_spec_passes_at_prec_256(u0, v0, ups):
     assert check_theorem_g(GSpec(u0, v0, ups), SPAB, 256).passed
 
 
-# the family-P instance of item 3: under 0=z^2, 1=z+1 the first round's
-# p1 = 4489 already exceeds the budget max(4*512, 2048), so the search has
-# one round, and its candidate on the support vanishes only to 5918 of the
-# 6733 that re-verification asks; at prec 2048 it passes (degree 32, degZ 125)
-@pytest.mark.xfail(
-    strict=True,
-    reason="false fail: the first search round already exceeds the budget"
-    " max(4*prec, 2048), so an artifact ends the search (ROADMAP item 3)",
-)
+# the family-P instance of item 3: under 0=z^2, 1=z+1 the first search
+# round's p1 = 4489 already exceeded the budget max(4*512, 2048), so an
+# artifact ended the search; the exact relation (degree 32, degZ 125) needs
+# no budget and vanishes to the 1.5 p1 its first round asks
 def test_item3_p_spec_passes_at_prec_512():
     assert check_theorem_p(PSpec("00", "00001"), SpecMap.parse("0=z^2,1=z+1"), 512).passed
+
+
+# the w0 = 00 specs of the P grid |eps| = 5 under 0=z^2, 1=z+1 that the
+# relation search failed at prec 256 and 512 (budget spent, or an artifact)
+@pytest.mark.parametrize("prec", [256, 512])
+def test_p_grid_w0_00_slice_passes(prec):
+    sp = SpecMap.parse("0=z^2,1=z+1")
+    for eps in ("00001", "00101", "01011", "01111", "10001", "10111", "11011", "11101"):
+        rep = check_theorem_p(PSpec("00", eps), sp, prec)
+        assert rep.passed and rep.search.found_degree == 32, (eps, rep.lines[-1])
 
 
 # under a=z, b=z^3+z+1 these 8-letter start words give val(d) = 64, so d
@@ -306,25 +393,22 @@ def test_artifact_moves_the_search_to_the_next_rung():
 
 def _search_oracle_calls(monkeypatch, spec, sp, prec):
     """The driver's report on ``spec`` and the precisions its relation
-    search asks of the oracle series."""
+    check asks of the oracle series, after the agreement series at prec."""
     asked = []
-    search = theorems.search_relation
-
-    def recording(phi_fn, *args, **kwargs):
-        def oracle(p):
-            asked.append(p)
-            return phi_fn(p)
-
-        return search(oracle, *args, **kwargs)
-
-    monkeypatch.setattr(theorems, "search_relation", recording)
+    for name in ("p_cf_series", "g_cf_series"):
+        oracle = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name, lambda *args, f=oracle: asked.append(args[-1]) or f(*args))
     check = check_theorem_p if isinstance(spec, PSpec) else check_theorem_g
-    return check(spec, sp, prec), asked
+    rep = check(spec, sp, prec)
+    assert asked[0] == prec
+    return rep, asked[1:]
 
 
 @pytest.mark.parametrize(
     "spec, sp, prec, asked",
     [
+        # the exact P relation is verified on one series, at the p2 of a
+        # search's first round
         (PSpec("", "110"), SPB, 512, [1024]),
         # the three rounds of test_artifact_moves_the_search_to_the_next_rung
         (GSpec("a", "b", "0011"), SPAB, 1024, [2048, 4096, 8192]),
@@ -342,9 +426,12 @@ def test_search_builds_one_oracle_series_per_round(monkeypatch, spec, sp, prec, 
 )
 def test_discovery_series_is_the_verifying_series_cut(monkeypatch, spec, sp):
     # cf_series is exact below its precision, so each round's discovery
-    # series, cut from the verifying one, is the oracle series at p1
+    # series, cut from the verifying one, is the oracle series at p1; the
+    # exact P verdict builds only the verifying series of the first round
     rep, asked = _search_oracle_calls(monkeypatch, spec, sp, 512)
     assert rep.passed and asked
+    if isinstance(spec, PSpec):
+        assert asked == [rep.search.verify_prec] == [2 * rep.search.discovery_prec]
     phi_fn, _ = spec_series(spec, sp)
     for p2 in asked:
         p1 = p2 // 2

@@ -8,9 +8,9 @@ import pytest
 
 from cf2 import towers
 from cf2.gf2m import field
-from cf2.gf2poly import Gf2Poly
+from cf2.gf2poly import Gf2Poly, clgcd, clmul
 from cf2.laurent import LaurentSeries
-from cf2.mat2 import Mat2, SeriesField
+from cf2.mat2 import Mat2, RationalField, SeriesField
 from cf2.towers import (
     CF_BLOCK,
     CF_MARGIN,
@@ -22,6 +22,7 @@ from cf2.towers import (
     cf_series,
     convergent_pair,
     convergent_series,
+    exact_p_tower,
     g_cf_series,
     g_limits,
     p_cf_series,
@@ -222,6 +223,55 @@ def test_p_limits_match_direct():
         assert lim.residual_h0().is_zero
         for j in range(1, len(eps)):
             assert lim.residual_hj(j).is_zero
+
+
+def _expand(x, prec):
+    """A RationalField pair as its series in 1/z."""
+    return LaurentSeries.from_rational(Gf2Poly(x[0]), Gf2Poly(x[1]), prec)
+
+
+def test_rational_field_matches_series_arithmetic():
+    # operands share factors, so every cancellation branch of add and mul runs
+    F = RationalField()
+    rng = random.Random(21)
+    poly = lambda bits: rng.getrandbits(bits) | 1 << (bits - 1)  # noqa: E731
+    frac = lambda num, den: F.mul((num, 1), F.inv((den, 1)))  # noqa: E731
+    for _ in range(200):
+        g, h = poly(rng.randrange(1, 6)), poly(rng.randrange(1, 6))
+        x = frac(clmul(poly(rng.randrange(1, 30)), g), clmul(poly(rng.randrange(1, 30)), h))
+        y = frac(clmul(poly(rng.randrange(1, 30)), h), clmul(poly(rng.randrange(1, 30)), g))
+        for z in (F.add(x, y), F.mul(x, y), F.square(x), F.inv(y), F.pow(x, 5), F.pow(y, -3), F.add(x, x)):
+            assert z[1] != 0 and clgcd(*z) == 1, z
+        prec = 256
+        sx, sy = _expand(x, prec), _expand(y, prec)
+        assert _expand(F.add(x, y), prec).agrees(sx + sy)
+        assert _expand(F.mul(x, y), prec).agrees(sx * sy)
+        assert F.square(x) == F.mul(x, x) and F.pow(x, 5) == F.mul(F.pow(x, 4), x)
+        assert F.mul(x, F.inv(x)) == F.one and F.pow(y, -3) == F.inv(F.pow(y, 3))
+        assert F.add(x, x) == F.zero and F.is_zero(F.add(x, x)) and F.eq(F.add(x, F.zero), x)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+@pytest.mark.parametrize("w0, eps", [("", "10"), ("10", "110"), ("1", "1010"), ("", "11010")])
+def test_exact_ptower_expands_to_the_series_tower(w0, eps):
+    # the tower over GF(2)(z) holds every scalar the series tower holds, and
+    # its tail step T_1 = rho T_0^(2^n) holds exactly
+    spec, prec = PSpec(w0, eps), 256
+    sp = SpecMap.binary_default()
+    exact, series = exact_p_tower(spec, sp), p_tower(spec, sp, prec)
+    n = spec.period
+    for _ in range(n + 1):
+        exact.advance()
+        series.advance()
+    F = exact.F
+    pairs = [(exact.tail_shift(), series.tail_shift()), (exact.term(0), series.term(0))]
+    pairs += [(exact.residue_factor(j), series.residue_factor(j)) for j in range(n)]
+    pairs += list(zip(exact.Ls, series.Ls))
+    for x, y in pairs:
+        assert not y.is_zero and _expand(x, prec).agrees(y)
+    rho, t0 = exact.tail_shift(), exact.term(0)
+    assert exact.term(n) == F.mul(rho, F.pow(t0, 1 << n))
 
 
 def test_series_ptower_determinants_keep_only_the_working_precision():
