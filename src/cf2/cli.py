@@ -41,9 +41,9 @@ from .words import (
     DegeneratePeriodic,
     GSpec,
     PSpec,
+    _check_binary,
     g_prefix,
     p_prefix,
-    _check_binary,
     sigma_inv_word,
     sigma_word,
 )

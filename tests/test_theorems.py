@@ -121,7 +121,7 @@ def test_failed_tail_step_fails_the_check(monkeypatch, rho):
     def broken(spec, sp):
         t = build(spec, sp)
         shift = t.tail_shift
-        t.tail_shift = (lambda: t.F.zero) if rho == "zero" else (lambda: _flip(shift(), 0))
+        t.tail_shift = (lambda: t.F.zero) if rho == "zero" else (lambda: _flip(shift(), 1))
         return t
 
     monkeypatch.setattr(theorems, "exact_p_tower", broken)
