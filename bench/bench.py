@@ -8,7 +8,8 @@ per remainder step), ``laurent._inv_mask`` and the
 ``Gf2Poly.reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
 65536, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
-of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, the cube of a
+of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, and for that
+G spec its ``GQuantities`` over series and ``GLimits.residual_h``, the cube of a
 three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
 ``Mat2.mul`` and ``Mat2.square`` over GF(2^16) (a dense operand and one
 with a zero entry), ``Mat2.mul`` over series at 4k bits and
@@ -212,11 +213,16 @@ def oracle_cases(towers, words):
     """(name, function, args) for the convergent-oracle and tower-limits rows."""
     spb = towers.SpecMap.binary_default()
     spab = towers.SpecMap.parse("a=z,b=z+1")
+    gspec = words.GSpec("ab", "ba", "11")
+    norm = words.g_normalize(gspec)
+    F, m0, w0 = towers.g_start_matrices(norm.spec, spab, SIZES["16k"])
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
         ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
-        ("g_limits.16k", towers.g_limits, (words.GSpec("ab", "ba", "11"), spab, SIZES["16k"])),
+        ("g_limits.16k", towers.g_limits, (gspec, spab, SIZES["16k"])),
+        ("GQuantities.series.16k", towers.GQuantities, (F, w0.mul(m0), m0.mul(w0), norm.s)),
+        ("GLimits.residual_h.16k", towers.GLimits.residual_h, (towers.g_limits(gspec, spab, SIZES["16k"]),)),
     ]
 
 

@@ -210,8 +210,13 @@ def cmd_identities(args, out) -> int:
     battery = identity_battery(**settings)
     if args.check not in (None, "all", *dict(battery)):
         raise ValueError(f"unknown identity check {args.check!r}")
-    _echo(args, out, "identities", check=args.check or "all", trials=args.trials, m=args.m)
-    reports = [run() for name, run in battery if args.check in (None, "all", name)]
+    runs = [(name, run) for name, run in battery if args.check in (None, "all", name)]
+    # echo what the selected checks read: valuation-bounds draws nothing
+    names = {name for name, _ in runs}
+    drawn = {} if names == {"valuation-bounds"} else {"trials": args.trials, "m": args.m}
+    swept = {"max_word_len": args.max_word_len} if "closed-form" in names else {}
+    _echo(args, out, "identities", check=args.check or "all", **drawn, **swept)
+    reports = [run() for _, run in runs]
     failed = False
     for rep in reports:
         print(rep.line(), file=out)

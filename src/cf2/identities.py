@@ -10,8 +10,8 @@ capped budget and counted.  Every checker owns a mutated variant (one
 perturbed exponent or term) that must fail, as a negative control.
 The checkers run the towers of ``towers`` (``PTower``, ``pair_step``,
 ``GQuantities``) and their tail recurrences (the P drift and limit
-expansion, the G generation walk and limit terms) over GF(2^m), so they
-test the code the theorem drivers run over series.
+expansion, the G one-letter step, generation walk and limit terms) over
+GF(2^m), so they test the code the theorem drivers run over series.
 
 Valuation facts are measured in series mode on concrete fixtures, with
 exact expected determinant valuations from degree bookkeeping.
@@ -279,9 +279,11 @@ def check_closed_form(
 
     ``s`` is one driver word or several.  Every word sees the same draws,
     so each draw walks the binary trie of the words depth first: an edge
-    takes one pair step, one correction term and one field add to the
-    running correction sum, kept as the scalars even + odd cross, and
-    every word node compares the entries of its pair with the closed form.
+    takes one pair step, one ``GQuantities.step`` from the parent's
+    correction term and period scalar to the child's, and one field add
+    to the running correction sum, kept as the scalars even + odd cross,
+    and every word node compares the entries of its pair with the closed
+    form.
     Several words give one ``closed-form`` report whose failures are
     ``(word, (trial, detail))``.
     """
@@ -299,13 +301,14 @@ def check_closed_form(
         w0 = _rand_mat(F, rng)
         q = GQuantities(F, w0.mul(m0), m0.mul(w0))
         found = {}
-        # node: prefix, its pair, digit parity t, e(prefix), and the
-        # correction sum even + odd cross as sums[0], sums[1]
-        stack = [("", q.m1, q.w1, 0, 0, (F.zero, F.zero))]
+        # node: prefix, its pair, its last correction term c and period
+        # scalar l (whose cross parity is the prefix's digit parity), and
+        # the correction sum even + odd cross as sums[0], sums[1]
+        stack = [("", q.m1, q.w1, None, CoScaled(F.one, 0), (F.zero, F.zero))]
         while stack:
-            p, pm, pw, t, e, sums = stack.pop()
+            p, pm, pw, c, l, sums = stack.pop()
             if p in targets:
-                cm, cw = q.closed_pair(t, *sums, q.period_cs(len(p), e))
+                cm, cw = q.closed_pair(l.odd, *sums, l)
                 if mutate:
                     cm = tuple(F.mul(v, q.d) for v in cm)
                     cw = tuple(F.mul(v, q.d) for v in cw)
@@ -316,11 +319,9 @@ def check_closed_form(
             for bit in "10":
                 child = p + bit
                 if child in prefixes:
-                    ct = t ^ (bit == "1")
-                    ce = 2 * e + ct
-                    c = q.correction(len(child), ce)
-                    csums = (sums[0], F.add(sums[1], c.u)) if c.odd else (F.add(sums[0], c.u), sums[1])
-                    stack.append((child, *pair_step(pm, pw, bit), ct, ce, csums))
+                    cc, cl = q.step(c, l, l.odd ^ (bit == "1"))
+                    csums = (sums[0], F.add(sums[1], cc.u)) if cc.odd else (F.add(sums[0], cc.u), sums[1])
+                    stack.append((child, *pair_step(pm, pw, bit), cc, cl, csums))
         return [found.get(w) for w in words]
 
     if isinstance(s, str):

@@ -457,11 +457,13 @@ class GQuantities:
     driver word s: determinant d, trace r, the cross matrix, its scalar
     square gamma, the correction terms c_1..c_k, and the period scalar l.
     Correction terms are carried as CoScaled values (u * cross^b), which
-    keeps every power of the cross matrix in scalar arithmetic.  Every
-    scalar the tower divides by (l, rho, the ratios c_j / c_1^(2^(j-1)))
-    is a monomial in r and cross once its powers of d cancel, so d is
-    only ever multiplied.  Without a driver word only the word-independent
-    scalars are set, which every driver word over the same pair shares.
+    keeps every power of the cross matrix in scalar arithmetic.  Each
+    letter of s squares the prefix's c_j and l and multiplies them by one
+    factor (``step``), so no power of d is ever divided by.  Every other
+    scalar the tower divides by (rho, the ratios c_j / c_1^(2^(j-1))) is a
+    monomial in r and cross once its powers of d cancel.  Without a driver
+    word only the word-independent scalars are set, which every driver
+    word over the same pair shares.
     """
 
     def __init__(self, F, m1: Mat2, w1: Mat2, s: str = ""):
@@ -487,8 +489,11 @@ class GQuantities:
         self.stats = word_stats(s)
         # prefix statistics e_j = e(s(j)) drive the exponents of every monomial
         self.e = list(accumulate(self.stats.delta, lambda e, t: 2 * e + t))
-        self.c = [self.correction(j, e_j) for j, e_j in enumerate(self.e, start=1)]
-        self.l_cs = self.period_cs(self.k, self.e[-1])
+        self.c = []
+        c, self.l_cs = None, CoScaled(F.one, 0)
+        for t in self.stats.delta:
+            c, self.l_cs = self.step(c, self.l_cs, t)
+            self.c.append(c)
 
     def monomial(self, i: int, a: int) -> CoScaled:
         """r^i cross^a for any integers i, a: u = r^i gamma^(a // 2), odd = a & 1."""
@@ -502,16 +507,23 @@ class GQuantities:
             a & 1,
         )
 
-    def correction(self, j: int, e_j: int) -> CoScaled:
-        """c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j, with e_j = e(s(j))."""
+    def step(self, c: CoScaled | None, l: CoScaled, t: int) -> tuple[CoScaled, CoScaled]:
+        """(c_(j+1), l_(j+1)) = (c_j^2 kappa_t, l_j^2 lambda_t) for the digit
+        parity t of the next prefix, kappa = (1/r, 1/cross) and lambda =
+        (r, cross); c = None at the empty prefix gives c_1 = d kappa_t, and
+        l_0 = 1.  So c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j and
+        l_j = r^(2^j - 1 - e_j) cross^e_j with e_j = e(s(j))."""
         F = self.F
-        x = self.monomial(e_j + 1 - (1 << j), -e_j)
-        return CoScaled(F.mul(F.pow(self.d, 1 << (j - 1)), x.u), x.odd)
+        c2 = self.d if c is None else self._square(c)
+        l2 = self._square(l)
+        if t:
+            return CoScaled(F.mul(c2, self.inv_gamma), 1), CoScaled(l2, 1)
+        return CoScaled(F.mul(c2, self.inv_r), 0), CoScaled(F.mul(l2, self.r), 0)
 
-    def period_cs(self, k: int, e_k: int) -> CoScaled:
-        """l = d^(2^(k-1)) / c_k = r^(2^k - 1 - e_k) cross^(e_k) for a k-letter
-        driver word with e(s) = e_k; scalar exactly when t(s) = 0 and e_k even."""
-        return self.monomial((1 << k) - 1 - e_k, e_k)
+    def _square(self, x: CoScaled):
+        """The scalar x^2 = x.u^2 gamma^b of x = x.u cross^b."""
+        u = self.F.square(x.u)
+        return self.F.mul(u, self.gamma) if x.odd else u
 
     # -- CoScaled arithmetic (needs gamma, so it lives here) ---------------
 
@@ -563,19 +575,31 @@ class GQuantities:
         e1, ek, n = self.e[0], self.e[-1], (1 << self.k) - 1
         return self.monomial((1 - e1) * n - 2 * (n - ek), e1 * n - 2 * ek)
 
+    @cached_property
+    def _shift_factor(self):
+        rho = self.rho()
+        return self.F.mul(self.F.pow(self.gamma, rho.odd << (self.k - 1)), rho.u)
+
+    def shift(self, t: CoScaled) -> CoScaled:
+        """rho t^(2^k), the generation shift of c_1/L, for t of c_1's cross
+        parity o = e_1 mod 2, which rho shares: t^(2^k) = t.u^(2^k)
+        gamma^(o 2^(k-1)), and that power of gamma is folded into rho once."""
+        if t.odd != self.c[0].odd:
+            raise ValueError("cross parity mismatch in generation shift")
+        return CoScaled(self.F.mul(self.F.pow(t.u, 1 << self.k), self._shift_factor), t.odd)
+
     def generations(self):
         """Yield (L_i, t_i) for i = 0, 1, ...: the running product
         L_(i+1) = L_i l^(2^(ik)) with L_0 = 1, and the tail term t_i = c_1/L
-        of generation i, with t_0 = c_1 and t_(i+1) = rho t_i^(2^k)."""
+        of generation i, with t_0 = c_1 and t_(i+1) = shift(t_i)."""
         F = self.F
         l = self.l_scalar
-        rho = self.rho()
         L, t = F.one, self.c[0]
         while True:
             yield L, t
             L = F.mul(L, l)
             l = F.pow(l, 1 << self.k)
-            t = self.cs_mul(rho, self.cs_pow(t, 1 << self.k))
+            t = self.shift(t)
 
     def limit_terms(self, H1: CoScaled) -> tuple[list[CoScaled], Mat2]:
         """H_1 .. H_k with H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)), and the
@@ -674,9 +698,7 @@ class GLimits:
     def residual_h(self) -> LaurentSeries:
         """H_1^(2^k) * (c_1'/l) / c_1^(2^k) + c_1 + H_1 (scalar part)."""
         q = self.quants
-        lhs = q.cs_mul(q.cs_pow(self.H1, 1 << q.k), q.rho())
-        rhs = q.cs_add(q.c[0], self.H1)
-        return q.cs_add(lhs, rhs).u
+        return q.cs_add(q.shift(self.H1), q.cs_add(q.c[0], self.H1)).u
 
 
 def g_start_matrices(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, Mat2, Mat2]:

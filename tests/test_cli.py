@@ -141,6 +141,26 @@ def test_identities_single_check():
     assert "pair-products pass trials=10 field=GF(2^16) seed=0x3" in out
 
 
+def test_identities_echo_names_the_settings_the_checks_read():
+    # the config line tells apart runs that sweep different driver words,
+    # and names no setting the selected checks ignore
+    def config(*argv):
+        code, out = run_cli("identities", *argv)
+        assert code == 0
+        return out.splitlines()[0]
+
+    three, four = (config("--all", "--trials", "1", "--max-word-len", n, "--prec", "128") for n in "34")
+    assert three != four
+    assert " max_word_len=3 " in three and " max_word_len=4 " in four
+    assert " max_word_len=2 " in config("--check", "closed-form", "--trials", "1", "--max-word-len", "2")
+    assert config("--check", "pair-products", "--trials", "1") == (
+        "config command=identities check=pair-products trials=1 m=16 prec=512 seed=0x1"
+    )
+    assert config("--check", "valuation-bounds", "--trials", "7", "--m", "8") == (
+        "config command=identities check=valuation-bounds prec=512 seed=0x1"
+    )
+
+
 def test_relation_rational():
     code, out = run_cli("relation", "--num", "1", "--den", "z+1", "--degx", "2", "--prec", "128")
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from cf2 import towers
 from cf2.gf2m import field
 from cf2.gf2poly import Gf2Poly, clgcd, clmul
+from cf2.identities import all_driver_words, check_closed_form
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2, RationalField, SeriesField
 from cf2.towers import (
@@ -25,6 +26,7 @@ from cf2.towers import (
     exact_p_tower,
     g_cf_series,
     g_limits,
+    g_start_matrices,
     p_cf_series,
     p_limits,
     p_tower,
@@ -425,6 +427,119 @@ def test_coscaled_algebra_matches_matrices():
         assert q.cs_to_mat(q.cs_inv(x)).eq(_mat_pow(xm, -1))
         for n in (-3, -2, -1, 0, 1, 2, 3):
             assert q.cs_to_mat(q.cs_pow(x, n)).eq(_mat_pow(xm, n))
+
+
+def _exact(x):
+    """A field element as a comparable value: a series by (val, mask, prec)."""
+    return (x.val, x.mask, x.prec) if isinstance(x, LaurentSeries) else x
+
+
+def _cs_exact(x):
+    return _exact(x.u), x.odd
+
+
+def _closed_c_and_l(q):
+    """Oracle of the step: c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j
+    and l = r^(2^k - 1 - e_k) cross^e_k, with the powers of r and cross
+    from ``monomial`` and d^(2^(j-1)) as j - 1 squares in the field."""
+    F, d, cs = q.F, q.d, []
+    for j, e in enumerate(q.e, start=1):
+        x = q.monomial(e + 1 - (1 << j), -e)
+        cs.append(CoScaled(F.mul(d, x.u), x.odd))
+        d = F.square(d)
+    return cs, q.monomial((1 << q.k) - 1 - q.e[-1], q.e[-1])
+
+
+def _pair_over(F, seed=0):
+    """A nondegenerate cross pair (m1, w1) drawn over GF(2^m)."""
+    rng = random.Random(seed)
+    while True:
+        m0 = Mat2(F, *(F.sample(rng) for _ in range(4)))
+        w0 = Mat2(F, *(F.sample(rng) for _ in range(4)))
+        try:
+            q = GQuantities(F, w0.mul(m0), m0.mul(w0))
+        except DegenerateDraw:
+            continue
+        return q.m1, q.w1
+
+
+def _series_pair(prec=512):
+    sp = SpecMap.parse("a=z,b=z^3+z+1")
+    F, m0, w0 = g_start_matrices(GSpec("ab", "ba", "11"), sp, prec)
+    return F, w0.mul(m0), m0.mul(w0)
+
+
+@pytest.mark.parametrize("m", [2, 16, 17, "series"])
+def test_step_matches_the_closed_formula_on_every_prefix(m):
+    # GF(4), the tabled GF(2^16), the tableless GF(2^17), and series at
+    # prec 512 to the last (val, mask, prec): every c_j and l the one-letter
+    # step walks to equals its closed formula
+    if m == "series":
+        F, m1, w1 = _series_pair()
+    else:
+        F = field(m)
+        m1, w1 = _pair_over(F, seed=m)
+    assert m != 17 or F._exp is None
+    for s in all_driver_words(8):
+        q = GQuantities(F, m1, w1, s)
+        cs, l = _closed_c_and_l(q)
+        assert [_cs_exact(c) for c in q.c] == [_cs_exact(c) for c in cs], s
+        assert _cs_exact(q.l_cs) == _cs_exact(l), s
+
+
+def test_step_with_a_swapped_kappa_fails_the_closed_form_sweep(monkeypatch):
+    # mutation control: c_(j+1) = c_j^2 kappa_(1-t) breaks every word past
+    # its first letter on every draw, and c_1 = d kappa_t keeps one-letter
+    # words passing
+    step = GQuantities.step
+
+    def swapped(q, c, l, t):
+        return step(q, c, l, t if c is None else 1 - t)[0], step(q, c, l, t)[1]
+
+    monkeypatch.setattr(GQuantities, "step", swapped)
+    words = list(all_driver_words(8))
+    rep = check_closed_form(words, 2, 16, 1)
+    failing = [w for w, _ in rep.failures]
+    assert failing == [w for w in words if len(w) >= 2 for _ in range(2)]
+
+
+def test_shift_is_rho_times_the_2k_power():
+    # over series to the last (val, mask, prec) and over GF(2^16), for both
+    # cross parities o = e_1 mod 2, along three generations of c_1/L
+    F, m1, w1 = _series_pair()
+    G = field(16)
+    gm1, gw1 = _pair_over(G, seed=3)
+    rng = random.Random(4)
+    for s in ("1", "0", "11", "0011", "101", "10110100"):
+        q, g = GQuantities(F, m1, w1, s), GQuantities(G, gm1, gw1, s)
+        for quants, t in ((q, q.c[0]), (g, g.c[0]), (g, CoScaled(G.sample_invertible(rng), g.c[0].odd))):
+            for _ in range(3):
+                want = quants.cs_mul(quants.cs_pow(t, 1 << quants.k), quants.rho())
+                assert _cs_exact(quants.shift(t)) == _cs_exact(want), s
+                t = want
+    # and on the H_1 that residual_h shifts
+    lim = g_limits(GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z^3+z+1"), 512)
+    q = lim.quants
+    want = q.cs_mul(q.cs_pow(lim.H1, 1 << q.k), q.rho())
+    assert _cs_exact(q.shift(lim.H1)) == _cs_exact(want)
+
+
+def test_rho_has_the_cross_parity_of_c1():
+    # the shift folds gamma^(o 2^(k-1)) into rho for o = c_1's parity
+    F = field(16)
+    m1, w1 = _pair_over(F, seed=5)
+    for s in all_driver_words(8):
+        q = GQuantities(F, m1, w1, s)
+        assert q.rho().odd == q.c[0].odd == int(s[0]), s
+
+
+def test_shift_rejects_a_cross_parity_mismatch():
+    F = field(16)
+    m1, w1 = _pair_over(F, seed=6)
+    for s in ("1", "01"):
+        q = GQuantities(F, m1, w1, s)
+        with pytest.raises(ValueError, match="parity"):
+            q.shift(CoScaled(F.one, 1 - q.c[0].odd))
 
 
 def test_tower_scalars_keep_full_precision():
