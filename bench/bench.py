@@ -19,18 +19,16 @@ swap word, ``check_closed_form`` over all 510 driver words up to length
 generations at 10 trials, with the field tables and operands built
 before the first timed call; and ``find_relation`` on the degree
 ladder's theorem-1 series P3-P6 (period words 110, 1101, 11010, 110100)
-at their first-round precision with degX 2^n and degZ 2^n + 8, over all
-2^n + 1 powers and, for P3-P7 (P7's word 1101000), over the Frobenius
-support {0, 2^n - 2^j (j < n), 2^n} alone, and on the explore search
-(degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64 of P6's series at
-that precision, and ``AlgRelation.evaluate`` of the relation found there
-on P6's series at twice it; ``theorems.p_relation``, theorem 1's exact
-relation over GF(2)(z), for P6-P9 (P8's word 11010000, P9's 110100000);
-``search_relation`` over the Frobenius support
-as ``check_theorem_p`` runs it for P6 at prec 512 (binary map), and on
-the two family-P specs whose first round gives a precision artifact
-under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5 (w0=00,
-eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
+at their first-round precision with degX 2^n and degZ 2^n + 8, and on
+the explore search (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64
+of P6's series at that precision, and ``AlgRelation.evaluate`` of the
+relation found there on P6's series at twice it; ``theorems.p_relation``,
+theorem 1's exact relation over GF(2)(z), for P6-P9 (P7's word 1101000,
+P8's 11010000, P9's 110100000), and the whole ``check_theorem_p`` verdict
+for P6-P8 at prec 512; ``search_relation`` for P6 at prec 512 (binary
+map), and on the two family-P specs whose first round gives a precision
+artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5
+(w0=00, eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
 (at least 5 ms per batch) on seeded or fixed operands.  The raw time of a
 case is its least rep over rounds x reps.  Its scaled time reads the
 reps at a nominal machine speed: ``speed.sample(1)`` (``perfbench/speed.py``)
@@ -81,7 +79,6 @@ REPS = 3  # timed batches of each case per round
 BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
 QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
-SPARSE_LADDER = {**LADDER, 7: "1101000"}  # rungs of the Frobenius-support rows
 EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # rungs of the exact rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
@@ -92,20 +89,13 @@ def relation_cases(relations, towers, words):
     """(name, function, args) for the relation-search rows: each series is
     built here, at the precision the first search round uses."""
     spb = towers.SpecMap.binary_default()
-    rungs, out = {}, []
-    for n, eps in SPARSE_LADDER.items():
+    out = []
+    for n, eps in LADDER.items():
         degx = 1 << n
         prec = max(512, relations.required_precision(degx, degx + 8, -1))
         phi = towers.p_cf_series(words.PSpec("", eps), spb, prec)
-        rungs[n] = eps, degx, prec, phi
-        if n in LADDER:
-            out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
-    # the Frobenius support {0, 2^n - 2^j (j < n), 2^n}
-    for n, (eps, degx, prec, phi) in rungs.items():
-        out.append((f"find_relation.P{n}.sparse", relations.find_relation, (phi, degx, degx + 8, _support(n))))
-    # the top dense rung's powers 0..degX, and its relation re-verified at 2 * prec
-    n = max(LADDER)
-    eps, degx, prec, phi = rungs[n]
+        out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
+    # the top rung's powers 0..degX, and its relation re-verified at 2 * prec
     out.append((f"powers.P{n}", relations._powers, (phi, range(degx + 1))))
     phi2 = towers.p_cf_series(words.PSpec("", eps), spb, 2 * prec)
     rel = relations.find_relation(phi, degx, degx + 8)
@@ -120,18 +110,17 @@ def relation_cases(relations, towers, words):
     return out
 
 
-def _support(n: int) -> list[int]:
-    """The Frobenius support {0, 2^n - 2^j (j < n), 2^n} of a period-n P spec."""
-    return [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
-
-
 def exact_cases(theorems, towers, words):
     """(name, function, args) for the exact theorem-1 relation rows; none for
     a tree older than ``theorems.p_relation``, so trees from before it compare."""
     if not hasattr(theorems, "p_relation"):
         return []
     spb = towers.SpecMap.binary_default()
-    return [(f"p_relation.P{n}", theorems.p_relation, (words.PSpec("", eps), spb)) for n, eps in EXACT_LADDER.items()]
+    out = [(f"p_relation.P{n}", theorems.p_relation, (words.PSpec("", eps), spb)) for n, eps in EXACT_LADDER.items()]
+    return out + [
+        (f"check_theorem_p.P{n}", theorems.check_theorem_p, (words.PSpec("", EXACT_LADDER[n]), spb, 512))
+        for n in (6, 7, 8)
+    ]
 
 
 def search_cases(theorems, towers, words):
@@ -140,12 +129,11 @@ def search_cases(theorems, towers, words):
     n = max(LADDER)
     spb = towers.SpecMap.binary_default()
     phi_fn, val = theorems.spec_series(words.PSpec("", LADDER[n]), spb)
-    out = [(f"search_relation.P{n}", theorems.search_relation,
-            (phi_fn, 1 << n, 512, spb.max_degree, val, None, _support(n)))]
+    out = [(f"search_relation.P{n}", theorems.search_relation, (phi_fn, 1 << n, 512, spb.max_degree, val))]
     sp = towers.SpecMap.parse(ARTIFACT_MAP)
     for n, (eps, prec) in ARTIFACTS.items():
         phi_fn, val = theorems.spec_series(words.PSpec("00", eps), sp)
-        args = (phi_fn, 1 << n, prec, sp.max_degree, val, None, _support(n))
+        args = (phi_fn, 1 << n, prec, sp.max_degree, val)
         out.append((f"search_relation.P{n}.artifact", theorems.search_relation, args))
     return out
 

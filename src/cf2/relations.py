@@ -9,13 +9,8 @@ iterative sigma-basis) has as least column degree d the least z-degree of
 any q with sum q_i*psi_i = O(t^sigma), so degZ is read off the data, not
 guessed; reversed at width d, q gives p_i(z) = z^d * q_i(1/z).  A column
 counts only if required_precision(D, d, 0) fits the order psi_0 carries,
-sigma - D*pole, the fewest of any psi_i.
-
-A ``support`` restricts the columns to psi_e for e in it, such as the
-Frobenius support {0, 2^n - 2^j (j < n), 2^n} of a root of an affine
-additive polynomial of degree 2^n; p_e is zero off it.  The shift, the
-order and the counting rule stay those of all D + 1 powers, so a support
-search certifies no more than the full one at the same precision.
+sigma - D*pole, the fewest of any psi_i: ``certifying_precision`` is the
+least precision that admits degZ d, and ``max_degz`` its inverse.
 
 The powers phi^e carry the precision of the product chain one(p)*phi*...:
 p for e = 0 and p + (e-1)*v + min(v, 0) for e >= 1 (v = val phi; the
@@ -131,10 +126,18 @@ def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
     return tuple(p // content for p in polys)
 
 
+def certifying_precision(degx: int, degz: int, val: int) -> int:
+    """Least precision at which the order basis of a series of valuation
+    val certifies a relation of degX degx and degZ degz: the counting rule's
+    required_precision(degx, degz, 0) must fit the order psi_0 carries,
+    prec - (degx - 1) * pole."""
+    return required_precision(degx, degz, 0) + (degx - 1) * max(0, -val)
+
+
 def max_degz(phi: LaurentSeries, degx: int) -> int:
-    """Largest d with required_precision(degx, d, 0) <= prec - (degx - 1) *
-    pole: the z-degrees a search can certify (negative: none)."""
-    return (phi.prec - (degx - 1) * max(0, -phi.val) - required_precision(degx, 0, 0)) // (degx + 1)
+    """Largest d with certifying_precision(degx, d, val) <= prec: the
+    z-degrees a search can certify (negative: none)."""
+    return (phi.prec - certifying_precision(degx, 0, phi.val)) // (degx + 1)
 
 
 def _order_basis(res: list[int], sigma: int) -> tuple[list[int], list[int]]:
@@ -162,42 +165,32 @@ def _order_basis(res: list[int], sigma: int) -> tuple[list[int], list[int]]:
     return cols, degs
 
 
-def find_relation(
-    phi: LaurentSeries, degx: int, degz: int | None = None, support=None
-) -> AlgRelation | None:
+def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> AlgRelation | None:
     """Minimal-X-degree relation of z-degree <= degz (default ``max_degz``)
     annihilating phi to its precision, or None; a degz past ``max_degz``
-    raises ValueError naming the precision it needs.  The relation uses
-    the powers phi^e for e in ``support`` (default 0..degx); the precision
-    rules count all degx + 1 of them either way."""
+    raises ValueError naming its ``certifying_precision``."""
     if degx < 1 or degz is not None and degz < 0:
         raise ValueError("need degx >= 1 and degz >= 0")
-    exps = sorted(set(range(degx + 1) if support is None else support))
-    if not exps or exps[0] < 0 or exps[-1] > degx:
-        raise ValueError(f"support must be a nonempty subset of 0..{degx}")
     cap, pole = max_degz(phi, degx), max(0, -phi.val)
     degz = max(cap, 0) if degz is None else degz
     if degz > cap:
-        need = required_precision(degx, degz, 0) + (degx - 1) * pole
+        need = certifying_precision(degx, degz, phi.val)
         raise ValueError(f"degX {degx} degZ {degz} needs precision {need}, got {phi.prec}")
     sigma = phi.prec + pole
-    powers = _powers(phi, exps)
+    powers = _powers(phi, range(degx + 1))
     low = (1 << sigma) - 1
     res = [bit_reverse((p.mask << (p.val + degx * pole)) & low, sigma) for p in powers.values()]
     cols, degs = _order_basis(res, sigma)
     d = min(degs)
     if d > degz:
         return None
-    # over 0..degx the relations among the degree-d columns are M*c(X);
-    # their leading coefficients are triangular, so the deg c differ and
-    # the first is M.  Read low to high, entry i's bits are p_e's from z^d
-    # down, for e = exps[i].
-    m = len(exps)
+    # the relations among the degree-d columns are M*c(X); their leading
+    # coefficients are triangular, so the deg c differ and the first is M.
+    # Read low to high, entry i's bits are p_i's from z^d down.
+    m = degx + 1
     width = (d + 1) * m
     bits = f"{bit_reverse(cols[degs.index(d)], width):0{width}b}"
-    polys = [Gf2Poly.zero()] * (exps[-1] + 1)
-    for i, e in enumerate(exps):
-        polys[e] = Gf2Poly(int(bits[i::m], 2))
+    polys = [Gf2Poly(int(bits[i::m], 2)) for i in range(m)]
     while polys[-1].is_zero():
         polys.pop()
     rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)

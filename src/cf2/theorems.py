@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from .laurent import LaurentSeries
-from .relations import AlgRelation, find_relation, frobenius_relation, max_degz, required_precision
+from .relations import (
+    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, required_precision,
+)
 from .towers import (
     SpecMap,
     cf_series_of,
@@ -91,48 +93,46 @@ def search_relation(
     max_poly_degree: int,
     leading_val: int,
     degz: int | None = None,
-    support=None,
 ) -> RelationSearch:
-    """Find a relation and re-verify it at double the precision: first at
+    """Find a relation and re-verify it by ``_reverify_round``: first at
     the demand of degZ ``degz`` (default degx * max_poly_degree + 8), to
-    ``degz`` or else the largest degZ the order certifies.  A candidate must
-    vanish to 1.5x the discovery precision or is a precision artifact;
-    without ``degz``, nothing or an artifact sends the search on to the
-    verifying series, up to precision max(4 * prec, 2048).  Every round
-    searches the powers phi^e for e in ``support`` (default 0..degx) and
-    builds one series: ``phi_fn`` is exact below its precision, so the
-    discovery series is the verifying one cut to p1."""
-    p1 = _first_precision(degx, prec, max_poly_degree, leading_val, degz)
+    ``degz`` or else the largest degZ the order certifies.  Without
+    ``degz``, nothing or a precision artifact sends the search on to the
+    verifying precision, up to max(4 * prec, 2048)."""
+    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
+    p1 = max(prec, required_precision(degx, first, leading_val))
     budget = max(4 * prec, 2048)
-    while True:
-        p2, threshold = 2 * p1, (3 * p1) // 2
-        phi2 = phi_fn(p2)
-        phi = LaurentSeries(phi2.val, phi2.mask, p1)
+
+    def candidate(phi: LaurentSeries):
         degz_used = degz if degz is not None else max_degz(phi, degx)
-        rel, bound = find_relation(phi, degx, degz_used, support), None
-        if rel is not None:
-            rel, bound, verified = _reverify(rel, phi2, threshold)
-            if verified:
-                return RelationSearch(rel, degx, degz_used, p1, p2, threshold, bound, True)
+        return degz_used, find_relation(phi, degx, degz_used)
+
+    while True:
+        search, _ = _reverify_round(phi_fn, p1, degx, candidate)
+        if search.verified:
+            return search
         if degz is not None or p1 >= budget:
             # nothing found, or a precision artifact: keep its numbers, drop the relation
-            return RelationSearch(None, degx, degz_used, p1, p2, threshold, bound, False)
-        p1 = min(p2, budget)
+            return replace(search, relation=None)
+        p1 = min(search.verify_prec, budget)
 
 
-def _first_precision(degx: int, prec: int, max_poly_degree: int, leading_val: int, degz=None) -> int:
-    """The discovery precision of a search's first round: ``prec``, or the
-    demand of degZ ``degz`` (default degx * max_poly_degree + 8) if higher."""
-    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
-    return max(prec, required_precision(degx, first, leading_val))
-
-
-def _reverify(rel: AlgRelation, phi2: LaurentSeries, threshold: int) -> tuple[AlgRelation, int, bool]:
-    """rel carrying its residual bound on phi2, the bound, and whether the
-    residual vanishes to ``threshold``."""
+def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> tuple[RelationSearch, LaurentSeries]:
+    """One round of the re-verify rule at discovery precision p1: the one
+    oracle series phi2 = phi_fn(2 p1), cut to p1 (phi_fn is exact below its
+    precision), gives ``candidate`` its (degZ, relation or None), and a
+    relation counts only if it vanishes on phi2 to 1.5 p1; else it is a
+    precision artifact.  Returns the round's search and phi2."""
+    p2, threshold = 2 * p1, (3 * p1) // 2
+    phi2 = phi_fn(p2)
+    degz, rel = candidate(LaurentSeries(phi2.val, phi2.mask, p1))
+    if rel is None:
+        return RelationSearch(None, degx, degz, p1, p2, threshold, None, False), phi2
     residual = rel.evaluate(phi2)
     bound = residual.known_zero_below()
-    return replace(rel, verified_prec=bound), bound, residual.is_zero and bound >= threshold
+    verified = residual.is_zero and bound >= threshold
+    rel = replace(rel, verified_prec=bound)
+    return RelationSearch(rel, degx, degz, p1, p2, threshold, bound, verified), phi2
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):
@@ -200,8 +200,8 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^n for the family-P continued fraction.  No search:
     ``p_relation`` derives phi's relation exactly, from a tail step checked
     exactly (its line appears only when it fails), and the relation must
-    vanish on the convergent series at the precision p2 = 2 p1 where a
-    search's first round would verify it, to the same 1.5 p1."""
+    vanish on the convergent series by the re-verify rule at p1, the
+    larger of prec and its own shape's ``certifying_precision``."""
     n = spec.period
     bound = 1 << n
     phi_fn, first_val = spec_series(spec, sp)
@@ -209,17 +209,19 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
     lines: list[str] = []
-    ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
     rel = p_relation(spec, sp)
     if rel is None:
+        search, phi = None, phi_fn(prec)
+    else:
+        p1 = max(prec, certifying_precision(rel.degx, rel.degz, first_val))
+        search, phi = _reverify_round(phi_fn, p1, bound, lambda _: (rel.degz, rel))
+    # cf + phi has precision min(prec, p2) = prec, as with the series at prec
+    ok, agree = _series_lines(lines, lim.cf, phi, residuals, prec)
+    if search is None:
         lines.append(f"tail-step T1=rho*T0^{bound} fail")
         return CheckReport("theorem-p", False, bound, lines, agreement=agree)
-    p1 = _first_precision(bound, prec, sp.max_degree, first_val)
-    p2, threshold = 2 * p1, (3 * p1) // 2
-    rel, residual_bound, verified = _reverify(rel, phi_fn(p2), threshold)
-    search = RelationSearch(rel, bound, rel.degz, p1, p2, threshold, residual_bound, verified)
     lines.append(search.report_line())
-    ok = ok and verified and rel.degx <= bound
+    ok = ok and search.verified and search.found_degree <= bound
     return CheckReport("theorem-p", ok, bound, lines, search, agreement=agree)
 
 

@@ -14,11 +14,12 @@ from cf2.relations import (
     _content_normalize,
     _order_basis,
     _powers,
+    certifying_precision,
     find_relation,
     max_degz,
     required_precision,
 )
-from cf2.theorems import search_relation, spec_series
+from cf2.theorems import p_relation, search_relation, spec_series
 from cf2.towers import SpecMap, g_cf_series, p_cf_series
 from cf2.words import GSpec, PSpec
 
@@ -95,8 +96,24 @@ def test_lacunary_frobenius_relation():
 def test_insufficient_precision_raises():
     phi = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64)
     need = required_precision(8, 64, 0)
+    assert certifying_precision(8, 64, phi.val) == need
     with pytest.raises(ValueError, match=f"degX 8 degZ 64 needs precision {need}, got 64"):
         find_relation(phi, 8, 64)
+    # a pole of order 2 costs (degx - 1) * 2 more: the order psi_0 carries
+    phi = LaurentSeries.from_rational(Gf2Poly.parse("z^3"), Gf2Poly.parse("z+1"), 2214)
+    assert phi.val == -2 and certifying_precision(8, 240, -2) == 9 * 241 + 32 + 7 * 2 == 2215
+    assert max_degz(phi, 8) == 239
+    with pytest.raises(ValueError, match="degX 8 degZ 240 needs precision 2215, got 2214"):
+        find_relation(phi, 8, 240)
+
+
+@pytest.mark.parametrize("degx, val", [(1, 0), (4, -1), (64, -1), (32, -2), (8, 3)])
+def test_max_degz_inverts_the_certifying_precision(degx, val):
+    # the least precision that admits degZ d is the certifying precision
+    for d in (0, 1, 32, 125):
+        p = certifying_precision(degx, d, val)
+        assert max_degz(LaurentSeries(val, 1, p), degx) == d
+        assert max_degz(LaurentSeries(val, 1, p - 1), degx) == d - 1
 
 
 def test_no_relation_for_generic_truncation():
@@ -393,60 +410,52 @@ LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 
 def frobenius_support(n: int) -> list[int]:
     """S_n = {0, 2^n - 2^j (j < n), 2^n}: the X-support of a root of an
-    affine additive polynomial of degree 2^n."""
-    return [0, *((1 << n) - (1 << j) for j in range(n)), 1 << n]
+    affine additive polynomial of degree 2^n, in ascending order."""
+    return sorted([0, *((1 << n) - (1 << j) for j in range(n)), 1 << n])
 
 
 @pytest.mark.parametrize("n", sorted(LADDER))
 def test_frobenius_support_finds_the_dense_relation(n):
-    # at the first round's precision the n + 2 columns give the relation
-    # the 2^n + 1 give, coefficients and verified precision alike
-    phi, _ = _search_input(PSpec("", LADDER[n]), SPB, 1 << n, 512)
+    # at the first round's precision the dense search over all 2^n + 1
+    # powers finds a relation whose nonzero coefficients are exactly those
+    # on S_n, and it is the exact relation derived over GF(2)(z)
+    spec = PSpec("", LADDER[n])
+    phi, _ = _search_input(spec, SPB, 1 << n, 512)
     dense = find_relation(phi, 1 << n)
     assert dense is not None and dense.degx == 1 << n
-    assert find_relation(phi, 1 << n, support=frobenius_support(n)) == dense
+    assert [e for e, p in enumerate(dense.coeffs) if not p.is_zero()] == frobenius_support(n)
+    assert dense.coeffs == p_relation(spec, SPB).coeffs
 
 
 @pytest.mark.parametrize("n", sorted(LADDER))
 def test_support_missing_a_frobenius_column_falls_back_to_dense(n):
-    # mutation control: the search runs on the support alone, with no dense
-    # retry, so without phi^(2^n - 1) no round holds a relation and the
-    # search ends with none; the true S_n gives the dense search's outcome
+    # mutation control: the dense search's relation with its phi^(2^n - 1)
+    # term dropped fails the re-verification the full relation passes
     degx = 1 << n
     phi_fn, val = spec_series(PSpec("", LADDER[n]), SPB)
-    bad = [e for e in frobenius_support(n) if e != degx - 1]
-    miss = search_relation(phi_fn, degx, 512, SPB.max_degree, val, support=bad)
-    assert miss.verified is False and miss.relation is None
     dense = search_relation(phi_fn, degx, 512, SPB.max_degree, val)
     assert dense.verified and dense.found_degree == degx
-    good = search_relation(phi_fn, degx, 512, SPB.max_degree, val, support=frobenius_support(n))
-    assert good == dense
+    coeffs = list(dense.relation.coeffs)
+    assert not coeffs[degx - 1].is_zero()
+    coeffs[degx - 1] = Gf2Poly.zero()
+    residual = AlgRelation(tuple(coeffs), 0).evaluate(phi_fn(dense.verify_prec))
+    assert not residual.is_zero and residual.known_zero_below() < dense.threshold
 
 
-def test_support_outside_the_degree_raises():
-    phi = p_cf_series(PSpec("", "10"), SPB, 512)
-    for support in ([0, 5], [-1, 4], []):
-        with pytest.raises(ValueError, match="support must be a nonempty subset of 0..4"):
-            find_relation(phi, 4, support=support)
-    # the precision rules count all degx + 1 powers, however few are searched
-    with pytest.raises(ValueError, match=f"degX 8 degZ 64 needs precision {required_precision(8, 64, 0)}"):
-        find_relation(LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64), 8, 64, [0, 1])
-
-
-def test_support_artifact_is_discarded_like_a_dense_one():
+def test_dense_artifact_is_discarded_and_the_search_goes_on():
     # w0=00, eps=0001 under 0=z^2, 1=z+1: at the first round's p1 = 1241
-    # the support columns give a candidate that fails the 1.5x
-    # re-verification, so the search drops it and goes on to the next
-    # round, where the support gives the degree-16 relation; the dense
-    # search, run on its own, takes the same two rounds to the same relation
+    # the least-degree column (degZ 60) gives a candidate that fails the
+    # 1.5x re-verification, so the search drops it and goes on to the
+    # next round, where it finds the degree-16 relation
     sp = SpecMap.parse("0=z^2,1=z+1")
     spec = PSpec("00", "0001")
     phi_fn, val = spec_series(spec, sp)
     phi, _ = _search_input(spec, sp, 16, 256)
     assert phi.prec == 1241
-    artifact = find_relation(phi, 16, support=frobenius_support(4))
+    artifact = find_relation(phi, 16)
+    assert artifact.degz == 60
     residual = artifact.evaluate(phi_fn(2 * phi.prec))
     assert not residual.is_zero or residual.known_zero_below() < (3 * phi.prec) // 2
     dense = search_relation(phi_fn, 16, 256, sp.max_degree, val)
     assert dense.verified and dense.discovery_prec == 2048 and dense.found_degree == 16
-    assert search_relation(phi_fn, 16, 256, sp.max_degree, val, support=frobenius_support(4)) == dense
+    assert dense.relation.coeffs == p_relation(spec, sp).coeffs

@@ -19,6 +19,7 @@ from cf2.theorems import (
     explore_inverse_sigma,
     spec_series,
 )
+from cf2.relations import max_degz
 from cf2.towers import HypothesisViolation, SpecMap
 from cf2.words import GSpec, PSpec, g_normalize
 
@@ -40,8 +41,7 @@ def test_theorem_p_nonempty_seed():
 
 def test_theorem_p_degenerate_single_letter():
     # a one-letter period is a period like any other: its limit meets the
-    # oracle and the tail equations, and the Frobenius support {0, 1, 2}
-    # gives the quadratic relation
+    # oracle and the tail equations, and the exact relation is quadratic
     rep = check_theorem_p(PSpec("", "0"), SPB, 256)
     assert rep.passed
     assert rep.search.found_degree == 2
@@ -61,17 +61,51 @@ P_SPECS += [("00", "00001", SpecMap.parse("0=z^2,1=z+1"))]
 @pytest.mark.parametrize("w0, eps, sp", P_SPECS)
 def test_exact_relation_is_the_searched_relation(w0, eps, sp):
     # the relation derived over GF(2)(z) is, coefficient for coefficient,
-    # the one the order-basis search finds on the Frobenius support of
-    # eps's primitive period r (at prec 2048, where every search here ends)
+    # the one the dense order-basis search finds (at prec 2048, where every
+    # search here ends)
     spec = PSpec(w0, eps)
     phi_fn, first_val = spec_series(spec, sp)
-    r = (eps * 2).find(eps, 1)
-    support = [0, *((1 << r) - (1 << j) for j in range(r)), 1 << r]
-    search = theorems.search_relation(
-        phi_fn, 1 << spec.period, 2048, sp.max_degree, first_val, support=support
-    )
+    search = theorems.search_relation(phi_fn, 1 << spec.period, 2048, sp.max_degree, first_val)
     assert search.verified
     assert theorems.p_relation(spec, sp).coeffs == search.relation.coeffs
+
+
+SP_Z2 = SpecMap.parse("0=z^2,1=z+1")
+# P specs whose relation needs more than prec 512: (w0, eps, map, degZ, p1)
+CERTIFYING = [("", "110100", SPB, 32, 2240), ("00", "00001", SP_Z2, 125, 4252)]
+
+
+@pytest.mark.parametrize("w0, eps, sp, degz, p1", CERTIFYING)
+def test_exact_verdict_verifies_at_the_certifying_precision(w0, eps, sp, degz, p1):
+    # p1 is the least precision whose order certifies the relation's shape
+    # (degX 2^n, degZ d): max_degz reaches d at p1 and not at p1 - 1
+    spec = PSpec(w0, eps)
+    search = check_theorem_p(spec, sp, 512).search
+    degx = 1 << spec.period
+    assert search.verified and search.relation.degz == search.degz_used == degz
+    assert search.discovery_prec == p1 > 512 and search.verify_prec == 2 * p1
+    phi_fn, _ = spec_series(spec, sp)
+    assert max_degz(phi_fn(p1), degx) >= degz > max_degz(phi_fn(p1 - 1), degx)
+
+
+@pytest.mark.parametrize("w0, eps, sp, degz, p1", CERTIFYING)
+def test_search_and_exact_verdict_share_the_reverify_rule(monkeypatch, w0, eps, sp, degz, p1):
+    # both verdicts run one round of the same rule at the same p1: the same
+    # verifying precision 2 p1 and threshold 1.5 p1; under 0=z^2, 1=z+1 the
+    # search's candidate at exactly p1 is an artifact the rule rejects
+    rounds = []
+    one_round = theorems._reverify_round
+    monkeypatch.setattr(theorems, "_reverify_round", lambda *args: rounds.append(args[1]) or one_round(*args))
+    spec = PSpec(w0, eps)
+    exact = check_theorem_p(spec, sp, 512).search
+    phi_fn, _ = spec_series(spec, sp)
+    found = theorems.search_relation(phi_fn, exact.degx_limit, p1, sp.max_degree, 0, degz=degz)
+    assert rounds == [p1, p1]
+    for search in (exact, found):
+        assert (search.discovery_prec, search.verify_prec, search.threshold) == (p1, 2 * p1, (3 * p1) // 2)
+    assert exact.verified and found.verified == (sp is SPB)
+    if found.verified:
+        assert found == exact
 
 
 def test_theorem_p_runs_no_search(monkeypatch):
@@ -104,9 +138,10 @@ def test_relation_from_a_flipped_bit_fails_on_the_oracle(monkeypatch, which, bit
         return derive(y0, lams, rho, _flip(t0, bit))
 
     monkeypatch.setattr(theorems, "frobenius_relation", mutated)
-    rep = check_theorem_p(PSpec("", "110"), SPB, 256)
-    assert not rep.passed and not rep.search.verified
-    assert rep.lines[-1].endswith(f"below {rep.search.threshold}")
+    for eps, prec in (("110", 256), ("110100", 512)):
+        rep = check_theorem_p(PSpec("", eps), SPB, prec)
+        assert not rep.passed and not rep.search.verified
+        assert rep.lines[-1].endswith(f"below {rep.search.threshold}")
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli_main(["theorem1", "--w0", "10", "--eps", "110"])
@@ -392,26 +427,28 @@ def test_artifact_moves_the_search_to_the_next_rung():
 
 
 def _search_oracle_calls(monkeypatch, spec, sp, prec):
-    """The driver's report on ``spec`` and the precisions its relation
-    check asks of the oracle series, after the agreement series at prec."""
+    """The driver's report on ``spec`` and every precision it asks of the
+    oracle series, in order."""
     asked = []
     for name in ("p_cf_series", "g_cf_series"):
         oracle = getattr(theorems, name)
         monkeypatch.setattr(theorems, name, lambda *args, f=oracle: asked.append(args[-1]) or f(*args))
     check = check_theorem_p if isinstance(spec, PSpec) else check_theorem_g
     rep = check(spec, sp, prec)
-    assert asked[0] == prec
-    return rep, asked[1:]
+    return rep, asked[:]
 
 
 @pytest.mark.parametrize(
     "spec, sp, prec, asked",
     [
-        # the exact P relation is verified on one series, at the p2 of a
-        # search's first round
+        # the exact P relation is verified on one series, at p2 = 2 p1,
+        # which also gives the agreement line
         (PSpec("", "110"), SPB, 512, [1024]),
-        # the three rounds of test_artifact_moves_the_search_to_the_next_rung
-        (GSpec("a", "b", "0011"), SPAB, 1024, [2048, 4096, 8192]),
+        # the agreement series at prec, then the three rounds of
+        # test_artifact_moves_the_search_to_the_next_rung
+        (GSpec("a", "b", "0011"), SPAB, 1024, [1024, 2048, 4096, 8192]),
+        # p1 = 2240, the certifying precision of degX 64, degZ 32 at pole 1
+        (PSpec("", "110100"), SPB, 512, [4480]),
     ],
 )
 def test_search_builds_one_oracle_series_per_round(monkeypatch, spec, sp, prec, asked):
@@ -427,7 +464,7 @@ def test_search_builds_one_oracle_series_per_round(monkeypatch, spec, sp, prec, 
 def test_discovery_series_is_the_verifying_series_cut(monkeypatch, spec, sp):
     # cf_series is exact below its precision, so each round's discovery
     # series, cut from the verifying one, is the oracle series at p1; the
-    # exact P verdict builds only the verifying series of the first round
+    # exact P verdict builds only the verifying series, at its own p1
     rep, asked = _search_oracle_calls(monkeypatch, spec, sp, 512)
     assert rep.passed and asked
     if isinstance(spec, PSpec):
