@@ -14,8 +14,9 @@ three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
 ``Mat2.mul`` and ``Mat2.square`` over GF(2^16) (a dense operand and one
 with a zero entry), ``Mat2.mul`` over series at 4k bits and
 ``Mat2.square`` at 16k bits, ``pair_tower`` over GF(2^16) along an 8-bit
-swap word, ``check_closed_form`` over all 510 driver words up to length
-8 at 10 trials and ``check_generation_relations`` of the word 1001 over 3
+swap word, ``check_closed_form`` at 10 trials given the 510 driver words
+up to length 8 (each trial checks the induction step for both bits and
+walks one drawn word) and ``check_generation_relations`` of the word 1001 over 3
 generations at 10 trials, with the field tables and operands built
 before the first timed call; and ``find_relation`` on the degree
 ladder's theorem-1 series P3-P6 (period words 110, 1101, 11010, 110100)

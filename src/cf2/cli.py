@@ -76,16 +76,23 @@ def parse_spec_text(text: str) -> PSpec | GSpec:
 
 
 def _spec_from_args(args) -> PSpec | GSpec:
-    if getattr(args, "spec", None):
-        return parse_spec_text(args.spec)
-    family = getattr(args, "family", None)
-    if family is None:  # the first family whose period word, its last field, is given
-        given = (f for f, cls in _SPECS.items() if getattr(args, fields(cls)[-1].name) is not None)
-        family = next(given, None)
-    if family is None:
-        raise ValueError("give --family with its word flags, or --spec")
-    cls = _SPECS[family]
-    return cls(*(getattr(args, f.name) or "" for f in fields(cls)))
+    if args.spec:
+        spec = parse_spec_text(args.spec)
+    else:
+        family = args.family
+        if family is None:  # the first family whose period word, its last field, is given
+            given = (f for f, cls in _SPECS.items() if getattr(args, fields(cls)[-1].name) is not None)
+            family = next(given, None)
+        if family is None:
+            raise ValueError("give --family with its word flags, or --spec")
+        cls = _SPECS[family]
+        spec = cls(*(getattr(args, f.name) or "" for f in fields(cls)))
+    # a word flag the spec is not built from is refused, not dropped
+    unread = [f"--{f.name}" for cls in _SPECS.values() for f in fields(cls)
+              if getattr(args, f.name) is not None and (args.spec or f not in fields(spec))]
+    if unread:
+        raise ValueError(f"{' '.join(unread)} not read by the spec '{_spec_echo(spec)}'")
+    return spec
 
 
 def _specmap(args, alphabet) -> SpecMap:
@@ -115,12 +122,11 @@ def _check_bounds(args) -> None:
 
 
 def _echo(args, out, command: str, **extra) -> None:
-    fields = [f"command={command}"]
-    for key, value in extra.items():
-        fields.append(f"{key}={value}")
-    fields.append(f"prec={getattr(args, 'prec', None)}")
-    fields.append(f"seed={getattr(args, 'seed', 0):#x}")
-    print("config " + " ".join(fields), file=out)
+    # the line ends with prec and seed unless ``extra`` leaves them out as None
+    shown = {"command": command, **extra}
+    shown.setdefault("prec", args.prec)
+    shown.setdefault("seed", f"{args.seed:#x}")
+    print("config " + " ".join(f"{k}={v}" for k, v in shown.items() if v is not None), file=out)
 
 
 def _spec_echo(spec) -> str:
@@ -206,16 +212,18 @@ def cmd_tower_trace(args, out) -> int:
 
 
 def cmd_identities(args, out) -> int:
-    settings = {k: getattr(args, k) for k in ("trials", "m", "seed", "max_word_len", "prec")}
-    battery = identity_battery(**settings)
+    battery = identity_battery(args.trials, args.m, args.seed, args.max_word_len, prec=args.prec)
     if args.check not in (None, "all", *dict(battery)):
         raise ValueError(f"unknown identity check {args.check!r}")
+    if args.all and args.check not in (None, "all"):
+        raise ValueError(f"--all runs every check, not only --check {args.check}")
     runs = [(name, run) for name, run in battery if args.check in (None, "all", name)]
-    # echo what the selected checks read: valuation-bounds draws nothing
+    # echo what the selected checks read: only valuation-bounds reads prec, and it draws nothing
     names = {name for name, _ in runs}
-    drawn = {} if names == {"valuation-bounds"} else {"trials": args.trials, "m": args.m}
+    drawn = {"trials": args.trials, "m": args.m} if names != {"valuation-bounds"} else {"seed": None}
     swept = {"max_word_len": args.max_word_len} if "closed-form" in names else {}
-    _echo(args, out, "identities", check=args.check or "all", **drawn, **swept)
+    prec = {} if "valuation-bounds" in names else {"prec": None}
+    _echo(args, out, "identities", check=args.check or "all", **drawn, **swept, **prec)
     reports = [run() for _, run in runs]
     failed = False
     for rep in reports:
@@ -228,7 +236,6 @@ def cmd_identities(args, out) -> int:
 
 
 def cmd_relation(args, out) -> int:
-    degz = {} if args.degz is None else {"degz": args.degz}
     if args.num or args.den:
         if not (args.num and args.den):
             raise ValueError("--num and --den go together")
@@ -237,7 +244,7 @@ def cmd_relation(args, out) -> int:
             phi = LaurentSeries.from_rational(num, den, args.prec)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None
-        _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx, **degz)
+        _echo(args, out, "relation", num=args.num, den=args.den, degx=args.degx, degz=args.degz)
         rel = find_relation(phi, args.degx, args.degz)
         if rel is None:
             print("relation none", file=out)
@@ -245,7 +252,7 @@ def cmd_relation(args, out) -> int:
         print(rel.render(), file=out)
         print(rel.summary(phi.prec), file=out)
         return 0
-    spec, sp = _spec_prologue(args, out, degx=args.degx, **degz)
+    spec, sp = _spec_prologue(args, out, degx=args.degx, degz=args.degz)
     phi_fn, first_val = spec_series(spec, sp)
     search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
     if search.verified:
@@ -350,17 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, prec_min=64)
     p.set_defaults(fn=cmd_relation)
 
-    p = sub.add_parser("theorem1", help="family-P degree bound check")
-    _add_spec_flags(p)
-    p.add_argument("--map", default=None)
-    common(p, prec_min=64)
-    p.set_defaults(fn=cmd_theorem, family="P")
-
-    p = sub.add_parser("theorem2", help="family-G degree bound check")
-    _add_spec_flags(p)
-    p.add_argument("--map", default=None)
-    common(p, prec_min=64)
-    p.set_defaults(fn=cmd_theorem, family="G")
+    for name, family in (("theorem1", "P"), ("theorem2", "G")):
+        p = sub.add_parser(name, help=f"family-{family} degree bound check")
+        _add_spec_flags(p)
+        p.add_argument("--map", default=None)
+        common(p, prec_min=64)
+        p.set_defaults(fn=cmd_theorem, family=family)
 
     p = sub.add_parser("corollary", help="iterated prefix-sum chain check")
     _add_spec_flags(p)

@@ -11,7 +11,8 @@ perturbed exponent or term) that must fail, as a negative control.
 The checkers run the towers of ``towers`` (``PTower``, ``pair_step``,
 ``GQuantities``) and their tail recurrences (the P drift and limit
 expansion, the G one-letter step, generation walk and limit terms) over
-GF(2^m), so they test the code the theorem drivers run over series.
+GF(2^m), so they test the code the theorem drivers run over series.  The
+G closed form is checked by its induction on the driver word, at any depth.
 
 Valuation facts are measured in series mode on concrete fixtures, with
 exact expected determinant valuations from degree bookkeeping.
@@ -77,37 +78,28 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"need at least one trial, got {trials}")
 
 
-def _randomized(
-    ident: str, trials: int, m: int, seed: int, body, words: list[str] | None = None
-) -> IdentityReport:
+def _randomized(ident: str, trials: int, m: int, seed: int, body) -> IdentityReport:
     """Run body(F, rng) once per trial over GF(2^m), resampling degenerate draws.
 
     The body returns None on a pass or a failure detail; raising
-    DegenerateDraw or ZeroDivisionError redraws, up to RESAMPLE_CAP times.
-    Given ``words``, the body checks every word on each draw and returns
-    one detail (or None) per word: failures are then ``(word, (trial,
-    detail))`` in word order, and a redraw counts once per word.
+    DegenerateDraw or ZeroDivisionError redraws, up to RESAMPLE_CAP times,
+    and ``resamples`` counts the redraws.
     """
     _require_trials(trials)
     F = ext_field(m)
     rng = random.Random(seed)
-    width = 1 if words is None else len(words)
-    lanes: list[list] = [[] for _ in range(width)]
-    resamples = 0
+    failures, resamples = [], 0
     for trial in range(trials):
         for _ in range(RESAMPLE_CAP):
             try:
-                details = [body(F, rng)] if words is None else body(F, rng)
+                detail = body(F, rng)
+                break
             except (DegenerateDraw, ZeroDivisionError):
-                resamples += width
-                continue
-            break
+                resamples += 1
         else:
-            details = ["resample budget exhausted"] * width
-        for lane, detail in zip(lanes, details):
-            if detail is not None:
-                lane.append((trial, detail))
-    failures = lanes[0] if words is None else [(s, f) for s, lane in zip(words, lanes) for f in lane]
+            detail = "resample budget exhausted"
+        if detail is not None:
+            failures.append((trial, detail))
     return IdentityReport(ident, trials, F.name, seed, failures, resamples)
 
 
@@ -268,24 +260,42 @@ def check_pair_products(
     return _randomized("pair-products", trials, m, seed, body)
 
 
+def _invariant(q: GQuantities, even, odd):
+    # d + r even + even^2 + gamma (odd + odd^2): c^2 at a node with correction sum even + odd cross
+    F = q.F
+    return F.add(F.add(q.d, F.mul(even, F.add(q.r, even))), F.mul(q.gamma, F.add(odd, F.square(odd))))
+
+
+def _closed_step(q: GQuantities, pair, node, bit: str):
+    """One letter of the closed form's induction from a node (c, l, (even,
+    odd)) with pair ``pair``: (failure detail or None, next pair, next node)."""
+    F = q.F
+    c, l, (even, odd) = node
+    c, l = q.step(c, l, l.odd ^ (bit == "1"))  # l's cross parity is the digit parity
+    sums = (even, F.add(odd, c.u)) if c.odd else (F.add(even, c.u), odd)
+    pair = pair_step(*pair, bit)
+    closed = q.closed_pair(l.odd, *sums, l)
+    detail = next((f"{n} branch" for n, x, e in zip("mw", pair, closed) if (x.a, x.b, x.c, x.d) != e), None)
+    if detail is None and not F.eq(q._square(c), _invariant(q, *sums)):
+        detail = "invariant"
+    return detail, pair, (c, l, sums)
+
+
 def check_closed_form(
     s: str | Iterable[str], trials: int = 100, m: int = 16, seed: int = 1, mutate: bool = False
 ) -> IdentityReport:
-    """Recurrence pair equals the closed-form product for a driver word.
+    """Recurrence pair equals the closed-form product after a driver word,
+    by the induction on the word that proves it.
 
-    Both branches (digit parity 0 and 1) of the closed form are covered
-    by the choice of s; the final factor multiplies on the right, which
-    matters whenever the cross exponent is odd.
-
-    ``s`` is one driver word or several.  Every word sees the same draws,
-    so each draw walks the binary trie of the words depth first: an edge
-    takes one pair step, one ``GQuantities.step`` from the parent's
-    correction term and period scalar to the child's, and one field add
-    to the running correction sum, kept as the scalars even + odd cross,
-    and every word node compares the entries of its pair with the closed
-    form.
-    Several words give one ``closed-form`` report whose failures are
-    ``(word, (trial, detail))``.
+    A node after a word holds its last correction term c and period scalar
+    l (both of the word's digit parity t as cross parity) and correction
+    sum even + odd cross.  At every node c^2 is ``_invariant``, and from any
+    node where it is, one ``pair_step`` of the closed form is the closed
+    form one ``GQuantities.step`` on, where it is again.  Each draw checks
+    that step for both bits at a drawn point of the invariant (t, even,
+    odd, l drawn; c its square root, over gamma when t = 1), then walks one
+    word of ``s`` (drawn per trial when ``s`` lists several) from (m1, w1)
+    through the same step, with l_0 = 1 (d in the mutated control).
     """
     words = [s] if isinstance(s, str) else list(s)
     if not words:
@@ -293,42 +303,28 @@ def check_closed_form(
     for w in words:
         if not w or w.strip("01"):
             raise ValueError(f"driver word must be a nonempty binary word, got {w!r}")
-    targets = set(words)
-    prefixes = {w[:i] for w in words for i in range(1, len(w) + 1)}
 
     def body(F, rng):
-        m0 = _rand_mat(F, rng)
-        w0 = _rand_mat(F, rng)
+        m0, w0 = _rand_mat(F, rng), _rand_mat(F, rng)
         q = GQuantities(F, w0.mul(m0), m0.mul(w0))
-        found = {}
-        # node: prefix, its pair, its last correction term c and period
-        # scalar l (whose cross parity is the prefix's digit parity), and
-        # the correction sum even + odd cross as sums[0], sums[1]
-        stack = [("", q.m1, q.w1, None, CoScaled(F.one, 0), (F.zero, F.zero))]
-        while stack:
-            p, pm, pw, c, l, sums = stack.pop()
-            if p in targets:
-                cm, cw = q.closed_pair(l.odd, *sums, l)
-                if mutate:
-                    cm = tuple(F.mul(v, q.d) for v in cm)
-                    cw = tuple(F.mul(v, q.d) for v in cw)
-                if (pm.a, pm.b, pm.c, pm.d) != cm:
-                    found[p] = "m branch"
-                elif (pw.a, pw.b, pw.c, pw.d) != cw:
-                    found[p] = "w branch"
-            for bit in "10":
-                child = p + bit
-                if child in prefixes:
-                    cc, cl = q.step(c, l, l.odd ^ (bit == "1"))
-                    csums = (sums[0], F.add(sums[1], cc.u)) if cc.odd else (F.add(sums[0], cc.u), sums[1])
-                    stack.append((child, *pair_step(pm, pw, bit), cc, cl, csums))
-        return [found.get(w) for w in words]
+        t, even, odd = rng.getrandbits(1), F.sample(rng), F.sample(rng)
+        c2 = _invariant(q, even, odd)
+        l = CoScaled(F.sample_invertible(rng), t)
+        node = (CoScaled(F.pow(F.mul(c2, q.inv_gamma) if t else c2, 1 << (m - 1)), t), l, (even, odd))
+        pair = [Mat2(F, *e) for e in q.closed_pair(t, even, odd, l)]
+        for bit in "01":
+            detail = _closed_step(q, pair, node, bit)[0]
+            if detail is not None:
+                return f"step {bit}: {detail}"
+        word = rng.choice(words)
+        pair, node = (q.m1, q.w1), (None, CoScaled(q.d if mutate else F.one, 0), (F.zero, F.zero))
+        for i, bit in enumerate(word, 1):
+            detail, pair, node = _closed_step(q, pair, node, bit)
+            if detail is not None:
+                return f"{word[:i]}: {detail}"
+        return None
 
-    if isinstance(s, str):
-        rep = _randomized(f"closed-form[{s}]", trials, m, seed, body, words)
-        rep.failures = [f for _, f in rep.failures]
-        return rep
-    return _randomized("closed-form", trials, m, seed, body, words)
+    return _randomized(f"closed-form[{s}]" if isinstance(s, str) else "closed-form", trials, m, seed, body)
 
 
 def check_generation_relations(

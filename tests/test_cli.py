@@ -67,8 +67,39 @@ def test_spec_echo_parses_back(spec):
     ],
 )
 def test_family_flag_wins_over_the_word_flags(argv, want):
+    # the family flag, or else the first given period word, picks the
+    # spec; the other family's word flags are refused, not dropped
     args = build_parser().parse_args(["gen", *argv, "--len", "4"])
-    assert _spec_from_args(args) == want
+    read = {"--family", *(f"--{name}" for name in vars(want))}
+    unread = [flag for flag in argv[::2] if flag not in read]
+    with pytest.raises(ValueError, match=f"^{' '.join(unread)} not read by the spec "):
+        _spec_from_args(args)
+    kept = [x for flag, value in zip(argv[::2], argv[1::2]) if flag not in unread for x in (flag, value)]
+    assert _spec_from_args(build_parser().parse_args(["gen", *kept, "--len", "4"])) == want
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["theorem1", "--eps", "10", "--ups", "11"], "--ups not read by the spec 'P w0= eps=10'"),
+        (["gen", "--eps", "10", "--ups", "1", "--len", "4"], "--ups not read by the spec 'P w0= eps=10'"),
+        (["tower-trace", "--spec", "P w0= eps=10", "--ups", "11"],
+         "--ups not read by the spec 'P w0= eps=10'"),
+        (["theorem2", "--spec", "G u0=a v0=b ups=11", "--eps", "", "--u0", "b", "--map", "a=z,b=z+1"],
+         "--eps --u0 not read by the spec 'G u0=a v0=b ups=11'"),
+        (["identities", "--all", "--check", "pair-products"],
+         "--all runs every check, not only --check pair-products"),
+    ],
+)
+def test_flags_the_run_would_not_read_are_refused_before_the_echo(argv, err, capsys):
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+def test_all_with_check_all_runs_the_battery():
+    code, out = run_cli("identities", "--all", "--check", "all", "--trials", "1", "--max-word-len", "2")
+    assert code == 0 and out.splitlines()[0].startswith("config command=identities check=all trials=1 ")
 
 
 def test_sigma_and_inverse():
@@ -142,8 +173,8 @@ def test_identities_single_check():
 
 
 def test_identities_echo_names_the_settings_the_checks_read():
-    # the config line tells apart runs that sweep different driver words,
-    # and names no setting the selected checks ignore
+    # the config line tells apart runs that walk driver words of different
+    # lengths, and names no setting the selected checks ignore
     def config(*argv):
         code, out = run_cli("identities", *argv)
         assert code == 0
@@ -153,11 +184,12 @@ def test_identities_echo_names_the_settings_the_checks_read():
     assert three != four
     assert " max_word_len=3 " in three and " max_word_len=4 " in four
     assert " max_word_len=2 " in config("--check", "closed-form", "--trials", "1", "--max-word-len", "2")
+    # only valuation-bounds reads prec, and it draws nothing, so reads no seed
     assert config("--check", "pair-products", "--trials", "1") == (
-        "config command=identities check=pair-products trials=1 m=16 prec=512 seed=0x1"
+        "config command=identities check=pair-products trials=1 m=16 seed=0x1"
     )
     assert config("--check", "valuation-bounds", "--trials", "7", "--m", "8") == (
-        "config command=identities check=valuation-bounds prec=512 seed=0x1"
+        "config command=identities check=valuation-bounds prec=512"
     )
 
 

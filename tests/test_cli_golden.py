@@ -82,6 +82,11 @@ def test_golden_transcript(name):
     assert run_cli(argv) == (code, (GOLDEN / f"{name}.txt").read_bytes())
 
 
+def test_every_golden_file_has_a_case():
+    # a transcript no case produces would never be compared or rewritten
+    assert sorted(path.stem for path in GOLDEN.glob("*.txt")) == sorted(CASES)
+
+
 def test_out_file_matches_stdout(tmp_path):
     path = tmp_path / "out.txt"
     path.write_bytes(b"known bytes\n" * 1000)

@@ -11,6 +11,8 @@ from cf2.gf2m import Gf2m, field
 from cf2.identities import (
     PAIR_IDENTITY_NAMES,
     TOWER_WORDS,
+    _closed_step,
+    _rand_mat,
     all_driver_words,
     check_closed_form,
     check_generation_relations,
@@ -22,7 +24,7 @@ from cf2.identities import (
 )
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2
-from cf2.towers import CoScaled, GQuantities, PTower, pair_step, pair_tower
+from cf2.towers import CoScaled, DegenerateDraw, GQuantities, PTower, pair_step, pair_tower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -243,38 +245,44 @@ def test_degenerate_draws_are_resampled():
     assert rep.resamples == 14
 
 
-def _closed_form_per_word(s, trials, m, seed, mutate=False):
-    """Reference: the per-word closed-form check, one pair tower and one
-    GQuantities built from scratch for every draw."""
-    from cf2.identities import _rand_mat, _randomized
-    from cf2.towers import GQuantities, pair_tower
+def _step_sweep(F, q, max_len):
+    """Every node of the word trie up to max_len, depth first, walked from
+    the empty word by GQuantities.step alone: (word, c, l, even, odd),
+    with the correction sum even + odd cross added up here."""
+    stack = [("", None, CoScaled(F.one, 0), F.zero, F.zero)]
+    while stack:
+        word, c, l, even, odd = stack.pop()
+        if word:
+            yield word, c, l, even, odd
+        for bit in "01" if len(word) < max_len else "":
+            cc, cl = q.step(c, l, l.odd ^ int(bit))
+            sums = (even, F.add(odd, cc.u)) if cc.odd else (F.add(even, cc.u), odd)
+            stack.append((word + bit, cc, cl, *sums))
 
-    def body(F, rng):
-        m0 = _rand_mat(F, rng)
-        w0 = _rand_mat(F, rng)
-        m1s, w1s = pair_tower(m0, w0, s)
-        q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
-        cm, cw = q.closed_products()
-        if mutate:
-            cm = cm.scale(q.d)
-            cw = cw.scale(q.d)
-        if not m1s.eq(cm):
-            return "m branch"
-        if not w1s.eq(cw):
-            return "w branch"
-        return None
 
-    return _randomized(f"closed-form[{s}]", trials, m, seed, body)
+def _invariant_rhs(F, q, even, odd):
+    """d + r even + even^2 + gamma (odd + odd^2), written out here."""
+    rhs = F.add(F.add(q.d, F.mul(q.r, even)), F.square(even))
+    return F.add(rhs, F.mul(q.gamma, F.add(odd, F.square(odd))))
+
+
+def _on_invariant(F, q, c, even, odd):
+    c2 = F.square(c.u)
+    return F.eq(F.mul(c2, q.gamma) if c.odd else c2, _invariant_rhs(F, q, even, odd))
 
 
 @pytest.mark.parametrize(
     "max_len, trials, m, seed",
-    # GF(2^16) at depth 8 is the battery's word set; GF(2^17) has no
-    # tables, so mat_sq declines every squaring and Mat2.square's own
-    # formula takes it
-    [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1), (8, 2, 16, 1), (3, 10, 17, 1)],
+    # GF(2^16) and the tableless GF(2^17) at depth 8 are the exhaustive
+    # sweep the battery ran on every draw; on GF(2^17) mat_sq declines every
+    # squaring and Mat2.square's own formula takes it
+    [(4, 100, 2, 5), (4, 100, 3, 5), (5, 20, 16, 1), (8, 2, 16, 1), (3, 10, 17, 1), (8, 2, 17, 1)],
 )
 def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed, monkeypatch):
+    # every node up to max_len, walked by GQuantities.step alone, satisfies
+    # the closed form's invariant, and its closed form is the pair tower's
+    # product and that of the word's own GQuantities; the randomized check
+    # over the same words passes and counts one redraw per degenerate draw
     paths = set()  # whether mat_sq answered each squaring or declined it
     fused = Gf2m.mat_sq
 
@@ -284,45 +292,80 @@ def test_closed_form_sweep_matches_per_word(max_len, trials, m, seed, monkeypatc
         return entries
 
     monkeypatch.setattr(Gf2m, "mat_sq", spy)
-    words = list(all_driver_words(max_len))
-    failures, resamples = [], 0
-    for s in words:
-        ref = _closed_form_per_word(s, trials, m, seed)
-        failures.extend((s, f) for f in ref.failures)
-        resamples += ref.resamples
-    paths.clear()
-    rep = check_closed_form(words, trials, m, seed)
-    assert rep.failures == failures and rep.resamples == resamples
+    F, rng = field(m), random.Random(seed)
+    assert (F._exp is None) == (m > 16)
+    degenerate, nodes = 0, 0
+    for _ in range(trials):
+        m0, w0 = _rand_mat(F, rng), _rand_mat(F, rng)
+        m1, w1 = w0.mul(m0), m0.mul(w0)
+        try:
+            q = GQuantities(F, m1, w1)
+        except DegenerateDraw:
+            degenerate += 1
+            continue
+        for word, c, l, even, odd in _step_sweep(F, q, max_len):
+            nodes += 1
+            assert _on_invariant(F, q, c, even, odd), word
+            closed = [Mat2(F, *e) for e in q.closed_pair(l.odd, even, odd, l)]
+            per_word = GQuantities(F, m1, w1, word).closed_products()
+            tower = pair_tower(m0, w0, word)
+            assert all(x.eq(y) and x.eq(z) for x, y, z in zip(closed, per_word, tower)), word
+    assert nodes == (trials - degenerate) * ((2 << max_len) - 2)
     assert paths == ({"fallback"} if m > 16 else {"table", "fallback"})
+    rep = check_closed_form(all_driver_words(max_len), trials, m, seed)
+    assert rep.passed and rep.ident == "closed-form"
     if m < 16:
-        assert resamples > 0  # the shared redraw path is exercised
-    for s in words[:6]:
-        one = check_closed_form(s, trials, m, seed)
-        ref = _closed_form_per_word(s, trials, m, seed)
-        assert one.failures == ref.failures and one.resamples == ref.resamples
+        assert degenerate > 0 and rep.resamples > 0  # the redraw path is exercised
 
 
 def test_closed_form_sweep_exhausted_budget_matches_per_word(monkeypatch):
-    # one draw per trial over GF(4): degenerate trials give up, and the
-    # sweep reports that for every word as the per-word loop does
-    import cf2.identities
-
+    # one draw per trial over GF(4): a degenerate trial gives up, and is
+    # reported once, as one redraw, however many driver words are listed
     monkeypatch.setattr(cf2.identities, "RESAMPLE_CAP", 1)
-    words = list(all_driver_words(3))
-    rep = check_closed_form(words, 40, 2, 5)
-    refs = [_closed_form_per_word(s, 40, 2, 5) for s in words]
-    assert rep.failures == [(s, f) for s, ref in zip(words, refs) for f in ref.failures]
-    assert rep.resamples == sum(ref.resamples for ref in refs) > 0
-    assert any(d == "resample budget exhausted" for _, (_, d) in rep.failures)
+    for words in (list(all_driver_words(3)), "101"):
+        rep = check_closed_form(words, 40, 2, 5)
+        assert 0 < len(rep.failures) == rep.resamples < 40
+        assert all(detail == "resample budget exhausted" for _, detail in rep.failures)
+        assert [trial for trial, _ in rep.failures] == sorted({trial for trial, _ in rep.failures})
 
 
 def test_closed_form_sweep_mutation_fails_every_word():
+    # the mutated control, a walk from l_0 = d, fails every draw of the
+    # check at the first letter of the word it walks, for every word
     words = list(all_driver_words(4))
     rep = check_closed_form(words, 10, 16, 1, mutate=True)
-    assert {s for s, _ in rep.failures} == set(words)
-    assert rep.failures == [
-        (s, f) for s in words for f in _closed_form_per_word(s, 10, 16, 1, mutate=True).failures
-    ]
+    assert [trial for trial, _ in rep.failures] == list(range(10))
+    assert all(detail in ("0: m branch", "1: m branch") for _, detail in rep.failures)
+    for s in words:
+        want = [(trial, f"{s[0]}: m branch") for trial in range(3)]
+        assert check_closed_form(s, 3, 16, 1, mutate=True).failures == want
+
+
+def test_closed_form_step_fails_off_the_invariant(monkeypatch):
+    # negative control: the induction step holds at drawn points of the
+    # invariant and fails, for both bits, at nodes whose c is drawn freely
+    F, rng = field(16), random.Random(7)
+    for _ in range(50):
+        m0, w0 = _rand_mat(F, rng), _rand_mat(F, rng)
+        q = GQuantities(F, w0.mul(m0), m0.mul(w0))
+        t, even, odd = rng.getrandbits(1), F.sample(rng), F.sample(rng)
+        l = CoScaled(F.sample_invertible(rng), t)
+        pair = [Mat2(F, *e) for e in q.closed_pair(t, even, odd, l)]
+        c = CoScaled(F.sample(rng), t)
+        assert not _on_invariant(F, q, c, even, odd)
+        for bit in "01":
+            assert _closed_step(q, pair, (c, l, (even, odd)), bit)[0] in ("m branch", "w branch")
+        # with c the square root of the invariant's right-hand side, both pass
+        rhs = _invariant_rhs(F, q, even, odd)
+        c = CoScaled(F.pow(F.mul(rhs, q.inv_gamma) if t else rhs, 1 << 15), t)
+        assert _on_invariant(F, q, c, even, odd)
+        for bit in "01":
+            assert _closed_step(q, pair, (c, l, (even, odd)), bit)[0] is None
+    # the step also holds the next node to the invariant: a claimed one off
+    # by 1 fails there though the closed forms agree
+    off_by_one = lambda q, *sums: F.add(_invariant_rhs(F, q, *sums), F.one)  # noqa: E731
+    monkeypatch.setattr(cf2.identities, "_invariant", off_by_one)
+    assert _closed_step(q, pair, (c, l, (even, odd)), "1")[0] == "invariant"
 
 
 def test_closed_form_rejects_bad_words():
@@ -412,6 +455,8 @@ def test_tail_equations_residue_term_detail(monkeypatch):
 
 
 def test_closed_form_w_branch_detail(monkeypatch):
+    # a bumped w closed form fails the drawn step for bit 0 in its w branch
+    # (squaring leaves the m branch alone), for one word or several
     closed_pair = GQuantities.closed_pair
 
     def patched(q, *args):
@@ -419,9 +464,9 @@ def test_closed_form_w_branch_detail(monkeypatch):
         return cm, tuple(_bumped(q.F, v) for v in cw)
 
     monkeypatch.setattr(GQuantities, "closed_pair", patched)
-    assert check_closed_form("101", 3, 16, 1).failures == [(trial, "w branch") for trial in range(3)]
+    assert check_closed_form("101", 3, 16, 1).failures == [(trial, "step 0: w branch") for trial in range(3)]
     rep = check_closed_form(["1", "10"], 2, 16, 1)
-    assert rep.failures == [(s, (trial, "w branch")) for s in ("1", "10") for trial in range(2)]
+    assert rep.failures == [(trial, "step 0: w branch") for trial in range(2)]
 
 
 def test_valuation_bounds_p_entry_and_step_scalar_details(monkeypatch):

@@ -488,19 +488,26 @@ def test_step_matches_the_closed_formula_on_every_prefix(m):
 
 
 def test_step_with_a_swapped_kappa_fails_the_closed_form_sweep(monkeypatch):
-    # mutation control: c_(j+1) = c_j^2 kappa_(1-t) breaks every word past
-    # its first letter on every draw, and c_1 = d kappa_t keeps one-letter
-    # words passing
+    # mutation control: c_(j+1) = c_j^2 kappa_(1-t) fails the induction step
+    # on every draw; c_1 = d kappa_(1-t) alone passes every drawn step (c is
+    # never None there) and fails the walked word at its first letter
     step = GQuantities.step
 
     def swapped(q, c, l, t):
         return step(q, c, l, t if c is None else 1 - t)[0], step(q, c, l, t)[1]
 
-    monkeypatch.setattr(GQuantities, "step", swapped)
+    def swapped_base(q, c, l, t):
+        return step(q, c, l, 1 - t if c is None else t)[0], step(q, c, l, t)[1]
+
     words = list(all_driver_words(8))
-    rep = check_closed_form(words, 2, 16, 1)
-    failing = [w for w, _ in rep.failures]
-    assert failing == [w for w in words if len(w) >= 2 for _ in range(2)]
+    monkeypatch.setattr(GQuantities, "step", swapped)
+    rep = check_closed_form(words, 4, 16, 1)
+    assert [trial for trial, _ in rep.failures] == list(range(4))
+    assert all(detail.startswith("step ") for _, detail in rep.failures)
+    monkeypatch.setattr(GQuantities, "step", swapped_base)
+    for s in ("1", "0110"):
+        rep = check_closed_form(s, 4, 16, 1)
+        assert rep.failures == [(trial, f"{s[0]}: m branch") for trial in range(4)]
 
 
 def test_shift_is_rho_times_the_2k_power():
