@@ -55,6 +55,9 @@ EXIT_PIPE = 141
 # each family's spec class; its dataclass fields are the spec's words, in
 # the order of the text form, the --help flags and the config echo
 _SPECS = {"P": PSpec, "G": GSpec}
+# the spec family each theorem command takes: its word flags' family
+# without --family, and checked before its map
+_FAMILY = {"theorem1": PSpec, "theorem2": GSpec, "corollary": PSpec}
 
 
 def parse_spec_text(text: str) -> PSpec | GSpec:
@@ -78,14 +81,16 @@ def parse_spec_text(text: str) -> PSpec | GSpec:
 def _spec_from_args(args) -> PSpec | GSpec:
     if args.spec:
         spec = parse_spec_text(args.spec)
+        if args.family is not None and not isinstance(spec, _SPECS[args.family]):
+            raise ValueError(f"--family {args.family} contradicts the spec '{_spec_echo(spec)}'")
     else:
-        family = args.family
-        if family is None:  # the first family whose period word, its last field, is given
-            given = (f for f, cls in _SPECS.items() if getattr(args, fields(cls)[-1].name) is not None)
-            family = next(given, None)
-        if family is None:
+        # the given family, the command's own, or the first family whose
+        # period word, its last field, is given
+        cls = _SPECS[args.family] if args.family else _FAMILY.get(args.command)
+        if cls is None:
+            cls = next((c for c in _SPECS.values() if getattr(args, fields(c)[-1].name) is not None), None)
+        if cls is None:
             raise ValueError("give --family with its word flags, or --spec")
-        cls = _SPECS[family]
         spec = cls(*(getattr(args, f.name) or "" for f in fields(cls)))
     # a word flag the spec is not built from is refused, not dropped
     unread = [f"--{f.name}" for cls in _SPECS.values() for f in fields(cls)
@@ -132,10 +137,6 @@ def _echo(args, out, command: str, **extra) -> None:
 def _spec_echo(spec) -> str:
     words = (f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
     return " ".join([type(spec).__name__[0], *words])
-
-
-# the spec family each theorem command takes, checked before its map
-_FAMILY = {"theorem1": PSpec, "theorem2": GSpec, "corollary": PSpec}
 
 
 def _spec_prologue(args, out, **extra) -> tuple[PSpec | GSpec, SpecMap]:
@@ -239,6 +240,10 @@ def cmd_relation(args, out) -> int:
     if args.num or args.den:
         if not (args.num and args.den):
             raise ValueError("--num and --den go together")
+        spec_flags = ["spec", "family", "map", *(f.name for cls in _SPECS.values() for f in fields(cls))]
+        unread = [f"--{name}" for name in spec_flags if getattr(args, name) is not None]
+        if unread:
+            raise ValueError(f"{' '.join(unread)} not read with --num and --den")
         try:
             num, den = Gf2Poly.parse(args.num), Gf2Poly.parse(args.den)
             phi = LaurentSeries.from_rational(num, den, args.prec)
@@ -362,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_spec_flags(p)
         p.add_argument("--map", default=None)
         common(p, prec_min=64)
-        p.set_defaults(fn=cmd_theorem, family=family)
+        p.set_defaults(fn=cmd_theorem)
 
     p = sub.add_parser("corollary", help="iterated prefix-sum chain check")
     _add_spec_flags(p)
     p.add_argument("--map", default=None)
     p.add_argument("--k", type=int, default=1)
     common(p, prec_min=64)
-    p.set_defaults(fn=cmd_theorem, family="P")
+    p.set_defaults(fn=cmd_theorem)
 
     p = sub.add_parser("explore-sigma-inv", help="exploratory search, no claim")
     p.add_argument("--degx", type=int, default=8)

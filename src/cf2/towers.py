@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import accumulate, count
+from itertools import count
 
 from .gf2poly import Gf2Poly, clmul
 from .laurent import LaurentSeries
@@ -459,11 +459,11 @@ class GQuantities:
     Correction terms are carried as CoScaled values (u * cross^b), which
     keeps every power of the cross matrix in scalar arithmetic.  Each
     letter of s squares the prefix's c_j and l and multiplies them by one
-    factor (``step``), so no power of d is ever divided by.  Every other
-    scalar the tower divides by (rho, the ratios c_j / c_1^(2^(j-1))) is a
-    monomial in r and cross once its powers of d cancel.  Without a driver
-    word only the word-independent scalars are set, which every driver
-    word over the same pair shares.
+    factor (``step``), so no power of d is ever divided by.  The limit
+    terms H_j and the generation shift walk the same c step along s, so
+    the only scalars the tower divides by are r and gamma, each inverted
+    once here.  Without a driver word only the word-independent scalars
+    are set, which every driver word over the same pair shares.
     """
 
     def __init__(self, F, m1: Mat2, w1: Mat2, s: str = ""):
@@ -487,25 +487,11 @@ class GQuantities:
         if not s:
             return
         self.stats = word_stats(s)
-        # prefix statistics e_j = e(s(j)) drive the exponents of every monomial
-        self.e = list(accumulate(self.stats.delta, lambda e, t: 2 * e + t))
         self.c = []
         c, self.l_cs = None, CoScaled(F.one, 0)
         for t in self.stats.delta:
             c, self.l_cs = self.step(c, self.l_cs, t)
             self.c.append(c)
-
-    def monomial(self, i: int, a: int) -> CoScaled:
-        """r^i cross^a for any integers i, a: u = r^i gamma^(a // 2), odd = a & 1."""
-        F = self.F
-        g = a // 2
-        return CoScaled(
-            F.mul(
-                F.pow(self.r, i) if i >= 0 else F.pow(self.inv_r, -i),
-                F.pow(self.gamma, g) if g >= 0 else F.pow(self.inv_gamma, -g),
-            ),
-            a & 1,
-        )
 
     def step(self, c: CoScaled | None, l: CoScaled, t: int) -> tuple[CoScaled, CoScaled]:
         """(c_(j+1), l_(j+1)) = (c_j^2 kappa_t, l_j^2 lambda_t) for the digit
@@ -513,12 +499,23 @@ class GQuantities:
         (r, cross); c = None at the empty prefix gives c_1 = d kappa_t, and
         l_0 = 1.  So c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j and
         l_j = r^(2^j - 1 - e_j) cross^e_j with e_j = e(s(j))."""
-        F = self.F
-        c2 = self.d if c is None else self._square(c)
         l2 = self._square(l)
+        l_next = CoScaled(l2, 1) if t else CoScaled(self.F.mul(l2, self.r), 0)
+        return self._kappa(self.d if c is None else self._square(c), t), l_next
+
+    def _kappa(self, x, t: int) -> CoScaled:
+        """kappa_t x for a scalar x: x / r, or x / cross = (x / gamma) cross."""
         if t:
-            return CoScaled(F.mul(c2, self.inv_gamma), 1), CoScaled(l2, 1)
-        return CoScaled(F.mul(c2, self.inv_r), 0), CoScaled(F.mul(l2, self.r), 0)
+            return CoScaled(self.F.mul(x, self.inv_gamma), 1)
+        return CoScaled(self.F.mul(x, self.inv_r), 0)
+
+    def _walk(self, h: CoScaled, parities) -> list[CoScaled]:
+        """h, then kappa_t x^2 of the last value x for each parity t in turn:
+        the c half of ``step``."""
+        out = [h]
+        for t in parities:
+            out.append(self._kappa(self._square(out[-1]), t))
+        return out
 
     def _square(self, x: CoScaled):
         """The scalar x^2 = x.u^2 gamma^b of x = x.u cross^b."""
@@ -567,26 +564,14 @@ class GQuantities:
             raise HypothesisViolation("period scalar carries an odd cross power")
         return self.l_cs.u
 
-    def rho(self) -> CoScaled:
-        """c_1'/l divided by c_1^(2^k): the generation shift of c_1/L, where
-        c_1' = d^(2^k - 1) / l * c_1 is the next generation's first correction.
-        The powers of d cancel: rho = r^((1 - e_1) n - 2(n - e_k)) cross^(e_1 n - 2 e_k)
-        with n = 2^k - 1."""
-        e1, ek, n = self.e[0], self.e[-1], (1 << self.k) - 1
-        return self.monomial((1 - e1) * n - 2 * (n - ek), e1 * n - 2 * ek)
-
-    @cached_property
-    def _shift_factor(self):
-        rho = self.rho()
-        return self.F.mul(self.F.pow(self.gamma, rho.odd << (self.k - 1)), rho.u)
-
     def shift(self, t: CoScaled) -> CoScaled:
-        """rho t^(2^k), the generation shift of c_1/L, for t of c_1's cross
-        parity o = e_1 mod 2, which rho shares: t^(2^k) = t.u^(2^k)
-        gamma^(o 2^(k-1)), and that power of gamma is folded into rho once."""
-        if t.odd != self.c[0].odd:
-            raise ValueError("cross parity mismatch in generation shift")
-        return CoScaled(self.F.mul(self.F.pow(t.u, 1 << self.k), self._shift_factor), t.odd)
+        """The generation shift rho t^(2^k) of c_1/L, rho = c_1'/l /
+        c_1^(2^k) with c_1' the next generation's first correction: t
+        walked along the prefix parities of s from length 2 on, then once
+        more with that of length 1, since s has an even digit sum.  t may
+        have either cross parity."""
+        delta = self.stats.delta
+        return self._walk(t, delta[1:] + delta[:1])[-1]
 
     def generations(self):
         """Yield (L_i, t_i) for i = 0, 1, ...: the running product
@@ -602,15 +587,10 @@ class GQuantities:
             t = self.shift(t)
 
     def limit_terms(self, H1: CoScaled) -> tuple[list[CoScaled], Mat2]:
-        """H_1 .. H_k with H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)), and the
-        limit sum m1 + H_1 + ... + H_k.  The ratio c_j / c_1^(2^(j-1)) is
-        r^(1 + e_j - (1 + e_1) 2^(j-1)) cross^(e_1 2^(j-1) - e_j)."""
-        Hs = [H1]
-        e1 = self.e[0]
-        for j in range(2, self.k + 1):
-            h, ej = 1 << (j - 1), self.e[j - 1]
-            ratio = self.monomial(1 + ej - (1 + e1) * h, e1 * h - ej)
-            Hs.append(self.cs_mul(self.cs_pow(H1, h), ratio))
+        """H_1 .. H_k, walked as H_(j+1) = kappa_t H_j^2 with t the digit
+        parity of s's prefix of length j + 1 (so H_j = H_1^(2^(j-1)) c_j /
+        c_1^(2^(j-1))), and the limit sum m1 + H_1 + ... + H_k."""
+        Hs = self._walk(H1, self.stats.delta[1:])
         acc = self.m1
         for h in Hs:
             acc = acc.add(self.cs_to_mat(h))

@@ -17,6 +17,9 @@ from cf2.laurent import LaurentSeries
 from cf2.words import GSpec, PSpec
 
 
+RATIONAL = ["relation", "--num", "1", "--den", "z+1", "--degx", "2", "--prec", "128"]
+
+
 def run_cli(*argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -89,12 +92,36 @@ def test_family_flag_wins_over_the_word_flags(argv, want):
          "--eps --u0 not read by the spec 'G u0=a v0=b ups=11'"),
         (["identities", "--all", "--check", "pair-products"],
          "--all runs every check, not only --check pair-products"),
+        # the rational path of relation builds no spec and reads no map
+        ([*RATIONAL, "--eps", "10"], "--eps not read with --num and --den"),
+        ([*RATIONAL, "--map", "0=z"], "--map not read with --num and --den"),
+        ([*RATIONAL, "--spec", "P w0= eps=10", "--family", "P", "--u0", ""],
+         "--spec --family --u0 not read with --num and --den"),
+        # a --family that contradicts --spec, for every spec command
+        (["gen", "--family", "G", "--spec", "P w0= eps=10", "--len", "4"],
+         "--family G contradicts the spec 'P w0= eps=10'"),
+        (["tower-trace", "--family", "G", "--spec", "P w0= eps=10", "--steps", "1"],
+         "--family G contradicts the spec 'P w0= eps=10'"),
+        (["relation", "--family", "P", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1", "--degx", "4"],
+         "--family P contradicts the spec 'G u0=a v0=b ups=11'"),
+        (["theorem1", "--family", "G", "--spec", "P w0= eps=10"], "--family G contradicts the spec 'P w0= eps=10'"),
+        (["theorem2", "--family", "P", "--spec", "G u0=a v0=b ups=11", "--map", "a=z,b=z+1"],
+         "--family P contradicts the spec 'G u0=a v0=b ups=11'"),
+        (["corollary", "--family", "G", "--spec", "P w0= eps=10"], "--family G contradicts the spec 'P w0= eps=10'"),
     ],
 )
 def test_flags_the_run_would_not_read_are_refused_before_the_echo(argv, err, capsys):
     assert main(argv) == 2
     out, got = capsys.readouterr()
     assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+def test_flags_the_run_reads_are_accepted():
+    # controls: a --family that agrees with --spec, and --num/--den alone
+    argv = ["--spec", "P w0= eps=10", "--len", "4"]
+    assert run_cli("gen", "--family", "P", *argv) == run_cli("gen", *argv)
+    code, out = run_cli(*RATIONAL)
+    assert code == 0 and out.startswith("config command=relation num=1 den=z+1 degx=2 prec=128 ")
 
 
 def test_all_with_check_all_runs_the_battery():

@@ -215,7 +215,7 @@ def test_corollary_chain_k4_stays_small():
 @pytest.mark.parametrize("eps", ["10", "01", "110", "011"])
 def test_corollary_chain_k4_passes(eps, prec):
     # the chain's later determinants vanish to the working precision; the
-    # tower scalars are monomials in r and cross, so no power of d is inverted
+    # G tower divides only by r and gamma, so no power of d is inverted
     assert check_corollary_chain(PSpec("", eps), SPB, 4, prec).passed
 
 

@@ -2,16 +2,17 @@
 
 import hashlib
 import random
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 import pytest
 
 from cf2 import towers
 from cf2.gf2m import field
 from cf2.gf2poly import Gf2Poly, clgcd, clmul
-from cf2.identities import all_driver_words, check_closed_form
+from cf2.identities import all_driver_words, check_closed_form, check_generation_relations
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2, RationalField, SeriesField
+from cf2.theorems import check_theorem_g
 from cf2.towers import (
     CF_BLOCK,
     CF_MARGIN,
@@ -49,7 +50,10 @@ def recursive_convergent(word, sp):
 
 SP = SpecMap.parse("a=z,b=z+1,c=z^2+z+1")
 # _limits_digest(512) as computed with every intermediate series at full width
-LIMITS_DIGEST_512 = "4cf9d05f25d4ec6d2c74bb27c5a90ae366844f8bc4a4c8a304412302eaaf8c43"
+# and the G tail walked by the one-letter c step, whose series hold the
+# working precision; test_g_limits_grid_agrees_with_the_closed_formulas
+# holds the G half to the closed formulas
+LIMITS_DIGEST_512 = "ad6077983632b51a154790e87bde914335555b9ee8e86359fa7a10b9656f8219"
 
 
 def test_specmap_validation():
@@ -317,6 +321,34 @@ def test_limits_hash_grid_is_frozen():
     assert _limits_digest(512) == LIMITS_DIGEST_512
 
 
+def test_g_limits_grid_agrees_with_the_closed_formulas():
+    # the G half of the frozen grid against H_1 summed along the closed
+    # shift rho t^(2^k), the closed H_j, their limit sum and equation H,
+    # below the common precision; no series falls below the working one
+    prec = 512
+    for one in ("z+1", "z^3+z+1"):
+        sp = SpecMap.parse(f"a=z,b={one}")
+        for u0, v0, ups in [("a", "b", "11"), ("ab", "ba", "101"), ("ab", "bb", "0011")]:
+            lim = g_limits(GSpec(u0, v0, ups), sp, prec)
+            q = lim.quants
+            t = H1 = q.c[0]
+            for _ in lim.Ls[1:]:
+                t = _closed_shift(q, t)
+                H1 = q.cs_add(H1, t)
+            Hs = _closed_limit_terms(q, H1)
+            acc = q.m1
+            for h in Hs:
+                acc = acc.add(q.cs_to_mat(h))
+            residual_h = q.cs_add(_closed_shift(q, H1), q.cs_add(q.c[0], H1)).u
+            assert _cs_agrees(lim.H1, H1, prec), (one, ups)
+            assert all(_cs_agrees(x, y, prec) for x, y in zip(lim.Hs, Hs, strict=True)), (one, ups)
+            cf = towers.cf_ratio(acc)
+            assert lim.cf.agrees(cf) and lim.residual_h().agrees(residual_h), (one, ups)
+            # the ratio of the limit sum's entries loses bits to its division either way
+            series = [lim.f, lim.H1.u, *(h.u for h in lim.Hs), lim.residual_f(), lim.residual_h()]
+            assert min(x.prec for x in series) >= prec and lim.cf.prec >= cf.prec, (one, ups)
+
+
 def test_pair_tower_base_case():
     F = field(16)
     rng = random.Random(1)
@@ -405,14 +437,14 @@ def _mat_pow(m, n):
 
 
 def test_coscaled_algebra_matches_matrices():
-    # each CoScaled op and monomial against the matrices it stands for,
-    # negative exponents of both parities included
+    # each CoScaled op and the test-side monomial against the matrices they
+    # stand for, negative exponents of both parities included
     F, q = _random_quants("", seed=7)
     rng = random.Random(11)
     r = Mat2.scalar(F, q.r)
     for i in (-3, -2, 0, 1, 2):
         for a in (-3, -2, -1, 0, 1, 2, 3):
-            assert q.cs_to_mat(q.monomial(i, a)).eq(_mat_pow(r, i).mul(_mat_pow(q.cross, a)))
+            assert q.cs_to_mat(_monomial(q, i, a)).eq(_mat_pow(r, i).mul(_mat_pow(q.cross, a)))
     for x_odd in (0, 1):
         x = CoScaled(F.sample_invertible(rng), x_odd)
         xm = q.cs_to_mat(x)
@@ -438,16 +470,61 @@ def _cs_exact(x):
     return _exact(x.u), x.odd
 
 
+def _monomial(q, i, a):
+    """r^i cross^a for any integers i, a: u = r^i gamma^(a // 2), odd = a & 1."""
+    F, g = q.F, a // 2
+    return CoScaled(
+        F.mul(
+            F.pow(q.r, i) if i >= 0 else F.pow(q.inv_r, -i),
+            F.pow(q.gamma, g) if g >= 0 else F.pow(q.inv_gamma, -g),
+        ),
+        a & 1,
+    )
+
+
+def _prefix_e(q):
+    """e_j = e(s(j)) of every prefix of the driver word, j = 1..k."""
+    return list(accumulate(q.stats.delta, lambda e, t: 2 * e + t))
+
+
 def _closed_c_and_l(q):
     """Oracle of the step: c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j
     and l = r^(2^k - 1 - e_k) cross^e_k, with the powers of r and cross
-    from ``monomial`` and d^(2^(j-1)) as j - 1 squares in the field."""
-    F, d, cs = q.F, q.d, []
-    for j, e in enumerate(q.e, start=1):
-        x = q.monomial(e + 1 - (1 << j), -e)
+    from ``_monomial`` and d^(2^(j-1)) as j - 1 squares in the field."""
+    F, d, cs, es = q.F, q.d, [], _prefix_e(q)
+    for j, e in enumerate(es, start=1):
+        x = _monomial(q, e + 1 - (1 << j), -e)
         cs.append(CoScaled(F.mul(d, x.u), x.odd))
         d = F.square(d)
-    return cs, q.monomial((1 << q.k) - 1 - q.e[-1], q.e[-1])
+    return cs, _monomial(q, (1 << q.k) - 1 - es[-1], es[-1])
+
+
+def _closed_rho(q):
+    """rho = c_1'/l / c_1^(2^k) once its powers of d cancel:
+    r^((1 - e_1) n - 2(n - e_k)) cross^(e_1 n - 2 e_k) with n = 2^k - 1."""
+    es = _prefix_e(q)
+    e1, ek, n = es[0], es[-1], (1 << q.k) - 1
+    return _monomial(q, (1 - e1) * n - 2 * (n - ek), e1 * n - 2 * ek)
+
+
+def _closed_shift(q, t):
+    return q.cs_mul(q.cs_pow(t, 1 << q.k), _closed_rho(q))
+
+
+def _closed_limit_terms(q, H1):
+    """H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)), the ratio being
+    r^(1 + e_j - (1 + e_1) 2^(j-1)) cross^(e_1 2^(j-1) - e_j)."""
+    es, Hs = _prefix_e(q), [H1]
+    for j in range(2, q.k + 1):
+        h = 1 << (j - 1)
+        Hs.append(q.cs_mul(q.cs_pow(H1, h), _monomial(q, 1 + es[j - 1] - (1 + es[0]) * h, es[0] * h - es[j - 1])))
+    return Hs
+
+
+def _cs_agrees(x, y, prec):
+    """Equal cross parity, and u equal below the common precision, which
+    is at least prec for both."""
+    return x.odd == y.odd and x.u.agrees(y.u) and min(x.u.prec, y.u.prec) >= prec
 
 
 def _pair_over(F, seed=0):
@@ -511,54 +588,93 @@ def test_step_with_a_swapped_kappa_fails_the_closed_form_sweep(monkeypatch):
 
 
 def test_shift_is_rho_times_the_2k_power():
-    # over series to the last (val, mask, prec) and over GF(2^16), for both
-    # cross parities o = e_1 mod 2, along three generations of c_1/L
+    # the walked shift equals the closed rho t^(2^k) for t of either cross
+    # parity, along three generations: exactly over GF(2^16), below the
+    # common precision over series; and it is Frobenius-semilinear,
+    # shift(x t) = x^(2^k) shift(t) for a scalar x
     F, m1, w1 = _series_pair()
     G = field(16)
     gm1, gw1 = _pair_over(G, seed=3)
     rng = random.Random(4)
     for s in ("1", "0", "11", "0011", "101", "10110100"):
         q, g = GQuantities(F, m1, w1, s), GQuantities(G, gm1, gw1, s)
-        for quants, t in ((q, q.c[0]), (g, g.c[0]), (g, CoScaled(G.sample_invertible(rng), g.c[0].odd))):
+        for o in (0, 1):
+            t = CoScaled(q.c[0].u, o)
             for _ in range(3):
-                want = quants.cs_mul(quants.cs_pow(t, 1 << quants.k), quants.rho())
-                assert _cs_exact(quants.shift(t)) == _cs_exact(want), s
+                want = _closed_shift(q, t)
+                assert _cs_agrees(q.shift(t), want, 512), (s, o)
+                t = want
+            t = CoScaled(G.sample_invertible(rng), o)
+            for _ in range(3):
+                want = _closed_shift(g, t)
+                assert _cs_exact(g.shift(t)) == _cs_exact(want), (s, o)
+                x = G.sample_invertible(rng)
+                xt = g.shift(CoScaled(G.mul(x, t.u), t.odd))
+                assert _cs_exact(xt) == _cs_exact(g.cs_mul(CoScaled(G.pow(x, 1 << g.k), 0), want)), (s, o)
                 t = want
     # and on the H_1 that residual_h shifts
     lim = g_limits(GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z^3+z+1"), 512)
-    q = lim.quants
-    want = q.cs_mul(q.cs_pow(lim.H1, 1 << q.k), q.rho())
-    assert _cs_exact(q.shift(lim.H1)) == _cs_exact(want)
+    assert _cs_agrees(lim.quants.shift(lim.H1), _closed_shift(lim.quants, lim.H1), 512)
+
+
+@pytest.mark.parametrize("m", [2, 16, 17])
+def test_limit_terms_walk_the_closed_ratios(m):
+    # H_j = H_1^(2^(j-1)) c_j / c_1^(2^(j-1)) exactly, for H_1 = c_1 and a
+    # drawn H_1 of either cross parity, over every driver word up to length 6
+    F = field(m)
+    m1, w1 = _pair_over(F, seed=m)
+    rng = random.Random(m)
+    for s in all_driver_words(6):
+        q = GQuantities(F, m1, w1, s)
+        for H1 in (q.c[0], CoScaled(F.sample_invertible(rng), 0), CoScaled(F.sample_invertible(rng), 1)):
+            Hs, _ = q.limit_terms(H1)
+            assert [_cs_exact(h) for h in Hs] == [_cs_exact(h) for h in _closed_limit_terms(q, H1)], s
 
 
 def test_rho_has_the_cross_parity_of_c1():
-    # the shift folds gamma^(o 2^(k-1)) into rho for o = c_1's parity
+    # rho t^(2^k) has rho's cross parity, that of c_1 and of s's first
+    # letter, for t of either parity: the walk's last kappa is that letter's
     F = field(16)
     m1, w1 = _pair_over(F, seed=5)
     for s in all_driver_words(8):
         q = GQuantities(F, m1, w1, s)
-        assert q.rho().odd == q.c[0].odd == int(s[0]), s
+        for o in (0, 1):
+            assert q.shift(CoScaled(F.one, o)).odd == q.c[0].odd == int(s[0]), s
 
 
-def test_shift_rejects_a_cross_parity_mismatch():
-    F = field(16)
-    m1, w1 = _pair_over(F, seed=6)
-    for s in ("1", "01"):
-        q = GQuantities(F, m1, w1, s)
-        with pytest.raises(ValueError, match="parity"):
-            q.shift(CoScaled(F.one, 1 - q.c[0].odd))
+def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monkeypatch):
+    # mutation control: kappa of the walk's first step swapped (t -> 1 - t),
+    # in the walk only, not in ``step``; the walk's last parity stays, so
+    # every sum it feeds still adds.  H_1 is summed from the same shift that
+    # equation H applies to it, so that line still passes and theorem 2
+    # fails on the oracle agreement of the limit sum
+    walk = GQuantities._walk
+
+    def swapped(q, h, parities):
+        return walk(q, h, [1 - t for t in parities[:1]] + list(parities[1:]))
+
+    monkeypatch.setattr(GQuantities, "_walk", swapped)
+    for s in ("11", "101"):
+        rep = check_generation_relations(s, 2, 4, 16, 1)
+        assert [trial for trial, _ in rep.failures] == list(range(4)), s
+    for ups in ("1", "011", "0011"):
+        rep = check_theorem_g(GSpec("a", "b", ups), SpecMap.parse("a=z,b=z+1"), 512)
+        assert not rep.passed
+        failed = [line for line in rep.lines if line.endswith(" fail")]
+        assert [line.split()[0] for line in failed] == ["oracle-agreement"], ups
+        assert "equation H residual>=512 pass" in rep.lines
 
 
 def test_tower_scalars_keep_full_precision():
     # in the 4th spec of the k = 4 corollary chain of eps=10, d vanishes to
     # the working precision 512: l and rho built by dividing out powers of d
-    # kept 2 and -511 bits here
+    # kept 2 and -511 bits here; the walked shift of 1 is rho gamma^(o 2^(k-1))
     g = p_to_g(PSpec("", "10"))
     for _ in range(3):
         g = g_sigma(g)
     q = g_limits(g, SpecMap.binary_default(), 512).quants
     assert q.d.known_zero_below() == 512
-    assert q.l_cs.u.prec == 512 and q.rho().u.prec >= 512
+    assert q.l_cs.u.prec == 512 and q.shift(CoScaled(q.F.one, q.c[0].odd)).u.prec >= 512
 
 
 def test_cross_square_is_trace_of_m11():
