@@ -26,7 +26,11 @@ of P6's series at that precision, and ``AlgRelation.evaluate`` of the
 relation found there on P6's series at twice it; ``theorems.p_relation``,
 theorem 1's exact relation over GF(2)(z), for P6-P9 (P7's word 1101000,
 P8's 11010000, P9's 110100000), and the whole ``check_theorem_p`` verdict
-for P6-P8 at prec 512; ``search_relation`` for P6 at prec 512 (binary
+for P6-P8 at prec 512; on the corollary chain's fourth spec (eps=10,
+start words of 128 letters, binary map) family G's exact tail step
+``theorems.g_tail_step`` and its start matrices over GF(2)(z), as
+``towers._word_product`` and as ``word_matrix`` over ``RationalField``
+with exact letter inverses; ``search_relation`` for P6 at prec 512 (binary
 map), and on the two family-P specs whose first round gives a precision
 artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5
 (w0=00, eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
@@ -122,6 +126,25 @@ def exact_cases(theorems, towers, words):
         (f"check_theorem_p.P{n}", theorems.check_theorem_p, (words.PSpec("", EXACT_LADDER[n]), spb, 512))
         for n in (6, 7, 8)
     ]
+
+
+def tail_step_cases(mat2, theorems, towers, words):
+    """(name, function, args) for the exact family-G rows on the corollary
+    chain's fourth spec; the rows of code a tree lacks are left out."""
+    spec = words.p_to_g(words.PSpec("", "10"))
+    for _ in range(3):
+        spec = words.g_sigma(spec)
+    norm = words.g_normalize(spec)
+    spb = towers.SpecMap.binary_default()
+    F = mat2.RationalField()
+    inv = {c: F.inv((spb.poly(c).bits, 1)) for c in spec.alphabet}
+    starts = (norm.spec.u0, norm.spec.v0)
+    out = [("word_matrix.rational.G128", lambda: [towers.word_matrix(w, F, inv) for w in starts], ())]
+    if hasattr(towers, "_word_product"):
+        out.append(("_word_product.G128", lambda: [towers._word_product(w, spb) for w in starts], ()))
+    if hasattr(theorems, "g_tail_step"):
+        out.append(("g_tail_step.G128", theorems.g_tail_step, (norm, spb)))
+    return out
 
 
 def search_cases(theorems, towers, words):
@@ -225,7 +248,7 @@ def worker(src: str, quick: bool) -> None:
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
-    todo += exact_cases(theorems, towers, words)
+    todo += exact_cases(theorems, towers, words) + tail_step_cases(mat2, theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()
         fn(*args)

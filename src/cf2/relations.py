@@ -146,14 +146,14 @@ def _order_basis(res: list[int], sigma: int) -> tuple[list[int], list[int]]:
     into its column's residual.  Column j starts as e_j; entry i's t^l
     coefficient is bit l*n + i, so a shift by n multiplies by t.  The
     pivot is the live column of least degree, ties to the lowest index,
-    so the leading coefficients stay unit upper triangular."""
+    so the leading coefficients stay unit upper triangular.  Every order
+    has a live column: a series of valuation 0 (psi_D, or psi_0 if phi has
+    no pole) at order 0, and the pivot's residual, shifted, at the next."""
     n = len(res)
     cols = [1 << j for j in range(n)]
     degs = [0] * n
     for k in range(sigma):
         live = [j for j, r in enumerate(res) if r.bit_length() == sigma - k]
-        if not live:
-            continue
         p = min(live, key=degs.__getitem__)
         for j in live:
             if j != p:

@@ -5,7 +5,8 @@ Each driver builds the continued-fraction series of a spec two ways
 and the closed equations satisfied by the limit scalars, then takes an
 annihilating polynomial and verifies it on the convergent series at
 double precision.  Family P derives its relation exactly over GF(2)(z)
-from the tower; family G, explore and ``cf2 relation`` search for one.
+from the tower; family G checks its tail step exactly there, and it,
+explore and ``cf2 relation`` search for a relation.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, so it takes a direct quadratic check.
@@ -20,17 +21,21 @@ from .relations import (
     AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, required_precision,
 )
 from .towers import (
+    GQuantities,
     SpecMap,
     cf_series_of,
+    exact_g_quantities,
     exact_p_tower,
     g_cf_series,
     g_limits,
     p_cf_series,
     p_limits,
+    pair_step,
 )
 from .words import (
     DegeneratePeriodic,
     GSpec,
+    NormalizedG,
     PSpec,
     g_sigma,
     p_prefix,
@@ -225,6 +230,19 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     return CheckReport("theorem-p", ok, bound, lines, search, agreement=agree)
 
 
+def g_tail_step(norm: NormalizedG, sp: SpecMap) -> bool:
+    """Whether family G's generation shift holds exactly over K = GF(2)(z):
+    shift(c_1) = c_1'/l, with c_1' the first correction of the next
+    generation, whose pair is (m1, w1) walked along s.  Its cross is
+    l cross, so an odd c_1'/l reads c_1'.u in this generation's cross."""
+    q = exact_g_quantities(norm, sp)
+    F, m, w = q.F, q.m1, q.w1
+    for bit in q.s:
+        m, w = pair_step(m, w, bit)
+    nxt, got = GQuantities(F, m, w, q.s).c1, q.shift(q.c1)
+    return got.odd == nxt.odd and got.u == (nxt.u if nxt.odd else F.mul(nxt.u, F.inv(q.l_scalar)))
+
+
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^k for the family-G continued fraction."""
     phi_fn, first_val = spec_series(spec, sp)
@@ -241,7 +259,10 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
-    return _verdict("theorem-g", bound, phi_fn, first_val, sp, prec, lines, ok and scalar_ok, agree)
+    tail_ok = g_tail_step(lim.norm, sp)
+    if not tail_ok:
+        lines.append("tail-step shift(c1)=c1'/l fail")
+    return _verdict("theorem-g", bound, phi_fn, first_val, sp, prec, lines, ok and scalar_ok and tail_ok, agree)
 
 
 def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) -> CheckReport:

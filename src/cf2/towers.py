@@ -142,19 +142,24 @@ def _mat_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tupl
     )
 
 
-def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
-    """Exact (numerator, denominator) of the convergent [word].
-
-    They are the first column of the product of ((u, 1), (1, 0)) over the
-    letters u.  Blocks of CF_BLOCK letters run the small-int recurrence, and
-    a pairwise tree joins the blocks, so the long products are balanced."""
-    if not word:
-        raise ValueError("empty word has no convergent")
+def _word_product(word: str, sp: SpecMap) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the product of ((u, 1), (1, 0)) over the
+    letters u of a nonempty word, as bit-packed ints.  Blocks of CF_BLOCK
+    letters run the small-int recurrence, and a pairwise tree joins the
+    blocks, so the long products are balanced."""
     taps: dict[str, list[int]] = {}  # letter -> exponents of its polynomial
     mats = [_block_product(word[i:i + CF_BLOCK], taps, sp) for i in range(0, len(word), CF_BLOCK)]
     while len(mats) > 1:
         mats = [_mat_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i] for i in range(0, len(mats), 2)]
-    a, _, c, _ = mats[0]
+    return mats[0]
+
+
+def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
+    """Exact (numerator, denominator) of the convergent [word]: the first
+    column of ``_word_product``."""
+    if not word:
+        raise ValueError("empty word has no convergent")
+    a, _, c, _ = _word_product(word, sp)
     return Gf2Poly(a), Gf2Poly(c)
 
 
@@ -346,6 +351,23 @@ def exact_p_tower(spec: PSpec, sp: SpecMap) -> PTower:
     return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
 
 
+def exact_g_quantities(norm: NormalizedG, sp: SpecMap) -> GQuantities:
+    """The first generation of a normalized family-G spec over K = GF(2)(z),
+    every scalar exact.  A start matrix is the transposed ``_word_product``
+    of its word, the descending product of ((u, 1), (1, 0)): ``word_matrix``
+    times the product of the word's letters, with nothing divided.  So the
+    pair (m1, w1) is scaled by one factor, which the tower's identities and
+    the ratio of the limit sum both keep."""
+    F = RationalField()
+
+    def start(word: str) -> Mat2:
+        a, b, c, d = _word_product(word, sp)
+        return Mat2(F, (a, 1), (c, 1), (b, 1), (d, 1))
+
+    m0, w0 = start(norm.spec.u0), start(norm.spec.v0)
+    return GQuantities(F, w0.mul(m0), m0.mul(w0), norm.s)
+
+
 def predicted_det_val(spec: PSpec, sp: SpecMap, j: int) -> int:
     """Exact valuation of d_j of the series tower, from degree bookkeeping."""
     v = 2 * sum(sp.poly(c).degree for c in spec.w0)
@@ -458,12 +480,13 @@ class GQuantities:
     square gamma, the correction terms c_1..c_k, and the period scalar l.
     Correction terms are carried as CoScaled values (u * cross^b), which
     keeps every power of the cross matrix in scalar arithmetic.  Each
-    letter of s squares the prefix's c_j and l and multiplies them by one
-    factor (``step``), so no power of d is ever divided by.  The limit
-    terms H_j and the generation shift walk the same c step along s, so
-    the only scalars the tower divides by are r and gamma, each inverted
-    once here.  Without a driver word only the word-independent scalars
-    are set, which every driver word over the same pair shares.
+    letter of s costs c_j and l one square and at most one product (by a
+    factor table entry, ``_times_square``), so no power of d is ever
+    divided by, and the limit terms H_j and the generation shift walk the
+    same c step along s: the only scalars inverted are r and gamma, once
+    each here.  c_1 and l are built here, c_2..c_k on first read of ``c``.
+    Without a driver word only the word-independent scalars are set,
+    which every driver word over the same pair shares.
     """
 
     def __init__(self, F, m1: Mat2, w1: Mat2, s: str = ""):
@@ -476,7 +499,7 @@ class GQuantities:
         self.r = m1.trace()
         self.cross = m1.add(w1).add_scalar(self.r)
         sq = self.cross.square()
-        if not (F.is_zero(sq.b) and F.is_zero(sq.c) and F.eq(sq.a, sq.d)):
+        if not sq.is_scalar():
             raise DegenerateDraw("cross square is not scalar (inputs not a cross pair)")
         self.gamma = sq.a
         for name, val in (("r", self.r), ("gamma", self.gamma)):
@@ -484,14 +507,14 @@ class GQuantities:
                 raise DegenerateDraw(f"degenerate specialization: {name} not invertible")
         self.inv_r = F.inv(self.r)
         self.inv_gamma = F.inv(self.gamma)
+        self._kappa_x2 = ((self.inv_r, self.inv_gamma), (F.mul(self.gamma, self.inv_r), None))
+        self._lambda_x2 = ((self.r, None), (F.mul(self.gamma, self.r), self.gamma))
         if not s:
             return
         self.stats = word_stats(s)
-        self.c = []
-        c, self.l_cs = None, CoScaled(F.one, 0)
-        for t in self.stats.delta:
-            c, self.l_cs = self.step(c, self.l_cs, t)
-            self.c.append(c)
+        self.c1, self.l_cs = self.step(None, CoScaled(F.one, 0), self.stats.delta[0])
+        for t in self.stats.delta[1:]:
+            self.l_cs = self._times_square(self.l_cs, t, self._lambda_x2)
 
     def step(self, c: CoScaled | None, l: CoScaled, t: int) -> tuple[CoScaled, CoScaled]:
         """(c_(j+1), l_(j+1)) = (c_j^2 kappa_t, l_j^2 lambda_t) for the digit
@@ -499,23 +522,30 @@ class GQuantities:
         (r, cross); c = None at the empty prefix gives c_1 = d kappa_t, and
         l_0 = 1.  So c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j and
         l_j = r^(2^j - 1 - e_j) cross^e_j with e_j = e(s(j))."""
-        l2 = self._square(l)
-        l_next = CoScaled(l2, 1) if t else CoScaled(self.F.mul(l2, self.r), 0)
-        return self._kappa(self.d if c is None else self._square(c), t), l_next
+        kappa = self._kappa_x2
+        c = CoScaled(self.F.mul(self.d, kappa[0][t]), t) if c is None else self._times_square(c, t, kappa)
+        return c, self._times_square(l, t, self._lambda_x2)
 
-    def _kappa(self, x, t: int) -> CoScaled:
-        """kappa_t x for a scalar x: x / r, or x / cross = (x / gamma) cross."""
-        if t:
-            return CoScaled(self.F.mul(x, self.inv_gamma), 1)
-        return CoScaled(self.F.mul(x, self.inv_r), 0)
+    def _times_square(self, x: CoScaled, t: int, table) -> CoScaled:
+        """kappa_t x^2 or lambda_t x^2 for x = u cross^b (cross^2 = gamma):
+        u^2 times entry [b][t] of ``table``, _kappa_x2 or _lambda_x2, and of
+        cross parity t; an entry None is the factor 1."""
+        u = self.F.square(x.u)
+        f = table[x.odd][t]
+        return CoScaled(u if f is None else self.F.mul(u, f), t)
 
     def _walk(self, h: CoScaled, parities) -> list[CoScaled]:
         """h, then kappa_t x^2 of the last value x for each parity t in turn:
         the c half of ``step``."""
         out = [h]
         for t in parities:
-            out.append(self._kappa(self._square(out[-1]), t))
+            out.append(self._times_square(out[-1], t, self._kappa_x2))
         return out
+
+    @cached_property
+    def c(self) -> list[CoScaled]:
+        """c_1 .. c_k, walked from c_1; only the identity battery reads past c_1."""
+        return self._walk(self.c1, self.stats.delta[1:])
 
     def _square(self, x: CoScaled):
         """The scalar x^2 = x.u^2 gamma^b of x = x.u cross^b."""
@@ -579,7 +609,7 @@ class GQuantities:
         of generation i, with t_0 = c_1 and t_(i+1) = shift(t_i)."""
         F = self.F
         l = self.l_scalar
-        L, t = F.one, self.c[0]
+        L, t = F.one, self.c1
         while True:
             yield L, t
             L = F.mul(L, l)
@@ -678,7 +708,7 @@ class GLimits:
     def residual_h(self) -> LaurentSeries:
         """H_1^(2^k) * (c_1'/l) / c_1^(2^k) + c_1 + H_1 (scalar part)."""
         q = self.quants
-        return q.cs_add(q.shift(self.H1), q.cs_add(q.c[0], self.H1)).u
+        return q.cs_add(q.shift(self.H1), q.cs_add(q.c1, self.H1)).u
 
 
 def g_start_matrices(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, Mat2, Mat2]:

@@ -64,6 +64,13 @@ def test_rational_zero_denominator():
         LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.zero(), 8)
 
 
+def test_rational_needs_precision_past_the_valuation():
+    den = Gf2Poly.parse("z^3+1")
+    with pytest.raises(ValueError, match="^precision 3 too small for valuation 3$"):
+        LaurentSeries.from_rational(Gf2Poly.one(), den, 3)
+    assert LaurentSeries.from_rational(Gf2Poly.one(), den, 4) == LaurentSeries.from_terms([3], 4)
+
+
 def test_square_thins():
     s = LaurentSeries.from_terms([1, 2], 10)
     sq = s.square()

@@ -225,6 +225,12 @@ def test_content_normalization():
     assert content.degree <= 0
 
 
+def test_content_normalize_divides_out_the_common_factor():
+    z, z1 = Gf2Poly.parse("z"), Gf2Poly.parse("z+1")
+    assert _content_normalize([z * z1, z1 * z1, Gf2Poly.zero()]) == (z, z1, Gf2Poly.zero())
+    assert _content_normalize([z, z1]) == (z, z1)
+
+
 def test_render_ordering():
     rel = AlgRelation((Gf2Poly.one(), Gf2Poly.zero(), Gf2Poly.parse("z")), 0)
     assert rel.render() == "X^2*(z) + X^0*(1)"

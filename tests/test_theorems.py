@@ -17,11 +17,12 @@ from cf2.theorems import (
     check_theorem_g,
     check_theorem_p,
     explore_inverse_sigma,
+    g_tail_step,
     spec_series,
 )
 from cf2.relations import max_degz
 from cf2.towers import HypothesisViolation, SpecMap
-from cf2.words import GSpec, PSpec, g_normalize
+from cf2.words import GSpec, PSpec, g_normalize, g_sigma, p_to_g
 
 SPB = SpecMap.binary_default()
 SPAB = SpecMap.parse("a=z,b=z+1")
@@ -286,6 +287,21 @@ def test_theorem_g_normalizes_once(monkeypatch):
     rep = check_theorem_g(GSpec("a", "b", "11"), SPAB, 256)
     assert rep.passed and rep.lines[0].startswith("normalized ups=11 s=11 k=2 ")
     assert len(calls) == 1
+
+
+def test_g_tail_step_holds_exactly():
+    # shift(c_1) = c_1'/l over K on specs of both first-letter parities, k
+    # from 2 to 6, and the corollary chain's specs, whose start words have
+    # 2, 8, 32 and 128 letters
+    specs = [(GSpec("a", "b", ups), SPAB) for ups in ("1", "011", "0011", "10001", "100001")]
+    specs += [(GSpec("aa", "bb", "0101"), SPAB), (GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z^3+z+1"))]
+    g = p_to_g(PSpec("", "10"))
+    for _ in range(4):
+        specs.append((g, SPB))
+        g = g_sigma(g)
+    assert len(specs[-1][0].u0) == 128
+    for spec, sp in specs:
+        assert g_tail_step(g_normalize(spec), sp), spec
 
 
 def test_theorem_g_fuzz_small():

@@ -16,6 +16,7 @@ from cf2.theorems import check_theorem_g
 from cf2.towers import (
     CF_BLOCK,
     CF_MARGIN,
+    ClaimFailed,
     CoScaled,
     DegenerateDraw,
     GQuantities,
@@ -24,6 +25,7 @@ from cf2.towers import (
     cf_series,
     convergent_pair,
     convergent_series,
+    exact_g_quantities,
     exact_p_tower,
     g_cf_series,
     g_limits,
@@ -35,7 +37,7 @@ from cf2.towers import (
     predicted_det_val,
     word_matrix,
 )
-from cf2.words import GSpec, PSpec, g_prefix, g_sigma, p_prefix, p_to_g
+from cf2.words import GSpec, PSpec, g_normalize, g_prefix, g_sigma, p_prefix, p_to_g
 
 
 def recursive_convergent(word, sp):
@@ -278,6 +280,25 @@ def test_exact_ptower_expands_to_the_series_tower(w0, eps):
         assert not y.is_zero and _expand(x, prec).agrees(y)
     rho, t0 = exact.tail_shift(), exact.term(0)
     assert exact.term(n) == F.mul(rho, F.pow(t0, 1 << n))
+
+
+@pytest.mark.parametrize("u0, v0, ups", [("a", "b", "011"), ("ab", "ca", "0110"), ("abcab", "cbbac", "11")])
+def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
+    # m1 = w0 m0 is word_matrix(u0 v0) over K with exact letter inverses,
+    # and w1 that of v0 u0, both times the product of the letters of u0 v0;
+    # the driver word is the normalized spec's
+    F = RationalField()
+    inv = {c: F.inv((SP.poly(c).bits, 1)) for c in "abc"}
+    norm = g_normalize(GSpec(u0, v0, ups))
+    q = exact_g_quantities(norm, SP)
+    u, v = norm.spec.u0, norm.spec.v0
+    scale = F.one
+    for letter in u + v:
+        scale = F.mul(scale, (SP.poly(letter).bits, 1))
+    assert isinstance(q.F, RationalField)
+    assert q.m1.eq(word_matrix(u + v, F, inv).scale(scale))
+    assert q.w1.eq(word_matrix(v + u, F, inv).scale(scale))
+    assert q.s == norm.s
 
 
 def test_series_ptower_determinants_keep_only_the_working_precision():
@@ -564,6 +585,77 @@ def test_step_matches_the_closed_formula_on_every_prefix(m):
         assert _cs_exact(q.l_cs) == _cs_exact(l), s
 
 
+@pytest.mark.parametrize("m", [16, 17, "series"])
+def test_factor_tables_give_kappa_and_lambda_times_the_square(m):
+    # u^2 times entry [b][t] of each table, of cross parity t, is kappa_t x^2
+    # and lambda_t x^2 for x = u cross^b as matrices: x^2 through cs_mul,
+    # kappa = (1/r, cross/gamma) and lambda = (r, cross) from r and cross
+    if m == "series":
+        F, m1, w1 = _series_pair()
+    else:
+        F = field(m)
+        m1, w1 = _pair_over(F, seed=m)
+    assert m != 17 or F._exp is None
+    q = GQuantities(F, m1, w1)
+    kappa = [Mat2.scalar(F, q.inv_r), q.cross.scale(q.inv_gamma)]
+    lam = [Mat2.scalar(F, q.r), q.cross]
+    assert all(kappa[t].mul(lam[t]).eq(Mat2.identity(F)) for t in (0, 1))
+    for u in (q.d, m1.b, w1.c):
+        for b in (0, 1):
+            x = CoScaled(u, b)
+            x2 = q.cs_to_mat(q.cs_mul(x, x))
+            for t in (0, 1):
+                for table, factor in ((q._kappa_x2, kappa), (q._lambda_x2, lam)):
+                    got = q._times_square(x, t, table)
+                    assert got.odd == t and q.cs_to_mat(got).eq(factor[t].mul(x2)), (b, t)
+
+
+@pytest.mark.parametrize("m", [16, 17, "series"])
+def test_c_is_walked_on_first_read_as_the_step_loop_built_it(m):
+    # c_1 and l are built with the quantities and c_2..c_k only when c is
+    # read: equal to the last (val, mask, prec) to the c_j and l of the
+    # one-letter step walked from the empty prefix
+    if m == "series":
+        F, m1, w1 = _series_pair()
+    else:
+        F = field(m)
+        m1, w1 = _pair_over(F, seed=m)
+    for s in all_driver_words(6):
+        q = GQuantities(F, m1, w1, s)
+        assert "c" not in q.__dict__
+        c, l, cs = None, CoScaled(F.one, 0), []
+        for t in q.stats.delta:
+            c, l = q.step(c, l, t)
+            cs.append(c)
+        assert _cs_exact(q.c1) == _cs_exact(cs[0]) and _cs_exact(q.l_cs) == _cs_exact(l), s
+        assert [_cs_exact(x) for x in q.c] == [_cs_exact(x) for x in cs], s
+
+
+def test_g_limits_never_walks_c_past_c1():
+    lim = g_limits(GSpec("ab", "bb", "0011"), SpecMap.parse("a=z,b=z+1"), 512)
+    assert lim.residual_h().is_zero and lim.quants.k == 4
+    assert "c" not in lim.quants.__dict__
+
+
+@pytest.mark.parametrize("table", ["_kappa_x2", "_lambda_x2"])
+@pytest.mark.parametrize("b, t", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_wrong_table_entry_fails_the_closed_form(monkeypatch, table, b, t):
+    # mutation control: entry [b][t] of one table times d (d where it
+    # stores no product) fails the closed form on the words up to length 4
+    init = GQuantities.__init__
+
+    def wrong(q, *args):
+        init(q, *args)
+        rows = [list(row) for row in getattr(q, table)]
+        rows[b][t] = q.d if rows[b][t] is None else q.F.mul(rows[b][t], q.d)
+        setattr(q, table, rows)
+
+    words = list(all_driver_words(4))
+    assert check_closed_form(words, 8, 16, 1).passed
+    monkeypatch.setattr(GQuantities, "__init__", wrong)
+    assert not check_closed_form(words, 8, 16, 1).passed
+
+
 def test_step_with_a_swapped_kappa_fails_the_closed_form_sweep(monkeypatch):
     # mutation control: c_(j+1) = c_j^2 kappa_(1-t) fails the induction step
     # on every draw; c_1 = d kappa_(1-t) alone passes every drawn step (c is
@@ -646,8 +738,9 @@ def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monke
     # mutation control: kappa of the walk's first step swapped (t -> 1 - t),
     # in the walk only, not in ``step``; the walk's last parity stays, so
     # every sum it feeds still adds.  H_1 is summed from the same shift that
-    # equation H applies to it, so that line still passes and theorem 2
-    # fails on the oracle agreement of the limit sum
+    # equation H applies to it, so that line still passes; theorem 2 fails
+    # on the oracle agreement of the limit sum and on the exact tail step,
+    # which takes c_1' from the next generation's pair, not from the shift
     walk = GQuantities._walk
 
     def swapped(q, h, parities):
@@ -661,7 +754,8 @@ def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monke
         rep = check_theorem_g(GSpec("a", "b", ups), SpecMap.parse("a=z,b=z+1"), 512)
         assert not rep.passed
         failed = [line for line in rep.lines if line.endswith(" fail")]
-        assert [line.split()[0] for line in failed] == ["oracle-agreement"], ups
+        assert [line.split()[0] for line in failed] == ["oracle-agreement", "tail-step"], ups
+        assert "tail-step shift(c1)=c1'/l fail" in rep.lines
         assert "equation H residual>=512 pass" in rep.lines
 
 
@@ -675,6 +769,37 @@ def test_tower_scalars_keep_full_precision():
     q = g_limits(g, SpecMap.binary_default(), 512).quants
     assert q.d.known_zero_below() == 512
     assert q.l_cs.u.prec == 512 and q.shift(CoScaled(q.F.one, q.c[0].odd)).u.prec >= 512
+
+
+def test_a_pair_that_is_not_a_cross_pair_is_refused():
+    # m1 and w1 of unequal trace: their cross matrix has a nonzero trace,
+    # so its square is not scalar
+    F = field(16)
+    rng = random.Random(2)
+    m1, w1 = (Mat2(F, *(F.sample_invertible(rng) for _ in range(4))) for _ in range(2))
+    assert not F.eq(m1.trace(), w1.trace())
+    with pytest.raises(DegenerateDraw, match="^cross square is not scalar"):
+        GQuantities(F, m1, w1, "11")
+
+
+def test_period_scalar_of_an_odd_digit_sum_is_refused():
+    _, q = _random_quants("1")
+    assert q.l_cs.odd == 1
+    with pytest.raises(HypothesisViolation, match="^period scalar carries an odd cross power$"):
+        q.l_scalar
+
+
+def test_limits_raise_at_their_step_caps(monkeypatch):
+    # known_zero_below reads -1 for its first 200 calls, so no limit
+    # converges before its cap, reached in far fewer; without the cap each
+    # would run on and return once it reads true
+    real, calls = LaurentSeries.known_zero_below, count()
+    monkeypatch.setattr(LaurentSeries, "known_zero_below", lambda x: -1 if next(calls) < 200 else real(x))
+    with pytest.raises(ClaimFailed, match="^no convergence within 23 steps at prec 64$"):
+        p_limits(PSpec("", "10"), SpecMap.binary_default(), 64)
+    with pytest.raises(ClaimFailed, match="^no convergence within 9 generations at prec 64$"):
+        g_limits(GSpec("a", "b", "11"), SpecMap.parse("a=z,b=z+1"), 64)
+    assert next(calls) < 200
 
 
 def test_cross_square_is_trace_of_m11():
