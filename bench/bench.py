@@ -30,7 +30,10 @@ for P6-P8 at prec 512; on the corollary chain's fourth spec (eps=10,
 start words of 128 letters, binary map) family G's exact tail step
 ``theorems.g_tail_step`` and its start matrices over GF(2)(z), as
 ``towers._word_product`` and as ``word_matrix`` over ``RationalField``
-with exact letter inverses; ``search_relation`` for P6 at prec 512 (binary
+with exact letter inverses; the whole ``check_theorem_g`` verdict on the
+all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
+the period-doubling word and v0=1 at prec 512 (binary map);
+``search_relation`` for P6 at prec 512 (binary
 map), and on the two family-P specs whose first round gives a precision
 artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5
 (w0=00, eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
@@ -88,6 +91,7 @@ EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # run
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
 ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
+PERIODIC_LENGTHS = (1, 128, 600)  # start-word lengths of the all-zero swap period rows
 
 
 def relation_cases(relations, towers, words):
@@ -147,6 +151,18 @@ def tail_step_cases(mat2, theorems, towers, words):
     return out
 
 
+def periodic_cases(theorems, towers, words):
+    """(name, function, args) for theorem 2 on an all-zero swap period, whose
+    word is its start word repeated: u0 the first L letters of the
+    period-doubling word, v0 = 1, binary map, prec 512."""
+    spb = towers.SpecMap.binary_default()
+    return [
+        (f"check_theorem_g.ups0.L{n}", theorems.check_theorem_g,
+         (words.GSpec(words.p_prefix(words.PSpec("", "10"), n), "1", "0"), spb, 512))
+        for n in PERIODIC_LENGTHS
+    ]
+
+
 def search_cases(theorems, towers, words):
     """(name, function, args) for the whole-search rows: each call builds
     its spec's series at every round's precision, as a theorem check does."""
@@ -167,7 +183,7 @@ def field_cases(gf2m, identities, laurent, mat2, towers):
     F = gf2m.field(16)
     rng = random.Random(16)
     dense = [mat2.Mat2(F, *(F.sample_invertible(rng) for _ in range(4))) for _ in range(2)]
-    letter = mat2.Mat2.letter(F, F.sample_invertible(rng))
+    letter = mat2.Mat2.letter_from_inv(F, F.inv(F.sample_invertible(rng)))
 
     def series_mat(n):
         S = mat2.SeriesField(n)
@@ -249,6 +265,7 @@ def worker(src: str, quick: bool) -> None:
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
     todo += exact_cases(theorems, towers, words) + tail_step_cases(mat2, theorems, towers, words)
+    todo += periodic_cases(theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()
         fn(*args)

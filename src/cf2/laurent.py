@@ -91,12 +91,6 @@ class LaurentSeries:
         return cls(0, 1, prec)
 
     @classmethod
-    def from_poly(cls, poly: Gf2Poly, prec: int) -> LaurentSeries:
-        if poly.is_zero():
-            return cls.zero(prec)
-        return cls(-poly.degree, poly.reverse().bits, prec)
-
-    @classmethod
     def from_terms(cls, exponents, prec: int) -> LaurentSeries:
         """Series with coefficient 1 exactly at z^-n for each listed n."""
         exponents = sorted(set(exponents))

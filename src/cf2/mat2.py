@@ -148,14 +148,6 @@ class Mat2:
         return cls(F, s, F.zero, F.zero, s)
 
     @classmethod
-    def letter(cls, F, x) -> Mat2:
-        """The continued-fraction letter matrix ((1, 1/x), (1/x, 0))."""
-        if F.is_zero(x):
-            raise ZeroDivisionError("zero partial quotient")
-        ix = F.inv(x)
-        return cls(F, F.one, ix, ix, F.zero)
-
-    @classmethod
     def letter_from_inv(cls, F, ix) -> Mat2:
         """Letter matrix given the precomputed inverse entry."""
         return cls(F, F.one, ix, ix, F.zero)

@@ -9,20 +9,23 @@ from the tower; family G checks its tail step exactly there, and it,
 explore and ``cf2 relation`` search for a relation.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
-period is degenerate: it has no tower, so it takes a direct quadratic check.
+period is degenerate: it has no tower, and its quadratic is derived exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
+from .gf2poly import Gf2Poly
 from .laurent import LaurentSeries
 from .relations import (
-    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, required_precision,
+    AlgRelation, _content_normalize, certifying_precision, find_relation, frobenius_relation, max_degz,
+    required_precision,
 )
 from .towers import (
     GQuantities,
     SpecMap,
+    _word_product,
     cf_series_of,
     exact_g_quantities,
     exact_p_tower,
@@ -56,6 +59,7 @@ class RelationSearch:
     threshold: int
     residual_bound: int | None
     verified: bool
+    oracle: LaurentSeries = dc_field(compare=False, repr=False)  # the round's phi2
 
     @property
     def found_degree(self) -> int | None:
@@ -113,7 +117,7 @@ def search_relation(
         return degz_used, find_relation(phi, degx, degz_used)
 
     while True:
-        search, _ = _reverify_round(phi_fn, p1, degx, candidate)
+        search = _reverify_round(phi_fn, p1, degx, candidate)
         if search.verified:
             return search
         if degz is not None or p1 >= budget:
@@ -122,22 +126,29 @@ def search_relation(
         p1 = min(search.verify_prec, budget)
 
 
-def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> tuple[RelationSearch, LaurentSeries]:
+def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> RelationSearch:
     """One round of the re-verify rule at discovery precision p1: the one
     oracle series phi2 = phi_fn(2 p1), cut to p1 (phi_fn is exact below its
     precision), gives ``candidate`` its (degZ, relation or None), and a
     relation counts only if it vanishes on phi2 to 1.5 p1; else it is a
-    precision artifact.  Returns the round's search and phi2."""
+    precision artifact.  The round's search keeps phi2 as its ``oracle``."""
     p2, threshold = 2 * p1, (3 * p1) // 2
     phi2 = phi_fn(p2)
     degz, rel = candidate(LaurentSeries(phi2.val, phi2.mask, p1))
     if rel is None:
-        return RelationSearch(None, degx, degz, p1, p2, threshold, None, False), phi2
+        return RelationSearch(None, degx, degz, p1, p2, threshold, None, False, phi2)
     residual = rel.evaluate(phi2)
     bound = residual.known_zero_below()
     verified = residual.is_zero and bound >= threshold
     rel = replace(rel, verified_prec=bound)
-    return RelationSearch(rel, degx, degz, p1, p2, threshold, bound, verified), phi2
+    return RelationSearch(rel, degx, degz, p1, p2, threshold, bound, verified, phi2)
+
+
+def _exact_round(rel: AlgRelation, phi_fn, first_val: int, prec: int, bound: int) -> RelationSearch:
+    """The re-verify round of an exactly derived relation at p1, the larger
+    of prec and its own shape's ``certifying_precision``."""
+    p1 = max(prec, certifying_precision(rel.degx, rel.degz, first_val))
+    return _reverify_round(phi_fn, p1, bound, lambda _: (rel.degz, rel))
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):
@@ -168,17 +179,20 @@ def _series_lines(lines: list[str], cf: LaurentSeries, direct: LaurentSeries, re
 
 
 def _verdict(
-    name: str, bound: int, phi_fn, first_val: int, sp: SpecMap, prec: int, lines: list[str],
-    series_ok: bool = True, agreement: int | None = None,
+    name: str, bound: int, lines: list[str], search: RelationSearch, ok: bool = True, agreement: int | None = None,
 ) -> CheckReport:
-    """Search for a relation of degree <= bound and judge the whole check."""
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
+    """Append a finished relation round's line and judge the whole check:
+    it passes if ``ok`` and the round verified a relation of degree <= bound."""
     lines.append(search.report_line())
-    ok = series_ok and search.verified and search.found_degree <= bound
+    ok = ok and search.verified and search.found_degree <= bound
     return CheckReport(name, ok, bound, lines, search, agreement=agreement)
 
 
-_DEGENERATE = "degenerate periodic word; direct quadratic check"
+def periodic_relation(word: str, sp: SpecMap) -> AlgRelation:
+    """phi = [word, word, ...] is fixed by the Mobius map of ``_word_product(word)``
+    = ((a, b), (c, d)), phi = (a phi + b)/(c phi + d): so c phi^2 + (a + d) phi + b = 0."""
+    a, b, c, d = _word_product(word, sp)
+    return AlgRelation(_content_normalize([Gf2Poly(b), Gf2Poly(a ^ d), Gf2Poly(c)]), 0)
 
 
 def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:
@@ -216,18 +230,13 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     lines: list[str] = []
     rel = p_relation(spec, sp)
     if rel is None:
-        search, phi = None, phi_fn(prec)
-    else:
-        p1 = max(prec, certifying_precision(rel.degx, rel.degz, first_val))
-        search, phi = _reverify_round(phi_fn, p1, bound, lambda _: (rel.degz, rel))
-    # cf + phi has precision min(prec, p2) = prec, as with the series at prec
-    ok, agree = _series_lines(lines, lim.cf, phi, residuals, prec)
-    if search is None:
+        _, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
         lines.append(f"tail-step T1=rho*T0^{bound} fail")
         return CheckReport("theorem-p", False, bound, lines, agreement=agree)
-    lines.append(search.report_line())
-    ok = ok and search.verified and search.found_degree <= bound
-    return CheckReport("theorem-p", ok, bound, lines, search, agreement=agree)
+    search = _exact_round(rel, phi_fn, first_val, prec, bound)
+    # cf + phi2 has precision min(prec, p2) = prec, as with the series at prec
+    ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
+    return _verdict("theorem-p", bound, lines, search, ok, agree)
 
 
 def g_tail_step(norm: NormalizedG, sp: SpecMap) -> bool:
@@ -244,25 +253,28 @@ def g_tail_step(norm: NormalizedG, sp: SpecMap) -> bool:
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
-    """Degree bound 2^k for the family-G continued fraction."""
+    """Degree bound 2^k for the family-G continued fraction.  An all-zero swap
+    period (u0 repeated) searches nothing: ``periodic_relation`` is its quadratic."""
     phi_fn, first_val = spec_series(spec, sp)
     try:
         lim = g_limits(spec, sp, prec)
     except DegeneratePeriodic:
-        return _verdict("theorem-g", 2, phi_fn, first_val, sp, prec, [_DEGENERATE])
+        search = _exact_round(periodic_relation(spec.u0, sp), phi_fn, first_val, prec, 2)
+        return _verdict("theorem-g", 2, ["degenerate periodic word; direct quadratic check"], search)
     s = lim.norm.s
     k = len(s)
     bound = 1 << k
     lines = [f"normalized ups={lim.norm.spec.ups} s={s} k={k} bound={bound}"]
     residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
-    ok, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
+    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
+    ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
     e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
     tail_ok = g_tail_step(lim.norm, sp)
     if not tail_ok:
         lines.append("tail-step shift(c1)=c1'/l fail")
-    return _verdict("theorem-g", bound, phi_fn, first_val, sp, prec, lines, ok and scalar_ok and tail_ok, agree)
+    return _verdict("theorem-g", bound, lines, search, ok and scalar_ok and tail_ok, agree)
 
 
 def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) -> CheckReport:
@@ -279,7 +291,7 @@ def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) 
     for step in range(1, iterations + 1):
         rep = check_theorem_g(g, sp, prec)
         rep.name = f"sigma^{step}-chain"
-        within = rep.search is not None and rep.search.verified and rep.search.found_degree <= bound
+        within = rep.search.verified and rep.search.found_degree <= bound
         rep.lines.append(f"degree within chain bound {bound}: {'pass' if within else 'fail'}")
         rep.passed = rep.passed and within
         subs.append(rep)

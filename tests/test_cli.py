@@ -410,6 +410,24 @@ def test_spec_command_rejections(argv, err, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, err",
+    [
+        ("--map", "a", "bad assignment 'a'"),
+        ("--map", ",", "empty specialization map"),
+        ("--map", "ab=z,b=z+1", "letters are single characters, got 'ab'"),
+        ("--map", "a=z^x,b=z", "bad monomial 'z^x'"),
+        ("--map", "a=z^-1,b=z", "negative exponent in 'z^-1'"),
+        ("--ups", "", "ups period must be nonempty"),
+    ],
+)
+def test_bad_map_or_period_is_a_usage_error(flag, value, err, capsys):
+    flags = {"--u0": "a", "--v0": "b", "--ups": "11", "--map": "a=z,b=z+1", flag: value}
+    assert main(["theorem2", *(x for pair in flags.items() for x in pair)]) == 2
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+@pytest.mark.parametrize(
     "argv, err",
     [
         (["sigma", "--word", "10", "--count", "-1"], "count must be nonnegative, got -1"),

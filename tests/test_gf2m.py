@@ -122,7 +122,7 @@ def test_fused_matrix_product_matches_entrywise(m):
     x = F.sample_invertible(rng)
     ix = F.inv(x)
     special = [
-        Mat2.letter(F, x), Mat2.insertion_from_inv(F, ix), Mat2.scalar(F, x),
+        Mat2.letter_from_inv(F, ix), Mat2.insertion_from_inv(F, ix), Mat2.scalar(F, x),
         Mat2.identity(F), Mat2(F, 0, 0, 0, 0),
     ]
     pairs = [(rand(), rand()) for _ in range(200)]

@@ -20,9 +20,9 @@ from cf2.theorems import (
     g_tail_step,
     spec_series,
 )
-from cf2.relations import max_degz
+from cf2.relations import AlgRelation, max_degz
 from cf2.towers import HypothesisViolation, SpecMap
-from cf2.words import GSpec, PSpec, g_normalize, g_sigma, p_to_g
+from cf2.words import GSpec, PSpec, g_normalize, g_sigma, p_prefix, p_to_g
 
 SPB = SpecMap.binary_default()
 SPAB = SpecMap.parse("a=z,b=z+1")
@@ -185,6 +185,66 @@ def test_theorem_g_all_zero_swaps_quadratic():
     assert rep.passed
     assert rep.bound == 2 and rep.search.found_degree <= 2
     assert any("degenerate" in line for line in rep.lines)
+
+
+# all-zero swap periods: the word is u0 repeated, phi purely periodic
+PERIODIC_MAPS = [SPAB, SpecMap.parse("a=z,b=z^3+z+1"), SpecMap.parse("a=z^2+z+1,b=z^3")]
+PERIODIC_SPECS = [
+    (GSpec(u0, "b", "0"), sp)
+    for sp in PERIODIC_MAPS
+    for u0 in ("a", "b", "ab", "ba", "aab", "abb", "abab", "aaaaaaab")
+]
+
+
+@pytest.mark.parametrize("spec, sp", PERIODIC_SPECS)
+def test_periodic_relation_is_the_searched_relation(spec, sp):
+    # the quadratic derived from u0's product matrix is, coefficient for
+    # coefficient, the one the order-basis search finds
+    phi_fn, first_val = spec_series(spec, sp)
+    search = theorems.search_relation(phi_fn, 2, 256, sp.max_degree, first_val)
+    assert search.verified
+    assert theorems.periodic_relation(spec.u0, sp).coeffs == search.relation.coeffs
+
+
+def test_theorem_g_all_zero_swaps_run_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the degenerate G verdict searched")
+
+    monkeypatch.setattr(theorems, "search_relation", refuse)
+    monkeypatch.setattr(theorems, "find_relation", refuse)
+    monkeypatch.setattr(relations, "find_relation", refuse)
+    for spec, sp in PERIODIC_SPECS:
+        rep = check_theorem_g(spec, sp, 256)
+        assert rep.passed and rep.search.found_degree == 2, (spec, sp)
+
+
+@pytest.mark.parametrize(
+    "bit, line",
+    [(0, "degree=2 degZ=2 residual_val=-1"), (2, "degree=2 degZ=1 residual_val=-3")],
+)
+def test_periodic_relation_with_a_flipped_bit_fails(monkeypatch, bit, line):
+    # mutation control: a quadratic whose linear coefficient is off by one
+    # bit must not vanish on the convergent series
+    derive = theorems.periodic_relation
+
+    def mutated(word, sp):
+        b, lin, c = derive(word, sp).coeffs
+        return AlgRelation((b, Gf2Poly(lin.bits ^ (1 << bit)), c), 0)
+
+    monkeypatch.setattr(theorems, "periodic_relation", mutated)
+    rep = check_theorem_g(GSpec("ab", "ba", "0"), SPAB, 512)
+    assert not rep.passed and not rep.search.verified
+    assert rep.lines[-1] == f"{line} prec=1024 below 768"
+
+
+def test_long_periodic_start_word_passes():
+    # a 700-letter start word gives degZ 698; the search's budget
+    # max(4*prec, 2048) stopped it short of certifying that, a false fail,
+    # while the exact quadratic verifies at its own certifying precision
+    u0 = p_prefix(PSpec("", "10"), 700)
+    rep = check_theorem_g(GSpec(u0, "1", "0"), SPB, 512)
+    assert rep.passed
+    assert rep.lines[-1] == "degree=2 degZ=698 residual_val=3561 prec=4260"
 
 
 def test_theorem_g_normalized_rotation():
@@ -460,9 +520,9 @@ def _search_oracle_calls(monkeypatch, spec, sp, prec):
         # the exact P relation is verified on one series, at p2 = 2 p1,
         # which also gives the agreement line
         (PSpec("", "110"), SPB, 512, [1024]),
-        # the agreement series at prec, then the three rounds of
-        # test_artifact_moves_the_search_to_the_next_rung
-        (GSpec("a", "b", "0011"), SPAB, 1024, [1024, 2048, 4096, 8192]),
+        # the three rounds of test_artifact_moves_the_search_to_the_next_rung;
+        # the last one's series also gives the agreement line
+        (GSpec("a", "b", "0011"), SPAB, 1024, [2048, 4096, 8192]),
         # p1 = 2240, the certifying precision of degX 64, degZ 32 at pole 1
         (PSpec("", "110100"), SPB, 512, [4480]),
     ],

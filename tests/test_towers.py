@@ -69,11 +69,9 @@ def test_specmap_validation():
 
 def test_letter_matrix_det():
     F = SeriesField(32)
-    x = LaurentSeries.from_poly(Gf2Poly.parse("z"), 32)
-    m = Mat2.letter(F, x)
+    x = LaurentSeries.from_rational(Gf2Poly.parse("z"), Gf2Poly.one(), 32)
+    m = Mat2.letter_from_inv(F, F.inv(x))
     assert m.det().valuation == 2  # 1/z^2
-    with pytest.raises(ZeroDivisionError):
-        Mat2.letter(F, F.zero)
 
 
 def test_single_letter_convergent():
