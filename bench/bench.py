@@ -27,8 +27,10 @@ relation found there on P6's series at twice it; ``theorems.p_relation``,
 theorem 1's exact relation over GF(2)(z), for P6-P9 (P7's word 1101000,
 P8's 11010000, P9's 110100000), and the whole ``check_theorem_p`` verdict
 for P6-P8 at prec 512; on the corollary chain's fourth spec (eps=10,
-start words of 128 letters, binary map) family G's exact tail step
-``theorems.g_tail_step`` and its start matrices over GF(2)(z), as
+start words of 128 letters, binary map) the whole ``check_theorem_g``
+verdict at prec 512, the exact generation check it runs,
+``identities.generation_mismatch`` over generations 0 and 1 of
+``towers.exact_g_quantities``, and its start matrices over GF(2)(z), as
 ``towers._word_product`` and as ``word_matrix`` over ``RationalField``
 with exact letter inverses; the whole ``check_theorem_g`` verdict on the
 all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
@@ -132,9 +134,9 @@ def exact_cases(theorems, towers, words):
     ]
 
 
-def tail_step_cases(mat2, theorems, towers, words):
-    """(name, function, args) for the exact family-G rows on the corollary
-    chain's fourth spec; the rows of code a tree lacks are left out."""
+def tail_step_cases(identities, mat2, theorems, towers, words):
+    """(name, function, args) for the family-G rows on the corollary chain's
+    fourth spec; the rows of code a tree lacks are left out."""
     spec = words.p_to_g(words.PSpec("", "10"))
     for _ in range(3):
         spec = words.g_sigma(spec)
@@ -146,9 +148,10 @@ def tail_step_cases(mat2, theorems, towers, words):
     out = [("word_matrix.rational.G128", lambda: [towers.word_matrix(w, F, inv) for w in starts], ())]
     if hasattr(towers, "_word_product"):
         out.append(("_word_product.G128", lambda: [towers._word_product(w, spb) for w in starts], ()))
-    if hasattr(theorems, "g_tail_step"):
-        out.append(("g_tail_step.G128", theorems.g_tail_step, (norm, spb)))
-    return out
+    if hasattr(identities, "generation_mismatch"):
+        exact = lambda: identities.generation_mismatch(towers.exact_g_quantities(norm, spb), 1)  # noqa: E731
+        out.append(("generation_mismatch.exact.G128", exact, ()))
+    return out + [("check_theorem_g.G128", theorems.check_theorem_g, (spec, spb, 512))]
 
 
 def periodic_cases(theorems, towers, words):
@@ -264,7 +267,7 @@ def worker(src: str, quick: bool) -> None:
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
-    todo += exact_cases(theorems, towers, words) + tail_step_cases(mat2, theorems, towers, words)
+    todo += exact_cases(theorems, towers, words) + tail_step_cases(identities, mat2, theorems, towers, words)
     todo += periodic_cases(theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()

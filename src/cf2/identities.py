@@ -12,7 +12,10 @@ The checkers run the towers of ``towers`` (``PTower``, ``pair_step``,
 ``GQuantities``) and their tail recurrences (the P drift and limit
 expansion, the G one-letter step, generation walk and limit terms) over
 GF(2^m), so they test the code the theorem drivers run over series.  The
-G closed form is checked by its induction on the driver word, at any depth.
+tail checks ``tail_mismatch`` and ``generation_mismatch`` take a tower
+over any field: the battery runs them on draws, and the theorem drivers
+run them exactly over K = GF(2)(z).  The G closed form is checked by its
+induction on the driver word, at any depth.
 
 Valuation facts are measured in series mode on concrete fixtures, with
 exact expected determinant valuations from degree bookkeeping.
@@ -167,6 +170,31 @@ def check_period_power_shift(
     return _randomized("period-power-shift", trials, m, seed, body)
 
 
+def tail_mismatch(t: PTower, k_max: int, mutate: bool = False) -> str | None:
+    """The first tail equation that a fresh tower t, over any field, breaks
+    in its first k_max periods, or None; t is advanced k_max n + 1 steps.
+
+    Tail terms T_k = d_{kn}/L_{kn+1} shift by a k-independent factor:
+    T_{k+1} = rho T_k^(2^n) with rho = lam L_1^(2^n-1)/L_n^2, where lam is
+    the tower's determinant drift over one period; likewise the residue-j terms
+    are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}, for any periodic s.  The
+    mutated control swaps in the collapsed-product form lam/L_1, which
+    only holds when the running products are trivial.
+    """
+    F, n = t.F, t.period
+    for _ in range(k_max * n + 1):
+        t.advance()
+    rho = F.mul(t.det_ratio(n), F.inv(t.Ls[1])) if mutate else t.tail_shift()
+    for k in range(k_max):
+        t_k = t.term(k * n)
+        if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
+            return f"tail shift k={k}"
+        for j in range(1, n):
+            if not F.eq(t.term(k * n + j), F.mul(F.pow(t_k, 1 << j), t.residue_factor(j))):
+                return f"residue term j={j} k={k}"
+    return None
+
+
 def check_tail_equations(
     n: int = 2,
     k_max: int = 3,
@@ -175,29 +203,11 @@ def check_tail_equations(
     seed: int = 1,
     mutate: bool = False,
 ) -> IdentityReport:
-    """Tail terms T_k = d_{kn}/L_{kn+1} shift by a k-independent factor.
-
-    T_{k+1} = rho T_k^(2^n) with rho = lam L_1^(2^n-1)/L_n^2, where lam is
-    the tower's determinant drift over one period; likewise the residue-j terms
-    are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}, for any periodic s.  The
-    mutated control swaps in the collapsed-product form lam/L_1, which
-    only holds when the running products are trivial.
-    """
+    """``tail_mismatch`` on drawn towers of period n over GF(2^m)."""
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n)])
-        for _ in range(k_max * n + n):
-            t.advance()
-        rho = F.mul(t.det_ratio(n), F.inv(t.Ls[1])) if mutate else t.tail_shift()
-        for k in range(k_max):
-            t_k = t.term(k * n)
-            if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
-                return f"tail shift k={k}"
-            for j in range(1, n):
-                if not F.eq(t.term(k * n + j), F.mul(F.pow(t_k, 1 << j), t.residue_factor(j))):
-                    return f"residue term j={j} k={k}"
-        return None
+        return tail_mismatch(PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n)]), k_max, mutate)
 
     return _randomized("tail-equations", trials, m, seed, body)
 
@@ -327,6 +337,65 @@ def check_closed_form(
     return _randomized(f"closed-form[{s}]" if isinstance(s, str) else "closed-form", trials, m, seed, body)
 
 
+def generation_mismatch(q: GQuantities, generations: int, mutate: bool = False) -> str | None:
+    """The first relation among generations 0 .. ``generations`` of q's
+    tower, over any field, that fails, or None.
+
+    Requires q's driver word to have an even digit sum and end in 1.  Walks
+    the pair recurrence along s once per generation into one GQuantities
+    per generation and checks against them the primed closed forms (d, r,
+    cross, l, c_j), the base generation's walk (L_g and t_g = c_1/L of
+    generation g) and the H_j that ``limit_terms`` walks from t_g (c_j/L
+    of generation g); then the product of the repeated driver word, the
+    m1 of a later generation, against the limit sum of the walk's
+    partial H_1.  The mutated control offsets the primed cross by d.
+    """
+    F, s = q.F, q.s
+    # s ends with the cross bit: walking it gives the next generation's m1, w1
+    m, w, chain = q.m1, q.w1, [q]
+    for _ in range(generations):
+        for bit in s:
+            m, w = pair_step(m, w, bit)
+        chain.append(GQuantities(F, m, w, s))
+    walk = list(islice(q.generations(), generations + 1))
+    Ls = [L for L, _ in walk]
+
+    def rebase(x, g):
+        # generation-g cross is L_g times the base cross, so an odd
+        # CoScaled value carries an extra L_g in base coordinates
+        return CoScaled(F.mul(x.u, Ls[g]) if x.odd else x.u, x.odd)
+
+    def cs_neq(x, y):
+        return x.odd != y.odd or not F.eq(x.u, y.u)
+
+    for g, (qg, qn) in enumerate(zip(chain, chain[1:])):
+        if not F.eq(Ls[g + 1], F.mul(Ls[g], qg.l_scalar)):
+            return f"L chain at {g}"
+        want = qg.primed_check_values()
+        if mutate:
+            want["cross"] = want["cross"].add_scalar(qg.d)
+        for key, got in (("d", qn.d), ("r", qn.r), ("cross", qn.cross), ("l", qn.l_scalar)):
+            if not (got.eq(want[key]) if key == "cross" else F.eq(got, want[key])):
+                return f"gen {g}: {key}'"
+        for j, (c, cw) in enumerate(zip(qn.c, want["c"]), start=1):
+            if cs_neq(rebase(c, g + 1), rebase(cw, g)):
+                return f"gen {g}: c_{j}'"
+    # c_j/L of generation g is the H_j that limit_terms walks from t_g
+    for g in range(generations + 1):
+        inv_L = CoScaled(F.inv(Ls[g]), 0)
+        for j, (c, h) in enumerate(zip(chain[g].c, q.limit_terms(walk[g][1])), start=1):
+            if cs_neq(q.cs_mul(rebase(c, g), inv_L), h):
+                return f"c_{j}/L gen {g}"
+    # the repeated driver word s^i expands to L_i times the limit sum of
+    # the partial H_1 = t_0 + ... + t_(i-1); its product is chain[i].m1
+    H1 = walk[0][1]
+    for i in range(1, generations + 1):
+        if not chain[i].m1.eq(q.limit_sum(q.limit_terms(H1)).scale(Ls[i])):
+            return f"expansion i={i}"
+        H1 = q.cs_add(H1, walk[i][1])
+    return None
+
+
 def check_generation_relations(
     s: str,
     generations: int = 3,
@@ -335,75 +404,15 @@ def check_generation_relations(
     seed: int = 1,
     mutate: bool = False,
 ) -> IdentityReport:
-    """Next-generation quantities and the tail identities across generations.
-
-    Requires the driver word to end in 1 with an even digit sum.  Walks
-    the pair recurrence along s once per generation into one GQuantities
-    per generation and checks against them the primed closed forms (d, r,
-    cross, l, c_j), the base generation's walk (L_g and t_g = c_1/L of
-    generation g) and the H_j that ``limit_terms`` builds from t_g (c_j/L
-    of generation g); then the product of the repeated driver word, the
-    m1 of a later generation, against the limit sum of the walk's
-    partial H_1.
-    """
-    stats = word_stats(s)
-    if stats.t != 0 or not s.endswith("1"):
+    """``generation_mismatch`` over generations 0 .. generations + 1 of
+    drawn pairs over GF(2^m) with a driver word s that ends in 1 and has
+    an even digit sum."""
+    if word_stats(s).t != 0 or not s.endswith("1"):
         raise ValueError("driver word must end with 1 and have even digit sum")
 
     def body(F, rng):
-        m0 = _rand_mat(F, rng)
-        w0 = _rand_mat(F, rng)
-        # s ends with the cross bit: walking it gives the next generation's m1, w1
-        m, w = w0.mul(m0), m0.mul(w0)
-        chain = [GQuantities(F, m, w, s)]
-        for _ in range(generations + 1):
-            for bit in s:
-                m, w = pair_step(m, w, bit)
-            chain.append(GQuantities(F, m, w, s))
-        base = chain[0]
-        walk = list(islice(base.generations(), generations + 2))
-        Ls = [L for L, _ in walk]
-
-        def rebase(x, g):
-            # generation-g cross is L_g times the base cross, so an odd
-            # CoScaled value carries an extra L_g in base coordinates
-            return CoScaled(F.mul(x.u, Ls[g]) if x.odd else x.u, x.odd)
-
-        def cs_neq(x, y):
-            return x.odd != y.odd or not F.eq(x.u, y.u)
-
-        for g in range(generations + 1):
-            q, qn = chain[g], chain[g + 1]
-            if not F.eq(Ls[g + 1], F.mul(Ls[g], q.l_scalar)):
-                return f"L chain at {g}"
-            want = q.primed_check_values()
-            cross_expect = want["cross"].add_scalar(q.d) if mutate else want["cross"]
-            if not F.eq(qn.d, want["d"]):
-                return f"gen {g}: d'"
-            if not F.eq(qn.r, want["r"]):
-                return f"gen {g}: r'"
-            if not qn.cross.eq(cross_expect):
-                return f"gen {g}: cross'"
-            if not F.eq(qn.l_scalar, want["l"]):
-                return f"gen {g}: l'"
-            for j, (c, cw) in enumerate(zip(qn.c, want["c"]), start=1):
-                if cs_neq(rebase(c, g + 1), rebase(cw, g)):
-                    return f"gen {g}: c_{j}'"
-        # c_j/L of generation g is the H_j that limit_terms builds from t_g
-        for g in range(generations + 1):
-            Hs, _ = base.limit_terms(walk[g][1])
-            inv_L = CoScaled(F.inv(Ls[g]), 0)
-            for j, (c, h) in enumerate(zip(chain[g].c, Hs), start=1):
-                if cs_neq(base.cs_mul(rebase(c, g), inv_L), h):
-                    return f"c_{j}/L gen {g}"
-        # the repeated driver word s^i expands to L_i times the limit sum of
-        # the partial H_1 = t_0 + ... + t_(i-1); its product is chain[i].m1
-        H1 = walk[0][1]
-        for i in range(1, generations + 1):
-            if not chain[i].m1.eq(base.limit_terms(H1)[1].scale(Ls[i])):
-                return f"expansion i={i}"
-            H1 = base.cs_add(H1, walk[i][1])
-        return None
+        m0, w0 = _rand_mat(F, rng), _rand_mat(F, rng)
+        return generation_mismatch(GQuantities(F, w0.mul(m0), m0.mul(w0), s), generations + 1, mutate)
 
     return _randomized(f"generation-relations[{s}]", trials, m, seed, body)
 

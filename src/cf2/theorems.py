@@ -4,9 +4,10 @@ Each driver builds the continued-fraction series of a spec two ways
 (product-tower limit and direct convergents), asserts their agreement
 and the closed equations satisfied by the limit scalars, then takes an
 annihilating polynomial and verifies it on the convergent series at
-double precision.  Family P derives its relation exactly over GF(2)(z)
-from the tower; family G checks its tail step exactly there, and it,
-explore and ``cf2 relation`` search for a relation.
+double precision.  Both drivers run the identity battery's tail checks
+(``tail_mismatch``, ``generation_mismatch``) exactly over GF(2)(z) on
+their own tower; family P then derives its relation there, and family G,
+explore and ``cf2 relation`` search for one.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, and its quadratic is derived exactly.
@@ -17,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 
 from .gf2poly import Gf2Poly
+from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
 from .relations import (
     AlgRelation, _content_normalize, certifying_precision, find_relation, frobenius_relation, max_degz,
     required_precision,
 )
 from .towers import (
-    GQuantities,
     SpecMap,
     _word_product,
     cf_series_of,
@@ -33,12 +34,10 @@ from .towers import (
     g_limits,
     p_cf_series,
     p_limits,
-    pair_step,
 )
 from .words import (
     DegeneratePeriodic,
     GSpec,
-    NormalizedG,
     PSpec,
     g_sigma,
     p_prefix,
@@ -197,22 +196,19 @@ def periodic_relation(word: str, sp: SpecMap) -> AlgRelation:
 
 def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:
     """phi's relation for a family-P spec, derived exactly over K = GF(2)(z),
-    or None when the tail step fails: rho = 0 or T_1 != rho T_0^(2^n).
+    or None when its tower breaks ``tail_mismatch`` in the first period
+    (rho = 0 breaks the tail shift).
 
     Every insertion matrix has a = 0, so phi = a_0 / (b_0 + sum_j H_j/e_j)
     and H_j = residue_factor(j) H_0^(2^j): 1/phi is affine in the
     H_0^(2^j) over K, and H_0 solves rho X^(2^n) + X + T_0 = 0."""
     t = exact_p_tower(spec, sp)
-    n = t.period
-    for _ in range(n + 1):
-        t.advance()
-    F = t.F
-    rho, t0 = t.tail_shift(), t.term(0)
-    if F.is_zero(rho) or not F.eq(t.term(n), F.mul(rho, F.pow(t0, 1 << n))):
+    if tail_mismatch(t, 1) is not None:
         return None
+    F = t.F
     ia = F.inv(t.m0.a)
-    lams = [F.mul(F.mul(t.residue_factor(j), t.inv_eps[j]), ia) for j in range(n)]
-    return frobenius_relation(F.mul(t.m0.b, ia), lams, rho, t0)
+    lams = [F.mul(F.mul(t.residue_factor(j), t.inv_eps[j]), ia) for j in range(t.period)]
+    return frobenius_relation(F.mul(t.m0.b, ia), lams, t.tail_shift(), t.term(0))
 
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
@@ -239,22 +235,11 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     return _verdict("theorem-p", bound, lines, search, ok, agree)
 
 
-def g_tail_step(norm: NormalizedG, sp: SpecMap) -> bool:
-    """Whether family G's generation shift holds exactly over K = GF(2)(z):
-    shift(c_1) = c_1'/l, with c_1' the first correction of the next
-    generation, whose pair is (m1, w1) walked along s.  Its cross is
-    l cross, so an odd c_1'/l reads c_1'.u in this generation's cross."""
-    q = exact_g_quantities(norm, sp)
-    F, m, w = q.F, q.m1, q.w1
-    for bit in q.s:
-        m, w = pair_step(m, w, bit)
-    nxt, got = GQuantities(F, m, w, q.s).c1, q.shift(q.c1)
-    return got.odd == nxt.odd and got.u == (nxt.u if nxt.odd else F.mul(nxt.u, F.inv(q.l_scalar)))
-
-
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
-    """Degree bound 2^k for the family-G continued fraction.  An all-zero swap
-    period (u0 repeated) searches nothing: ``periodic_relation`` is its quadratic."""
+    """Degree bound 2^k for the family-G continued fraction, with generations
+    0 and 1 of its tower over K checked by ``generation_mismatch`` (its
+    line appears only when it fails).  An all-zero swap period (u0
+    repeated) searches nothing: ``periodic_relation`` is its quadratic."""
     phi_fn, first_val = spec_series(spec, sp)
     try:
         lim = g_limits(spec, sp, prec)
@@ -271,10 +256,10 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
-    tail_ok = g_tail_step(lim.norm, sp)
-    if not tail_ok:
-        lines.append("tail-step shift(c1)=c1'/l fail")
-    return _verdict("theorem-g", bound, lines, search, ok and scalar_ok and tail_ok, agree)
+    tail = generation_mismatch(exact_g_quantities(lim.norm, sp), 1)
+    if tail is not None:
+        lines.append(f"tail-step {tail} fail")
+    return _verdict("theorem-g", bound, lines, search, ok and scalar_ok and tail is None, agree)
 
 
 def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) -> CheckReport:

@@ -521,7 +521,8 @@ class GQuantities:
         parity t of the next prefix, kappa = (1/r, 1/cross) and lambda =
         (r, cross); c = None at the empty prefix gives c_1 = d kappa_t, and
         l_0 = 1.  So c_j = d^(2^(j-1)) r^-(2^j - 1 - e_j) cross^-e_j and
-        l_j = r^(2^j - 1 - e_j) cross^e_j with e_j = e(s(j))."""
+        l_j = r^(2^j - 1 - e_j) cross^e_j, with e_j = 2 e_(j-1) + t_j, e_0 = 0
+        and t_j the digit parity of s's prefix of length j."""
         kappa = self._kappa_x2
         c = CoScaled(self.F.mul(self.d, kappa[0][t]), t) if c is None else self._times_square(c, t, kappa)
         return c, self._times_square(l, t, self._lambda_x2)
@@ -616,15 +617,18 @@ class GQuantities:
             l = F.pow(l, 1 << self.k)
             t = self.shift(t)
 
-    def limit_terms(self, H1: CoScaled) -> tuple[list[CoScaled], Mat2]:
+    def limit_terms(self, H1: CoScaled) -> list[CoScaled]:
         """H_1 .. H_k, walked as H_(j+1) = kappa_t H_j^2 with t the digit
         parity of s's prefix of length j + 1 (so H_j = H_1^(2^(j-1)) c_j /
-        c_1^(2^(j-1))), and the limit sum m1 + H_1 + ... + H_k."""
-        Hs = self._walk(H1, self.stats.delta[1:])
+        c_1^(2^(j-1)))."""
+        return self._walk(H1, self.stats.delta[1:])
+
+    def limit_sum(self, Hs: list[CoScaled]) -> Mat2:
+        """The limit sum m1 + H_1 + ... + H_k of the terms Hs."""
         acc = self.m1
         for h in Hs:
             acc = acc.add(self.cs_to_mat(h))
-        return Hs, acc
+        return acc
 
     def closed_products(self) -> tuple[Mat2, Mat2]:
         """Closed forms of the pair after one driver word, per digit parity."""
@@ -749,10 +753,10 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
             break
         if i >= cap:
             raise ClaimFailed(f"no convergence within {cap} generations at prec {prec}")
-    Hs, acc = q.limit_terms(H1)
+    Hs = q.limit_terms(H1)
     # the limit product is f times the limit sum, and f cancels in the ratio
     return GLimits(
-        norm=norm, quants=q, Ls=Ls, f=Ls[-1], H1=H1, Hs=Hs, cf=cf_ratio(acc), diff_vals=diff_vals,
+        norm=norm, quants=q, Ls=Ls, f=Ls[-1], H1=H1, Hs=Hs, cf=cf_ratio(q.limit_sum(Hs)), diff_vals=diff_vals,
     )
 
 

@@ -140,24 +140,21 @@ def complement(w: str) -> str:
 
 @dataclass(frozen=True)
 class WordStats:
-    """Digit parity t, the doubling-recursion integer e, prefix parities."""
+    """Digit parity t and prefix parities of a binary word."""
 
     t: int
-    e: int
     delta: tuple[int, ...]  # delta[j-1] = parity of the length-j prefix
 
 
 def word_stats(s: str) -> WordStats:
-    """Statistics of a binary word: e(s.b) = 2 e(s) + t(s.b) per appended bit b."""
+    """Statistics of a binary word."""
     _check_binary(s)
     t = 0
-    e = 0
     delta = []
     for c in s:
         t ^= int(c)
-        e = 2 * e + t
         delta.append(t)
-    return WordStats(t=t, e=e, delta=tuple(delta))
+    return WordStats(t=t, delta=tuple(delta))
 
 
 def p_to_g(spec: PSpec) -> GSpec:

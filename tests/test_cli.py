@@ -467,13 +467,13 @@ def test_closed_pipe_is_not_a_failed_claim(argv):
     # written, which is neither a failed claim (exit 1) nor a traceback;
     # 200 kB outgrow any pipe buffer, so the writer always meets the close
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "cf2", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-    )
-    assert proc.stdout.read(10) == b"config com"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == EXIT_PIPE == 141 and err == b""
+    ) as proc:
+        assert proc.stdout.read(10) == b"config com"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_PIPE == 141 and err == b""
 
 
 def test_zero_count_stays_valid():

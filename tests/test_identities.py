@@ -24,7 +24,8 @@ from cf2.identities import (
 )
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2
-from cf2.towers import CoScaled, DegenerateDraw, GQuantities, PTower, pair_step, pair_tower
+from cf2.theorems import check_theorem_g
+from cf2.towers import CoScaled, DegenerateDraw, GQuantities, PTower, SpecMap, pair_step, pair_tower
 from cf2.words import GSpec, PSpec
 
 TRIALS = 25  # acceptance runs the full 100; keep unit runs quick
@@ -419,15 +420,15 @@ def _bump_walk_L():
 
 
 def _bump_limit_terms(part):
-    limit_terms = GQuantities.limit_terms
+    # "H" bumps H_1 of the walk ``limit_terms``, "sum" the ``limit_sum``
+    name = "limit_terms" if part == "H" else "limit_sum"
+    original = getattr(GQuantities, name)
 
-    def patched(q, H1):
-        Hs, acc = limit_terms(q, H1)
-        if part == "H":
-            return [_bumped(q.F, Hs[0]), *Hs[1:]], acc
-        return Hs, acc.add_scalar(q.F.one)
+    def patched(q, x):
+        out = original(q, x)
+        return [_bumped(q.F, out[0]), *out[1:]] if part == "H" else out.add_scalar(q.F.one)
 
-    return "limit_terms", patched
+    return name, patched
 
 
 @pytest.mark.parametrize(
@@ -446,6 +447,32 @@ def test_generation_relations_failure_details(patch, detail, monkeypatch):
     monkeypatch.setattr(GQuantities, *patch())
     rep = check_generation_relations("11", 2, 3, 16, 1)
     assert rep.failures == [(trial, detail) for trial in range(3)]
+
+
+@pytest.mark.parametrize("key, detail", [("d", "d'"), ("r", "r'"), ("l", "l'"), ("c", "c_1'")])
+def test_bumped_primed_values_fail_theorem2(key, detail, monkeypatch):
+    # mutation control: theorem 2 checks its next generation over K against
+    # the primed closed forms, so one bumped value fails it by that value
+    monkeypatch.setattr(GQuantities, *_bump_primed(key))
+    for ups in ("1", "011"):
+        rep = check_theorem_g(GSpec("a", "b", ups), SpecMap.parse("a=z,b=z+1"), 256)
+        failed = [line for line in rep.all_lines() if line.endswith(" fail")]
+        assert failed == [f"tail-step gen 0: {detail} fail", "theorem-g fail"], ups
+
+
+def test_period_power_shift_L_shift_detail(monkeypatch):
+    # a running product bumped at the last of the n + j_max = 5 steps breaks
+    # only the L shift of j = 3, whose l shift lies past the walked steps
+    advance = PTower.advance
+
+    def patched(t):
+        advance(t)
+        if t.step == 5:
+            t.Ls[-1] = t.F.add(t.Ls[-1], t.F.one)
+
+    monkeypatch.setattr(PTower, "advance", patched)
+    rep = check_period_power_shift(2, 3, 3, 16, 1)
+    assert rep.failures == [(trial, "L shift j=3") for trial in range(3)]
 
 
 def test_tail_equations_residue_term_detail(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 from cf2 import relations, theorems, towers
 from cf2.cli import main as cli_main
 from cf2.gf2poly import Gf2Poly
+from cf2.identities import generation_mismatch
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import RationalField
 from cf2.theorems import (
@@ -17,11 +18,10 @@ from cf2.theorems import (
     check_theorem_g,
     check_theorem_p,
     explore_inverse_sigma,
-    g_tail_step,
     spec_series,
 )
 from cf2.relations import AlgRelation, max_degz
-from cf2.towers import HypothesisViolation, SpecMap
+from cf2.towers import HypothesisViolation, SpecMap, exact_g_quantities
 from cf2.words import GSpec, PSpec, g_normalize, g_sigma, p_prefix, p_to_g
 
 SPB = SpecMap.binary_default()
@@ -349,10 +349,11 @@ def test_theorem_g_normalizes_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_g_tail_step_holds_exactly():
-    # shift(c_1) = c_1'/l over K on specs of both first-letter parities, k
-    # from 2 to 6, and the corollary chain's specs, whose start words have
-    # 2, 8, 32 and 128 letters
+def test_generation_relations_hold_exactly():
+    # generations 0 and 1 over K, as theorem 2 checks them (shift(c_1) =
+    # c_1'/l among them), on specs of both first-letter parities, k from 2
+    # to 6, and the corollary chain's specs, whose start words have 2, 8,
+    # 32 and 128 letters
     specs = [(GSpec("a", "b", ups), SPAB) for ups in ("1", "011", "0011", "10001", "100001")]
     specs += [(GSpec("aa", "bb", "0101"), SPAB), (GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z^3+z+1"))]
     g = p_to_g(PSpec("", "10"))
@@ -361,7 +362,7 @@ def test_g_tail_step_holds_exactly():
         g = g_sigma(g)
     assert len(specs[-1][0].u0) == 128
     for spec, sp in specs:
-        assert g_tail_step(g_normalize(spec), sp), spec
+        assert generation_mismatch(exact_g_quantities(g_normalize(spec), sp), 1) is None, spec
 
 
 def test_theorem_g_fuzz_small():

@@ -717,7 +717,7 @@ def test_limit_terms_walk_the_closed_ratios(m):
     for s in all_driver_words(6):
         q = GQuantities(F, m1, w1, s)
         for H1 in (q.c[0], CoScaled(F.sample_invertible(rng), 0), CoScaled(F.sample_invertible(rng), 1)):
-            Hs, _ = q.limit_terms(H1)
+            Hs = q.limit_terms(H1)
             assert [_cs_exact(h) for h in Hs] == [_cs_exact(h) for h in _closed_limit_terms(q, H1)], s
 
 
@@ -737,8 +737,9 @@ def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monke
     # in the walk only, not in ``step``; the walk's last parity stays, so
     # every sum it feeds still adds.  H_1 is summed from the same shift that
     # equation H applies to it, so that line still passes; theorem 2 fails
-    # on the oracle agreement of the limit sum and on the exact tail step,
-    # which takes c_1' from the next generation's pair, not from the shift
+    # on the oracle agreement of the limit sum and on the exact generation
+    # relations, which take c_1' from the next generation's pair, not from
+    # the shift
     walk = GQuantities._walk
 
     def swapped(q, h, parities):
@@ -753,7 +754,7 @@ def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monke
         assert not rep.passed
         failed = [line for line in rep.lines if line.endswith(" fail")]
         assert [line.split()[0] for line in failed] == ["oracle-agreement", "tail-step"], ups
-        assert "tail-step shift(c1)=c1'/l fail" in rep.lines
+        assert "tail-step c_1/L gen 1 fail" in rep.lines
         assert "equation H residual>=512 pass" in rep.lines
 
 
