@@ -21,18 +21,22 @@ generations at 10 trials, with the field tables and operands built
 before the first timed call; and ``find_relation`` on the degree
 ladder's theorem-1 series P3-P6 (period words 110, 1101, 11010, 110100)
 at their first-round precision with degX 2^n and degZ 2^n + 8, and on
-the explore search (degX 16, degZ 256); ``_powers`` 1, phi, ..., phi^64
-of P6's series at that precision, and ``AlgRelation.evaluate`` of the
-relation found there on P6's series at twice it; ``theorems.p_relation``,
+the explore search (degX 16, degZ 256), and ``sigma_inv_word`` of the
+9331-letter period-doubling prefix that search's verify round reads;
+``_powers`` 1, phi, ..., phi^64 of P6's series at that precision, and
+``AlgRelation.evaluate`` of the relation found there on P6's series at
+twice it; ``theorems.p_relation``,
 theorem 1's exact relation over GF(2)(z), for P6-P9 (P7's word 1101000,
 P8's 11010000, P9's 110100000), and the whole ``check_theorem_p`` verdict
 for P6-P8 at prec 512; on the corollary chain's fourth spec (eps=10,
 start words of 128 letters, binary map) the whole ``check_theorem_g``
 verdict at prec 512, the exact generation check it runs,
 ``identities.generation_mismatch`` over generations 0 and 1 of
-``towers.exact_g_quantities``, and its start matrices over GF(2)(z), as
-``towers._word_product`` and as ``word_matrix`` over ``RationalField``
-with exact letter inverses; the whole ``check_theorem_g`` verdict on the
+``towers.exact_g_quantities``, its start matrices as
+``towers._word_product`` and over series at prec 512 as
+``towers.g_start_matrices``, and the whole corollary chain
+``check_corollary_chain`` (eps=10, k=4, prec 512) that ends on that
+spec; the whole ``check_theorem_g`` verdict on the
 all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
 the period-doubling word and v0=1 at prec 512 (binary map);
 ``search_relation`` for P6 at prec 512 (binary
@@ -91,6 +95,7 @@ QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # rungs of the exact rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
+EXPLORE_PREFIX = 9331  # letters of the prefix the explore search's verify round sums
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
 ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
 PERIODIC_LENGTHS = (1, 128, 600)  # start-word lengths of the all-zero swap period rows
@@ -118,7 +123,8 @@ def relation_cases(relations, towers, words):
         spb, max(512, relations.required_precision(degx, degz, -1)),
     )
     out.append(("find_relation.explore", relations.find_relation, (phi, degx, degz)))
-    return out
+    prefix = words.p_prefix(period_doubling, EXPLORE_PREFIX)
+    return out + [("sigma_inv_word.9k", words.sigma_inv_word, (prefix,))]
 
 
 def exact_cases(theorems, towers, words):
@@ -134,18 +140,21 @@ def exact_cases(theorems, towers, words):
     ]
 
 
-def tail_step_cases(identities, mat2, theorems, towers, words):
+def tail_step_cases(identities, theorems, towers, words):
     """(name, function, args) for the family-G rows on the corollary chain's
-    fourth spec; the rows of code a tree lacks are left out."""
-    spec = words.p_to_g(words.PSpec("", "10"))
+    fourth spec and the whole chain; the rows of code a tree lacks are left
+    out."""
+    period_doubling = words.PSpec("", "10")
+    spec = words.p_to_g(period_doubling)
     for _ in range(3):
         spec = words.g_sigma(spec)
     norm = words.g_normalize(spec)
     spb = towers.SpecMap.binary_default()
-    F = mat2.RationalField()
-    inv = {c: F.inv((spb.poly(c).bits, 1)) for c in spec.alphabet}
     starts = (norm.spec.u0, norm.spec.v0)
-    out = [("word_matrix.rational.G128", lambda: [towers.word_matrix(w, F, inv) for w in starts], ())]
+    out = [
+        ("g_start_matrices.series.G128", towers.g_start_matrices, (norm.spec, spb, 512)),
+        ("check_corollary_chain.k4", theorems.check_corollary_chain, (period_doubling, spb, 4, 512)),
+    ]
     if hasattr(towers, "_word_product"):
         out.append(("_word_product.G128", lambda: [towers._word_product(w, spb) for w in starts], ()))
     if hasattr(identities, "generation_mismatch"):
@@ -267,7 +276,7 @@ def worker(src: str, quick: bool) -> None:
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
-    todo += exact_cases(theorems, towers, words) + tail_step_cases(identities, mat2, theorems, towers, words)
+    todo += exact_cases(theorems, towers, words) + tail_step_cases(identities, theorems, towers, words)
     todo += periodic_cases(theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()

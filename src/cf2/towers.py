@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import count
+from math import prod
 
 from .gf2poly import Gf2Poly, clmul
 from .laurent import LaurentSeries
@@ -144,14 +145,14 @@ def _mat_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tupl
 
 def _word_product(word: str, sp: SpecMap) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of the product of ((u, 1), (1, 0)) over the
-    letters u of a nonempty word, as bit-packed ints.  Blocks of CF_BLOCK
-    letters run the small-int recurrence, and a pairwise tree joins the
-    blocks, so the long products are balanced."""
+    letters u of a word (the identity if empty), as bit-packed ints.
+    Blocks of CF_BLOCK letters run the small-int recurrence, and a pairwise
+    tree joins the blocks, so the long products are balanced."""
     taps: dict[str, list[int]] = {}  # letter -> exponents of its polynomial
     mats = [_block_product(word[i:i + CF_BLOCK], taps, sp) for i in range(0, len(word), CF_BLOCK)]
     while len(mats) > 1:
         mats = [_mat_mul(*mats[i:i + 2]) if i + 1 < len(mats) else mats[i] for i in range(0, len(mats), 2)]
-    return mats[0]
+    return mats[0] if mats else (1, 0, 0, 1)
 
 
 def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
@@ -210,19 +211,20 @@ def cf_series_of(prefix_fn, sp: SpecMap, prec: int) -> LaurentSeries:
     return cf_series(prefix_fn(max(32, prec // max(1, sp.min_degree) + 16)), sp, prec)
 
 
-def _inverse_letters(alphabet: set[str], sp: SpecMap, prec: int) -> dict[str, LaurentSeries]:
-    """The series 1/x of every letter of the alphabet under the map."""
-    sp.check_covers(alphabet)
-    return {c: LaurentSeries.from_rational(Gf2Poly.one(), sp.poly(c), prec) for c in alphabet}
-
-
-def word_matrix(word: str, F, inv_letters: dict) -> Mat2:
-    """Descending product of letter matrices over a word (identity if empty),
-    given each letter's inverse in the field F."""
-    m = Mat2.identity(F)
-    for letter in word:
-        m = Mat2.letter_from_inv(F, inv_letters[letter]).mul(m)
-    return m
+def word_matrix(word: str, sp: SpecMap, F) -> Mat2:
+    """Descending product of letter matrices over a word (identity if empty)
+    over ``SeriesField`` or ``RationalField``.  F(x) is ((x, 1), (1, 0))/x
+    and every factor is symmetric, so the product is the transposed
+    ``_word_product`` divided once by the product P of the word's letters:
+    four reduced fractions over K, and over series one inverse of P and one
+    exact product per entry."""
+    a, b, c, d = _word_product(word, sp)
+    entries = a, c, b, d
+    P = prod((sp.poly(letter) ** word.count(letter) for letter in set(word)), start=Gf2Poly.one())
+    if isinstance(F, RationalField):
+        return Mat2(F, *(F.mul((e, 1), (1, P.bits)) for e in entries))
+    inv = LaurentSeries.from_rational(Gf2Poly.one(), P, F.prec + P.degree)
+    return Mat2(F, *(LaurentSeries(q.val, q.mask, F.prec) for q in (inv.mul_poly(Gf2Poly(e)) for e in entries)))
 
 
 def cf_ratio(m: Mat2) -> LaurentSeries:
@@ -336,19 +338,22 @@ class PTower:
         return F.mul(F.mul(self.det_ratio(j), F.pow(self.Ls[1], 1 << j)), F.inv(self.Ls[j + 1]))
 
 
+def _p_tower(spec: PSpec, sp: SpecMap, F) -> PTower:
+    """The tower of a family-P spec over ``SeriesField`` or ``RationalField``."""
+    sp.check_covers(spec.alphabet)
+    # a letter matrix is ((1, 1/x), (1/x, 0))
+    inv_eps = {c: word_matrix(c, sp, F).b for c in set(spec.eps)}
+    return PTower(F, word_matrix(spec.w0, sp, F), [inv_eps[c] for c in spec.eps])
+
+
 def p_tower(spec: PSpec, sp: SpecMap, prec: int) -> PTower:
     """The series tower of a family-P spec at working precision prec."""
-    inv_letters = _inverse_letters(spec.alphabet, sp, prec)
-    F = SeriesField(prec)
-    return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
+    return _p_tower(spec, sp, SeriesField(prec))
 
 
 def exact_p_tower(spec: PSpec, sp: SpecMap) -> PTower:
     """The tower of a family-P spec over K = GF(2)(z), every scalar exact."""
-    sp.check_covers(spec.alphabet)
-    F = RationalField()
-    inv_letters = {c: F.inv((sp.poly(c).bits, 1)) for c in spec.alphabet}
-    return PTower(F, word_matrix(spec.w0, F, inv_letters), [inv_letters[c] for c in spec.eps])
+    return _p_tower(spec, sp, RationalField())
 
 
 def exact_g_quantities(norm: NormalizedG, sp: SpecMap) -> GQuantities:
@@ -720,9 +725,9 @@ def g_start_matrices(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, 
         raise HypothesisViolation(
             "start words must have equal length for the product tower"
         )
-    inv_letters = _inverse_letters(spec.alphabet, sp, prec)
+    sp.check_covers(spec.alphabet)
     F = SeriesField(prec)
-    return F, word_matrix(spec.u0, F, inv_letters), word_matrix(spec.v0, F, inv_letters)
+    return F, word_matrix(spec.u0, sp, F), word_matrix(spec.v0, sp, F)
 
 
 def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:

@@ -13,7 +13,6 @@ The prefix-sum operator maps a binary word to its running parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 
 class DegeneratePeriodic(ValueError):
@@ -118,11 +117,15 @@ def sigma_word(w: str) -> str:
 
     Entry n is the parity of the first n letters, for n = 0..|w|; on a
     length-(L+1) prefix of an infinite sequence, the first L entries are
-    the prefix-sum sequence of the sequence itself.
+    the prefix-sum sequence of the sequence itself.  Read as an int with
+    the first letter highest, the running parity is the prefix XOR
+    x ^ x>>1 ^ x>>2 ^ ..., taken by doubling shifts.
     """
     _check_binary(w)
-    total = list(accumulate((int(c) for c in w), lambda a, b: a ^ b, initial=0))
-    return "".join(map(str, total))
+    x, shift = int(w or "0", 2), 1
+    while shift < len(w):
+        x, shift = x ^ (x >> shift), shift << 1
+    return format(x, f"0{len(w) + 1}b")
 
 
 def sigma_inv_word(w: str) -> str:
@@ -130,12 +133,14 @@ def sigma_inv_word(w: str) -> str:
     _check_binary(w)
     if len(w) < 2:
         raise ValueError("need at least two letters")
-    return "".join(str(int(a) ^ int(b)) for a, b in zip(w, w[1:]))
+    x = int(w, 2)
+    # bit i of x ^ x>>1 is letter |w|-1-i plus the one before it; the top bit is w[0] alone
+    return format(x ^ (x >> 1), f"0{len(w)}b")[1:]
 
 
 def complement(w: str) -> str:
     _check_binary(w)
-    return "".join("1" if c == "0" else "0" for c in w)
+    return w.translate(str.maketrans("01", "10"))
 
 
 @dataclass(frozen=True)

@@ -161,13 +161,52 @@ def test_convergent_series_expansion():
     assert str(s) == "z + z^-1 + z^-3 + z^-5 + z^-7 + O(z^-8)"
 
 
+def letter_by_letter(word, sp, F):
+    """Reference word matrix: F(w_last) ... F(w_first), one letter matrix
+    ((1, 1/x), (1/x, 0)) at a time, with 1/x from the field's own inverse."""
+    m = Mat2.identity(F)
+    for letter in word:
+        x = sp.poly(letter)
+        if isinstance(F, RationalField):
+            ix = F.inv((x.bits, 1))
+        else:
+            ix = LaurentSeries.from_rational(Gf2Poly.one(), x, F.prec)
+        m = Mat2.letter_from_inv(F, ix).mul(m)
+    return m
+
+
+@pytest.mark.parametrize("spec", ["a=z,b=z+1", "a=z,b=z^3+z+1", "a=z^2+z,b=z^5+z"])
+def test_word_matrix_is_the_letter_by_letter_product(spec):
+    # one word product divided once by the letters' product agrees with the
+    # letter-by-letter product to the working precision, entry for entry and
+    # with the same valuation; over K the two are equal
+    sp = SpecMap.parse(spec)
+    rng = random.Random(spec)
+    for prec in (64, 512):
+        F = SeriesField(prec)
+        for _ in range(12):
+            word = "".join(rng.choice("ab") for _ in range(rng.randrange(1, 129)))
+            got, want = word_matrix(word, sp, F), letter_by_letter(word, sp, F)
+            for x, y in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
+                assert x.prec == prec and x.agrees(y) and x.valuation == y.valuation
+    K = RationalField()
+    for _ in range(12):
+        word = "".join(rng.choice("ab") for _ in range(rng.randrange(1, 129)))
+        assert word_matrix(word, sp, K).eq(letter_by_letter(word, sp, K))
+
+
+def test_empty_word_product_is_the_identity():
+    assert towers._word_product("", SP) == (1, 0, 0, 1)
+    for F in (SeriesField(64), RationalField()):
+        assert word_matrix("", SP, F).eq(Mat2.identity(F))
+
+
 def test_word_matrix_ratio_is_convergent():
     F = SeriesField(128)
-    inv = {c: LaurentSeries.from_rational(Gf2Poly.one(), SP.poly(c), 128) for c in "abc"}
     rng = random.Random(8)
     for _ in range(10):
         word = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 7)))
-        m = word_matrix(word, F, inv)
+        m = word_matrix(word, SP, F)
         p, q = convergent_pair(word, SP)
         ratio = m.a * m.b.inv()
         direct = LaurentSeries.from_rational(p, q, ratio.prec)
@@ -282,11 +321,10 @@ def test_exact_ptower_expands_to_the_series_tower(w0, eps):
 
 @pytest.mark.parametrize("u0, v0, ups", [("a", "b", "011"), ("ab", "ca", "0110"), ("abcab", "cbbac", "11")])
 def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
-    # m1 = w0 m0 is word_matrix(u0 v0) over K with exact letter inverses,
-    # and w1 that of v0 u0, both times the product of the letters of u0 v0;
-    # the driver word is the normalized spec's
+    # m1 = w0 m0 is the word matrix of u0 v0 over K, walked letter by letter
+    # with exact letter inverses, and w1 that of v0 u0, both times the
+    # product of the letters of u0 v0; the driver word is the normalized spec's
     F = RationalField()
-    inv = {c: F.inv((SP.poly(c).bits, 1)) for c in "abc"}
     norm = g_normalize(GSpec(u0, v0, ups))
     q = exact_g_quantities(norm, SP)
     u, v = norm.spec.u0, norm.spec.v0
@@ -294,8 +332,8 @@ def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
     for letter in u + v:
         scale = F.mul(scale, (SP.poly(letter).bits, 1))
     assert isinstance(q.F, RationalField)
-    assert q.m1.eq(word_matrix(u + v, F, inv).scale(scale))
-    assert q.w1.eq(word_matrix(v + u, F, inv).scale(scale))
+    assert q.m1.eq(letter_by_letter(u + v, SP, F).scale(scale))
+    assert q.w1.eq(letter_by_letter(v + u, SP, F).scale(scale))
     assert q.s == norm.s
 
 

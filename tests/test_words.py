@@ -50,10 +50,28 @@ def test_sigma_inverse_of_prefix_sum_is_period_doubling():
 
 
 def test_sigma_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^word must be binary, got '012'$"):
         sigma_word("012")
-    with pytest.raises(ValueError):
-        sigma_inv_word("1")
+    for bad in ("0_1", " 01", "01 "):  # int() would read these as binary
+        for fn in (sigma_word, sigma_inv_word, complement):
+            with pytest.raises(ValueError, match="^word must be binary"):
+                fn(bad)
+    for short in ("", "1"):
+        with pytest.raises(ValueError, match="^need at least two letters$"):
+            sigma_inv_word(short)
+
+
+@given(st.text(alphabet="01", max_size=1100))
+def test_sigma_and_complement_match_their_letter_definitions(s):
+    # the big-int forms against the letter-by-letter definitions, leading
+    # zeros, the empty word and words past ten doubling shifts included
+    parity = [0]
+    for c in s:
+        parity.append(parity[-1] ^ int(c))
+    assert sigma_word(s) == "".join(map(str, parity))
+    if len(s) >= 2:
+        assert sigma_inv_word(s) == "".join(str(int(a) ^ int(b)) for a, b in zip(s, s[1:]))
+    assert complement(s) == "".join("1" if c == "0" else "0" for c in s)
 
 
 def test_empty_spec_errors():
