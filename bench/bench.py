@@ -5,9 +5,10 @@ Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
 ``cldivmod`` (2n by n bits), ``clgcd`` (n and n bits, one ``cldivmod``
 per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
-``Gf2Poly.reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
+``gf2poly.bit_reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
-65536, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
+65536, ``LaurentSeries.from_rational`` of its 8192-letter convergent
+(``towers.convergent_pair``) at precision 16384, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
 of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, and for that
 G spec its ``GQuantities`` over series and ``GLimits.residual_h``, the cube of a
 three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
@@ -239,19 +240,20 @@ def cases(gf2poly, laurent):
             (f"LaurentSeries.pow.{label}", laurent.LaurentSeries.pow, (sa, 3)),
         ]
     n = SIZES["16k"]
-    poly = gf2poly.Gf2Poly(random.Random(n).getrandbits(n) | (1 << (n - 1)))
-    sa = laurent.LaurentSeries(0, poly.bits, n)
+    poly = random.Random(n).getrandbits(n) | (1 << (n - 1))
+    sa = laurent.LaurentSeries(0, poly, n)
     huge = laurent.LaurentSeries(10**8, 0b1011, 10**8 + 64)
     return out + [
-        ("Gf2Poly.reverse.16k", gf2poly.Gf2Poly.reverse, (poly,)),
+        ("bit_reverse.16k", gf2poly.bit_reverse, (poly, n)),
         ("LaurentSeries.pow256.16k", laurent.LaurentSeries.pow, (sa, 1 << 8)),
         ("LaurentSeries.pow.hugeprec", laurent.LaurentSeries.pow, (huge, 3)),
     ]
 
 
-def oracle_cases(towers, words):
+def oracle_cases(laurent, towers, words):
     """(name, function, args) for the convergent-oracle and tower-limits rows."""
     spb = towers.SpecMap.binary_default()
+    num, den = towers.convergent_pair(words.p_prefix(words.PSpec("", "110"), SIZES["16k"] // 2), spb)
     spab = towers.SpecMap.parse("a=z,b=z+1")
     gspec = words.GSpec("ab", "ba", "11")
     norm = words.g_normalize(gspec)
@@ -259,6 +261,7 @@ def oracle_cases(towers, words):
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
         ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
+        ("from_rational.16k", laurent.LaurentSeries.from_rational, (num, den, SIZES["16k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
         ("g_limits.16k", towers.g_limits, (gspec, spab, SIZES["16k"])),
         ("GQuantities.series.16k", towers.GQuantities, (F, w0.mul(m0), m0.mul(w0), norm.s)),
@@ -272,7 +275,7 @@ def worker(src: str, quick: bool) -> None:
     sys.path.insert(0, src)
     from cf2 import gf2m, gf2poly, identities, laurent, mat2, relations, theorems, towers, words
 
-    todo = cases(gf2poly, laurent) + oracle_cases(towers, words)
+    todo = cases(gf2poly, laurent) + oracle_cases(laurent, towers, words)
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)

@@ -3,11 +3,12 @@
 Word families built by center insertion (P) and paired doubling (G),
 their continued fractions under letter-to-polynomial specialization,
 matrix product towers with full valuation bookkeeping, randomized
-verification of the tower identities over GF(2^m), and an
-algebraic-relation guesser certifying the degree bounds 2^n and 2^k.
+verification of the tower identities over GF(2^m), and checks of the
+degree bounds 2^n and 2^k: family P's relation is derived exactly over
+GF(2)(z), and only family G's is searched for by an algebraic-relation
+guesser.  Polynomials over GF(2) are bit-packed ints throughout.
 """
 
-from .gf2poly import Gf2Poly
 from .gf2m import Gf2m, field
 from .laurent import LaurentSeries
 from .mat2 import Mat2, SeriesField
@@ -50,7 +51,7 @@ from .words import (
 )
 
 __all__ = [
-    "AlgRelation", "DegenerateDraw", "DegeneratePeriodic", "Gf2Poly", "Gf2m",
+    "AlgRelation", "DegenerateDraw", "DegeneratePeriodic", "Gf2m",
     "GQuantities", "GSpec", "HypothesisViolation", "LaurentSeries", "Mat2",
     "PSpec", "PTower", "SeriesField", "SpecMap", "WordStats",
     "cf_series", "check_corollary_chain",

@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 from itertools import chain, repeat
 
-from .gf2poly import Gf2Poly
+from .gf2poly import parse_poly
 from .laurent import LaurentSeries
 from .relations import find_relation
 from .theorems import (
@@ -245,7 +245,7 @@ def cmd_relation(args, out) -> int:
         if unread:
             raise ValueError(f"{' '.join(unread)} not read with --num and --den")
         try:
-            num, den = Gf2Poly.parse(args.num), Gf2Poly.parse(args.den)
+            num, den = parse_poly(args.num), parse_poly(args.den)
             phi = LaurentSeries.from_rational(num, den, args.prec)
         except ZeroDivisionError as exc:
             raise ValueError(str(exc)) from None

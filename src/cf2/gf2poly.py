@@ -2,9 +2,8 @@
 
 A polynomial is a nonnegative Python integer: bit i is the coefficient
 of z^i.  Addition is XOR, multiplication is carry-less, and the zero
-polynomial is the integer 0 (reported degree -1).  The ``Gf2Poly``
-wrapper keeps values canonical (there is nothing to normalize beyond
-the int itself) and carries the text syntax used by the CLI.
+polynomial is the integer 0 (degree ``bit_length() - 1`` = -1).
+``parse_poly`` and ``poly_str`` carry the text syntax used by the CLI.
 """
 
 from __future__ import annotations
@@ -187,134 +186,59 @@ def min_irreducible(m: int) -> int:
     raise AssertionError("unreachable: irreducibles exist in every degree")
 
 
-class Gf2Poly:
-    """Polynomial over GF(2) in the variable z.  Operations return new
-    polynomials and never change their operands."""
+def clpow(a: int, n: int) -> int:
+    """a^n for n >= 0, square-and-multiply through ``clmul``/``clsq``."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    result = 1
+    while n:
+        if n & 1:
+            result = clmul(result, a)
+        n >>= 1
+        if n:
+            a = clsq(a)
+    return result
 
-    __slots__ = ("bits",)
 
-    def __init__(self, bits: int = 0):
-        if bits < 0:
-            raise ValueError("polynomial bits must be nonnegative")
-        self.bits = bits
+def parse_poly(text: str) -> int:
+    """Parse the '+'-separated monomial syntax: "z^2+z+1".
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> Gf2Poly:
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> Gf2Poly:
-        return cls(1)
-
-    @classmethod
-    def parse(cls, text: str) -> Gf2Poly:
-        """Parse the '+'-separated monomial syntax: "z^2+z+1".
-
-        Duplicate monomials are rejected; "0" denotes the zero polynomial.
-        """
-        s = text.strip()
-        if s == "0":
-            return cls(0)
-        if not s:
-            raise ValueError("empty polynomial text")
-        bits = 0
-        for raw in s.split("+"):
-            mono = raw.strip()
-            if mono == "1":
-                e = 0
-            elif mono == "z":
-                e = 1
-            elif mono.startswith("z^"):
-                try:
-                    e = int(mono[2:])
-                except ValueError:
-                    raise ValueError(f"bad monomial {mono!r}") from None
-                if e < 0:
-                    raise ValueError(f"negative exponent in {mono!r}")
-            else:
+    Exponents are ASCII digits.  Duplicate monomials are rejected; "0"
+    denotes the zero polynomial.
+    """
+    s = text.strip()
+    if s == "0":
+        return 0
+    if not s:
+        raise ValueError("empty polynomial text")
+    bits = 0
+    for raw in s.split("+"):
+        mono = raw.strip()
+        if mono == "1":
+            e = 0
+        elif mono == "z":
+            e = 1
+        elif mono.startswith("z^"):
+            digits = mono[2:].removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"bad monomial {mono!r}")
-            if (bits >> e) & 1:
-                raise ValueError(f"duplicate monomial {mono!r}")
-            bits |= 1 << e
-        return cls(bits)
+            if digits != mono[2:]:
+                raise ValueError(f"negative exponent in {mono!r}")
+            e = int(digits)
+        else:
+            raise ValueError(f"bad monomial {mono!r}")
+        if (bits >> e) & 1:
+            raise ValueError(f"duplicate monomial {mono!r}")
+        bits |= 1 << e
+    return bits
 
-    # -- predicates / accessors --------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return self.bits.bit_length() - 1
-
-    def coeff(self, i: int) -> int:
-        return (self.bits >> i) & 1 if i >= 0 else 0
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Gf2Poly) and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash(("Gf2Poly", self.bits))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(self.bits ^ other.bits)
-
-    __sub__ = __add__  # characteristic 2
-
-    def __mul__(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(clmul(self.bits, other.bits))
-
-    def square(self) -> Gf2Poly:
-        return Gf2Poly(clsq(self.bits))
-
-    def __pow__(self, n: int) -> Gf2Poly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Gf2Poly(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base.square()
-        return result
-
-    def __divmod__(self, other: Gf2Poly) -> tuple[Gf2Poly, Gf2Poly]:
-        q, r = cldivmod(self.bits, other.bits)
-        return Gf2Poly(q), Gf2Poly(r)
-
-    def __floordiv__(self, other: Gf2Poly) -> Gf2Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Gf2Poly) -> Gf2Poly:
-        return divmod(self, other)[1]
-
-    def gcd(self, other: Gf2Poly) -> Gf2Poly:
-        return Gf2Poly(clgcd(self.bits, other.bits))
-
-    def reverse(self) -> Gf2Poly:
-        """Coefficient reversal within the degree: z^d * p(1/z)."""
-        return Gf2Poly(bit_reverse(self.bits, self.degree + 1))
-
-    # -- text ----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.bits == 0:
-            return "0"
-        monos = []
-        for e in range(self.degree, -1, -1):
-            if (self.bits >> e) & 1:
-                monos.append("1" if e == 0 else "z" if e == 1 else f"z^{e}")
-        return "+".join(monos)
-
-    def __repr__(self) -> str:
-        return f"Gf2Poly({str(self)!r})"
-
+def poly_str(bits: int) -> str:
+    """The text form ``parse_poly`` reads, from the top term down."""
+    if bits == 0:
+        return "0"
+    monos = []
+    for e in range(bits.bit_length() - 1, -1, -1):
+        if (bits >> e) & 1:
+            monos.append("1" if e == 0 else "z" if e == 1 else f"z^{e}")
+    return "+".join(monos)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 
-from .gf2poly import Gf2Poly, clmul, clsq
+from .gf2poly import bit_reverse, clmul, clsq
 
 
 def _low(mask: int, nbits: int) -> int:
@@ -91,29 +91,18 @@ class LaurentSeries:
         return cls(0, 1, prec)
 
     @classmethod
-    def from_terms(cls, exponents, prec: int) -> LaurentSeries:
-        """Series with coefficient 1 exactly at z^-n for each listed n."""
-        exponents = sorted(set(exponents))
-        if not exponents:
-            return cls.zero(prec)
-        v = exponents[0]
-        mask = 0
-        for n in exponents:
-            mask |= 1 << (n - v)
-        return cls(v, mask, prec)
-
-    @classmethod
-    def from_rational(cls, num: Gf2Poly, den: Gf2Poly, prec: int) -> LaurentSeries:
-        """Expansion of num/den in powers of 1/z to absolute precision prec."""
-        if den.is_zero():
+    def from_rational(cls, num: int, den: int, prec: int) -> LaurentSeries:
+        """Expansion of num/den (bit-packed GF(2)[z] ints) in powers of 1/z
+        to absolute precision prec."""
+        if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        if num == 0:
             return cls.zero(prec)
-        v = den.degree - num.degree
+        v = den.bit_length() - num.bit_length()
         if prec <= v:
             raise ValueError(f"precision {prec} too small for valuation {v}")
-        d_inv = _inv_mask(den.reverse().bits, prec - v)
-        return cls(v, clmul(num.reverse().bits, d_inv), prec)
+        d_inv = _inv_mask(bit_reverse(den, den.bit_length()), prec - v)
+        return cls(v, clmul(bit_reverse(num, num.bit_length()), d_inv), prec)
 
     # -- accessors ------------------------------------------------------
 
@@ -202,14 +191,14 @@ class LaurentSeries:
                 base = base.clip((window + 1) // 2).square()
         return result
 
-    def mul_poly(self, poly: Gf2Poly) -> LaurentSeries:
-        """Multiply by an exact polynomial in z."""
-        if poly.is_zero():
+    def mul_poly(self, poly: int) -> LaurentSeries:
+        """Multiply by an exact polynomial in z, a bit-packed GF(2)[z] int."""
+        if poly == 0:
             return LaurentSeries.zero(self.prec)
-        d = poly.degree
+        d = poly.bit_length() - 1
         if self.mask == 0:
             return LaurentSeries.zero(self.prec - d)
-        return LaurentSeries(self.val - d, clmul(self.mask, poly.reverse().bits), self.prec - d)
+        return LaurentSeries(self.val - d, clmul(self.mask, bit_reverse(poly, d + 1)), self.prec - d)
 
     # -- comparison ---------------------------------------------------------
 

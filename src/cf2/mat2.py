@@ -16,7 +16,7 @@ matrix as s*I via ``Mat2.scalar``.
 
 from __future__ import annotations
 
-from .gf2poly import Gf2Poly, cldivmod, clgcd, clmul, clsq
+from .gf2poly import cldivmod, clgcd, clmul, clpow, clsq
 from .laurent import LaurentSeries
 
 
@@ -113,7 +113,7 @@ class RationalField:
     @classmethod
     def pow(cls, x, n: int):
         num, den = x if n >= 0 else cls.inv(x)
-        return (Gf2Poly(num) ** abs(n)).bits, (Gf2Poly(den) ** abs(n)).bits
+        return clpow(num, abs(n)), clpow(den, abs(n))
 
     @staticmethod
     def is_zero(x) -> bool:

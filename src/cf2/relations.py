@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gf2poly import Gf2Poly, bit_reverse, cldivmod, clgcd, clmul
+from .gf2poly import bit_reverse, cldivmod, clgcd, clmul, poly_str
 from .laurent import LaurentSeries
 from .mat2 import RationalField
 
@@ -43,33 +43,34 @@ def required_precision(degx: int, degz: int, val: int) -> int:
 
 @dataclass(frozen=True)
 class AlgRelation:
-    """Candidate annihilating polynomial sum(p_i(z) * X^i), content 1."""
+    """Candidate annihilating polynomial sum(p_i(z) * X^i), content 1, each
+    p_i a bit-packed GF(2)[z] int."""
 
-    coeffs: tuple[Gf2Poly, ...]
+    coeffs: tuple[int, ...]
     verified_prec: int
 
     @property
     def degx(self) -> int:
         d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d].is_zero():
+        while d > 0 and not self.coeffs[d]:
             d -= 1
         return d
 
     @property
     def degz(self) -> int:
-        return max((p.degree for p in self.coeffs if not p.is_zero()), default=-1)
+        return max((p.bit_length() for p in self.coeffs), default=0) - 1
 
     def evaluate(self, phi: LaurentSeries) -> LaurentSeries:
         """Residual series sum(p_i * phi^i) at phi's precision, from only
         the powers phi^i with p_i nonzero."""
-        return self.residual(_powers(phi, [i for i, p in enumerate(self.coeffs) if not p.is_zero()]))
+        return self.residual(_powers(phi, [i for i, p in enumerate(self.coeffs) if p]))
 
     def residual(self, powers) -> LaurentSeries:
         """sum(p_i * powers[i]) over the nonzero p_i, for powers[i] = phi^i
         (a list or a mapping that holds at least those i)."""
         acc = None
         for i, p in enumerate(self.coeffs):
-            if not p.is_zero():
+            if p:
                 term = powers[i].mul_poly(p)
                 acc = term if acc is None else acc + term
         if acc is None:
@@ -86,8 +87,8 @@ class AlgRelation:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             p = self.coeffs[i]
-            if not p.is_zero():
-                parts.append(f"X^{i}*({p})")
+            if p:
+                parts.append(f"X^{i}*({poly_str(p)})")
         return " + ".join(parts)
 
     def __str__(self) -> str:
@@ -117,13 +118,13 @@ def _powers(phi: LaurentSeries, exps) -> dict[int, LaurentSeries]:
     return {e: out[e] for e in exps}
 
 
-def _content_normalize(polys: list[Gf2Poly]) -> tuple[Gf2Poly, ...]:
-    content = Gf2Poly.zero()
+def _content_normalize(polys: list[int]) -> tuple[int, ...]:
+    content = 0
     for p in polys:
-        content = content.gcd(p)
-    if content.is_zero() or content.degree < 1:
+        content = clgcd(content, p)
+    if content < 2:  # 0 or 1: nothing to divide out
         return tuple(polys)
-    return tuple(p // content for p in polys)
+    return tuple(cldivmod(p, content)[0] for p in polys)
 
 
 def certifying_precision(degx: int, degz: int, val: int) -> int:
@@ -190,8 +191,8 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
     m = degx + 1
     width = (d + 1) * m
     bits = f"{bit_reverse(cols[degs.index(d)], width):0{width}b}"
-    polys = [Gf2Poly(int(bits[i::m], 2)) for i in range(m)]
-    while polys[-1].is_zero():
+    polys = [int(bits[i::m], 2) for i in range(m)]
+    while not polys[-1]:
         polys.pop()
     rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
     residual = rel.residual(powers)
@@ -244,9 +245,9 @@ def frobenius_relation(y0, lams, rho, t0) -> AlgRelation:
     lcm = 1
     for _, den in terms.values():
         lcm = clmul(lcm, cldivmod(den, clgcd(lcm, den))[0])
-    polys = [Gf2Poly.zero()] * ((1 << i) + 1)
+    polys = [0] * ((1 << i) + 1)
     for e, (num, den) in terms.items():
-        polys[e] = Gf2Poly(clmul(num, cldivmod(lcm, den)[0]))
-    while polys[-1].is_zero():
+        polys[e] = clmul(num, cldivmod(lcm, den)[0])
+    while not polys[-1]:
         polys.pop()
     return AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)

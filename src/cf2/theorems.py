@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
 
-from .gf2poly import Gf2Poly
 from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
 from .relations import (
@@ -155,8 +154,8 @@ def spec_series(spec: PSpec | GSpec, sp: SpecMap):
     series as a function of precision, and the valuation of its first letter."""
     if isinstance(spec, PSpec):
         first = spec.w0[0] if spec.w0 else spec.eps[0]
-        return (lambda p: p_cf_series(spec, sp, p)), -sp.poly(first).degree
-    return (lambda p: g_cf_series(spec, sp, p)), -sp.poly(spec.u0[0]).degree
+        return (lambda p: p_cf_series(spec, sp, p)), -sp.degree(first)
+    return (lambda p: g_cf_series(spec, sp, p)), -sp.degree(spec.u0[0])
 
 
 def _series_ok(res: LaurentSeries, min_bound: int) -> tuple[bool, int]:
@@ -191,7 +190,7 @@ def periodic_relation(word: str, sp: SpecMap) -> AlgRelation:
     """phi = [word, word, ...] is fixed by the Mobius map of ``_word_product(word)``
     = ((a, b), (c, d)), phi = (a phi + b)/(c phi + d): so c phi^2 + (a + d) phi + b = 0."""
     a, b, c, d = _word_product(word, sp)
-    return AlgRelation(_content_normalize([Gf2Poly(b), Gf2Poly(a ^ d), Gf2Poly(c)]), 0)
+    return AlgRelation(_content_normalize([b, a ^ d, c]), 0)
 
 
 def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:

@@ -22,11 +22,10 @@ in the identity battery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import count
-from math import prod
 
-from .gf2poly import Gf2Poly, clmul
+from .gf2poly import clmul, clpow, parse_poly, poly_str
 from .laurent import LaurentSeries
 from .mat2 import Mat2, RationalField, SeriesField
 from .words import GSpec, NormalizedG, PSpec, g_normalize, g_prefix, p_prefix, word_stats
@@ -50,20 +49,23 @@ class ClaimFailed(ArithmeticError):
 
 
 class SpecMap:
-    """Assignment of a nonconstant GF(2)[z] polynomial to each letter."""
+    """Assignment of a nonconstant GF(2)[z] polynomial, a bit-packed int,
+    to each letter."""
 
-    def __init__(self, assignments: dict[str, Gf2Poly]):
+    def __init__(self, assignments: dict[str, int]):
         for letter, poly in assignments.items():
             if len(letter) != 1:
                 raise ValueError(f"letters are single characters, got {letter!r}")
-            if poly.degree < 1:
+            if poly < 0:
+                raise ValueError("polynomial bits must be nonnegative")
+            if poly.bit_length() < 2:
                 raise ValueError(f"constant specialization for letter {letter!r}")
         self._map = dict(assignments)
 
     @classmethod
     def parse(cls, text: str) -> SpecMap:
         """Parse the comma-separated `letter=polyexpr` form, e.g. "a=z,b=z+1"."""
-        out: dict[str, Gf2Poly] = {}
+        out: dict[str, int] = {}
         for item in text.split(","):
             item = item.strip()
             if not item:
@@ -74,7 +76,7 @@ class SpecMap:
             letter = letter.strip()
             if letter in out:
                 raise ValueError(f"duplicate letter {letter!r}")
-            out[letter] = Gf2Poly.parse(expr)
+            out[letter] = parse_poly(expr)
         if not out:
             raise ValueError("empty specialization map")
         return cls(out)
@@ -82,13 +84,16 @@ class SpecMap:
     @classmethod
     def binary_default(cls) -> SpecMap:
         """The default 0 -> z, 1 -> z+1 map for binary alphabets."""
-        return cls({"0": Gf2Poly.parse("z"), "1": Gf2Poly.parse("z+1")})
+        return cls({"0": 0b10, "1": 0b11})
 
-    def poly(self, letter: str) -> Gf2Poly:
+    def poly(self, letter: str) -> int:
         try:
             return self._map[letter]
         except KeyError:
             raise ValueError(f"unmapped letter {letter!r}") from None
+
+    def degree(self, letter: str) -> int:
+        return self.poly(letter).bit_length() - 1
 
     def check_covers(self, alphabet) -> None:
         """Raise ValueError naming every letter of ``alphabet`` left unmapped."""
@@ -98,14 +103,14 @@ class SpecMap:
 
     @property
     def max_degree(self) -> int:
-        return max(p.degree for p in self._map.values())
+        return max(p.bit_length() for p in self._map.values()) - 1
 
     @property
     def min_degree(self) -> int:
-        return min(p.degree for p in self._map.values())
+        return min(p.bit_length() for p in self._map.values()) - 1
 
     def __str__(self) -> str:
-        return ",".join(f"{k}={v}" for k, v in sorted(self._map.items()))
+        return ",".join(f"{k}={poly_str(v)}" for k, v in sorted(self._map.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,7 @@ def _block_product(word: str, taps: dict[str, list[int]], sp: SpecMap) -> tuple[
     for letter in word:
         if letter not in taps:
             u = sp.poly(letter)
-            taps[letter] = [i for i in range(u.degree + 1) if u.coeff(i)]
+            taps[letter] = [i for i in range(u.bit_length()) if u >> i & 1]
         a_next, c_next = b, d
         for i in taps[letter]:
             a_next ^= a << i
@@ -155,13 +160,13 @@ def _word_product(word: str, sp: SpecMap) -> tuple[int, int, int, int]:
     return mats[0] if mats else (1, 0, 0, 1)
 
 
-def convergent_pair(word: str, sp: SpecMap) -> tuple[Gf2Poly, Gf2Poly]:
-    """Exact (numerator, denominator) of the convergent [word]: the first
-    column of ``_word_product``."""
+def convergent_pair(word: str, sp: SpecMap) -> tuple[int, int]:
+    """Exact (numerator, denominator) of the convergent [word] as bit-packed
+    ints: the first column of ``_word_product``."""
     if not word:
         raise ValueError("empty word has no convergent")
     a, _, c, _ = _word_product(word, sp)
-    return Gf2Poly(a), Gf2Poly(c)
+    return a, c
 
 
 def convergent_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
@@ -189,7 +194,7 @@ def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
     for i in range(1, len(word)):
         letter = word[i]
         if letter not in degree:
-            degree[letter] = sp.poly(letter).degree
+            degree[letter] = sp.degree(letter)
         prev, deg = deg, deg + degree[letter]
         if prev + deg >= prec + CF_MARGIN:
             return convergent_series(word[:i], sp, prec)
@@ -220,11 +225,11 @@ def word_matrix(word: str, sp: SpecMap, F) -> Mat2:
     exact product per entry."""
     a, b, c, d = _word_product(word, sp)
     entries = a, c, b, d
-    P = prod((sp.poly(letter) ** word.count(letter) for letter in set(word)), start=Gf2Poly.one())
+    P = reduce(clmul, (clpow(sp.poly(letter), word.count(letter)) for letter in set(word)), 1)
     if isinstance(F, RationalField):
-        return Mat2(F, *(F.mul((e, 1), (1, P.bits)) for e in entries))
-    inv = LaurentSeries.from_rational(Gf2Poly.one(), P, F.prec + P.degree)
-    return Mat2(F, *(LaurentSeries(q.val, q.mask, F.prec) for q in (inv.mul_poly(Gf2Poly(e)) for e in entries)))
+        return Mat2(F, *(F.mul((e, 1), (1, P)) for e in entries))
+    inv = LaurentSeries.from_rational(1, P, F.prec + P.bit_length() - 1)
+    return Mat2(F, *(LaurentSeries(q.val, q.mask, F.prec) for q in (inv.mul_poly(e) for e in entries)))
 
 
 def cf_ratio(m: Mat2) -> LaurentSeries:
@@ -375,9 +380,9 @@ def exact_g_quantities(norm: NormalizedG, sp: SpecMap) -> GQuantities:
 
 def predicted_det_val(spec: PSpec, sp: SpecMap, j: int) -> int:
     """Exact valuation of d_j of the series tower, from degree bookkeeping."""
-    v = 2 * sum(sp.poly(c).degree for c in spec.w0)
+    v = 2 * sum(sp.degree(c) for c in spec.w0)
     for i in range(j):
-        v = 2 * v + 2 * sp.poly(spec.eps[i % spec.period]).degree
+        v = 2 * v + 2 * sp.degree(spec.eps[i % spec.period])
     return v
 
 

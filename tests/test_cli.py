@@ -430,6 +430,23 @@ def test_bad_map_or_period_is_a_usage_error(flag, value, err, capsys):
 @pytest.mark.parametrize(
     "argv, err",
     [
+        (["cf", "--word", "ab", "--map", "a=z^1_0,b=z+1"], "bad monomial 'z^1_0'"),
+        (["cf", "--word", "ab", "--map", "a=z^ 3,b=z+1"], "bad monomial 'z^ 3'"),
+        (["cf", "--word", "ab", "--map", "a=z^\u0663,b=z+1"], "bad monomial 'z^\u0663'"),
+        (["cf", "--word", "ab", "--map", "a=z^-0,b=z+1"], "negative exponent in 'z^-0'"),
+        (["relation", "--num", "1", "--den", "z^1_0", "--degx", "1", "--prec", "64"], "bad monomial 'z^1_0'"),
+    ],
+)
+def test_exponents_other_than_ascii_digits_are_refused_before_the_echo(argv, err, capsys):
+    # int() would read 1_0 as 10, " 3" as 3 and a non-ASCII digit as a digit
+    assert main(argv) == 2
+    out, got = capsys.readouterr()
+    assert got.splitlines() == [f"error: {err}"] and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
         (["sigma", "--word", "10", "--count", "-1"], "count must be nonnegative, got -1"),
         (["sigma", "--word", "10", "--inverse", "--count", "-3"], "count must be nonnegative, got -3"),
         (["tower-trace", "--family", "P", "--eps", "10", "--steps", "-2"], "steps must be nonnegative, got -2"),
@@ -511,7 +528,7 @@ def test_theorem1_running_product_gap_is_a_failed_claim(monkeypatch, capsys):
     def corrupted(self):
         advance(self)
         if self.step == 2 * self.period:
-            self.Ls[-1] = self.Ls[-1] + LaurentSeries.from_terms([1], self.F.prec)
+            self.Ls[-1] = self.Ls[-1] + LaurentSeries(1, 1, self.F.prec)
 
     monkeypatch.setattr(towers.PTower, "advance", corrupted)
     code = main(["theorem1", "--w0", "", "--eps", "10"])

@@ -201,7 +201,7 @@ def test_valuation_bounds_real_gap_violation_fails(monkeypatch):
     def corrupted(self):
         advance(self)
         if self.step == 2 * self.period:
-            self.Ls[-1] = self.Ls[-1] + LaurentSeries.from_terms([1], self.F.prec)
+            self.Ls[-1] = self.Ls[-1] + LaurentSeries(1, 1, self.F.prec)
 
     monkeypatch.setattr(PTower, "advance", corrupted)
     rep = check_valuation_bounds(pspec=PSpec("", "10"), depth=6, prec=128)
@@ -500,7 +500,7 @@ def test_valuation_bounds_p_entry_and_step_scalar_details(monkeypatch):
     # m_j with its top row swapped has a[0,0] of positive valuation, and a
     # step scalar times 1/z has valuation 1, where both must be units
     matrices, advance = PTower.matrices, PTower.advance
-    z_inv = LaurentSeries.from_terms([1], 128)
+    z_inv = LaurentSeries(1, 1, 128)
 
     def swapped(t):
         for m in matrices(t):

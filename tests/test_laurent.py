@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cf2 import laurent
-from cf2.gf2poly import Gf2Poly, clsq
+from cf2.gf2poly import clsq, parse_poly
 from cf2.laurent import LaurentSeries
 
 
@@ -42,44 +42,44 @@ series_strategy = st.builds(
 
 
 def test_geometric_expansion():
-    s = LaurentSeries.from_rational(Gf2Poly.parse("z"), Gf2Poly.parse("z^2+1"), 8)
+    s = LaurentSeries.from_rational(parse_poly("z"), parse_poly("z^2+1"), 8)
     assert str(s) == "z^-1 + z^-3 + z^-5 + z^-7 + O(z^-8)"
     assert s.val == 1
 
 
 def test_identity_expansion():
-    s = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.one(), 4)
+    s = LaurentSeries.from_rational(1, 1, 4)
     assert s.val == 0 and s.mask == 1 and s.prec == 4
     assert str(s) == "1 + O(z^-4)"
 
 
 def test_polynomial_part():
-    s = LaurentSeries.from_rational(Gf2Poly.parse("z^2+z"), Gf2Poly.parse("z"), 4)
+    s = LaurentSeries.from_rational(parse_poly("z^2+z"), parse_poly("z"), 4)
     assert s.val == -1
     assert str(s) == "z + 1 + O(z^-4)"
 
 
 def test_rational_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.zero(), 8)
+        LaurentSeries.from_rational(1, 0, 8)
 
 
 def test_rational_needs_precision_past_the_valuation():
-    den = Gf2Poly.parse("z^3+1")
+    den = parse_poly("z^3+1")
     with pytest.raises(ValueError, match="^precision 3 too small for valuation 3$"):
-        LaurentSeries.from_rational(Gf2Poly.one(), den, 3)
-    assert LaurentSeries.from_rational(Gf2Poly.one(), den, 4) == LaurentSeries.from_terms([3], 4)
+        LaurentSeries.from_rational(1, den, 3)
+    assert LaurentSeries.from_rational(1, den, 4) == LaurentSeries(3, 1, 4)
 
 
 def test_square_thins():
-    s = LaurentSeries.from_terms([1, 2], 10)
+    s = LaurentSeries(1, 0b11, 10)
     sq = s.square()
     assert as_dict(sq) == {2: 1, 4: 1}
     assert sq.prec == 20
 
 
 def test_cancellation_raises_valuation():
-    s = LaurentSeries.from_terms([3, 5], 10) + LaurentSeries.from_terms([3], 10)
+    s = LaurentSeries(3, 0b101, 10) + LaurentSeries(3, 1, 10)
     assert s.val == 5
 
 
@@ -90,7 +90,7 @@ def test_zero_sentinel():
 
 
 def test_inverse_geometric():
-    s = LaurentSeries.from_terms([0, 1], 5)
+    s = LaurentSeries(0, 0b11, 5)
     assert str(s.inv()) == "1 + z^-1 + z^-2 + z^-3 + z^-4 + O(z^-5)"
 
 
@@ -100,7 +100,7 @@ def test_inverse_of_zero_errors():
 
 
 def test_coeff_unknown_region():
-    s = LaurentSeries.from_terms([2], 6)
+    s = LaurentSeries(2, 1, 6)
     assert s.coeff(2) == 1 and s.coeff(5) == 0
     with pytest.raises(ValueError):
         s.coeff(6)
@@ -146,12 +146,12 @@ def test_inv_roundtrip(a):
 def test_rational_times_denominator_is_numerator():
     rng = random.Random(1)
     for _ in range(30):
-        num = Gf2Poly(rng.getrandbits(10))
-        den = Gf2Poly(rng.getrandbits(10) | (1 << 10))
-        if num.is_zero():
+        num = rng.getrandbits(10)
+        den = rng.getrandbits(10) | (1 << 10)
+        if num == 0:
             continue
         s = LaurentSeries.from_rational(num, den, 64)
-        residual = s.mul_poly(den) + LaurentSeries.from_rational(num, Gf2Poly.one(), 64)
+        residual = s.mul_poly(den) + LaurentSeries.from_rational(num, 1, 64)
         assert residual.is_zero
 
 
@@ -159,8 +159,8 @@ def test_precision_soundness_pipeline():
     """Recomputing at double precision never changes a reported coefficient."""
     rng = random.Random(9)
     for _ in range(20):
-        n1, d1 = Gf2Poly(rng.getrandbits(8) | 1), Gf2Poly(rng.getrandbits(8) | (1 << 8))
-        n2, d2 = Gf2Poly(rng.getrandbits(6) | 1), Gf2Poly(rng.getrandbits(6) | (1 << 6))
+        n1, d1 = rng.getrandbits(8) | 1, rng.getrandbits(8) | (1 << 8)
+        n2, d2 = rng.getrandbits(6) | 1, rng.getrandbits(6) | (1 << 6)
 
         def pipeline(prec):
             a = LaurentSeries.from_rational(n1, d1, prec)
@@ -173,7 +173,7 @@ def test_precision_soundness_pipeline():
 
 
 def test_pow_negative():
-    s = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), 64)
+    s = LaurentSeries.from_rational(1, parse_poly("z+1"), 64)
     assert (s.pow(-2) * s.pow(2)).agrees(LaurentSeries.one(32))
 
 
@@ -236,16 +236,15 @@ def test_pow_squares_no_more_than_the_window_it_keeps(monkeypatch):
 
 
 def test_render_tail_only_and_order():
-    s = LaurentSeries.from_terms([-1, 0, 3], 200)
+    s = LaurentSeries(-1, 0b10011, 200)
     assert str(s) == "z + 1 + z^-3 + O(z^-200)"
 
 
 @given(series_strategy, st.integers(0, (1 << 12) - 1))
 def test_mul_poly_matches_naive(a, pbits):
-    p = Gf2Poly(pbits)
-    if p.is_zero():
+    if pbits == 0:
         return
-    got = a.mul_poly(p)
+    got = a.mul_poly(pbits)
     want: dict[int, int] = {}
     for n in as_dict(a):
         for j in range(pbits.bit_length()):

@@ -9,7 +9,7 @@ import pytest
 
 from cf2 import relations, theorems, towers
 from cf2.cli import main as cli_main
-from cf2.gf2poly import Gf2Poly
+from cf2.gf2poly import clmul, parse_poly
 from cf2.identities import generation_mismatch
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import RationalField
@@ -224,12 +224,15 @@ def test_theorem_g_all_zero_swaps_run_no_search(monkeypatch):
 )
 def test_periodic_relation_with_a_flipped_bit_fails(monkeypatch, bit, line):
     # mutation control: a quadratic whose linear coefficient is off by one
-    # bit must not vanish on the convergent series
-    derive = theorems.periodic_relation
-
+    # bit must not vanish on the convergent series; the quadratic
+    # c X^2 + (a + d) X + b of the word's product ((a, b), (c, d)) of
+    # ((u, 1), (1, 0)) is built here, letter by letter (content 1 for "ab")
     def mutated(word, sp):
-        b, lin, c = derive(word, sp).coeffs
-        return AlgRelation((b, Gf2Poly(lin.bits ^ (1 << bit)), c), 0)
+        a, b, c, d = 1, 0, 0, 1
+        for letter in word:
+            u = sp.poly(letter)
+            a, b, c, d = clmul(a, u) ^ b, a, clmul(c, u) ^ d, c
+        return AlgRelation((b, a ^ d ^ (1 << bit), c), 0)
 
     monkeypatch.setattr(theorems, "periodic_relation", mutated)
     rep = check_theorem_g(GSpec("ab", "ba", "0"), SPAB, 512)
@@ -305,10 +308,10 @@ def _rational_oracle(term=None):
     term z^-term."""
 
     def oracle(prefix_fn, sp, prec):
-        phi = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), prec)
+        phi = LaurentSeries.from_rational(1, parse_poly("z+1"), prec)
         if term is None:
             return phi
-        return phi + LaurentSeries.from_terms([term], prec)
+        return phi + LaurentSeries(term, 1, prec)
 
     return oracle
 
@@ -425,8 +428,8 @@ def test_precision_artifact_is_discarded():
     from cf2.theorems import search_relation
 
     def phi_fn(prec):
-        base = LaurentSeries.from_rational(Gf2Poly.one(), Gf2Poly.parse("z+1"), prec)
-        return base + LaurentSeries.from_terms([80], prec)
+        base = LaurentSeries.from_rational(1, parse_poly("z+1"), prec)
+        return base + LaurentSeries(80, 1, prec)
 
     search = search_relation(phi_fn, 1, 64, 1, 1, degz=2)
     assert search.discovery_prec == 64 and search.threshold == 96

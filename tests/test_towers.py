@@ -8,7 +8,7 @@ import pytest
 
 from cf2 import towers
 from cf2.gf2m import field
-from cf2.gf2poly import Gf2Poly, clgcd, clmul
+from cf2.gf2poly import clgcd, clmul
 from cf2.identities import all_driver_words, check_closed_form, check_generation_relations
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import Mat2, RationalField, SeriesField
@@ -45,9 +45,9 @@ def recursive_convergent(word, sp):
     rational pairs (num, den)."""
     u = sp.poly(word[0])
     if len(word) == 1:
-        return u, Gf2Poly.one()
+        return u, 1
     n, d = recursive_convergent(word[1:], sp)
-    return u * n + d, n
+    return clmul(u, n) ^ d, n
 
 
 SP = SpecMap.parse("a=z,b=z+1,c=z^2+z+1")
@@ -69,19 +69,19 @@ def test_specmap_validation():
 
 def test_letter_matrix_det():
     F = SeriesField(32)
-    x = LaurentSeries.from_rational(Gf2Poly.parse("z"), Gf2Poly.one(), 32)
+    x = LaurentSeries(-1, 1, 32)  # z
     m = Mat2.letter_from_inv(F, F.inv(x))
     assert m.det().valuation == 2  # 1/z^2
 
 
 def test_single_letter_convergent():
     p, q = convergent_pair("a", SP)
-    assert p == Gf2Poly.parse("z") and q == Gf2Poly.one()
+    assert p == 0b10 and q == 1
 
 
 def test_one_fold():
     p, q = convergent_pair("aa", SP)  # z + 1/z
-    assert p == Gf2Poly.parse("z^2+1") and q == Gf2Poly.parse("z")
+    assert p == 0b101 and q == 0b10
 
 
 def test_convergent_matches_recursive_oracle():
@@ -91,8 +91,8 @@ def test_convergent_matches_recursive_oracle():
         p, q = convergent_pair(word, SP)
         n, d = recursive_convergent(word, SP)
         # pairs agree up to the gcd (continuant pairs are coprime)
-        assert p * d == q * n
-        assert p.gcd(q).degree == 0
+        assert clmul(p, d) == clmul(q, n)
+        assert clgcd(p, q) == 1
 
 
 def test_convergent_pair_matches_the_polynomial_recurrence_on_every_prefix():
@@ -102,20 +102,20 @@ def test_convergent_pair_matches_the_polynomial_recurrence_on_every_prefix():
     rng = random.Random(5)
     for length in (1, 2, 3, 40, CF_BLOCK, CF_BLOCK + 1, 600):
         word = "".join(rng.choice("ab") for _ in range(length))
-        p_prev, q_prev = Gf2Poly.one(), Gf2Poly.zero()
-        p, q = sp.poly(word[0]), Gf2Poly.one()
+        p_prev, q_prev = 1, 0
+        p, q = sp.poly(word[0]), 1
         want = [(p, q)]
         for letter in word[1:]:
             u = sp.poly(letter)
-            p, p_prev = u * p + p_prev, p
-            q, q_prev = u * q + q_prev, q
+            p, p_prev = clmul(u, p) ^ p_prev, p
+            q, q_prev = clmul(u, q) ^ q_prev, q
             want.append((p, q))
         assert [convergent_pair(word[:i], sp) for i in range(1, length + 1)] == want
 
 
 def test_convergent_pair_names_an_unmapped_letter():
     sp = SpecMap.parse("a=z")
-    assert convergent_pair("aa", sp) == (Gf2Poly.parse("z^2+1"), Gf2Poly.parse("z"))
+    assert convergent_pair("aa", sp) == (0b101, 0b10)
     with pytest.raises(ValueError, match="unmapped letter 'b'"):
         convergent_pair("aab", sp)
     with pytest.raises(ValueError, match="empty word has no convergent"):
@@ -163,14 +163,17 @@ def test_convergent_series_expansion():
 
 def letter_by_letter(word, sp, F):
     """Reference word matrix: F(w_last) ... F(w_first), one letter matrix
-    ((1, 1/x), (1/x, 0)) at a time, with 1/x from the field's own inverse."""
+    ((1, 1/x), (1/x, 0)) at a time, with 1/x from the field's own inverse:
+    over series, of x = z^d + ... as a series known to F.prec - 2d, so 1/x
+    is known to F.prec."""
     m = Mat2.identity(F)
     for letter in word:
         x = sp.poly(letter)
         if isinstance(F, RationalField):
-            ix = F.inv((x.bits, 1))
+            ix = F.inv((x, 1))
         else:
-            ix = LaurentSeries.from_rational(Gf2Poly.one(), x, F.prec)
+            d = x.bit_length() - 1
+            ix = F.inv(LaurentSeries(-d, int(f"{x:b}"[::-1], 2), F.prec - 2 * d))
         m = Mat2.letter_from_inv(F, ix).mul(m)
     return m
 
@@ -272,7 +275,7 @@ def test_p_limits_match_direct():
 
 def _expand(x, prec):
     """A RationalField pair as its series in 1/z."""
-    return LaurentSeries.from_rational(Gf2Poly(x[0]), Gf2Poly(x[1]), prec)
+    return LaurentSeries.from_rational(*x, prec)
 
 
 def test_rational_field_matches_series_arithmetic():
@@ -330,7 +333,7 @@ def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
     u, v = norm.spec.u0, norm.spec.v0
     scale = F.one
     for letter in u + v:
-        scale = F.mul(scale, (SP.poly(letter).bits, 1))
+        scale = F.mul(scale, (SP.poly(letter), 1))
     assert isinstance(q.F, RationalField)
     assert q.m1.eq(letter_by_letter(u + v, SP, F).scale(scale))
     assert q.w1.eq(letter_by_letter(v + u, SP, F).scale(scale))

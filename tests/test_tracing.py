@@ -1,7 +1,10 @@
-"""The benchmark tracer's targets against the library it wraps."""
+"""The benchmark tracer's targets and the package's exports against the
+library they name."""
 
 import importlib.util
 from pathlib import Path
+
+import cf2
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -22,3 +25,8 @@ def test_every_tracer_target_exists():
         if not (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr))
     ]
     assert missing == []
+
+
+def test_every_export_resolves():
+    # a name left in __all__ after its object is gone fails here
+    assert cf2.__all__ and all(hasattr(cf2, name) for name in cf2.__all__)
