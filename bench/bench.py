@@ -7,8 +7,9 @@ per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
 ``gf2poly.bit_reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
-65536, ``LaurentSeries.from_rational`` of its 8192-letter convergent
-(``towers.convergent_pair``) at precision 16384, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
+65536, the convergent ``towers.convergent_pair`` of its 8197-letter prefix
+(the one that oracle reads at 16384), ``LaurentSeries.from_rational`` of its
+8192-letter convergent at precision 16384, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
 of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, and for that
 G spec its ``GQuantities`` over series and ``GLimits.residual_h``, the cube of a
 three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
@@ -34,8 +35,9 @@ start words of 128 letters, binary map) the whole ``check_theorem_g``
 verdict at prec 512, the exact generation check it runs,
 ``identities.generation_mismatch`` over generations 0 and 1 of
 ``towers.exact_g_quantities``, its start matrices as
-``towers._word_product`` and over series at prec 512 as
-``towers.g_start_matrices``, and the whole corollary chain
+``towers._word_product`` and its start pair (m1, w1) over series at prec
+512 (``towers.g_start_pair``, or on an older tree the product of the two
+matrices ``towers.g_start_matrices`` returns), and the whole corollary chain
 ``check_corollary_chain`` (eps=10, k=4, prec 512) that ends on that
 spec; the whole ``check_theorem_g`` verdict on the
 all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
@@ -102,6 +104,20 @@ ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
 PERIODIC_LENGTHS = (1, 128, 600)  # start-word lengths of the all-zero swap period rows
 
 
+def start_pair(towers):
+    """The function (spec, sp, prec) -> (F, m1, w1) of a tree: ``g_start_pair``,
+    or on a tree from before it the cross products of the two start matrices
+    that ``g_start_matrices`` returns."""
+    if hasattr(towers, "g_start_pair"):
+        return towers.g_start_pair
+
+    def pair(spec, sp, prec):
+        F, m0, w0 = towers.g_start_matrices(spec, sp, prec)
+        return F, w0.mul(m0), m0.mul(w0)
+
+    return pair
+
+
 def relation_cases(relations, towers, words):
     """(name, function, args) for the relation-search rows: each series is
     built here, at the precision the first search round uses."""
@@ -153,7 +169,7 @@ def tail_step_cases(identities, theorems, towers, words):
     spb = towers.SpecMap.binary_default()
     starts = (norm.spec.u0, norm.spec.v0)
     out = [
-        ("g_start_matrices.series.G128", towers.g_start_matrices, (norm.spec, spb, 512)),
+        ("g_start_pair.series.G128", start_pair(towers), (norm.spec, spb, 512)),
         ("check_corollary_chain.k4", theorems.check_corollary_chain, (period_doubling, spb, 4, 512)),
     ]
     if hasattr(towers, "_word_product"):
@@ -257,14 +273,15 @@ def oracle_cases(laurent, towers, words):
     spab = towers.SpecMap.parse("a=z,b=z+1")
     gspec = words.GSpec("ab", "ba", "11")
     norm = words.g_normalize(gspec)
-    F, m0, w0 = towers.g_start_matrices(norm.spec, spab, SIZES["16k"])
+    F, m1, w1 = start_pair(towers)(norm.spec, spab, SIZES["16k"])
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
         ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
+        ("convergent_pair.8197", towers.convergent_pair, (words.p_prefix(words.PSpec("", "110"), 8197), spb)),
         ("from_rational.16k", laurent.LaurentSeries.from_rational, (num, den, SIZES["16k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
         ("g_limits.16k", towers.g_limits, (gspec, spab, SIZES["16k"])),
-        ("GQuantities.series.16k", towers.GQuantities, (F, w0.mul(m0), m0.mul(w0), norm.s)),
+        ("GQuantities.series.16k", towers.GQuantities, (F, m1, w1, norm.s)),
         ("GLimits.residual_h.16k", towers.GLimits.residual_h, (towers.g_limits(gspec, spab, SIZES["16k"]),)),
     ]
 

@@ -129,7 +129,9 @@ class Gf2m:
         return exp[2 * log[a]] ^ bc, exp[lb + lt], exp[lc + lt], exp[2 * log[d]] ^ bc
 
     def square(self, a: int) -> int:
-        return self.mul(a, a) if self._exp is not None else clmod(clsq(a), self.modulus)
+        if self._exp is not None:
+            return self._exp[2 * self._log[a]] if a else 0
+        return clmod(clsq(a), self.modulus)
 
     def inv(self, a: int) -> int:
         if a == 0:

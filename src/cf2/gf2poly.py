@@ -3,7 +3,9 @@
 A polynomial is a nonnegative Python integer: bit i is the coefficient
 of z^i.  Addition is XOR, multiplication is carry-less, and the zero
 polynomial is the integer 0 (degree ``bit_length() - 1`` = -1).
-``parse_poly`` and ``poly_str`` carry the text syntax used by the CLI.
+``parse_poly`` and ``poly_str`` carry the text syntax used by the CLI,
+and ``monomial_str``, one term of it, is the one home of the monomial
+text that ``LaurentSeries`` prints too.
 """
 
 from __future__ import annotations
@@ -233,12 +235,13 @@ def parse_poly(text: str) -> int:
     return bits
 
 
+def monomial_str(e: int) -> str:
+    """The text of z^e for any integer e: "1", "z" or "z^e"."""
+    return "1" if e == 0 else "z" if e == 1 else f"z^{e}"
+
+
 def poly_str(bits: int) -> str:
     """The text form ``parse_poly`` reads, from the top term down."""
     if bits == 0:
         return "0"
-    monos = []
-    for e in range(bits.bit_length() - 1, -1, -1):
-        if (bits >> e) & 1:
-            monos.append("1" if e == 0 else "z" if e == 1 else f"z^{e}")
-    return "+".join(monos)
+    return "+".join(monomial_str(e) for e in range(bits.bit_length() - 1, -1, -1) if (bits >> e) & 1)

@@ -161,7 +161,7 @@ def check_period_power_shift(
             t.advance()
         for j in range(j_max + 1):
             p = F.pow(t.Ls[n], 1 << j)
-            if n + j < steps and not F.eq(t.ls[n + j], F.mul(p, t.ls[j])):
+            if n + j < steps and not F.eq(t.l(n + j), F.mul(p, t.l(j))):
                 return f"l shift j={j}"
             if not F.eq(t.Ls[n + j], F.mul(p, t.Ls[j])):
                 return f"L shift j={j}"
@@ -450,7 +450,7 @@ def check_valuation_bounds(
             t.advance()
             if not (mm.a.valuation == 0 and mm.b.valuation > 0 and mm.c.valuation > 0 and mm.d.valuation > 0):
                 failures.append(("P", f"entry valuations at step {j}"))
-            if t.ls[-1].valuation != 0 or t.Ls[-1].valuation != 0:
+            if t.l(j - 1).valuation != 0 or t.Ls[-1].valuation != 0:
                 failures.append(("P", f"step scalar valuation at {j}"))
             dv = t.ds[j].known_zero_below()
             expect = predicted_det_val(pspec, sp, j)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 
-from .gf2poly import bit_reverse, clmul, clsq
+from .gf2poly import bit_reverse, clmul, clsq, monomial_str
 
 
 def _low(mask: int, nbits: int) -> int:
@@ -220,24 +220,9 @@ class LaurentSeries:
     # -- text -----------------------------------------------------------------
 
     def __str__(self) -> str:
-        def mono(e: int) -> str:
-            if e == 0:
-                return "1"
-            if e == 1:
-                return "z"
-            return f"z^{e}"
-
-        tail = f"O({mono(-self.prec)})"
-        if self.mask == 0:
-            return tail
-        terms = []
+        tail = f"O({monomial_str(-self.prec)})"
         m = self.mask
-        i = 0
-        while m:
-            if m & 1:
-                terms.append(mono(-(self.val + i)))
-            m >>= 1
-            i += 1
+        terms = [monomial_str(-(self.val + i)) for i in range(m.bit_length()) if m >> i & 1]
         return " + ".join(terms + [tail])
 
     def __repr__(self) -> str:

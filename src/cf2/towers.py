@@ -10,7 +10,7 @@ tree (the descending product differs from it only by an invertible
 scalar, so the ratios agree).
 
 The family-P tower doubles M through m -> m F(e) m and keeps only the
-scalars d, the step scalar l (read off m0) and the running product L;
+scalars d and the running product L, whose step scalar l is read off m0;
 ``PTower.matrices()`` is the reference walk of the matrices.  The
 family-G tower walks the pair recurrence (square / cross-multiply)
 driven by swap bits and expresses everything through the scalar
@@ -119,24 +119,30 @@ class SpecMap:
 
 
 # letters per block of the small-int recurrence in convergent_pair
-CF_BLOCK = 256
+CF_BLOCK = 1024
 
 
 def _block_product(word: str, taps: dict[str, list[int]], sp: SpecMap) -> tuple[int, int, int, int]:
     """Entries (a, b, c, d) of the product of ((u, 1), (1, 0)) over the
     letters u of a short word, as bit-packed ints: a letter is one or a few
-    terms, so each step is a shifted XOR per set bit of u."""
-    a, b, c, d = 1, 0, 0, 1
-    for letter in word:
+    terms, so each step is a shifted XOR per set bit of u.  Each column,
+    (a, c) and (b, d), is one int with its lower entry W bits up, W one more
+    than the word's degree sum, so no entry reaches the next and one shift
+    moves both."""
+    W = 1
+    for letter in dict.fromkeys(word):
         if letter not in taps:
             u = sp.poly(letter)
             taps[letter] = [i for i in range(u.bit_length()) if u >> i & 1]
-        a_next, c_next = b, d
+        W += taps[letter][-1] * word.count(letter)
+    ac, bd = 1, 1 << W
+    for letter in word:
+        nxt = bd
         for i in taps[letter]:
-            a_next ^= a << i
-            c_next ^= c << i
-        a, b, c, d = a_next, a, c_next, c
-    return a, b, c, d
+            nxt ^= ac << i
+        ac, bd = nxt, ac
+    low = (1 << W) - 1
+    return ac & low, bd & low, ac >> W, bd >> W
 
 
 def _mat_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -257,10 +263,11 @@ class PTower:
     """Doubling tower m -> m F(e) m over any coefficient field, as scalars.
 
     Starts from m0 and repeats one period of inverse insertion letters
-    1/e_0 .. 1/e_(n-1).  Each step records the step scalar l_j = L_j s_(j mod n)
-    with s_i = (b_0 + c_0)/e_i + a_0 read off m0, the running product
-    L_(j+1) = L_j l_j (L_0 = 1) and the determinant d_(j+1) = d_j^2 / e_j^2.
-    ``matrices()`` is the reference walk of the matrices themselves.
+    1/e_0 .. 1/e_(n-1).  Each step records the running product
+    L_(j+1) = L_j l_j = L_j^2 s_(j mod n) (L_0 = 1), with the step scalar
+    ``l(j)`` = L_j s_(j mod n) and s_i = (b_0 + c_0)/e_i + a_0 read off m0,
+    and the determinant d_(j+1) = d_j^2 / e_j^2.  ``matrices()`` is the
+    reference walk of the matrices themselves.
     """
 
     def __init__(self, F, m0: Mat2, inv_eps: list):
@@ -272,7 +279,6 @@ class PTower:
         if any(F.is_zero(s) for s in self.s):
             raise DegenerateDraw("zero step scalar")
         self.ds = [m0.det()]  # d_j
-        self.ls: list = []  # step scalars l_j
         self.Ls = [F.one]  # running products, L_0 = 1
         self.step = 0
 
@@ -284,15 +290,18 @@ class PTower:
         """The companion matrix ((0, 1/e_j), (1/e_j, 1)) of residue j."""
         return Mat2.insertion_from_inv(self.F, self.inv_eps[j % self.period])
 
+    def l(self, j: int):
+        """The step scalar l_j = (b_j + c_j)/e_j + a_j of m_j.  Every insertion
+        matrix has a = 0 and b = c, so m_j keeps a_j = L_j a_0 and
+        b_j + c_j = L_j (b_0 + c_0); hence l_j = L_j s_(j mod n)."""
+        return self.F.mul(self.Ls[j], self.s[j % self.period])
+
     def advance(self) -> None:
-        """One doubling step of the scalars l, L and d."""
+        """One doubling step of the scalars L and d."""
         F = self.F
         j = self.step
-        # every insertion matrix has a = 0 and b = c, so m_j keeps a_j = L_j a_0
-        # and b_j + c_j = L_j (b_0 + c_0); hence l_j = (b_j + c_j)/e_j + a_j = L_j s_j
-        l = F.mul(self.Ls[j], self.s[j % self.period])
-        self.ls.append(l)
-        self.Ls.append(F.mul(self.Ls[j], l))
+        # L_(j+1) = L_j l_j = L_j^2 s_j: one square and one product
+        self.Ls.append(F.mul(F.square(self.Ls[j]), self.s[j % self.period]))
         # det is multiplicative and det F(e) = 1/e^2, so d_(j+1) = (d_j / e_j)^2
         self.ds.append(F.square(F.mul(self.ds[j], self.inv_eps[j % self.period])))
         self.step += 1
@@ -363,19 +372,19 @@ def exact_p_tower(spec: PSpec, sp: SpecMap) -> PTower:
 
 def exact_g_quantities(norm: NormalizedG, sp: SpecMap) -> GQuantities:
     """The first generation of a normalized family-G spec over K = GF(2)(z),
-    every scalar exact.  A start matrix is the transposed ``_word_product``
-    of its word, the descending product of ((u, 1), (1, 0)): ``word_matrix``
-    times the product of the word's letters, with nothing divided.  So the
-    pair (m1, w1) is scaled by one factor, which the tower's identities and
-    the ratio of the limit sum both keep."""
+    every scalar exact.  The pair m1 = w0 m0, w1 = m0 w0 is the transposed
+    ``_word_product`` of u0 v0 and of v0 u0, the descending product of
+    ((u, 1), (1, 0)): ``word_matrix`` times the product of the words'
+    letters, with nothing divided.  So the pair is scaled by one factor,
+    which the tower's identities and the ratio of the limit sum both keep."""
     F = RationalField()
 
     def start(word: str) -> Mat2:
         a, b, c, d = _word_product(word, sp)
         return Mat2(F, (a, 1), (c, 1), (b, 1), (d, 1))
 
-    m0, w0 = start(norm.spec.u0), start(norm.spec.v0)
-    return GQuantities(F, w0.mul(m0), m0.mul(w0), norm.s)
+    u0, v0 = norm.spec.u0, norm.spec.v0
+    return GQuantities(F, start(u0 + v0), start(v0 + u0), norm.s)
 
 
 def predicted_det_val(spec: PSpec, sp: SpecMap, j: int) -> int:
@@ -725,14 +734,19 @@ class GLimits:
         return q.cs_add(q.shift(self.H1), q.cs_add(q.c1, self.H1)).u
 
 
-def g_start_matrices(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, Mat2, Mat2]:
+def g_start_pair(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, Mat2, Mat2]:
+    """The series field at prec and the first cross products m1 = w0 m0 and
+    w1 = m0 w0 of the start matrices m0 = M(u0), w0 = M(v0).  A word matrix
+    is a descending product, so these are the word matrices of u0 v0 and of
+    v0 u0, each from one word product and cut at the working precision."""
     if len(spec.u0) != len(spec.v0):
         raise HypothesisViolation(
             "start words must have equal length for the product tower"
         )
     sp.check_covers(spec.alphabet)
     F = SeriesField(prec)
-    return F, word_matrix(spec.u0, sp, F), word_matrix(spec.v0, sp, F)
+    u0, v0 = spec.u0, spec.v0
+    return F, word_matrix(u0 + v0, sp, F), word_matrix(v0 + u0, sp, F)
 
 
 def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
@@ -744,8 +758,7 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
             f"swap period {spec.ups!r} has an odd number of 1s; the degree"
             f" bound 2^{len(s)} requires an even count"
         )
-    F, m0, w0 = g_start_matrices(norm.spec, sp, prec)
-    q = GQuantities(F, w0.mul(m0), m0.mul(w0), s)
+    q = GQuantities(*g_start_pair(norm.spec, sp, prec), s)
     walk = q.generations()
     L, H1 = next(walk)
     Ls = [L]

@@ -499,19 +499,18 @@ def test_closed_form_w_branch_detail(monkeypatch):
 def test_valuation_bounds_p_entry_and_step_scalar_details(monkeypatch):
     # m_j with its top row swapped has a[0,0] of positive valuation, and a
     # step scalar times 1/z has valuation 1, where both must be units
-    matrices, advance = PTower.matrices, PTower.advance
+    matrices, step_scalar = PTower.matrices, PTower.l
     z_inv = LaurentSeries(1, 1, 128)
 
     def swapped(t):
         for m in matrices(t):
             yield Mat2(t.F, m.b, m.a, m.c, m.d)
 
-    def scaled(t):
-        advance(t)
-        t.ls[-1] = t.ls[-1] * z_inv
+    def scaled(t, j):
+        return step_scalar(t, j) * z_inv
 
     monkeypatch.setattr(PTower, "matrices", swapped)
-    monkeypatch.setattr(PTower, "advance", scaled)
+    monkeypatch.setattr(PTower, "l", scaled)
     rep = check_valuation_bounds(pspec=PSpec("", "10"), depth=3, prec=128)
     assert rep.failures == [
         failure

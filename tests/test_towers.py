@@ -29,7 +29,7 @@ from cf2.towers import (
     exact_p_tower,
     g_cf_series,
     g_limits,
-    g_start_matrices,
+    g_start_pair,
     p_cf_series,
     p_limits,
     p_tower,
@@ -51,11 +51,12 @@ def recursive_convergent(word, sp):
 
 
 SP = SpecMap.parse("a=z,b=z+1,c=z^2+z+1")
-# _limits_digest(512) as computed with every intermediate series at full width
-# and the G tail walked by the one-letter c step, whose series hold the
-# working precision; test_g_limits_grid_agrees_with_the_closed_formulas
-# holds the G half to the closed formulas
-LIMITS_DIGEST_512 = "ad6077983632b51a154790e87bde914335555b9ee8e86359fa7a10b9656f8219"
+# _limits_digest(512) as computed with every intermediate series at full width,
+# the G start pair cut at the working precision and the G tail walked by the
+# one-letter c step, whose series hold the working precision;
+# test_g_limits_grid_agrees_with_the_closed_formulas holds the G half to the
+# closed formulas
+LIMITS_DIGEST_512 = "c339cb9100294fb0e8d5202a2fdb4f7d707c630342bfc9405045d92fee059cda"
 
 
 def test_specmap_validation():
@@ -97,20 +98,21 @@ def test_convergent_matches_recursive_oracle():
 
 def test_convergent_pair_matches_the_polynomial_recurrence_on_every_prefix():
     # letters of up to three terms, so the raw-int loop shifts several taps;
-    # 600 letters span three blocks of CF_BLOCK, an odd count for the tree
+    # every prefix of up to 40 letters, each block boundary +-1, and a word
+    # that spans three blocks of CF_BLOCK, an odd count for the tree
     sp = SpecMap.parse("a=z^5+z^2+1,b=z^3+z")
     rng = random.Random(5)
-    for length in (1, 2, 3, 40, CF_BLOCK, CF_BLOCK + 1, 600):
-        word = "".join(rng.choice("ab") for _ in range(length))
-        p_prev, q_prev = 1, 0
-        p, q = sp.poly(word[0]), 1
-        want = [(p, q)]
-        for letter in word[1:]:
-            u = sp.poly(letter)
-            p, p_prev = clmul(u, p) ^ p_prev, p
-            q, q_prev = clmul(u, q) ^ q_prev, q
-            want.append((p, q))
-        assert [convergent_pair(word[:i], sp) for i in range(1, length + 1)] == want
+    lengths = [*range(1, 41), *(k * CF_BLOCK + e for k in (1, 2) for e in (-1, 0, 1)), 2 * CF_BLOCK + 88]
+    word = "".join(rng.choice("ab") for _ in range(lengths[-1]))
+    p_prev, q_prev = 1, 0
+    p, q = sp.poly(word[0]), 1
+    want = [(p, q)]
+    for letter in word[1:]:
+        u = sp.poly(letter)
+        p, p_prev = clmul(u, p) ^ p_prev, p
+        q, q_prev = clmul(u, q) ^ q_prev, q
+        want.append((p, q))
+    assert [convergent_pair(word[:i], sp) for i in lengths] == [want[i - 1] for i in lengths]
 
 
 def test_convergent_pair_names_an_unmapped_letter():
@@ -248,14 +250,13 @@ def test_ptower_step_scalar_is_read_off_the_matrices(w0):
     for j, m in enumerate([t.m0, *islice(t.matrices(), 5)]):
         t.advance()
         ie = t.inv_eps[j % t.period]
-        assert t.ls[j].agrees((m.b + m.c) * ie + m.a)
+        assert t.l(j).agrees((m.b + m.c) * ie + m.a)
 
 
 def test_ptower_step_scalar_char2():
     # seed word "a": (1/a + 1/a)/e + 1 = 1
     t = p_tower(PSpec("a", "b"), SP, 64)
-    t.advance()
-    assert t.ls[0].mask == 1 and t.ls[0].val == 0
+    assert t.l(0).mask == 1 and t.l(0).val == 0
 
 
 def test_p_limits_match_direct():
@@ -338,6 +339,29 @@ def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
     assert q.m1.eq(letter_by_letter(u + v, SP, F).scale(scale))
     assert q.w1.eq(letter_by_letter(v + u, SP, F).scale(scale))
     assert q.s == norm.s
+
+    # and exactly the products of the start matrices, the transposed word products
+    def start(word):
+        a, b, c, d = towers._word_product(word, SP)
+        return Mat2(F, (a, 1), (c, 1), (b, 1), (d, 1))
+
+    assert q.m1.eq(start(v).mul(start(u))) and q.w1.eq(start(u).mul(start(v)))
+
+
+@pytest.mark.parametrize("spec", ["a=z,b=z+1", "a=z,b=z^3+z+1", "a=z^2+z+1,b=z^3"])
+def test_g_start_pair_is_the_product_of_the_start_matrices(spec):
+    # m1 and w1, each one word product of u0 v0 or v0 u0 cut at the working
+    # precision, agree below it with w0 m0 and m0 w0 of the word matrices
+    sp = SpecMap.parse(spec)
+    rng = random.Random(spec)
+    prec = 512
+    for length in (1, 2, 3, 17, 64, 128):
+        u0, v0 = ("".join(rng.choice("ab") for _ in range(length)) for _ in range(2))
+        F, m1, w1 = g_start_pair(GSpec(u0, v0, "11"), sp, prec)
+        m0, w0 = word_matrix(u0, sp, F), word_matrix(v0, sp, F)
+        for got, want in ((m1, w0.mul(m0)), (w1, m0.mul(w0))):
+            for x, y in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
+                assert x.prec == prec and x.agrees(y) and x.valuation == y.valuation, (length, u0, v0)
 
 
 def test_series_ptower_determinants_keep_only_the_working_precision():
@@ -601,9 +625,7 @@ def _pair_over(F, seed=0):
 
 
 def _series_pair(prec=512):
-    sp = SpecMap.parse("a=z,b=z^3+z+1")
-    F, m0, w0 = g_start_matrices(GSpec("ab", "ba", "11"), sp, prec)
-    return F, w0.mul(m0), m0.mul(w0)
+    return g_start_pair(GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z^3+z+1"), prec)
 
 
 @pytest.mark.parametrize("m", [2, 16, 17, "series"])
