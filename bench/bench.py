@@ -1,7 +1,8 @@
 """Layer bench for cf2's GF(2)[z] and Laurent-series kernels and its
 relation search.
 
-Times ``clmul`` (dense n x n and unbalanced n x n/8), ``clsq``,
+Times ``clmul`` (dense n x n, unbalanced n x n/8, and the square r^2 of
+an n/2-bit r times a dense n-bit operand), ``clsq``,
 ``cldivmod`` (2n by n bits), ``clgcd`` (n and n bits, one ``cldivmod``
 per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
@@ -242,11 +243,13 @@ def cases(gf2poly, laurent):
         b = rng.getrandbits(n) | (1 << (n - 1)) | 1
         short = rng.getrandbits(n // 8) | (1 << (n // 8 - 1))
         wide = rng.getrandbits(2 * n) | (1 << (2 * n - 1))
+        square = gf2poly.clsq(rng.getrandbits(n // 2) | (1 << (n // 2 - 1)))
         sa = laurent.LaurentSeries(0, a, n)
         sb = laurent.LaurentSeries(0, b, n)
         out += [
             (f"clmul.dense.{label}", gf2poly.clmul, (a, b)),
             (f"clmul.unbalanced.{label}", gf2poly.clmul, (a, short)),
+            (f"clmul.square.{label}", gf2poly.clmul, (square, b)),
             (f"clsq.{label}", gf2poly.clsq, (a,)),
             (f"cldivmod.{label}", gf2poly.cldivmod, (wide, b)),
             (f"clgcd.{label}", gf2poly.clgcd, (a, b)),

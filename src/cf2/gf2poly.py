@@ -3,6 +3,8 @@
 A polynomial is a nonnegative Python integer: bit i is the coefficient
 of z^i.  Addition is XOR, multiplication is carry-less, and the zero
 polynomial is the integer 0 (degree ``bit_length() - 1`` = -1).
+Squaring, the Frobenius map, spreads bytes by table; above the Karatsuba
+cutoff a product with a square operand r^2 splits in two half-size ones.
 ``parse_poly`` and ``poly_str`` carry the text syntax used by the CLI,
 and ``monomial_str``, one term of it, is the one home of the monomial
 text that ``LaurentSeries`` prints too.
@@ -12,21 +14,28 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# 8-bit -> 16-bit zero-interleave table, used to square polynomials.
+# 8-bit -> 16-bit zero-interleave table, the Frobenius map on one byte.
 _SPREAD = tuple(
     sum(((byte >> k) & 1) << (2 * k) for k in range(8)) for byte in range(256)
 )
+# bytes.translate tables: a byte's spread as low and high output byte, its
+# even and odd bits gathered into a nibble, and its bits in reverse order.
+_SPREAD_LO = bytes(s & 0xFF for s in _SPREAD)
+_SPREAD_HI = bytes(s >> 8 for s in _SPREAD)
+_EVEN = bytes(_SPREAD.index(byte & 0x55) for byte in range(256))
+_ODD = bytes(_SPREAD.index(byte >> 1 & 0x55) for byte in range(256))
+_REVERSE = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 # Kernel dispatch, thresholds measured on CPython 3.11:
 # - below _DENSE_BITS set bits in the sparser operand, one shifted XOR
 #   per set bit is cheaper than building the 256-entry window table;
 # - up to _KARATSUBA_BITS the table of the longer operand is cheap and
-#   small; above it a three-product split is faster and keeps it small;
-# - above _SQUARE_SPLIT_BITS squaring halves the operand, because the
-#   byte-spread loop copies its growing result int once per byte.
+#   small; above it a square operand r^2 splits the product into two
+#   half-size ones (the Frobenius split), and any other product into
+#   Karatsuba's three;
+# - squaring spreads bytes through two translate tables, all in C.
 _DENSE_BITS = 96
 _KARATSUBA_BITS = 4096
-_SQUARE_SPLIT_BITS = 1024
 
 
 def clmul(a: int, b: int) -> int:
@@ -41,8 +50,10 @@ def clsq(a: int) -> int:
 
 def bit_reverse(x: int, width: int) -> int:
     """The low ``width`` bits of x (x < 2^width) in reverse order: bit i
-    goes to bit width-1-i.  Linear time: int() parses base 2 linearly."""
-    return int(format(x, f"0{width}b")[::-1], 2)
+    goes to bit width-1-i.  Reversing the little-endian bytes and each
+    byte's bits reverses all 8n of them; the shift drops the padding."""
+    nbytes = (width + 7) // 8
+    return int.from_bytes(x.to_bytes(nbytes, "little").translate(_REVERSE), "big") >> (8 * nbytes - width)
 
 
 # The kernels recurse through the private names below, never through
@@ -65,6 +76,15 @@ def _mul(a: int, b: int) -> int:
         a, b, la, lb = b, a, lb, la
     if la <= _KARATSUBA_BITS:
         return _window_mul(a, b)
+    # Frobenius split: for x = r^2 and y = y0(z^2) + z y1(z^2),
+    # x y = (r y0)^2 + z (r y1)^2, two half-size products (one when y
+    # is a square too).  The low 64 bits screen out most non-squares.
+    for x, y in ((a, b), (b, a)):
+        if not x & 0xAAAAAAAAAAAAAAAA:
+            r, odd = _unshuffle(x)
+            if not odd:
+                y0, y1 = _unshuffle(y)
+                return _square(_mul(r, y0)) ^ (_square(_mul(r, y1)) << 1)
     # Karatsuba: three half-size products.  When b is at most half as
     # long as a, b1 = 0 and hi costs nothing, so an unbalanced product
     # halves a until it is less than twice as long as b (or within the
@@ -92,15 +112,24 @@ def _window_mul(a: int, b: int) -> int:
 
 
 def _square(a: int) -> int:
+    if a < 256:  # one byte: a table read beats the byte-string round trip
+        return _SPREAD[a]
     nbytes = (a.bit_length() + 7) // 8
-    if 8 * nbytes > _SQUARE_SPLIT_BITS:
-        h = 8 * (nbytes // 2)
-        return (_square(a >> h) << (2 * h)) | _square(a & ((1 << h) - 1))
-    out = 0
-    for i, byte in enumerate(a.to_bytes(nbytes, "little")):
-        if byte:
-            out |= _SPREAD[byte] << (16 * i)
-    return out
+    raw = a.to_bytes(nbytes, "little")
+    out = bytearray(2 * nbytes)
+    out[0::2] = raw.translate(_SPREAD_LO)
+    out[1::2] = raw.translate(_SPREAD_HI)
+    return int.from_bytes(out, "little")
+
+
+def _unshuffle(a: int) -> tuple[int, int]:
+    """(even, odd) with a = even(z^2) + z odd(z^2): byte k of each half
+    gathers the nibbles of bytes 2k and 2k + 1 of a."""
+    raw = a.to_bytes((a.bit_length() + 7) // 8, "little")
+    lo, hi = raw[0::2], raw[1::2]
+    even = int.from_bytes(lo.translate(_EVEN), "little") | int.from_bytes(hi.translate(_EVEN), "little") << 4
+    odd = int.from_bytes(lo.translate(_ODD), "little") | int.from_bytes(hi.translate(_ODD), "little") << 4
+    return even, odd
 
 
 def cldivmod(a: int, b: int) -> tuple[int, int]:

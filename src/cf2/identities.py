@@ -161,7 +161,7 @@ def check_period_power_shift(
             t.advance()
         for j in range(j_max + 1):
             p = F.pow(t.Ls[n], 1 << j)
-            if n + j < steps and not F.eq(t.l(n + j), F.mul(p, t.l(j))):
+            if not F.eq(t.l(n + j), F.mul(p, t.l(j))):
                 return f"l shift j={j}"
             if not F.eq(t.Ls[n + j], F.mul(p, t.Ls[j])):
                 return f"L shift j={j}"

@@ -46,7 +46,12 @@ def _low(mask: int, nbits: int) -> int:
 
 
 def _inv_mask(m: int, nbits: int) -> int:
-    """Inverse of the power series with bit mask m (bit 0 set) mod t^nbits."""
+    """Inverse of the power series with bit mask m (bit 0 set) mod t^nbits.
+
+    Newton's step x <- x(2 - m x) doubles the bits of x that are exact.
+    In characteristic 2, 2 = 0 and -1 = 1, so the step is x <- m x^2: one
+    product with a square operand, which ``clmul`` splits into two
+    half-size products above its Karatsuba cutoff."""
     if m & 1 == 0:
         raise ValueError("constant term must be 1")
     x = 1
@@ -54,8 +59,7 @@ def _inv_mask(m: int, nbits: int) -> int:
     while k < nbits:
         k = min(2 * k, nbits)
         window = (1 << k) - 1
-        e = clmul(m & window, x) & window  # 1 + error, error val >= k/2
-        x = (x ^ clmul(x, e ^ 1)) & window
+        x = clmul(m & window, clsq(x)) & window
     return x
 
 

@@ -71,7 +71,6 @@ def test_mul_matches_naive(a, b):
 
 DENSE = gf2poly._DENSE_BITS
 CUT = gf2poly._KARATSUBA_BITS
-SPLIT = gf2poly._SQUARE_SPLIT_BITS
 
 
 @pytest.mark.parametrize(
@@ -126,15 +125,72 @@ def test_mul_dense_operand_with_sparse_halves():
     assert clmul(a, b) == shift_xor_mul(a, b)
 
 
+# lengths on and beside byte boundaries, with even and odd byte counts
 @pytest.mark.parametrize(
-    "length", [1, 7, 8, 9, SPLIT - 8, SPLIT - 1, SPLIT, SPLIT + 1, SPLIT + 8, 3 * SPLIT + 5, 16 * SPLIT + 3, 1 << 16]
+    "length", [1, 7, 8, 9, 15, 16, 17, 1016, 1023, 1024, 1025, 1032, 3077, CUT - 1, CUT + 1, 16387, 1 << 16]
 )
 def test_square_matches_mul(length):
     rng = random.Random(length)
     a = rng.getrandbits(length) | (1 << (length - 1))
-    assert clsq(a) == clmul(a, a)
+    assert clsq(a) == clmul(a, a) == shift_xor_mul(a, a)
     sparse = (1 << (length - 1)) | 1
     assert clsq(sparse) == clmul(sparse, sparse) == (1 << (2 * length - 2)) | 1
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 15, 16, 17, 24, 25, CUT - 1, CUT + 1, 8 * CUT + 3])
+def test_unshuffle_round_trip(length):
+    # odd byte counts leave the even-position bytes one longer
+    rng = random.Random(length + 1)
+    for a in (rng.getrandbits(length) | (1 << length >> 1), (1 << length) - 1, 1 << length >> 1):
+        even, odd = gf2poly._unshuffle(a)
+        assert clsq(even) ^ clsq(odd) << 1 == a
+        assert 2 * even.bit_length() - 1 <= a.bit_length() and 2 * odd.bit_length() <= a.bit_length()
+
+
+def operand(rng, length: int, kind) -> int:
+    """A ``length``-bit operand: "dense", "square" (of a dense one), or
+    with ``kind`` set bits."""
+    if kind == "dense":
+        return rng.getrandbits(length) | (1 << (length - 1))
+    if kind == "square":
+        return clsq(operand(rng, (length + 1) // 2, "dense"))
+    return with_bits(rng, length, kind)
+
+
+@pytest.mark.parametrize("lr", [CUT // 2 - 1, CUT // 2 + 1, 2 * CUT + 3, 8 * CUT])
+@pytest.mark.parametrize(
+    "lb_of, kind",
+    [
+        (lambda lr: 2 * lr, "dense"),
+        (lambda lr: 2 * lr, DENSE - 1),
+        (lambda lr: 2 * lr, DENSE),
+        (lambda lr: 2 * lr, DENSE + 1),
+        (lambda lr: 2 * lr + 1, "square"),
+        (lambda lr: lr // 3 + 1, "dense"),
+        (lambda lr: 5 * lr + 7, "dense"),
+    ],
+    ids=["dense", "sparse-1", "sparse", "sparse+1", "square", "short", "long"],
+)
+def test_square_operand_products_match_shift_xor(lr, lb_of, kind):
+    # r^2 b, either side, against the reference: below the cutoff, at the
+    # Frobenius split, and with b a square too
+    rng = random.Random(lr * 31 + len(str(kind)))
+    x = clsq(operand(rng, lr, "dense"))
+    b = operand(rng, lb_of(lr), kind)
+    expect = shift_xor_mul(x, b)
+    assert clmul(x, b) == expect
+    assert clmul(b, x) == expect
+
+
+@pytest.mark.parametrize("lr", [CUT // 2 + 1, 2 * CUT + 3, 8 * CUT])
+def test_fourth_power_products_match_shift_xor(lr):
+    # the split recurses: r^4 s^4 halves twice, r^4 b splits twice on one side
+    rng = random.Random(lr)
+    x = clsq(clsq(operand(rng, lr // 2, "dense")))
+    y = clsq(clsq(operand(rng, lr // 2 + 5, "dense")))
+    b = operand(rng, 2 * lr + 9, "dense")
+    assert clmul(x, y) == clmul(y, x) == shift_xor_mul(x, y)
+    assert clmul(x, b) == clmul(b, x) == shift_xor_mul(x, b)
 
 
 def test_square_zero_and_one():
@@ -149,9 +205,14 @@ def test_kernels_recurse_through_private_names(monkeypatch):
         monkeypatch.setattr(gf2poly, name, lambda *args, f=inner: calls.append(1) or f(*args))
     rng = random.Random(13)
     a, b = rng.getrandbits(8 * CUT), rng.getrandbits(8 * CUT)
+    square = gf2poly._square(rng.getrandbits(8 * CUT))
     gf2poly.clmul(a, b)
     gf2poly.clsq(a)
-    assert len(calls) == 2
+    gf2poly.clmul(square, b)
+    gf2poly.clmul(b, square)
+    gf2poly.clmul(square, square)
+    gf2poly.bit_reverse(a, 8 * CUT)
+    assert len(calls) == 5
 
 
 @given(st.integers(0, 1 << 96), st.integers(1, 1 << 48))

@@ -461,18 +461,39 @@ def test_bumped_primed_values_fail_theorem2(key, detail, monkeypatch):
 
 
 def test_period_power_shift_L_shift_detail(monkeypatch):
-    # a running product bumped at the last of the n + j_max = 5 steps breaks
-    # only the L shift of j = 3, whose l shift lies past the walked steps
-    advance = PTower.advance
+    # a running product bumped at the last of the n + j_max = 5 steps, with
+    # the step scalars kept those of the clean tower (l_5 = L_5 s_1, so the
+    # clean one is the bumped one plus s_1), breaks only the L shift of j = 3
+    advance, step_scalar = PTower.advance, PTower.l
 
     def patched(t):
         advance(t)
         if t.step == 5:
             t.Ls[-1] = t.F.add(t.Ls[-1], t.F.one)
 
+    def clean(t, j):
+        l = step_scalar(t, j)
+        return t.F.add(l, t.s[j % t.period]) if j == 5 else l
+
     monkeypatch.setattr(PTower, "advance", patched)
+    monkeypatch.setattr(PTower, "l", clean)
     rep = check_period_power_shift(2, 3, 3, 16, 1)
     assert rep.failures == [(trial, "L shift j=3") for trial in range(3)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_period_power_shift_checks_the_last_l_shift(monkeypatch, n):
+    # only the step scalar l_(n + j_max) is bumped; the check reads it from
+    # L_(n + j_max), the last running product walked
+    step_scalar = PTower.l
+
+    def bumped(t, j):
+        l = step_scalar(t, j)
+        return t.F.add(l, t.F.one) if j == n + 3 else l
+
+    monkeypatch.setattr(PTower, "l", bumped)
+    rep = check_period_power_shift(n, 3, 3, 16, 1)
+    assert rep.failures == [(trial, "l shift j=3") for trial in range(3)]
 
 
 def test_tail_equations_residue_term_detail(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cf2 import laurent
-from cf2.gf2poly import clsq, parse_poly
+from cf2.gf2poly import clmul, clsq, parse_poly
 from cf2.laurent import LaurentSeries
 
 
@@ -97,6 +97,19 @@ def test_inverse_geometric():
 def test_inverse_of_zero_errors():
     with pytest.raises(ZeroDivisionError):
         LaurentSeries.zero(10).inv()
+
+
+@pytest.mark.parametrize(
+    "nbits", [*range(1, 71), *(n for j in range(7, 17) for n in ((1 << j) - 1, 1 << j, (1 << j) + 1))]
+)
+def test_inv_mask_is_the_inverse_mod_t_to_nbits(nbits):
+    # the definition: m x = 1 mod t^nbits with x < 2^nbits, for a dense m
+    # wider than the window, so the step reads only m's low bits
+    rng = random.Random(nbits)
+    m = rng.getrandbits(nbits + 40) | 1
+    x = laurent._inv_mask(m, nbits)
+    assert x < 1 << nbits
+    assert clmul(m, x) & ((1 << nbits) - 1) == 1
 
 
 def test_coeff_unknown_region():
