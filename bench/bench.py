@@ -6,6 +6,9 @@ an n/2-bit r times a dense n-bit operand), ``clsq``,
 ``cldivmod`` (2n by n bits), ``clgcd`` (n and n bits, one ``cldivmod``
 per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
+``LaurentSeries.div`` of a dense 512- and 16k-bit series by the letters
+z+1, z^3+z+1 and z^4+z^3+z^2+z+1 (2, 3 and 5 terms, as the P tower
+holds them), or on a tree without it the product with the inverse;
 ``gf2poly.bit_reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
 65536, the convergent ``towers.convergent_pair`` of its 8197-letter prefix
@@ -258,6 +261,13 @@ def cases(gf2poly, laurent):
             (f"LaurentSeries.inv.{label}", laurent.LaurentSeries.inv, (sa,)),
             (f"LaurentSeries.pow.{label}", laurent.LaurentSeries.pow, (sa, 3)),
         ]
+    divide = getattr(laurent.LaurentSeries, "div", lambda a, b: a * b.inv())
+    for label, n in (("512", 512), ("16k", SIZES["16k"])):
+        dense = laurent.LaurentSeries(0, random.Random(n).getrandbits(n) | 1, n)
+        for weight, e in ((2, 0b11), (3, 0b1011), (5, 0b11111)):
+            d = e.bit_length() - 1
+            letter = laurent.LaurentSeries(-d, gf2poly.bit_reverse(e, d + 1), n - 2 * d)
+            out.append((f"LaurentSeries.div.w{weight}.{label}", divide, (dense, letter)))
     n = SIZES["16k"]
     poly = random.Random(n).getrandbits(n) | (1 << (n - 1))
     sa = laurent.LaurentSeries(0, poly, n)

@@ -140,6 +140,15 @@ class Gf2m:
             return self._exp[self.order - self._log[a]]
         return self._raw_pow(a, self.order - 1)
 
+    def div(self, a: int, b: int) -> int:
+        if b == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        if a == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self.order - self._log[b]]
+        return self._raw_mul(a, self.inv(b))
+
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             if n < 0:

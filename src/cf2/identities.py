@@ -123,7 +123,7 @@ def check_tower_expansion(
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        t = PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n_steps)])
+        t = PTower(F, m0, [F.sample_invertible(rng) for _ in range(n_steps)])
         for n, m_n in enumerate(islice(t.matrices(), n_steps), start=1):
             t.advance()
             weights = [F.mul(t.ds[j], F.inv(t.Ls[j])) if mutate else t.term(j) for j in range(n)]
@@ -156,7 +156,7 @@ def check_period_power_shift(
             eps = [F.sample_invertible(rng) for _ in range(steps)]
             if all(eps[i] == eps[i % n] for i in range(steps)):
                 raise DegenerateDraw  # accidentally periodic; redraw
-        t = PTower(F, m0, [F.inv(e) for e in eps])
+        t = PTower(F, m0, eps)
         for _ in range(steps):
             t.advance()
         for j in range(j_max + 1):
@@ -207,7 +207,7 @@ def check_tail_equations(
 
     def body(F, rng):
         m0 = _rand_mat(F, rng)
-        return tail_mismatch(PTower(F, m0, [F.inv(F.sample_invertible(rng)) for _ in range(n)]), k_max, mutate)
+        return tail_mismatch(PTower(F, m0, [F.sample_invertible(rng) for _ in range(n)]), k_max, mutate)
 
     return _randomized("tail-equations", trials, m, seed, body)
 

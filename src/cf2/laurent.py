@@ -16,6 +16,7 @@ Precision bookkeeping (p = abs. precision, v = valuation):
   mul      min(p_a + v_b, p_b + v_a)
   square   2 * p_a              (cross terms vanish in characteristic 2)
   inv      p_a - 2 * v_a
+  div      min(p_a - v_b, p_b - 2 * v_b + v_a)   (the product with the inverse, bit for bit)
 The square rule is exact: the unknown tail t of a has valuation >= p,
 and (k + t)^2 = k^2 + t^2 carries its first unknown coefficient at 2p.
 In windows (w = p - v, the coefficients known past the valuation) a
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .gf2poly import bit_reverse, clmul, clsq, monomial_str
+from .gf2poly import _DENSE_BITS, bit_reverse, clmul, clsq, monomial_str
 
 
 def _low(mask: int, nbits: int) -> int:
@@ -61,6 +62,24 @@ def _inv_mask(m: int, nbits: int) -> int:
         window = (1 << k) - 1
         x = clmul(m & window, clsq(x)) & window
     return x
+
+
+def _div_sparse(m: int, d: int, w: int) -> int:
+    """m/d mod t^w for a divisor d = 1 + u (bit 0 set) of few terms.
+
+    In characteristic 2, 1/(1 + u) = (1 + u)(1 + u^2)(1 + u^4) ... and
+    u^(2^j) = u(t^(2^j)), so the factor of each j with 2^j val(u) < w is
+    one shifted XOR per term of u; the later factors are 1 mod t^w."""
+    y = _low(m, w)
+    u = d ^ 1
+    taps = [i for i in range(min(u.bit_length(), w)) if u >> i & 1]
+    while taps:
+        acc = y
+        for i in taps:
+            acc ^= y << i
+        y = _low(acc, w)
+        taps = [2 * i for i in taps if 2 * i < w]
+    return y
 
 
 class LaurentSeries:
@@ -170,6 +189,26 @@ class LaurentSeries:
             raise ZeroDivisionError("not invertible at this precision")
         nbits = self.prec - self.val
         return LaurentSeries(-self.val, _inv_mask(self.mask, nbits), self.prec - 2 * self.val)
+
+    def div(self, other: LaurentSeries) -> LaurentSeries:
+        """self * other.inv(), bit for bit.  A divisor of few terms, such as
+        a letter, divides through the Frobenius product (``_div_sparse``)
+        when its shifted XORs number fewer than ``_DENSE_BITS``, the count
+        at which ``clmul`` stops shifting and XORing too."""
+        if other.mask == 0:
+            raise ZeroDivisionError("not invertible at this precision")
+        if self.mask == 0:
+            return LaurentSeries.zero(self.prec - other.val)
+        v = self.val - other.val
+        prec = min(self.prec - other.val, other.prec - 2 * other.val + self.val)
+        window = prec - v
+        u = other.mask ^ 1
+        # one factor of _div_sparse per j with val(u) 2^j < window
+        low = (u & -u).bit_length() - 1
+        factors = ((window - 1) // low).bit_length() if u else 0
+        if u.bit_count() * factors >= _DENSE_BITS:
+            return self * other.inv()
+        return LaurentSeries(v, _div_sparse(self.mask, other.mask, window), prec)
 
     def clip(self, window: int) -> LaurentSeries:
         """The same series known only to window coefficients past its

@@ -1,11 +1,12 @@
 """2x2 matrices over pluggable characteristic-2 coefficient fields.
 
 A coefficient field is any object with attributes ``zero``/``one`` and
-methods ``add``, ``mul``, ``square``, ``inv``, ``pow``, ``is_zero``,
-``eq`` acting on its element type, and optionally the fast paths
-``mat_mul(x, y)`` and ``mat_sq(x)``: the four entries of x*y and of x*x,
-or ``NotImplemented`` for inputs they decline, as Python's binary
-operators do.  ``Mat2.mul`` and ``Mat2.square`` hold the only formulas
+methods ``add``, ``mul``, ``square``, ``inv``, ``div``, ``pow``,
+``is_zero``, ``eq`` acting on its element type (``div(a, b)`` equals
+``mul(a, inv(b))`` and raises ``ZeroDivisionError`` for a zero b), and
+optionally the fast paths ``mat_mul(x, y)`` and ``mat_sq(x)``: the four
+entries of x*y and of x*x, or ``NotImplemented`` for inputs they
+decline, as Python's binary operators do.  ``Mat2.mul`` and ``Mat2.square`` hold the only formulas
 and take them when no fast path answers.  ``Gf2m`` (int elements) fits
 directly and has both fast paths; ``SeriesField`` adapts
 ``LaurentSeries`` values at a working precision and ``RationalField``
@@ -49,6 +50,10 @@ class SeriesField:
     @staticmethod
     def inv(a):
         return a.inv()
+
+    @staticmethod
+    def div(a, b):
+        return a.div(b)
 
     @staticmethod
     def pow(a, n):
@@ -111,6 +116,10 @@ class RationalField:
         return x[1], x[0]
 
     @classmethod
+    def div(cls, x, y):
+        return cls.mul(x, cls.inv(y))
+
+    @classmethod
     def pow(cls, x, n: int):
         num, den = x if n >= 0 else cls.inv(x)
         return clpow(num, abs(n)), clpow(den, abs(n))
@@ -151,11 +160,6 @@ class Mat2:
     def letter_from_inv(cls, F, ix) -> Mat2:
         """Letter matrix given the precomputed inverse entry."""
         return cls(F, F.one, ix, ix, F.zero)
-
-    @classmethod
-    def insertion_from_inv(cls, F, ix) -> Mat2:
-        """The companion matrix ((0, 1/x), (1/x, 1)) of a tower step."""
-        return cls(F, F.zero, ix, ix, F.one)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -204,10 +204,9 @@ def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:
     t = exact_p_tower(spec, sp)
     if tail_mismatch(t, 1) is not None:
         return None
-    F = t.F
-    ia = F.inv(t.m0.a)
-    lams = [F.mul(F.mul(t.residue_factor(j), t.inv_eps[j]), ia) for j in range(t.period)]
-    return frobenius_relation(F.mul(t.m0.b, ia), lams, t.tail_shift(), t.term(0))
+    F, a0 = t.F, t.m0.a
+    lams = [F.div(F.div(t.residue_factor(j), t.eps[j]), a0) for j in range(t.period)]
+    return frobenius_relation(F.div(t.m0.b, a0), lams, t.tail_shift(), t.term(0))
 
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property, reduce
 from itertools import count
 
-from .gf2poly import clmul, clpow, parse_poly, poly_str
+from .gf2poly import bit_reverse, clmul, clpow, parse_poly, poly_str
 from .laurent import LaurentSeries
 from .mat2 import Mat2, RationalField, SeriesField
 from .words import GSpec, NormalizedG, PSpec, g_normalize, g_prefix, p_prefix, word_stats
@@ -262,19 +262,21 @@ def gap_violation(gap: LaurentSeries, e: int) -> str | None:
 class PTower:
     """Doubling tower m -> m F(e) m over any coefficient field, as scalars.
 
-    Starts from m0 and repeats one period of inverse insertion letters
-    1/e_0 .. 1/e_(n-1).  Each step records the running product
+    Starts from m0 and repeats one period of insertion letters
+    e_0 .. e_(n-1).  Each step records the running product
     L_(j+1) = L_j l_j = L_j^2 s_(j mod n) (L_0 = 1), with the step scalar
     ``l(j)`` = L_j s_(j mod n) and s_i = (b_0 + c_0)/e_i + a_0 read off m0,
     and the determinant d_(j+1) = d_j^2 / e_j^2.  ``matrices()`` is the
-    reference walk of the matrices themselves.
+    reference walk of the matrices themselves.  Every step divides by its
+    letter; only ``matrices()`` and ``det_ratio`` read the inverses 1/e_j.
     """
 
-    def __init__(self, F, m0: Mat2, inv_eps: list):
+    def __init__(self, F, m0: Mat2, eps: list):
         self.F = F
-        self.inv_eps = inv_eps
+        self.eps = eps
         self.m0 = m0
-        self.s = [F.add(F.mul(F.add(m0.b, m0.c), ie), m0.a) for ie in inv_eps]
+        bc = F.add(m0.b, m0.c)
+        self.s = [F.add(F.div(bc, e), m0.a) for e in eps]
         # L_j is a product of earlier s's, so l_j vanishes exactly when s_j does
         if any(F.is_zero(s) for s in self.s):
             raise DegenerateDraw("zero step scalar")
@@ -284,16 +286,17 @@ class PTower:
 
     @property
     def period(self) -> int:
-        return len(self.inv_eps)
+        return len(self.eps)
 
-    def insertion_matrix(self, j: int) -> Mat2:
-        """The companion matrix ((0, 1/e_j), (1/e_j, 1)) of residue j."""
-        return Mat2.insertion_from_inv(self.F, self.inv_eps[j % self.period])
+    @cached_property
+    def inv_eps(self) -> list:
+        """1/e_0 .. 1/e_(n-1), each inverted once, on first read."""
+        return [self.F.inv(e) for e in self.eps]
 
     def l(self, j: int):
         """The step scalar l_j = (b_j + c_j)/e_j + a_j of m_j.  Every insertion
-        matrix has a = 0 and b = c, so m_j keeps a_j = L_j a_0 and
-        b_j + c_j = L_j (b_0 + c_0); hence l_j = L_j s_(j mod n)."""
+        matrix ((0, 1/e), (1/e, 1)) has a = 0 and b = c, so m_j keeps
+        a_j = L_j a_0 and b_j + c_j = L_j (b_0 + c_0); hence l_j = L_j s_(j mod n)."""
         return self.F.mul(self.Ls[j], self.s[j % self.period])
 
     def advance(self) -> None:
@@ -303,7 +306,7 @@ class PTower:
         # L_(j+1) = L_j l_j = L_j^2 s_j: one square and one product
         self.Ls.append(F.mul(F.square(self.Ls[j]), self.s[j % self.period]))
         # det is multiplicative and det F(e) = 1/e^2, so d_(j+1) = (d_j / e_j)^2
-        self.ds.append(F.square(F.mul(self.ds[j], self.inv_eps[j % self.period])))
+        self.ds.append(F.square(F.div(self.ds[j], self.eps[j % self.period])))
         self.step += 1
 
     def matrices(self):
@@ -314,17 +317,19 @@ class PTower:
             yield m
 
     def term(self, i: int):
-        """d_i / L_(i+1), the weight of insertion_matrix(i) in the expansion
-        m_j = L_j (m_0 + sum over i < j of term(i) insertion_matrix(i))."""
-        F = self.F
-        return F.mul(self.ds[i], F.inv(self.Ls[i + 1]))
+        """d_i / L_(i+1), the weight of the insertion matrix ((0, 1/e_i), (1/e_i, 1))
+        in the expansion m_j = L_j (m_0 + sum over i < j of term(i) times it)."""
+        return self.F.div(self.ds[i], self.Ls[i + 1])
 
     def expansion(self, weights) -> Mat2:
-        """m_0 + sum over j of weights[j] insertion_matrix(j)."""
-        acc = self.m0
+        """m_0 + sum over j of weights[j] ((0, 1/e_j), (1/e_j, 1)): each weight w
+        adds w/e_j to b and c and w to d, and a stays a_0."""
+        F, m0 = self.F, self.m0
+        b, c, d = m0.b, m0.c, m0.d
         for j, w in enumerate(weights):
-            acc = acc.add(self.insertion_matrix(j).scale(w))
-        return acc
+            x = F.div(w, self.eps[j % self.period])
+            b, c, d = F.add(b, x), F.add(c, x), F.add(d, w)
+        return Mat2(F, m0.a, b, c, d)
 
     def det_ratio(self, j: int):
         """d_j / d_0^(2^j) = (1/e_0)^(2^j) ... (1/e_(j-1))^2, from d_(i+1) = d_i^2 / e_i^2.
@@ -355,9 +360,15 @@ class PTower:
 def _p_tower(spec: PSpec, sp: SpecMap, F) -> PTower:
     """The tower of a family-P spec over ``SeriesField`` or ``RationalField``."""
     sp.check_covers(spec.alphabet)
-    # a letter matrix is ((1, 1/x), (1/x, 0))
-    inv_eps = {c: word_matrix(c, sp, F).b for c in set(spec.eps)}
-    return PTower(F, word_matrix(spec.w0, sp, F), [inv_eps[c] for c in spec.eps])
+
+    def letter(c: str):
+        # over series, e of degree D known to F.prec - 2D, so 1/e is known to F.prec
+        e, D = sp.poly(c), sp.degree(c)
+        if isinstance(F, RationalField):
+            return e, 1
+        return LaurentSeries(-D, bit_reverse(e, D + 1), F.prec - 2 * D)
+
+    return PTower(F, word_matrix(spec.w0, sp, F), [letter(c) for c in spec.eps])
 
 
 def p_tower(spec: PSpec, sp: SpecMap, prec: int) -> PTower:

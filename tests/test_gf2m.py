@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 from cf2.gf2m import Gf2m, field
 from cf2.gf2poly import is_irreducible
 from cf2.laurent import LaurentSeries
-from cf2.mat2 import Mat2, SeriesField
+from cf2.mat2 import Mat2, RationalField, SeriesField
 
 
 @pytest.mark.parametrize(
@@ -80,6 +80,41 @@ def test_tableless_path_matches_tables():
             assert tab.inv(a) == raw.inv(a)
 
 
+def _series_draw(F, rng):
+    # dense, or of few terms like a letter, which divides through the Frobenius product
+    nbits = rng.choice([2, 4, 6, F.prec + 8])
+    return LaurentSeries(rng.randrange(-4, 5), rng.getrandbits(nbits) | 1, F.prec - rng.randrange(9))
+
+
+# GF(2^16) divides by its tables, GF(2^17) has none
+DIVISION_FIELDS = {
+    "GF(2^16)": (lambda: field(16), lambda F, rng: F.sample_invertible(rng)),
+    "GF(2^17)": (lambda: field(17), lambda F, rng: F.sample_invertible(rng)),
+    "K": (RationalField, lambda F, rng: F.mul((rng.getrandbits(12) | 1, 1), (1, rng.getrandbits(12) | 1))),
+    "series": (lambda: SeriesField(64), _series_draw),
+}
+
+
+@pytest.mark.parametrize("name", DIVISION_FIELDS)
+def test_div_is_mul_by_inv(name):
+    make, draw = DIVISION_FIELDS[name]
+    F = make()
+    rng = random.Random(name)
+    pairs = [(draw(F, rng), draw(F, rng)) for _ in range(300)] + [(F.zero, draw(F, rng))]
+    if name == "GF(2^16)":
+        # log a at its top and log b = 0 read the last entry of the exp table
+        pairs.append((F._exp[F.order - 1], 1))
+
+    def key(x):
+        return (x.val, x.mask, x.prec) if name == "series" else x
+
+    for a, b in pairs:
+        assert key(F.div(a, b)) == key(F.mul(a, F.inv(b)))
+    for a in (F.zero, F.one):
+        with pytest.raises(ZeroDivisionError):
+            F.div(a, F.zero)
+
+
 def _entrywise(F, x, y):
     """The raw entrywise 2x2 product by the field's own mul/add."""
     return (
@@ -122,7 +157,7 @@ def test_fused_matrix_product_matches_entrywise(m):
     x = F.sample_invertible(rng)
     ix = F.inv(x)
     special = [
-        Mat2.letter_from_inv(F, ix), Mat2.insertion_from_inv(F, ix), Mat2.scalar(F, x),
+        Mat2.letter_from_inv(F, ix), Mat2(F, F.zero, ix, ix, F.one), Mat2.scalar(F, x),
         Mat2.identity(F), Mat2(F, 0, 0, 0, 0),
     ]
     pairs = [(rand(), rand()) for _ in range(200)]

@@ -51,10 +51,10 @@ def test_wrong_step_scalar_fails_tower_expansion_and_theorem1(monkeypatch, capsy
     # theorem's limits see (w0 = 10 is no palindrome, so b_0 != c_0)
     init = PTower.__init__
 
-    def squared(self, F, m0, inv_eps):
-        init(self, F, m0, inv_eps)
+    def squared(self, F, m0, eps):
+        init(self, F, m0, eps)
         bc = F.add(m0.b, m0.c)
-        self.s = [F.add(F.mul(bc, F.square(ie)), m0.a) for ie in inv_eps]
+        self.s = [F.add(F.div(bc, F.square(e)), m0.a) for e in eps]
 
     monkeypatch.setattr(PTower, "__init__", squared)
     assert not check_tower_expansion(5, 10, 16, 1).passed

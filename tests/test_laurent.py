@@ -112,6 +112,58 @@ def test_inv_mask_is_the_inverse_mod_t_to_nbits(nbits):
     assert clmul(m, x) & ((1 << nbits) - 1) == 1
 
 
+def _same(x: LaurentSeries, y: LaurentSeries) -> bool:
+    return (x.val, x.mask, x.prec) == (y.val, y.mask, y.prec)
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 8, 9, *(n for j in range(4, 17) for n in ((1 << j) - 1, (1 << j) + 1))])
+@pytest.mark.parametrize("weight", [1, 2, 3, 5])
+def test_div_is_the_product_with_the_inverse(w, weight):
+    # a divisor of weight 1 is a monomial (u = 0); the numerator's window is
+    # the division's, or wider, or narrower, at negative and positive
+    # valuations, so both factors of the precision rule are read
+    rng = random.Random(w * 8 + weight)
+    d = sum(1 << i for i in [0, *rng.sample(range(1, 9), weight - 1)])
+    for va, vb, wide_a, wide_b in [(-3, -2, 0, 5), (4, -1, 7, 0), (0, 2, 0, 0), (-9, 3, 40, 1)]:
+        a = LaurentSeries(va, rng.getrandbits(w + wide_a) | 1, va + w + wide_a)
+        b = LaurentSeries(vb, d, vb + w + wide_b)
+        assert _same(a.div(b), a * b.inv())
+
+
+def _cut_cases():
+    """(weight of u, val(u), window) with weight x factors at the cut - 1,
+    the cut and the cut + 1 for one factor, and on either side of it for 5."""
+    cut = laurent._DENSE_BITS
+    low = 2 * cut
+    # (w - 1) // low = 1: one factor; 199 // 8 = 24 < 32: five factors
+    cases = [(cut + k, low, 2 * low) for k in (-1, 0, 1)]
+    return cases + [((cut - 1) // 5, 8, 200), (-(-cut // 5), 8, 200)]
+
+
+@pytest.mark.parametrize("weight,low,w", _cut_cases())
+def test_div_takes_the_frobenius_product_below_the_cut(monkeypatch, weight, low, w):
+    factors = ((w - 1) // low).bit_length()
+    rng = random.Random(weight)
+    d = 1 | sum(1 << i for i in [low, *rng.sample(range(low + 1, w), weight - 1)])
+    a = LaurentSeries(-5, rng.getrandbits(w) | 1, w - 5)
+    b = LaurentSeries(-1, d, w - 1)
+    want = a * b.inv()
+    inverted = []
+    inv = LaurentSeries.inv
+    monkeypatch.setattr(LaurentSeries, "inv", lambda s: inverted.append(s) or inv(s))
+    assert _same(a.div(b), want)
+    assert bool(inverted) == (weight * factors >= laurent._DENSE_BITS)
+
+
+def test_div_of_zero_and_by_zero():
+    b = LaurentSeries(-2, 0b111, 30)
+    for zero in (LaurentSeries.zero(40), LaurentSeries(3, 0, 25)):
+        assert _same(zero.div(b), zero * b.inv())
+    for a in (LaurentSeries(1, 0b101, 20), LaurentSeries.zero(20)):
+        with pytest.raises(ZeroDivisionError):
+            a.div(LaurentSeries.zero(20))
+
+
 def test_coeff_unknown_region():
     s = LaurentSeries(2, 1, 6)
     assert s.coeff(2) == 1 and s.coeff(5) == 0

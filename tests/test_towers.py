@@ -57,6 +57,10 @@ SP = SpecMap.parse("a=z,b=z+1,c=z^2+z+1")
 # test_g_limits_grid_agrees_with_the_closed_formulas holds the G half to the
 # closed formulas
 LIMITS_DIGEST_512 = "c339cb9100294fb0e8d5202a2fdb4f7d707c630342bfc9405045d92fee059cda"
+# the P half of _limits_digest(4096) as computed with the tower multiplying
+# by its letters' inverses, before it divided by the letters; a letter's
+# division there runs up to 12 Frobenius factors
+LIMITS_DIGEST_4096 = "588a6ba03dbbc262f4a66fd0a1b9edff8ad04b2ab3d8e259e96885ded1305216"
 
 
 def test_specmap_validation():
@@ -249,8 +253,8 @@ def test_ptower_step_scalar_is_read_off_the_matrices(w0):
     t = p_tower(PSpec(w0, "ba" if w0 == "ab" else "110"), sp, 256)
     for j, m in enumerate([t.m0, *islice(t.matrices(), 5)]):
         t.advance()
-        ie = t.inv_eps[j % t.period]
-        assert t.l(j).agrees((m.b + m.c) * ie + m.a)
+        e = t.eps[j % t.period]
+        assert t.l(j).agrees((m.b + m.c).div(e) + m.a)
 
 
 def test_ptower_step_scalar_char2():
@@ -379,9 +383,9 @@ def test_series_ptower_determinants_keep_only_the_working_precision():
                 assert d.mask.bit_length() <= d.prec - d.val
 
 
-def _limits_digest(prec: int) -> str:
+def _limits_digest(prec: int, with_g: bool = True) -> str:
     """sha256 over (val, mask, prec) of f, cf, H and the residuals of a
-    small P and G grid."""
+    small P and G grid, or of its P half."""
     def key(x):
         return x.val, x.mask, x.prec
 
@@ -392,6 +396,8 @@ def _limits_digest(prec: int) -> str:
             lim = p_limits(PSpec(w0, eps), sp, prec)
             series = [lim.f, lim.cf, *lim.H, lim.residual_f(), lim.residual_h0()]
             out.append([key(x) for x in series + [lim.residual_hj(j) for j in range(1, len(eps))]])
+        if not with_g:
+            continue
         sp = SpecMap.parse(f"a=z,b={one}")
         for u0, v0, ups in [("a", "b", "11"), ("ab", "ba", "101"), ("ab", "bb", "0011")]:
             lim = g_limits(GSpec(u0, v0, ups), sp, prec)
@@ -403,6 +409,36 @@ def _limits_digest(prec: int) -> str:
 def test_limits_hash_grid_is_frozen():
     # every series the limits return keeps its val, mask and prec exactly
     assert _limits_digest(512) == LIMITS_DIGEST_512
+    assert _limits_digest(4096, with_g=False) == LIMITS_DIGEST_4096
+
+
+@pytest.mark.parametrize("e", ["z", "z+1", "z^3+z+1", "z^4+z^3+z^2+z+1"])
+def test_tower_letters_invert_to_the_letter_matrix_entry(e):
+    # the tower divides by its letters; their inverses are the off-diagonal
+    # entry of the one-letter word matrix ((1, 1/e), (1/e, 0)), bit for bit
+    sp = SpecMap.parse(f"a=z,b={e}")
+    spec = PSpec("a", "b")
+    for prec in (64, 512, 16384):
+        t = p_tower(spec, sp, prec)
+        got, want = t.F.inv(t.eps[0]), word_matrix("b", sp, t.F).b
+        assert (got.val, got.mask, got.prec) == (want.val, want.mask, want.prec)
+    t = exact_p_tower(spec, sp)
+    assert t.eps[0] == (sp.poly("b"), 1)
+    assert t.F.inv(t.eps[0]) == word_matrix("b", sp, t.F).b
+
+
+@pytest.mark.parametrize("prec", [64, 4096])
+def test_expansion_is_the_sum_of_scaled_insertion_matrices(prec):
+    # entry for entry, in val, mask and prec: m_0 + sum of H_j ((0, 1/e_j), (1/e_j, 1))
+    for spec in (PSpec("10", "110"), PSpec("011", "1101")):
+        lim = p_limits(spec, SpecMap.parse("0=z,1=z^3+z+1"), prec)
+        t, F = lim.tower, lim.tower.F
+        want = t.m0
+        for j, w in enumerate(lim.H):
+            want = want.add(Mat2(F, F.zero, t.inv_eps[j], t.inv_eps[j], F.one).scale(w))
+        got = t.expansion(lim.H)
+        for x, y in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
+            assert (x.val, x.mask, x.prec) == (y.val, y.mask, y.prec)
 
 
 def test_g_limits_grid_agrees_with_the_closed_formulas():
