@@ -5,8 +5,9 @@ their continued fractions under letter-to-polynomial specialization,
 matrix product towers with full valuation bookkeeping, randomized
 verification of the tower identities over GF(2^m), and checks of the
 degree bounds 2^n and 2^k: family P's relation is derived exactly over
-GF(2)(z), and only family G's is searched for by an algebraic-relation
-guesser.  Polynomials over GF(2) are bit-packed ints throughout.
+GF(2)(z) from its letters alone, and only family G's is searched for by
+an algebraic-relation guesser.  Polynomials over GF(2) are bit-packed
+ints throughout.
 """
 
 from .gf2m import Gf2m, field

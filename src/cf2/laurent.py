@@ -147,14 +147,6 @@ class LaurentSeries:
         """
         return self.prec if self.mask == 0 else self.val
 
-    def coeff(self, n: int) -> int:
-        """Coefficient of z^-n; n must be below the precision."""
-        if n >= self.prec:
-            raise ValueError(f"coefficient of z^-{n} unknown at precision {self.prec}")
-        if self.mask == 0 or n < self.val:
-            return 0
-        return (self.mask >> (n - self.val)) & 1
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:

@@ -156,11 +156,6 @@ class Mat2:
     def scalar(cls, F, s) -> Mat2:
         return cls(F, s, F.zero, F.zero, s)
 
-    @classmethod
-    def letter_from_inv(cls, F, ix) -> Mat2:
-        """Letter matrix given the precomputed inverse entry."""
-        return cls(F, F.one, ix, ix, F.zero)
-
     # -- arithmetic ----------------------------------------------------------
 
     def mul(self, o: Mat2) -> Mat2:

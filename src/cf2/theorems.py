@@ -6,8 +6,8 @@ and the closed equations satisfied by the limit scalars, then takes an
 annihilating polynomial and verifies it on the convergent series at
 double precision.  Both drivers run the identity battery's tail checks
 (``tail_mismatch``, ``generation_mismatch``) exactly over GF(2)(z) on
-their own tower; family P then derives its relation there, and family G,
-explore and ``cf2 relation`` search for one.
+their own tower.  Family P derives its relation from its letters alone,
+with no tower; family G, explore and ``cf2 relation`` search for one.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, and its quadratic is derived exactly.
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
+from .mat2 import RationalField
 from .relations import (
     AlgRelation, _content_normalize, certifying_precision, find_relation, frobenius_relation, max_degz,
     required_precision,
@@ -178,11 +179,16 @@ def _series_lines(lines: list[str], cf: LaurentSeries, direct: LaurentSeries, re
 
 def _verdict(
     name: str, bound: int, lines: list[str], search: RelationSearch, ok: bool = True, agreement: int | None = None,
+    tail: str | None = None,
 ) -> CheckReport:
-    """Append a finished relation round's line and judge the whole check:
-    it passes if ``ok`` and the round verified a relation of degree <= bound."""
+    """Append a finished relation round's line, after the ``tail-step`` line
+    of a failed exact tail check, and judge the whole check: it passes if
+    ``ok``, no tail check failed and the round verified a relation of
+    degree <= bound."""
+    if tail is not None:
+        lines.append(f"tail-step {tail} fail")
     lines.append(search.report_line())
-    ok = ok and search.verified and search.found_degree <= bound
+    ok = ok and tail is None and search.verified and search.found_degree <= bound
     return CheckReport(name, ok, bound, lines, search, agreement=agreement)
 
 
@@ -193,28 +199,36 @@ def periodic_relation(word: str, sp: SpecMap) -> AlgRelation:
     return AlgRelation(_content_normalize([b, a ^ d, c]), 0)
 
 
-def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation | None:
-    """phi's relation for a family-P spec, derived exactly over K = GF(2)(z),
-    or None when its tower breaks ``tail_mismatch`` in the first period
-    (rho = 0 breaks the tail shift).
+def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation:
+    """phi's relation for a family-P spec, derived exactly over K = GF(2)(z)
+    from its letters, with no tower.
 
-    Every insertion matrix has a = 0, so phi = a_0 / (b_0 + sum_j H_j/e_j)
-    and H_j = residue_factor(j) H_0^(2^j): 1/phi is affine in the
-    H_0^(2^j) over K, and H_0 solves rho X^(2^n) + X + T_0 = 0."""
-    t = exact_p_tower(spec, sp)
-    if tail_mismatch(t, 1) is not None:
-        return None
-    F, a0 = t.F, t.m0.a
-    lams = [F.div(F.div(t.residue_factor(j), t.eps[j]), a0) for j in range(t.period)]
-    return frobenius_relation(F.div(t.m0.b, a0), lams, t.tail_shift(), t.term(0))
+    With M(w0) = ((a, b), (c, d)) and r = (b + c)/a, each level W -> W e_j W
+    keeps (b + c)/a = r (letter matrices are symmetric of det 1), so
+    a' = (e_j + r) a^2 and c'/a' = c/a + 1/a', where e_j + r != 0 (a' is a
+    convergent's numerator).  With D_1 = 1, D_(i+1) = D_i^2 (e_i + r) and
+    e_n = e_0, H = sum of 1/a over levels 1, n + 1, 2n + 1, ... solves
+    X^(2^n)/D_(n+1) + X + 1/((e_0 + r) a^2) = 0, and
+    1/phi = c/a + sum_(i=1..n) H^(2^(i-1))/D_i."""
+    F = RationalField()
+    a, b, c, _ = _word_product(spec.w0, sp)
+    r = F.div((b ^ c, 1), (a, 1))
+    steps = [F.add((sp.poly(x), 1), r) for x in spec.eps]  # e_j + r
+    D = [F.one]
+    for t in steps[1:] + steps[:1]:
+        D.append(F.mul(F.square(D[-1]), t))
+    inv = [F.inv(x) for x in D]
+    t0 = F.inv(F.mul(steps[0], F.square((a, 1))))
+    return frobenius_relation(F.div((c, 1), (a, 1)), inv[:-1], inv[-1], t0)
 
 
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^n for the family-P continued fraction.  No search:
-    ``p_relation`` derives phi's relation exactly, from a tail step checked
-    exactly (its line appears only when it fails), and the relation must
-    vanish on the convergent series by the re-verify rule at p1, the
-    larger of prec and its own shape's ``certifying_precision``."""
+    ``p_relation`` derives phi's relation exactly, and it must vanish on the
+    convergent series by the re-verify rule at p1, the larger of prec and
+    its own shape's ``certifying_precision``.  The tail step of its tower
+    over K is checked by ``tail_mismatch`` (its line appears only when it
+    fails)."""
     n = spec.period
     bound = 1 << n
     phi_fn, first_val = spec_series(spec, sp)
@@ -222,15 +236,11 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
     lines: list[str] = []
-    rel = p_relation(spec, sp)
-    if rel is None:
-        _, agree = _series_lines(lines, lim.cf, phi_fn(prec), residuals, prec)
-        lines.append(f"tail-step T1=rho*T0^{bound} fail")
-        return CheckReport("theorem-p", False, bound, lines, agreement=agree)
-    search = _exact_round(rel, phi_fn, first_val, prec, bound)
+    search = _exact_round(p_relation(spec, sp), phi_fn, first_val, prec, bound)
     # cf + phi2 has precision min(prec, p2) = prec, as with the series at prec
     ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
-    return _verdict("theorem-p", bound, lines, search, ok, agree)
+    tail = tail_mismatch(exact_p_tower(spec, sp), 1)
+    return _verdict("theorem-p", bound, lines, search, ok, agree, tail)
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
@@ -255,9 +265,7 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
     tail = generation_mismatch(exact_g_quantities(lim.norm, sp), 1)
-    if tail is not None:
-        lines.append(f"tail-step {tail} fail")
-    return _verdict("theorem-g", bound, lines, search, ok and scalar_ok and tail is None, agree)
+    return _verdict("theorem-g", bound, lines, search, ok and scalar_ok, agree, tail)
 
 
 def check_corollary_chain(spec: PSpec, sp: SpecMap, iterations: int, prec: int) -> CheckReport:

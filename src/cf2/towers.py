@@ -268,7 +268,7 @@ class PTower:
     ``l(j)`` = L_j s_(j mod n) and s_i = (b_0 + c_0)/e_i + a_0 read off m0,
     and the determinant d_(j+1) = d_j^2 / e_j^2.  ``matrices()`` is the
     reference walk of the matrices themselves.  Every step divides by its
-    letter; only ``matrices()`` and ``det_ratio`` read the inverses 1/e_j.
+    letter; only ``matrices()`` inverts one.
     """
 
     def __init__(self, F, m0: Mat2, eps: list):
@@ -288,11 +288,6 @@ class PTower:
     def period(self) -> int:
         return len(self.eps)
 
-    @cached_property
-    def inv_eps(self) -> list:
-        """1/e_0 .. 1/e_(n-1), each inverted once, on first read."""
-        return [self.F.inv(e) for e in self.eps]
-
     def l(self, j: int):
         """The step scalar l_j = (b_j + c_j)/e_j + a_j of m_j.  Every insertion
         matrix ((0, 1/e), (1/e, 1)) has a = 0 and b = c, so m_j keeps
@@ -311,9 +306,10 @@ class PTower:
 
     def matrices(self):
         """Yield m_1, m_2, ... by m_(j+1) = m_j F(e_j) m_j from m0."""
-        m = self.m0
+        F, m = self.F, self.m0
+        letters = [Mat2(F, F.one, ix, ix, F.zero) for ix in map(F.inv, self.eps)]
         for j in count():
-            m = m.mul(Mat2.letter_from_inv(self.F, self.inv_eps[j % self.period])).mul(m)
+            m = m.mul(letters[j % self.period]).mul(m)
             yield m
 
     def term(self, i: int):
@@ -332,13 +328,12 @@ class PTower:
         return Mat2(F, m0.a, b, c, d)
 
     def det_ratio(self, j: int):
-        """d_j / d_0^(2^j) = (1/e_0)^(2^j) ... (1/e_(j-1))^2, from d_(i+1) = d_i^2 / e_i^2.
-
-        At j = n it is the determinant drift lam of one period."""
+        """d_j / d_0^(2^j), the determinant's own step d_(i+1) = (d_i / e_i)^2
+        walked from one.  At j = n it is the determinant drift lam of one period."""
         F = self.F
         ratio = F.one
         for i in range(j):
-            ratio = F.mul(ratio, F.pow(self.inv_eps[i % self.period], 1 << (j - i)))
+            ratio = F.square(F.div(ratio, self.eps[i % self.period]))
         return ratio
 
     def tail_shift(self):

@@ -1,0 +1,108 @@
+"""Mutation checks: each row breaks the program at one place, in a copy of
+the tree, and the tests it names must then fail.
+
+Run from anywhere, with the standard library and pytest only:
+
+    python tests/mutants.py
+
+For each row the whole tree is copied to a temporary directory (the tests
+read files outside ``src``, such as ``README.md``), the row's old text must
+occur exactly once in its file and is replaced by the new text, and the
+row's tests are run there.  A run of the unmutated copy first requires
+every named test to pass.  It prints one line per row and exits 1 unless
+every mutant is killed: its tests fail, not merely fail to collect.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIP = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__")
+
+# (name, file, old text, new text, tests that must fail)
+ROWS = [
+    (
+        "p_relation: D's rotation dropped (e_1 .. e_(n-1), e_0 read as e_0 .. e_(n-1))",
+        "src/cf2/theorems.py",
+        "for t in steps[1:] + steps[:1]:",
+        "for t in steps:",
+        ["tests/test_theorems.py::test_relation_from_the_letters_is_the_towers_relation"],
+    ),
+    (
+        "p_relation: t0 = 1/(e_0 + r) without a^2",
+        "src/cf2/theorems.py",
+        "t0 = F.inv(F.mul(steps[0], F.square((a, 1))))",
+        "t0 = F.inv(steps[0])",
+        ["tests/test_theorems.py::test_relation_from_the_letters_is_the_towers_relation"],
+    ),
+    (
+        "PTower.det_ratio: step x <- x/e_i without its square",
+        "src/cf2/towers.py",
+        "ratio = F.square(F.div(ratio, self.eps[i % self.period]))",
+        "ratio = F.div(ratio, self.eps[i % self.period])",
+        ["tests/test_towers.py::test_exact_det_ratio_is_the_determinant_drift"],
+    ),
+    (
+        "_verdict: degree bound clause removed",
+        "src/cf2/theorems.py",
+        "ok = ok and tail is None and search.verified and search.found_degree <= bound",
+        "ok = ok and tail is None and search.verified",
+        ["tests/test_theorems.py::test_a_verified_relation_above_the_bound_fails_the_verdict"],
+    ),
+    (
+        "_div_sparse: each tap shifted one place too far",
+        "src/cf2/laurent.py",
+        "acc ^= y << i",
+        "acc ^= y << (i + 1)",
+        ["tests/test_laurent.py"],
+    ),
+    (
+        "frobenius_relation: feedback term t0/rho dropped from the constant",
+        "src/cf2/relations.py",
+        "const = F.add(F.square(const), F.mul(top, t0))",
+        "const = F.square(const)",
+        ["tests/test_relations.py", "tests/test_theorems.py"],
+    ),
+]
+
+
+def run_tests(tree: Path, tests: list[str]) -> int:
+    # no bytecode cache: a restored file of the mutant's size and second
+    # would otherwise load the mutant's cached bytecode
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=SKIP)
+        named = list(dict.fromkeys(t for row in ROWS for t in row[4]))
+        if run_tests(tree, named) != 0:
+            print("the unmutated tree fails the named tests; no mutant can be judged")
+            return 1
+        survivors = 0
+        for name, rel, old, new, tests in ROWS:
+            path = tree / rel
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"stale  {name}: old text occurs {text.count(old)} times in {rel}")
+                survivors += 1
+                continue
+            path.write_text(text.replace(old, new))
+            code = run_tests(tree, tests)
+            path.write_text(text)
+            killed = code == 1  # 1: tests ran and failed; anything else is not a kill
+            survivors += not killed
+            print(f"{'killed' if killed else 'ALIVE '} {name}" + ("" if killed else f" (pytest exit {code})"))
+    print(f"{len(ROWS) - survivors} of {len(ROWS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

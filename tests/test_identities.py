@@ -66,9 +66,10 @@ def test_reversed_matrix_walk_fails_tower_expansion(monkeypatch):
     # matrices() with its product in the wrong order, F(e) m m instead of
     # m F(e) m, no longer matches the scalar walk
     def reversed_walk(self):
-        m = self.m0
+        F, m = self.F, self.m0
         for j in count():
-            m = Mat2.letter_from_inv(self.F, self.inv_eps[j % self.period]).mul(m).mul(m)
+            ix = F.inv(self.eps[j % self.period])
+            m = Mat2(F, F.one, ix, ix, F.zero).mul(m).mul(m)
             yield m
 
     monkeypatch.setattr(PTower, "matrices", reversed_walk)

@@ -10,7 +10,7 @@ import pytest
 from cf2 import relations, theorems, towers
 from cf2.cli import main as cli_main
 from cf2.gf2poly import clmul, parse_poly
-from cf2.identities import generation_mismatch
+from cf2.identities import generation_mismatch, tail_mismatch
 from cf2.laurent import LaurentSeries
 from cf2.mat2 import RationalField
 from cf2.theorems import (
@@ -21,7 +21,7 @@ from cf2.theorems import (
     spec_series,
 )
 from cf2.relations import AlgRelation, max_degz
-from cf2.towers import HypothesisViolation, SpecMap, exact_g_quantities
+from cf2.towers import HypothesisViolation, SpecMap, exact_g_quantities, exact_p_tower
 from cf2.words import GSpec, PSpec, g_normalize, g_sigma, p_prefix, p_to_g
 
 SPB = SpecMap.binary_default()
@@ -69,6 +69,32 @@ def test_exact_relation_is_the_searched_relation(w0, eps, sp):
     search = theorems.search_relation(phi_fn, 1 << spec.period, 2048, sp.max_degree, first_val)
     assert search.verified
     assert theorems.p_relation(spec, sp).coeffs == search.relation.coeffs
+
+
+def tower_relation(spec, sp):
+    """phi's relation read off the P tower over K, with its tail step checked:
+    every insertion matrix has a = 0, so phi = a_0/(b_0 + sum_j H_j/e_j) with
+    H_j = residue_factor(j) H_0^(2^j), and H_0 solves rho X^(2^n) + X + T_0 = 0."""
+    t = exact_p_tower(spec, sp)
+    assert tail_mismatch(t, 1) is None
+    F, a0 = t.F, t.m0.a
+    lams = [F.div(F.div(t.residue_factor(j), t.eps[j]), a0) for j in range(t.period)]
+    return relations.frobenius_relation(F.div(t.m0.b, a0), lams, t.tail_shift(), t.term(0))
+
+
+RELATION_WORDS = ["", "0", "1", "10", "01", "010", "001", "011", "0010", "110", "1011"]
+RELATION_PERIODS = ["1", "0", "10", "01", "110", "1101", "11010", "110100"]
+
+
+@pytest.mark.parametrize("sp", ["0=z,1=z+1", "0=z^3+z+1,1=z", "0=z^2,1=z+1", "0=z^2+z+1,1=z^3"])
+def test_relation_from_the_letters_is_the_towers_relation(sp):
+    # the letters' closed form and the paper's tower derive phi's relation
+    # independently; they agree coefficient for coefficient, over start
+    # words that are not palindromes too
+    sp = SpecMap.parse(sp)
+    for w0, eps in product(RELATION_WORDS, RELATION_PERIODS):
+        spec = PSpec(w0, eps)
+        assert theorems.p_relation(spec, sp).coeffs == tower_relation(spec, sp).coeffs, (w0, eps)
 
 
 SP_Z2 = SpecMap.parse("0=z^2,1=z+1")
@@ -151,7 +177,8 @@ def test_relation_from_a_flipped_bit_fails_on_the_oracle(monkeypatch, which, bit
 
 @pytest.mark.parametrize("rho", ["zero", "flipped"])
 def test_failed_tail_step_fails_the_check(monkeypatch, rho):
-    # rho = 0 or T_1 != rho T_0^(2^n) over GF(2)(z): no relation is derived
+    # rho = 0 or T_1 != rho T_0^(2^n) over GF(2)(z): the relation from the
+    # letters still verifies, and the failed tail step alone fails the check
     build = theorems.exact_p_tower
 
     def broken(spec, sp):
@@ -162,9 +189,19 @@ def test_failed_tail_step_fails_the_check(monkeypatch, rho):
 
     monkeypatch.setattr(theorems, "exact_p_tower", broken)
     rep = check_theorem_p(PSpec("", "10"), SPB, 256)
-    assert not rep.passed and rep.search is None
-    assert rep.lines[-1] == "tail-step T1=rho*T0^4 fail"
+    assert not rep.passed and rep.search.verified
+    assert rep.lines[-2:] == ["tail-step tail shift k=0 fail", rep.search.report_line()]
     assert rep.all_lines()[-1] == "theorem-p fail"
+
+
+def test_a_verified_relation_above_the_bound_fails_the_verdict():
+    # every relation a driver derives or searches has degree <= its bound,
+    # so only a direct call reaches this clause of the verdict
+    search = check_theorem_p(PSpec("", "10"), SPB, 256).search
+    assert search.verified and search.found_degree == 4
+    assert theorems._verdict("theorem-p", 4, [], search).passed
+    rep = theorems._verdict("theorem-p", 2, [], search)
+    assert not rep.passed and rep.lines == [search.report_line()]
 
 
 def test_theorem_g_thue_morse():

@@ -75,7 +75,8 @@ def test_specmap_validation():
 def test_letter_matrix_det():
     F = SeriesField(32)
     x = LaurentSeries(-1, 1, 32)  # z
-    m = Mat2.letter_from_inv(F, F.inv(x))
+    ix = F.inv(x)
+    m = Mat2(F, F.one, ix, ix, F.zero)
     assert m.det().valuation == 2  # 1/z^2
 
 
@@ -180,7 +181,7 @@ def letter_by_letter(word, sp, F):
         else:
             d = x.bit_length() - 1
             ix = F.inv(LaurentSeries(-d, int(f"{x:b}"[::-1], 2), F.prec - 2 * d))
-        m = Mat2.letter_from_inv(F, ix).mul(m)
+        m = Mat2(F, F.one, ix, ix, F.zero).mul(m)
     return m
 
 
@@ -327,6 +328,17 @@ def test_exact_ptower_expands_to_the_series_tower(w0, eps):
     assert exact.term(n) == F.mul(rho, F.pow(t0, 1 << n))
 
 
+@pytest.mark.parametrize("w0, eps", [("10", "110"), ("011", "1101"), ("0", "01")])
+def test_exact_det_ratio_is_the_determinant_drift(w0, eps):
+    # over K with w0 != "", d_0 is not 1, so d_j / d_0^(2^j) is not d_j itself
+    t = exact_p_tower(PSpec(w0, eps), SpecMap.parse("0=z,1=z^3+z+1"))
+    F = t.F
+    assert t.ds[0] != F.one
+    for j in range(2 * t.period + 1):
+        assert t.det_ratio(j) == F.div(t.ds[j], F.pow(t.ds[0], 1 << j))
+        t.advance()
+
+
 @pytest.mark.parametrize("u0, v0, ups", [("a", "b", "011"), ("ab", "ca", "0110"), ("abcab", "cbbac", "11")])
 def test_exact_g_pair_is_the_word_matrices_times_their_letters(u0, v0, ups):
     # m1 = w0 m0 is the word matrix of u0 v0 over K, walked letter by letter
@@ -434,8 +446,9 @@ def test_expansion_is_the_sum_of_scaled_insertion_matrices(prec):
         lim = p_limits(spec, SpecMap.parse("0=z,1=z^3+z+1"), prec)
         t, F = lim.tower, lim.tower.F
         want = t.m0
-        for j, w in enumerate(lim.H):
-            want = want.add(Mat2(F, F.zero, t.inv_eps[j], t.inv_eps[j], F.one).scale(w))
+        for e, w in zip(t.eps, lim.H):
+            ix = F.inv(e)
+            want = want.add(Mat2(F, F.zero, ix, ix, F.one).scale(w))
         got = t.expansion(lim.H)
         for x, y in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
             assert (x.val, x.mask, x.prec) == (y.val, y.mask, y.prec)
