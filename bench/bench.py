@@ -8,14 +8,15 @@ per remainder step), ``laurent._inv_mask`` and the
 ``LaurentSeries`` product, inverse and cube at 1k, 4k, 16k and 64k bits;
 ``LaurentSeries.div`` of a dense 512- and 16k-bit series by the letters
 z+1, z^3+z+1 and z^4+z^3+z^2+z+1 (2, 3 and 5 terms, as the P tower
-holds them), or on a tree without it the product with the inverse;
+holds them);
 ``gf2poly.bit_reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
 65536, the convergent ``towers.convergent_pair`` of its 8197-letter prefix
 (the one that oracle reads at 16384), ``LaurentSeries.from_rational`` of its
 8192-letter convergent at precision 16384, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
-of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, and for that
-G spec its ``GQuantities`` over series and ``GLimits.residual_h``, the cube of a
+of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, for that P spec
+``PLimits.residual_h0`` and for that G spec its ``GQuantities`` over series
+and ``GLimits.residual_h``, the cube of a
 three-term series at valuation and precision ~10^8; ``Gf2m.mul``,
 ``Mat2.mul`` and ``Mat2.square`` over GF(2^16) (a dense operand and one
 with a zero entry), ``Mat2.mul`` over series at 4k bits and
@@ -33,15 +34,16 @@ the explore search (degX 16, degZ 256), and ``sigma_inv_word`` of the
 ``AlgRelation.evaluate`` of the relation found there on P6's series at
 twice it; ``theorems.p_relation``,
 theorem 1's exact relation over GF(2)(z), for P6-P9 (P7's word 1101000,
-P8's 11010000, P9's 110100000), and the whole ``check_theorem_p`` verdict
-for P6-P8 at prec 512; on the corollary chain's fourth spec (eps=10,
+P8's 11010000, P9's 110100000), the whole ``check_theorem_p`` verdict
+for P6-P8 at prec 512, and the exact tail check it runs,
+``identities.tail_mismatch`` over one period of ``towers.exact_p_tower``
+for P6 (eps=110100); on the corollary chain's fourth spec (eps=10,
 start words of 128 letters, binary map) the whole ``check_theorem_g``
 verdict at prec 512, the exact generation check it runs,
 ``identities.generation_mismatch`` over generations 0 and 1 of
 ``towers.exact_g_quantities``, its start matrices as
 ``towers._word_product`` and its start pair (m1, w1) over series at prec
-512 (``towers.g_start_pair``, or on an older tree the product of the two
-matrices ``towers.g_start_matrices`` returns), and the whole corollary chain
+512 (``towers.g_start_pair``), and the whole corollary chain
 ``check_corollary_chain`` (eps=10, k=4, prec 512) that ends on that
 spec; the whole ``check_theorem_g`` verdict on the
 all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
@@ -108,20 +110,6 @@ ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
 PERIODIC_LENGTHS = (1, 128, 600)  # start-word lengths of the all-zero swap period rows
 
 
-def start_pair(towers):
-    """The function (spec, sp, prec) -> (F, m1, w1) of a tree: ``g_start_pair``,
-    or on a tree from before it the cross products of the two start matrices
-    that ``g_start_matrices`` returns."""
-    if hasattr(towers, "g_start_pair"):
-        return towers.g_start_pair
-
-    def pair(spec, sp, prec):
-        F, m0, w0 = towers.g_start_matrices(spec, sp, prec)
-        return F, w0.mul(m0), m0.mul(w0)
-
-    return pair
-
-
 def relation_cases(relations, towers, words):
     """(name, function, args) for the relation-search rows: each series is
     built here, at the precision the first search round uses."""
@@ -148,23 +136,22 @@ def relation_cases(relations, towers, words):
     return out + [("sigma_inv_word.9k", words.sigma_inv_word, (prefix,))]
 
 
-def exact_cases(theorems, towers, words):
-    """(name, function, args) for the exact theorem-1 relation rows; none for
-    a tree older than ``theorems.p_relation``, so trees from before it compare."""
-    if not hasattr(theorems, "p_relation"):
-        return []
+def exact_cases(identities, theorems, towers, words):
+    """(name, function, args) for the exact theorem-1 rows: the relation from
+    the letters, the whole verdict, and the exact tail check of P6."""
     spb = towers.SpecMap.binary_default()
     out = [(f"p_relation.P{n}", theorems.p_relation, (words.PSpec("", eps), spb)) for n, eps in EXACT_LADDER.items()]
-    return out + [
+    out += [
         (f"check_theorem_p.P{n}", theorems.check_theorem_p, (words.PSpec("", EXACT_LADDER[n]), spb, 512))
         for n in (6, 7, 8)
     ]
+    p6 = words.PSpec("", EXACT_LADDER[6])
+    return out + [("tail_mismatch.exact.P6", lambda: identities.tail_mismatch(towers.exact_p_tower(p6, spb), 1), ())]
 
 
 def tail_step_cases(identities, theorems, towers, words):
     """(name, function, args) for the family-G rows on the corollary chain's
-    fourth spec and the whole chain; the rows of code a tree lacks are left
-    out."""
+    fourth spec and the whole chain."""
     period_doubling = words.PSpec("", "10")
     spec = words.p_to_g(period_doubling)
     for _ in range(3):
@@ -172,16 +159,14 @@ def tail_step_cases(identities, theorems, towers, words):
     norm = words.g_normalize(spec)
     spb = towers.SpecMap.binary_default()
     starts = (norm.spec.u0, norm.spec.v0)
-    out = [
-        ("g_start_pair.series.G128", start_pair(towers), (norm.spec, spb, 512)),
+    exact = lambda: identities.generation_mismatch(towers.exact_g_quantities(norm, spb), 1)  # noqa: E731
+    return [
+        ("g_start_pair.series.G128", towers.g_start_pair, (norm.spec, spb, 512)),
         ("check_corollary_chain.k4", theorems.check_corollary_chain, (period_doubling, spb, 4, 512)),
+        ("_word_product.G128", lambda: [towers._word_product(w, spb) for w in starts], ()),
+        ("generation_mismatch.exact.G128", exact, ()),
+        ("check_theorem_g.G128", theorems.check_theorem_g, (spec, spb, 512)),
     ]
-    if hasattr(towers, "_word_product"):
-        out.append(("_word_product.G128", lambda: [towers._word_product(w, spb) for w in starts], ()))
-    if hasattr(identities, "generation_mismatch"):
-        exact = lambda: identities.generation_mismatch(towers.exact_g_quantities(norm, spb), 1)  # noqa: E731
-        out.append(("generation_mismatch.exact.G128", exact, ()))
-    return out + [("check_theorem_g.G128", theorems.check_theorem_g, (spec, spb, 512))]
 
 
 def periodic_cases(theorems, towers, words):
@@ -262,13 +247,12 @@ def cases(gf2poly, laurent):
             (f"LaurentSeries.inv.{label}", laurent.LaurentSeries.inv, (sa,)),
             (f"LaurentSeries.pow.{label}", laurent.LaurentSeries.pow, (sa, 3)),
         ]
-    divide = getattr(laurent.LaurentSeries, "div", lambda a, b: a * b.inv())
     for label, n in (("512", 512), ("16k", SIZES["16k"])):
         dense = laurent.LaurentSeries(0, random.Random(n).getrandbits(n) | 1, n)
         for weight, e in ((2, 0b11), (3, 0b1011), (5, 0b11111)):
             d = e.bit_length() - 1
             letter = laurent.LaurentSeries(-d, gf2poly.bit_reverse(e, d + 1), n - 2 * d)
-            out.append((f"LaurentSeries.div.w{weight}.{label}", divide, (dense, letter)))
+            out.append((f"LaurentSeries.div.w{weight}.{label}", laurent.LaurentSeries.div, (dense, letter)))
     n = SIZES["16k"]
     poly = random.Random(n).getrandbits(n) | (1 << (n - 1))
     sa = laurent.LaurentSeries(0, poly, n)
@@ -287,13 +271,15 @@ def oracle_cases(laurent, towers, words):
     spab = towers.SpecMap.parse("a=z,b=z+1")
     gspec = words.GSpec("ab", "ba", "11")
     norm = words.g_normalize(gspec)
-    F, m1, w1 = start_pair(towers)(norm.spec, spab, SIZES["16k"])
+    F, m1, w1 = towers.g_start_pair(norm.spec, spab, SIZES["16k"])
+    p_lim = towers.p_limits(words.PSpec("10", "110"), spb, SIZES["16k"])
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
         ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
         ("convergent_pair.8197", towers.convergent_pair, (words.p_prefix(words.PSpec("", "110"), 8197), spb)),
         ("from_rational.16k", laurent.LaurentSeries.from_rational, (num, den, SIZES["16k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),
+        ("PLimits.residual_h0.16k", towers.PLimits.residual_h0, (p_lim,)),
         ("g_limits.16k", towers.g_limits, (gspec, spab, SIZES["16k"])),
         ("GQuantities.series.16k", towers.GQuantities, (F, m1, w1, norm.s)),
         ("GLimits.residual_h.16k", towers.GLimits.residual_h, (towers.g_limits(gspec, spab, SIZES["16k"]),)),
@@ -310,7 +296,7 @@ def worker(src: str, quick: bool) -> None:
     todo += field_cases(gf2m, identities, laurent, mat2, towers)
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
-    todo += exact_cases(theorems, towers, words) + tail_step_cases(identities, theorems, towers, words)
+    todo += exact_cases(identities, theorems, towers, words) + tail_step_cases(identities, theorems, towers, words)
     todo += periodic_cases(theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()

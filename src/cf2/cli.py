@@ -255,7 +255,7 @@ def cmd_relation(args, out) -> int:
             print("relation none", file=out)
             return 1
         print(rel.render(), file=out)
-        print(rel.summary(phi.prec), file=out)
+        print(rel.summary(rel.evaluate(phi).known_zero_below(), phi.prec), file=out)
         return 0
     spec, sp = _spec_prologue(args, out, degx=args.degx, degz=args.degz)
     phi_fn, first_val = spec_series(spec, sp)

@@ -174,24 +174,24 @@ def tail_mismatch(t: PTower, k_max: int, mutate: bool = False) -> str | None:
     """The first tail equation that a fresh tower t, over any field, breaks
     in its first k_max periods, or None; t is advanced k_max n + 1 steps.
 
-    Tail terms T_k = d_{kn}/L_{kn+1} shift by a k-independent factor:
-    T_{k+1} = rho T_k^(2^n) with rho = lam L_1^(2^n-1)/L_n^2, where lam is
-    the tower's determinant drift over one period; likewise the residue-j terms
-    are T_k^(2^j) d_j/d_0^(2^j) L_1^(2^j)/L_{j+1}, for any periodic s.  The
-    mutated control swaps in the collapsed-product form lam/L_1, which
-    only holds when the running products are trivial.
+    Tail terms T_k = d_{kn}/L_{kn+1} shift by k-independent factors, for any
+    periodic s: term(kn + j) = T_k^(2^j) residue_factor(j) for j = 1 .. n,
+    and j = n is the tail shift T_{k+1} = rho T_k^(2^n) with rho =
+    lam L_1^(2^n-1)/L_n^2, lam the tower's determinant drift over one period.
+    The mutated control swaps in the collapsed-product form lam/L_1 for rho,
+    which only holds when the running products are trivial.
     """
     F, n = t.F, t.period
     for _ in range(k_max * n + 1):
         t.advance()
-    rho = F.mul(t.det_ratio(n), F.inv(t.Ls[1])) if mutate else t.tail_shift()
+    factors = [t.residue_factor(j) for j in range(1, n + 1)]
+    if mutate:
+        factors[-1] = F.mul(t.det_ratio(n), F.inv(t.Ls[1]))
     for k in range(k_max):
         t_k = t.term(k * n)
-        if not F.eq(t.term((k + 1) * n), F.mul(rho, F.pow(t_k, 1 << n))):
-            return f"tail shift k={k}"
-        for j in range(1, n):
-            if not F.eq(t.term(k * n + j), F.mul(F.pow(t_k, 1 << j), t.residue_factor(j))):
-                return f"residue term j={j} k={k}"
+        for j, factor in enumerate(factors, 1):
+            if not F.eq(t.term(k * n + j), F.mul(F.pow(t_k, 1 << j), factor)):
+                return f"tail shift k={k}" if j == n else f"residue term j={j} k={k}"
     return None
 
 

@@ -28,7 +28,7 @@ powers of a root of rho X^(2^n) + X + t0, as family P's 1/phi is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gf2poly import bit_reverse, cldivmod, clgcd, clmul, poly_str
 from .laurent import LaurentSeries
@@ -43,18 +43,21 @@ def required_precision(degx: int, degz: int, val: int) -> int:
 
 @dataclass(frozen=True)
 class AlgRelation:
-    """Candidate annihilating polynomial sum(p_i(z) * X^i), content 1, each
-    p_i a bit-packed GF(2)[z] int."""
+    """Candidate annihilating polynomial sum(p_i(z) * X^i), each p_i a
+    bit-packed GF(2)[z] int, held normalized: built from any coefficients,
+    it drops the top zeros and divides out the content."""
 
     coeffs: tuple[int, ...]
-    verified_prec: int
+
+    def __post_init__(self):
+        polys = list(self.coeffs)
+        while polys and not polys[-1]:
+            polys.pop()
+        object.__setattr__(self, "coeffs", _content_normalize(polys))
 
     @property
     def degx(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and not self.coeffs[d]:
-            d -= 1
-        return d
+        return len(self.coeffs) - 1
 
     @property
     def degz(self) -> int:
@@ -77,10 +80,10 @@ class AlgRelation:
             raise ValueError("empty relation")
         return acc
 
-    def summary(self, prec: int) -> str:
-        """The ``degree= degZ= residual_val= prec=`` report line, with the
-        residual bound this relation was verified to at precision prec."""
-        return f"degree={self.degx} degZ={self.degz} residual_val={self.verified_prec} prec={prec}"
+    def summary(self, residual_val: int, prec: int) -> str:
+        """The ``degree= degZ= residual_val= prec=`` report line, with
+        residual_val the residual bound verified at precision prec."""
+        return f"degree={self.degx} degZ={self.degz} residual_val={residual_val} prec={prec}"
 
     def render(self) -> str:
         """Canonical text: descending X powers, '+'-separated."""
@@ -191,16 +194,10 @@ def find_relation(phi: LaurentSeries, degx: int, degz: int | None = None) -> Alg
     m = degx + 1
     width = (d + 1) * m
     bits = f"{bit_reverse(cols[degs.index(d)], width):0{width}b}"
-    polys = [int(bits[i::m], 2) for i in range(m)]
-    while not polys[-1]:
-        polys.pop()
-    rel = AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
-    residual = rel.residual(powers)
+    rel = AlgRelation(tuple(int(bits[i::m], 2) for i in range(m)))
     # the basis checks p_i*phi^i short of its own precision when i < degx
     # or deg p_i < d; the residual must vanish on those orders too
-    if not residual.is_zero:
-        return None
-    return replace(rel, verified_prec=residual.known_zero_below())
+    return rel if rel.residual(powers).is_zero else None
 
 
 def frobenius_relation(y0, lams, rho, t0) -> AlgRelation:
@@ -212,42 +209,38 @@ def frobenius_relation(y0, lams, rho, t0) -> AlgRelation:
     X^(2^(n-1)), so its non-constant part is a vector in K^n and some
     i <= n has the first K-linear dependency sum_(k<=i) alpha_k Y^(2^k) =
     beta, alpha_i = 1: the least affine additive relation of Y (a left
-    multiple in the Frobenius-twisted ring K{tau}).  Times phi^(2^i) it
-    is sum_k alpha_k phi^(2^i - 2^k) + beta phi^(2^i) = 0, returned with
-    denominators and content cleared."""
+    multiple in the Frobenius-twisted ring K{tau}).  Each Y^(2^i) enters the
+    elimination as a vector in K^(n+1), its constant as coordinate n, and
+    pivots lie in coordinates 0 .. n-1 only: at the dependency the reduced
+    vector is zero but for coordinate n, which is beta.  Times phi^(2^i) the
+    dependency is sum_k alpha_k phi^(2^i - 2^k) + beta phi^(2^i) = 0,
+    returned with denominators cleared, as an ``AlgRelation``."""
     F = RationalField()
     n, inv_rho = len(lams), F.inv(rho)
-    const, part = y0, list(lams)  # Y^(2^i) = const + sum_j part[j] X^(2^j)
-    consts, rows = [], []  # rows: (pivot, reduced part, its alpha over the Y^(2^k))
-    # n + 1 parts in K^n: the loop ends on a dependency by i = n
+    part = [*lams, y0]  # Y^(2^i) = part[n] + sum_(j<n) part[j] X^(2^j)
+    rows = []  # (pivot, reduced part, its alpha over the Y^(2^k))
+    # n + 1 non-constant parts in K^n: the loop ends on a dependency by i = n
     for i in range(n + 1):
-        consts.append(const)
         vec, alpha = part, [F.one if k == i else F.zero for k in range(n + 1)]
         for p, row, row_alpha in rows:
             f = vec[p]
             if not F.is_zero(f):
                 vec = [F.add(x, F.mul(f, y)) for x, y in zip(vec, row)]
                 alpha = [F.add(x, F.mul(f, y)) for x, y in zip(alpha, row_alpha)]
-        pivot = next((j for j, x in enumerate(vec) if not F.is_zero(x)), None)
+        pivot = next((j for j, x in enumerate(vec[:n]) if not F.is_zero(x)), None)
         if pivot is None:
             break
         s = F.inv(vec[pivot])
         rows.append((pivot, [F.mul(s, x) for x in vec], [F.mul(s, x) for x in alpha]))
         # square, then feed the top term X^(2^n) = (X + t0)/rho back
-        top = F.mul(F.square(part[-1]), inv_rho)
-        const = F.add(F.square(const), F.mul(top, t0))
-        part = [top, *map(F.square, part[:-1])]
-    beta = F.zero
-    for a, c in zip(alpha, consts):
-        beta = F.add(beta, F.mul(a, c))
+        top = F.mul(F.square(part[n - 1]), inv_rho)
+        part = [top, *map(F.square, part[:n - 1]), F.add(F.square(part[n]), F.mul(top, t0))]
     terms = {(1 << i) - (1 << k): alpha[k] for k in range(i + 1)}
-    terms[1 << i] = beta
+    terms[1 << i] = vec[n]  # beta
     lcm = 1
     for _, den in terms.values():
         lcm = clmul(lcm, cldivmod(den, clgcd(lcm, den))[0])
     polys = [0] * ((1 << i) + 1)
     for e, (num, den) in terms.items():
         polys[e] = clmul(num, cldivmod(lcm, den)[0])
-    while not polys[-1]:
-        polys.pop()
-    return AlgRelation(coeffs=_content_normalize(polys), verified_prec=0)
+    return AlgRelation(tuple(polys))

@@ -21,8 +21,7 @@ from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
 from .mat2 import RationalField
 from .relations import (
-    AlgRelation, _content_normalize, certifying_precision, find_relation, frobenius_relation, max_degz,
-    required_precision,
+    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, required_precision,
 )
 from .towers import (
     SpecMap,
@@ -70,7 +69,7 @@ class RelationSearch:
                 f"relation none degX<={self.degx_limit} degZ={self.degz_used}"
                 f" prec={self.discovery_prec}"
             )
-        line = self.relation.summary(self.verify_prec)
+        line = self.relation.summary(self.residual_bound, self.verify_prec)
         return line if self.verified else f"{line} below {self.threshold}"
 
 
@@ -139,7 +138,6 @@ def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> RelationSearch:
     residual = rel.evaluate(phi2)
     bound = residual.known_zero_below()
     verified = residual.is_zero and bound >= threshold
-    rel = replace(rel, verified_prec=bound)
     return RelationSearch(rel, degx, degz, p1, p2, threshold, bound, verified, phi2)
 
 
@@ -196,7 +194,7 @@ def periodic_relation(word: str, sp: SpecMap) -> AlgRelation:
     """phi = [word, word, ...] is fixed by the Mobius map of ``_word_product(word)``
     = ((a, b), (c, d)), phi = (a phi + b)/(c phi + d): so c phi^2 + (a + d) phi + b = 0."""
     a, b, c, d = _word_product(word, sp)
-    return AlgRelation(_content_normalize([b, a ^ d, c]), 0)
+    return AlgRelation((b, a ^ d, c))
 
 
 def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation:

@@ -266,9 +266,11 @@ class PTower:
     e_0 .. e_(n-1).  Each step records the running product
     L_(j+1) = L_j l_j = L_j^2 s_(j mod n) (L_0 = 1), with the step scalar
     ``l(j)`` = L_j s_(j mod n) and s_i = (b_0 + c_0)/e_i + a_0 read off m0,
-    and the determinant d_(j+1) = d_j^2 / e_j^2.  ``matrices()`` is the
-    reference walk of the matrices themselves.  Every step divides by its
-    letter; only ``matrices()`` inverts one.
+    and the determinant d_(j+1) = d_j^2 / e_j^2.  ``residue_factor(j)``
+    weights the tail terms of residue j; at j = n it is the tail shift rho,
+    which has no other formula.  ``matrices()`` is the reference walk of
+    the matrices themselves.  Every step divides by its letter; only
+    ``matrices()`` inverts one.
     """
 
     def __init__(self, F, m0: Mat2, eps: list):
@@ -336,20 +338,15 @@ class PTower:
             ratio = F.square(F.div(ratio, self.eps[i % self.period]))
         return ratio
 
-    def tail_shift(self):
-        """rho = lam L_1^(2^n - 1) / L_n^2, with lam = det_ratio(n) the drift of one period n.
-
-        The tail terms T_k = term(kn) satisfy T_(k+1) = rho T_k^(2^n).
-        """
-        F = self.F
-        n = self.period
-        shifted = F.mul(self.det_ratio(n), F.pow(self.Ls[1], (1 << n) - 1))
-        return F.mul(shifted, F.pow(F.inv(self.Ls[n]), 2))
-
     def residue_factor(self, j: int):
-        """det_ratio(j) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j) times this factor."""
+        """det_ratio(j) L_1^(2^j) / L_(j+1): term(kn + j) is T_k^(2^j) times this
+        factor, with T_k = term(kn).  L_(j+1) is taken as ``advance`` takes it,
+        so no step past j is needed.  At j = n it is the tail shift
+        rho = lam L_1^(2^n - 1) / L_n^2 (L_(n+1) = L_n^2 L_1), with lam =
+        det_ratio(n) the drift of one period: T_(k+1) = rho T_k^(2^n)."""
         F = self.F
-        return F.mul(F.mul(self.det_ratio(j), F.pow(self.Ls[1], 1 << j)), F.inv(self.Ls[j + 1]))
+        L_next = F.mul(F.square(self.Ls[j]), self.s[j % self.period])
+        return F.mul(F.mul(self.det_ratio(j), F.pow(self.Ls[1], 1 << j)), F.inv(L_next))
 
 
 def _p_tower(spec: PSpec, sp: SpecMap, F) -> PTower:
@@ -417,18 +414,15 @@ class PLimits:
         return self.f.pow(1 << n) * self.tower.Ls[n] + self.f
 
     def residual_h0(self) -> LaurentSeries:
-        """H_0^(2^n) * lam * L_1^(2^n - 1) / L_n^2 + H_0 + d_0 / L_1, with lam
-        the tower's determinant drift.
+        """H_0^(2^n) * rho + H_0 + d_0 / L_1, with rho = residue_factor(n).
 
         The tail terms T_k = d_{kn}/L_{kn+1} satisfy T_{k+1} = rho T_k^(2^n)
-        with rho = lam L_1^(2^n-1)/L_n^2 (k-independent by the power-shift
-        identity applied at period multiples), so the tail sum telescopes.
-        When the running products collapse to 1 this is the plain
-        H_0^(2^n) lam / L_1 form.
+        (rho is k-independent by the power-shift identity applied at period
+        multiples), so the tail sum telescopes.  When the running products
+        collapse to 1, rho is the plain lam / L_1, lam = det_ratio(n).
         """
         t = self.tower
-        rho = t.tail_shift()
-        return self.H[0].pow(1 << t.period) * rho + self.H[0] + t.term(0)
+        return self.H[0].pow(1 << t.period) * t.residue_factor(t.period) + self.H[0] + t.term(0)
 
     def residual_hj(self, j: int) -> LaurentSeries:
         """H_j + H_0^(2^j) * (d_j / d_0^(2^j)) * (L_1^(2^j) / L_{j+1})."""

@@ -63,9 +63,30 @@ ROWS = [
     (
         "frobenius_relation: feedback term t0/rho dropped from the constant",
         "src/cf2/relations.py",
-        "const = F.add(F.square(const), F.mul(top, t0))",
-        "const = F.square(const)",
+        "F.add(F.square(part[n]), F.mul(top, t0))",
+        "F.square(part[n])",
         ["tests/test_relations.py", "tests/test_theorems.py"],
+    ),
+    (
+        "PTower.residue_factor: step scalar read as s_0 instead of s_(j mod n)",
+        "src/cf2/towers.py",
+        "L_next = F.mul(F.square(self.Ls[j]), self.s[j % self.period])",
+        "L_next = F.mul(F.square(self.Ls[j]), self.s[0])",
+        ["tests/test_towers.py::test_residue_factor_at_one_period_is_the_tail_shift"],
+    ),
+    (
+        "frobenius_relation: beta left at zero",
+        "src/cf2/relations.py",
+        "terms[1 << i] = vec[n]",
+        "terms[1 << i] = F.zero",
+        ["tests/test_theorems.py::test_exact_relation_is_the_searched_relation"],
+    ),
+    (
+        "AlgRelation: content division dropped from __post_init__",
+        "src/cf2/relations.py",
+        'object.__setattr__(self, "coeffs", _content_normalize(polys))',
+        'object.__setattr__(self, "coeffs", tuple(polys))',
+        ["tests/test_relations.py::test_relation_is_held_normalized"],
     ),
 ]
 

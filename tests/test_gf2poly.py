@@ -346,6 +346,10 @@ def test_irreducibility_small():
     assert not is_irreducible(0b110)  # z(z+1)
     assert min_irreducible(2) == 0b111
     assert min_irreducible(3) == 0b1011
+    # constants are not irreducible; both linear polynomials are
+    assert not is_irreducible(0) and not is_irreducible(1)
+    assert is_irreducible(0b10) and is_irreducible(0b11)
+    assert min_irreducible(1) == 0b10
 
 
 def test_min_irreducible_is_minimal():

@@ -64,6 +64,11 @@ def test_rational_zero_denominator():
         LaurentSeries.from_rational(1, 0, 8)
 
 
+def test_rational_zero_numerator_is_zero_to_precision():
+    s = LaurentSeries.from_rational(0, parse_poly("z^2+1"), 8)
+    assert s.is_zero and s == LaurentSeries.zero(8)
+
+
 def test_rational_needs_precision_past_the_valuation():
     den = parse_poly("z^3+1")
     with pytest.raises(ValueError, match="^precision 3 too small for valuation 3$"):

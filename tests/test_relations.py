@@ -2,7 +2,6 @@
 gates, and the order basis against a dense-elimination reference."""
 
 import random
-from dataclasses import replace
 from functools import reduce
 from itertools import product
 
@@ -66,8 +65,7 @@ def eliminate(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
                 continue
             polys = [(track >> (k * width)) & ((1 << width) - 1) for k in range(i + 1)]
             content = reduce(clgcd, polys)
-            rel = AlgRelation(coeffs=tuple(cldivmod(p, content)[0] for p in polys), verified_prec=0)
-            return replace(rel, verified_prec=rel.evaluate(phi).known_zero_below())
+            return AlgRelation(tuple(cldivmod(p, content)[0] for p in polys))
     return None
 
 
@@ -151,7 +149,7 @@ def test_mutated_relation_has_finite_residual():
     rel = find_relation(phi, 4, 12)
     coeffs = list(rel.coeffs)
     coeffs[1] = coeffs[1] ^ 1  # flip one coefficient bit
-    bad = AlgRelation(tuple(coeffs), 0)
+    bad = AlgRelation(tuple(coeffs))
     res = bad.evaluate(phi)
     assert not res.is_zero
     assert bad.evaluate(phi).known_zero_below() < 64
@@ -196,7 +194,7 @@ def test_sparse_evaluate_equals_the_dense_residual(spec, sp, degx, prec):
     phi = phi_fn(search.verify_prec)
     coeffs = list(search.relation.coeffs)
     coeffs[1] = coeffs[1] ^ 1  # a mutant whose residual is not zero
-    for rel in (search.relation, AlgRelation(tuple(coeffs), 0)):
+    for rel in (search.relation, AlgRelation(tuple(coeffs))):
         dense = chain(phi, len(rel.coeffs) - 1)
         assert fields(rel.evaluate(phi)) == fields(rel.residual(dense))
 
@@ -230,8 +228,26 @@ def test_content_normalize_divides_out_the_common_factor():
     assert _content_normalize([z, z1]) == (z, z1)
 
 
+def test_relation_is_held_normalized():
+    # built with top zeros, a common factor, or both, a relation holds its
+    # normalized polynomial, and degX counts its coefficients
+    z, z1 = parse_poly("z"), parse_poly("z+1")
+    want = AlgRelation((z, z1))
+    assert want.coeffs == (z, z1) and want.degx == 1
+    for coeffs in [(z, z1, 0, 0), (clmul(z1, z), clmul(z1, z1)), (clmul(z, z), clmul(z, z1), 0)]:
+        rel = AlgRelation(coeffs)
+        assert rel == want and rel.coeffs == (z, z1) and rel.degx == 1, coeffs
+
+
+def test_all_zero_relation_has_no_residual():
+    rel = AlgRelation((0, 0, 0))
+    assert rel.coeffs == ()
+    with pytest.raises(ValueError, match="^empty relation$"):
+        rel.evaluate(LaurentSeries.one(64))
+
+
 def test_render_ordering():
-    rel = AlgRelation((1, 0, parse_poly("z")), 0)
+    rel = AlgRelation((1, 0, parse_poly("z")))
     assert rel.render() == "X^2*(z) + X^0*(1)"
 
 
@@ -443,7 +459,7 @@ def test_support_missing_a_frobenius_column_falls_back_to_dense(n):
     coeffs = list(dense.relation.coeffs)
     assert coeffs[degx - 1]
     coeffs[degx - 1] = 0
-    residual = AlgRelation(tuple(coeffs), 0).evaluate(phi_fn(dense.verify_prec))
+    residual = AlgRelation(tuple(coeffs)).evaluate(phi_fn(dense.verify_prec))
     assert not residual.is_zero and residual.known_zero_below() < dense.threshold
 
 

@@ -35,6 +35,15 @@ def test_theorem_p_period_two():
     assert rep.agreement >= 254
 
 
+def test_theorem_p_whose_tower_stops_at_one_period():
+    # at prec 64 the period-8 tower converges after its first period, so the
+    # tail shift rho = residue_factor(8) must take L_9 without a step past 8
+    spec = PSpec("", "11010000")
+    assert towers.p_limits(spec, SPB, 64).tower.step == spec.period
+    rep = check_theorem_p(spec, SPB, 64)
+    assert rep.passed and rep.search.found_degree == 256
+
+
 def test_theorem_p_nonempty_seed():
     rep = check_theorem_p(PSpec("10", "10"), SPB, 256)
     assert rep.passed and rep.search.found_degree <= 4
@@ -79,7 +88,7 @@ def tower_relation(spec, sp):
     assert tail_mismatch(t, 1) is None
     F, a0 = t.F, t.m0.a
     lams = [F.div(F.div(t.residue_factor(j), t.eps[j]), a0) for j in range(t.period)]
-    return relations.frobenius_relation(F.div(t.m0.b, a0), lams, t.tail_shift(), t.term(0))
+    return relations.frobenius_relation(F.div(t.m0.b, a0), lams, t.residue_factor(t.period), t.term(0))
 
 
 RELATION_WORDS = ["", "0", "1", "10", "01", "010", "001", "011", "0010", "110", "1011"]
@@ -183,8 +192,9 @@ def test_failed_tail_step_fails_the_check(monkeypatch, rho):
 
     def broken(spec, sp):
         t = build(spec, sp)
-        shift = t.tail_shift
-        t.tail_shift = (lambda: t.F.zero) if rho == "zero" else (lambda: _flip(shift(), 1))
+        factor = t.residue_factor
+        broken_rho = (lambda: t.F.zero) if rho == "zero" else (lambda: _flip(factor(t.period), 1))
+        t.residue_factor = lambda j: broken_rho() if j == t.period else factor(j)
         return t
 
     monkeypatch.setattr(theorems, "exact_p_tower", broken)
@@ -269,7 +279,7 @@ def test_periodic_relation_with_a_flipped_bit_fails(monkeypatch, bit, line):
         for letter in word:
             u = sp.poly(letter)
             a, b, c, d = clmul(a, u) ^ b, a, clmul(c, u) ^ d, c
-        return AlgRelation((b, a ^ d ^ (1 << bit), c), 0)
+        return AlgRelation((b, a ^ d ^ (1 << bit), c))
 
     monkeypatch.setattr(theorems, "periodic_relation", mutated)
     rep = check_theorem_g(GSpec("ab", "ba", "0"), SPAB, 512)

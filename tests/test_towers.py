@@ -319,12 +319,12 @@ def test_exact_ptower_expands_to_the_series_tower(w0, eps):
         exact.advance()
         series.advance()
     F = exact.F
-    pairs = [(exact.tail_shift(), series.tail_shift()), (exact.term(0), series.term(0))]
-    pairs += [(exact.residue_factor(j), series.residue_factor(j)) for j in range(n)]
+    pairs = [(exact.term(0), series.term(0))]
+    pairs += [(exact.residue_factor(j), series.residue_factor(j)) for j in range(n + 1)]
     pairs += list(zip(exact.Ls, series.Ls))
     for x, y in pairs:
         assert not y.is_zero and _expand(x, prec).agrees(y)
-    rho, t0 = exact.tail_shift(), exact.term(0)
+    rho, t0 = exact.residue_factor(n), exact.term(0)
     assert exact.term(n) == F.mul(rho, F.pow(t0, 1 << n))
 
 
@@ -337,6 +337,44 @@ def test_exact_det_ratio_is_the_determinant_drift(w0, eps):
     for j in range(2 * t.period + 1):
         assert t.det_ratio(j) == F.div(t.ds[j], F.pow(t.ds[0], 1 << j))
         t.advance()
+
+
+def _drawn_p_tower(n: int, seed: int) -> towers.PTower:
+    """A period-n P tower over GF(2^16) from a drawn start matrix and letters."""
+    F = field(16)
+    rng = random.Random(seed)
+    while True:
+        m0 = Mat2(F, *(F.sample(rng) for _ in range(4)))
+        try:
+            return towers.PTower(F, m0, [F.sample_invertible(rng) for _ in range(n)])
+        except DegenerateDraw:
+            continue
+
+
+def _residue_factor_reference(t: towers.PTower, j: int):
+    """det_ratio(j) L_1^(2^j) / L_(j+1) from the walked running products for
+    j < n, and at j = n the tail shift's own formula,
+    rho = det_ratio(n) L_1^(2^n - 1) / L_n^2."""
+    F, n = t.F, t.period
+    if j < n:
+        return F.mul(F.mul(t.det_ratio(j), F.pow(t.Ls[1], 1 << j)), F.inv(t.Ls[j + 1]))
+    shifted = F.mul(t.det_ratio(n), F.pow(t.Ls[1], (1 << n) - 1))
+    return F.mul(shifted, F.pow(F.inv(t.Ls[n]), 2))
+
+
+@pytest.mark.parametrize("eps", ["1", "10", "110", "1101"])
+def test_residue_factor_at_one_period_is_the_tail_shift(eps):
+    # after n steps, L_(n+1) is not walked: residue_factor(n) takes it as a
+    # step would, L_n^2 s_0 = L_n^2 L_1, and so equals rho, over K (start word
+    # and letters of distinct degrees) and on drawn GF(2^16) towers
+    n = len(eps)
+    exact = exact_p_tower(PSpec("10", eps), SpecMap.parse("0=z,1=z^3+z+1"))
+    for t in [exact, *(_drawn_p_tower(n, seed) for seed in range(20))]:
+        for _ in range(n):
+            t.advance()
+        assert len(t.Ls) == n + 1
+        for j in range(n + 1):
+            assert t.F.eq(t.residue_factor(j), _residue_factor_reference(t, j)), (t.F, j)
 
 
 @pytest.mark.parametrize("u0, v0, ups", [("a", "b", "011"), ("ab", "ca", "0110"), ("abcab", "cbbac", "11")])
