@@ -48,6 +48,10 @@ verdict at prec 512, the exact generation check it runs,
 spec; the whole ``check_theorem_g`` verdict on the
 all-zero swap period ups=0 with u0 the first 1, 128 and 600 letters of
 the period-doubling word and v0=1 at prec 512 (binary map);
+``relations.norm_relation``, theorem 2's exact relation over GF(2)(z),
+from the affine form of the G ladder's rungs G2, G4, G5 and G6 (u0=a,
+v0=b, ups 11, 1001, 10001, 100001, a=z, b=z+1; a tree without it skips
+these rows), and the whole ``check_theorem_g`` verdict on G5 at prec 512;
 ``search_relation`` for P6 at prec 512 (binary
 map), and on the two family-P specs whose first round gives a precision
 artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5
@@ -103,6 +107,7 @@ BATCH_S = 0.005  # calls per batch: enough to fill this many seconds
 QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # rungs of the exact rows
+G_LADDER = {2: "11", 4: "1001", 5: "10001", 6: "100001"}  # G rung -> swap period of the exact G rows
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 EXPLORE_PREFIX = 9331  # letters of the prefix the explore search's verify round sums
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
@@ -167,6 +172,20 @@ def tail_step_cases(identities, theorems, towers, words):
         ("generation_mismatch.exact.G128", exact, ()),
         ("check_theorem_g.G128", theorems.check_theorem_g, (spec, spb, 512)),
     ]
+
+
+def g_relation_cases(relations, theorems, towers, words):
+    """(name, function, args) for the exact theorem-2 rows on the G ladder
+    (u0=a, v0=b, a=z, b=z+1): ``relations.norm_relation`` from each rung's
+    affine form over GF(2)(z), on a tree that has it, and the whole G5
+    verdict at prec 512."""
+    spab = towers.SpecMap.parse("a=z,b=z+1")
+    out = []
+    if hasattr(relations, "norm_relation"):
+        for n, ups in G_LADDER.items():
+            q = towers.exact_g_quantities(words.g_normalize(words.GSpec("a", "b", ups)), spab)
+            out.append((f"norm_relation.G{n}", relations.norm_relation, q.affine_form()))
+    return out + [("check_theorem_g.G5", theorems.check_theorem_g, (words.GSpec("a", "b", G_LADDER[5]), spab, 512))]
 
 
 def periodic_cases(theorems, towers, words):
@@ -297,7 +316,7 @@ def worker(src: str, quick: bool) -> None:
     best = {}
     todo += relation_cases(relations, towers, words) + search_cases(theorems, towers, words)
     todo += exact_cases(identities, theorems, towers, words) + tail_step_cases(identities, theorems, towers, words)
-    todo += periodic_cases(theorems, towers, words)
+    todo += periodic_cases(theorems, towers, words) + g_relation_cases(relations, theorems, towers, words)
     for name, fn, args in todo:
         t0 = time.perf_counter()
         fn(*args)

@@ -29,8 +29,11 @@ powers of a root of rho X^(2^n) + X + t0, as family P's 1/phi is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import count
+from operator import xor
 
-from .gf2poly import bit_reverse, cldivmod, clgcd, clmul, poly_str
+from .gf2poly import bit_reverse, cldivmod, clgcd, clmul, clsq, poly_str
 from .laurent import LaurentSeries
 from .mat2 import RationalField
 
@@ -237,10 +240,154 @@ def frobenius_relation(y0, lams, rho, t0) -> AlgRelation:
         part = [top, *map(F.square, part[:n - 1]), F.add(F.square(part[n]), F.mul(top, t0))]
     terms = {(1 << i) - (1 << k): alpha[k] for k in range(i + 1)}
     terms[1 << i] = vec[n]  # beta
-    lcm = 1
-    for _, den in terms.values():
-        lcm = clmul(lcm, cldivmod(den, clgcd(lcm, den))[0])
     polys = [0] * ((1 << i) + 1)
-    for e, (num, den) in terms.items():
-        polys[e] = clmul(num, cldivmod(lcm, den)[0])
+    for e, p in zip(terms, _clear_denominators(terms.values())):
+        polys[e] = p
     return AlgRelation(tuple(polys))
+
+
+def _clear_denominators(values) -> list[int]:
+    """The numerators of ``RationalField`` values over their denominators' lcm."""
+    values = list(values)
+    lcm = 1
+    for _, den in values:
+        lcm = clmul(lcm, cldivmod(den, clgcd(lcm, den))[0])
+    return [clmul(num, cldivmod(lcm, den)[0]) for num, den in values]
+
+
+def norm_relation(rho, c, a0, a, b0, b) -> AlgRelation | None:
+    """The relation of phi = A(u)/B(u), A = a0 + sum_j a[j] u^(2^j) and
+    B = b0 + sum_j b[j] u^(2^j) (j < k = len(a)), with u a root of
+    rho T^(2^k) + T + c and every coefficient in K = GF(2)(z) as a
+    ``RationalField`` pair: the norm of Y = X B(u) + A(u) from K(u) to K,
+    cut to Y's own conjugates.  None if Y is zero.
+
+    The roots of rho T^(2^k) + T + c are u + w, w in a GF(2)-space W of
+    dimension k, and Y(u + w) = Y + l(w) with l additive.  Every Y^(2^i)
+    is affine in u, ..., u^(2^(k-1)), as u^(2^k) = (u + c)/rho: its
+    coordinates on (u, ..., u^(2^(k-1)), 1) are column i of M(X), entries
+    A_i + X^(2^i) B_i (``_norm_columns``).  Let column r be the first whose
+    non-constant part depends on those before it.  Cramer's rule on r
+    non-constant rows S whose minor V_S(X) is not zero, and the constant
+    row, with M_S(X) that (r + 1)-minor, gives Y^(2^r) + sum_(i<r)
+    alpha_i Y^(2^i) = beta = M_S/V_S (``_minors``).  It holds at every
+    conjugate Y + l(w), so the monic additive T^(2^r) + sum alpha_i T^(2^i)
+    vanishes on l(W), of rank r too, and beta = prod_(v in l(W)) (Y + v):
+    a polynomial of degree 2^r in X (``_interpolate``), zero at X = phi.
+    At r = k, the usual case, it is the norm; V_S is then det V, the k
+    non-constant rows of columns 0 .. k-1, and M_S is det M."""
+    k = len(a)
+    found = _minors(_norm_columns(rho, c, [*a, a0, *b, b0], k), k)
+    return None if found is None else _interpolate(*found)
+
+
+def _norm_columns(rho, c, coeffs: list, k: int) -> list[list[int]]:
+    """Columns 0 .. k of M(X) over GF(2)[z], each the coordinates of A^(2^i)
+    and then of B^(2^i), for ``coeffs`` A's and B's (a[0..k-1], a0,
+    b[0..k-1], b0).  One common denominator clears the coefficients; a step
+    squares every entry and feeds the top term u^(2^k) = (u + c)/rho back,
+    times rho_num c_den; a column is divided by its content.  Each of these
+    scales a column by a constant, so the minors only by one."""
+    (rn, rd), (cn, cd) = rho, c
+    up, low, fed = clmul(rn, cd), clmul(rd, cd), clmul(cn, rd)
+    cols = [list(_content_normalize(_clear_denominators(coeffs)))]
+    while len(cols) <= k:
+        sq = [clsq(x) for x in cols[-1]]
+        col = []
+        for half in (sq[:k + 1], sq[k + 1:]):
+            top = half[k - 1]
+            col += [clmul(top, low), *(clmul(x, up) for x in half[:k - 1]), clmul(half[k], up) ^ clmul(top, fed)]
+        cols.append(list(_content_normalize(col)))
+    return cols
+
+
+def _minors(cols: list[list[int]], k: int):
+    """(M_S, V_S, r) of ``norm_relation``, each minor a map X-exponent ->
+    GF(2)[z] coefficient, or None if M_S is zero.  One walk through the
+    exterior algebra holds, after column j, every j-minor of columns
+    0 .. j-1 by its row set: a column extends each by one of its entries,
+    A_j's or X^(2^j) times B_j's.  Characteristic 2 has no signs, the
+    exponents sum_(i in C) 2^i of the columns C taken from B are distinct,
+    and nothing is divided.  The walk stops at the first column after
+    which every minor holds the constant row (row k)."""
+    const = 1 << k
+    states = {0: {0: 1}}
+    for j, col in enumerate(cols):
+        minors, states = states, _exterior_step(states, col, j, k)
+        if all(S & const for S in states):
+            break
+    S = min(S for S in minors if not S & const)
+    return None if S | const not in states else (states[S | const], minors[S], j)
+
+
+def _exterior_step(states: dict, col: list[int], j: int, k: int) -> dict:
+    """The minors of one more column, column j, kept only if not zero."""
+    new: dict = {}
+    for S, minor in states.items():
+        for r in range(k + 1):
+            if S >> r & 1:
+                continue
+            for entry, shift in ((col[r], 0), (col[k + 1 + r], 1 << j)):
+                if entry:
+                    tgt = new.setdefault(S | 1 << r, {})
+                    for e, p in minor.items():
+                        tgt[e + shift] = tgt.get(e + shift, 0) ^ clmul(p, entry)
+    new = {S: {e: p for e, p in m.items() if p} for S, m in new.items()}
+    return {S: m for S, m in new.items() if m}
+
+
+def _interpolate(det_m: dict, det_v: dict, r: int) -> AlgRelation:
+    """det_m / det_v, of degree n = 2^r in X over K, from its values at the
+    n + 1 nodes U + a and z^r + a, over one common denominator.
+
+    U = span(1, z, ..., z^(r-1)) holds the polynomials of degree < r, and a
+    is the first multiple of z^(r+1) at which det_v vanishes at no node
+    (det_v has finitely many roots, and these node sets are disjoint).
+    S_U = prod_(w in U) (X + w) = sum_l s_l X^(2^l) is additive, so
+    S_(U+a) = S_U + S_U(a) and every Lagrange denominator is s_0.  With the
+    values v_x at x in U + a, G = sum_x v_x S_(U+a)/(X + x) has X^i
+    coefficient sum_(2^l > i) s_l P_(2^l - 1 - i), P_m = sum_x v_x x^m, and
+    with v* at x* = z^r + a, where S_(U+a) is S_U(z^r),
+    s_0 S_U(z^r) N = S_U(z^r) G + (s_0 v* + G(x*)) S_(U+a): nothing else
+    is divided."""
+    n = 1 << r
+    s = [1]  # S_U grown by one basis vector t = z^m: S(X) S(X + t) = S^2 + S(t) S
+    for m in range(r):
+        t = _additive(s, 1 << m)
+        s = [clmul(t, s[0])] + [clsq(x) ^ clmul(t, y) for x, y in zip(s, s[1:] + [0])]
+    for a in count(0, 2 * n):
+        xs = [w ^ a for w in range(n + 1)]  # w = n is z^r
+        dv = [_horner(det_v, x) for x in xs]
+        if all(dv):
+            break
+    F = RationalField()
+    vals = _clear_denominators(F.div((_horner(det_m, x), 1), (d, 1)) for x, d in zip(xs, dv))
+    P, cur = [], vals[:n]
+    while len(P) < n:
+        P.append(reduce(xor, cur))
+        cur = [clmul(v, x) for v, x in zip(cur, xs)]
+    g = {i: reduce(xor, (clmul(sl, P[(1 << l) - 1 - i]) for l, sl in enumerate(s) if 1 << l > i)) for i in range(n)}
+    sx = _additive(s, n)
+    lead = clmul(s[0], vals[n]) ^ _horner(g, xs[n])
+    polys = [clmul(sx, g[i]) for i in range(n)] + [0]
+    polys[0] ^= clmul(lead, _additive(s, a))
+    for l, sl in enumerate(s):
+        polys[1 << l] ^= clmul(lead, sl)
+    return AlgRelation(tuple(polys))
+
+
+def _additive(s: list[int], x: int) -> int:
+    """sum_l s[l] x^(2^l)."""
+    acc = 0
+    for sl in s:
+        acc ^= clmul(sl, x)
+        x = clsq(x)
+    return acc
+
+
+def _horner(coeffs: dict, x: int) -> int:
+    """sum_e coeffs[e] x^e over GF(2)[z]."""
+    acc = 0
+    for e in range(max(coeffs), -1, -1):
+        acc = clmul(acc, x) ^ coeffs.get(e, 0)
+    return acc

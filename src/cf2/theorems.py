@@ -6,8 +6,9 @@ and the closed equations satisfied by the limit scalars, then takes an
 annihilating polynomial and verifies it on the convergent series at
 double precision.  Both drivers run the identity battery's tail checks
 (``tail_mismatch``, ``generation_mismatch``) exactly over GF(2)(z) on
-their own tower.  Family P derives its relation from its letters alone,
-with no tower; family G, explore and ``cf2 relation`` search for one.
+their own tower.  Neither searches for its relation: family P derives
+it from its letters alone, with no tower, and family G as the norm of
+its tower's affine form over K.  Only explore and ``cf2 relation`` search.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, and its quadratic is derived exactly.
@@ -21,7 +22,8 @@ from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
 from .mat2 import RationalField
 from .relations import (
-    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, required_precision,
+    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, norm_relation,
+    required_precision,
 )
 from .towers import (
     SpecMap,
@@ -141,9 +143,12 @@ def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> RelationSearch:
     return RelationSearch(rel, degx, degz, p1, p2, threshold, bound, verified, phi2)
 
 
-def _exact_round(rel: AlgRelation, phi_fn, first_val: int, prec: int, bound: int) -> RelationSearch:
+def _exact_round(rel: AlgRelation | None, phi_fn, first_val: int, prec: int, bound: int) -> RelationSearch:
     """The re-verify round of an exactly derived relation at p1, the larger
-    of prec and its own shape's ``certifying_precision``."""
+    of prec and its own shape's ``certifying_precision``; with no relation,
+    a round at prec that verifies nothing (degZ -1)."""
+    if rel is None:
+        return _reverify_round(phi_fn, prec, bound, lambda _: (-1, None))
     p1 = max(prec, certifying_precision(rel.degx, rel.degz, first_val))
     return _reverify_round(phi_fn, p1, bound, lambda _: (rel.degz, rel))
 
@@ -242,10 +247,13 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
 
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
-    """Degree bound 2^k for the family-G continued fraction, with generations
-    0 and 1 of its tower over K checked by ``generation_mismatch`` (its
-    line appears only when it fails).  An all-zero swap period (u0
-    repeated) searches nothing: ``periodic_relation`` is its quadratic."""
+    """Degree bound 2^k for the family-G continued fraction.  No search:
+    ``norm_relation`` derives phi's relation exactly from the affine form of
+    its tower over K, and it must vanish on the convergent series by the
+    re-verify rule, as in ``check_theorem_p``.  Generations 0 and 1 of that
+    tower are checked by ``generation_mismatch`` (its line appears only
+    when it fails).  An all-zero swap period (u0 repeated) has no tower:
+    ``periodic_relation`` is its quadratic."""
     phi_fn, first_val = spec_series(spec, sp)
     try:
         lim = g_limits(spec, sp, prec)
@@ -257,12 +265,13 @@ def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     bound = 1 << k
     lines = [f"normalized ups={lim.norm.spec.ups} s={s} k={k} bound={bound}"]
     residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
-    search = search_relation(phi_fn, bound, prec, sp.max_degree, first_val)
+    q = exact_g_quantities(lim.norm, sp)
+    search = _exact_round(norm_relation(*q.affine_form()), phi_fn, first_val, prec, bound)
     ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
     e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
-    tail = generation_mismatch(exact_g_quantities(lim.norm, sp), 1)
+    tail = generation_mismatch(q, 1)
     return _verdict("theorem-g", bound, lines, search, ok and scalar_ok, agree, tail)
 
 

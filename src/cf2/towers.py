@@ -623,6 +623,22 @@ class GQuantities:
         delta = self.stats.delta
         return self._walk(t, delta[1:] + delta[:1])[-1]
 
+    def affine_form(self) -> tuple:
+        """(rho, c, a0, a, b0, b) with phi = A(u)/B(u), A = a0 + sum_j a[j] u^(2^j)
+        and B = b0 + sum_j b[j] u^(2^j) (j < k), for u the root of
+        rho T^(2^k) + T + c, c = c_1.u, that is H_1 = u cross^o, o = c_1.odd.
+        ``shift`` and ``limit_terms`` walk H_1's scalar by squares, so rho is
+        shift(cross^o).u and H_(j+1) = h_j.u u^(2^j) cross^(h_j.odd) with
+        h = _walk(cross^o, ...); the limit sum m1 + sum_j H_j adds h_j.u
+        cross.(a, b) to (a0, b0) = (m1.a, m1.b) for an odd h_j, (h_j.u, 0)
+        for an even one."""
+        F, x = self.F, self.cross
+        one = CoScaled(F.one, self.c1.odd)
+        h = self._walk(one, self.stats.delta[1:])
+        a = [F.mul(t.u, x.a) if t.odd else t.u for t in h]
+        b = [F.mul(t.u, x.b) if t.odd else F.zero for t in h]
+        return self.shift(one).u, self.c1.u, self.m1.a, a, self.m1.b, b
+
     def generations(self):
         """Yield (L_i, t_i) for i = 0, 1, ...: the running product
         L_(i+1) = L_i l^(2^(ik)) with L_0 = 1, and the tail term t_i = c_1/L

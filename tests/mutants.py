@@ -88,6 +88,34 @@ ROWS = [
         'object.__setattr__(self, "coeffs", tuple(polys))',
         ["tests/test_relations.py::test_relation_is_held_normalized"],
     ),
+    (
+        "GQuantities.affine_form: one bit flipped in c",
+        "src/cf2/towers.py",
+        "self.c1.u, self.m1.a, a, self.m1.b, b",
+        "(self.c1.u[0] ^ 2, self.c1.u[1]), self.m1.a, a, self.m1.b, b",
+        ["tests/test_theorems.py::test_norm_relation_is_the_searched_relation"],
+    ),
+    (
+        "GQuantities.affine_form: one bit flipped in rho",
+        "src/cf2/towers.py",
+        "return self.shift(one).u,",
+        "return (self.shift(one).u[0] ^ 2, self.shift(one).u[1]),",
+        ["tests/test_theorems.py::test_norm_relation_is_the_searched_relation"],
+    ),
+    (
+        "GQuantities.affine_form: one bit flipped in a_1, the coefficient of u in A",
+        "src/cf2/towers.py",
+        "a = [F.mul(t.u, x.a) if t.odd else t.u for t in h]",
+        "a = [F.mul(t.u, x.a) if t.odd else t.u for t in h]; a[0] = (a[0][0] ^ 2, a[0][1])",
+        ["tests/test_theorems.py::test_norm_relation_is_the_searched_relation"],
+    ),
+    (
+        "norm_relation: span reduction skipped, all k + 1 columns always used",
+        "src/cf2/relations.py",
+        "if all(S & const for S in states):",
+        "if j == k:",
+        ["tests/test_theorems.py::test_theorem_g_reduces_a_short_frobenius_span"],
+    ),
 ]
 
 

@@ -9,14 +9,17 @@ import pytest
 
 from cf2.gf2poly import cldivmod, clgcd, clmul, parse_poly
 from cf2.laurent import LaurentSeries
+from cf2.mat2 import RationalField
 from cf2.relations import (
     AlgRelation,
+    _clear_denominators,
     _content_normalize,
     _order_basis,
     _powers,
     certifying_precision,
     find_relation,
     max_degz,
+    norm_relation,
     required_precision,
 )
 from cf2.theorems import p_relation, search_relation, spec_series
@@ -480,3 +483,43 @@ def test_dense_artifact_is_discarded_and_the_search_goes_on():
     dense = search_relation(phi_fn, 16, 256, sp.max_degree, val)
     assert dense.verified and dense.discovery_prec == 2048 and dense.found_degree == 16
     assert dense.relation.coeffs == p_relation(spec, sp).coeffs
+
+
+def _linear_norm(rho, c, a0, a, b0, b):
+    """N(X) for Y = (X b + a) u + (X b0 + a0), u a root of rho T^2 + T + c,
+    every coefficient a ``RationalField`` pair: the roots are u and
+    u + 1/rho, so with alpha = X b + a and beta = X b0 + a0,
+    N = alpha^2 c/rho + beta^2 + alpha beta/rho."""
+    F = RationalField()
+    add, mul, sq = F.add, F.mul, F.square
+    inv = F.inv(rho)
+    coeffs = [
+        add(mul(mul(sq(a), c), inv), add(sq(a0), mul(mul(a, a0), inv))),
+        mul(add(mul(a, b0), mul(b, a0)), inv),
+        add(mul(mul(sq(b), c), inv), add(sq(b0), mul(mul(b, b0), inv))),
+    ]
+    return AlgRelation(tuple(_clear_denominators(coeffs)))
+
+
+@pytest.mark.parametrize("a, b", [(1, 0b10), (1, 1), (0b11, 0b11)])
+@pytest.mark.parametrize("rho, c", [(1, 0b10), (0b101, 0b11)])
+@pytest.mark.parametrize("a0, b0", [(1, 0b11), (0b110, 1)])
+def test_norm_relation_of_a_quadratic_root_is_its_norm(rho, c, a0, a, b0, b):
+    # k = 1 against the norm written out by hand; with a = b, det V(X) =
+    # a (1 + X) vanishes at the node 1, and the nodes move to U + z^2
+    rho, c, a0, a, b0, b = ((x, 1) for x in (rho, c, a0, a, b0, b))
+    assert norm_relation(rho, c, a0, [a], b0, [b]).coeffs == _linear_norm(rho, c, a0, a, b0, b).coeffs
+
+
+def test_norm_relation_clears_its_denominators():
+    # rho, c and the coefficients of A and B as fractions: one common
+    # denominator and the step's factor rho_num c_den scale N by a constant
+    F = RationalField()
+    rho, c, a0, a, b0, b = (0b101, 0b11), (0b11, 0b111), (0b110, 0b11), (1, 0b111), F.one, (0b10, 0b11)
+    assert norm_relation(rho, c, a0, [a], b0, [b]).coeffs == _linear_norm(rho, c, a0, a, b0, b).coeffs
+
+
+def test_norm_relation_of_zero_is_none():
+    # Y = 0: no column has a non-constant entry, and nothing reduces
+    zero = (0, 1)
+    assert norm_relation((1, 1), (0b10, 1), zero, [zero, zero], zero, [zero, zero]) is None

@@ -485,22 +485,19 @@ def test_precision_artifact_is_discarded():
 
 
 # ROADMAP item 3: G specs with the map a=z, b=z+1 whose theorem-2 check
-# failed falsely at prec 256.  Seven need degZ 104-256, past what the search
-# certifies by the time its precision reaches the budget max(4*prec, 2048).
-SEARCH_BUDGET = pytest.mark.xfail(
-    strict=True,
-    reason="false fail: the relation search's budget max(4*prec, 2048) stops the precision"
-    " before the order certifies degZ 104-256 (ROADMAP item 3)",
-)
+# failed falsely at prec 256 while it searched for its relation.  Seven
+# need degZ 104-256, past what the search certified by the time its
+# precision reached its budget max(4*prec, 2048); the derived relation
+# needs no budget.
 ITEM3_SPECS = [
-    pytest.param("a", "b", "0011", marks=SEARCH_BUDGET),
-    pytest.param("b", "a", "0011", marks=SEARCH_BUDGET),
-    pytest.param("aa", "bb", "0011", marks=SEARCH_BUDGET),
-    pytest.param("ab", "bb", "0011", marks=SEARCH_BUDGET),
-    pytest.param("aa", "bb", "0101", marks=SEARCH_BUDGET),
+    ("a", "b", "0011"),
+    ("b", "a", "0011"),
+    ("aa", "bb", "0011"),
+    ("ab", "bb", "0011"),
+    ("aa", "bb", "0101"),
     ("ab", "bb", "0101"),
-    pytest.param("aa", "bb", "0110", marks=SEARCH_BUDGET),
-    pytest.param("ab", "bb", "0110", marks=SEARCH_BUDGET),
+    ("aa", "bb", "0110"),
+    ("ab", "bb", "0110"),
 ]
 
 
@@ -529,7 +526,7 @@ def test_p_grid_w0_00_slice_passes(prec):
 
 # under a=z, b=z^3+z+1 these 8-letter start words give val(d) = 64, so d
 # vanishes to the working precision 64; the tower limits converge anyway, and
-# the three xfails then spend the search budget (degZ 222 at prec 2048)
+# the last three spent the search's budget (degZ 222 at prec 2048)
 SPAB3 = SpecMap.parse("a=z,b=z^3+z+1")
 
 
@@ -538,19 +535,129 @@ def test_theorem_g_long_start_words_at_prec_64():
     assert rep.passed and rep.search.found_degree == 8
 
 
-@pytest.mark.parametrize("ups", [pytest.param(u, marks=SEARCH_BUDGET) for u in ("011", "101", "110")])
+@pytest.mark.parametrize("ups", ["011", "101", "110"])
 def test_long_start_word_spec_passes_at_prec_64(ups):
     assert check_theorem_g(GSpec("aaaaaaaa", "bbbbbbbb", ups), SPAB3, 64).passed
 
 
+def test_theorem_g_runs_no_search(monkeypatch):
+    # theorem 2 derives its relation: the G ladder, the specs whose search
+    # spent its budget, a span that reduces (s = 1111), a collapsed map and
+    # the corollary at k = 4 all pass with nothing searched
+    def refuse(*args, **kwargs):
+        raise AssertionError("the G verdict searched")
+
+    monkeypatch.setattr(theorems, "search_relation", refuse)
+    monkeypatch.setattr(theorems, "find_relation", refuse)
+    monkeypatch.setattr(relations, "find_relation", refuse)
+    cases = [(GSpec("a", "b", ups), SPAB, 512) for ups in ("1", "11", "101", "1001", "10001", "1111")]
+    cases += [(GSpec(*spec), SPAB, 256) for spec in ITEM3_SPECS]
+    cases += [(GSpec("aaaaaaaa", "bbbbbbbb", ups), SPAB3, 64) for ups in ("011", "101", "110")]
+    cases += [(GSpec("a", "b", "11"), SpecMap.parse("a=z,b=z"), 256)]
+    for spec, sp, prec in cases:
+        assert check_theorem_g(spec, sp, prec).passed, (spec, sp)
+    assert check_corollary_chain(PSpec("", "10"), SPB, 4, 512).passed
+
+
+GRID_STARTS = [("a", "b"), ("b", "a"), ("ab", "ba")]
+
+
+def test_norm_relation_is_the_searched_relation():
+    # the relation derived over GF(2)(z) is, coefficient for coefficient,
+    # the one the order-basis search finds wherever the search verifies one
+    # at prec 256: a/b, b/a and ab/ba with every swap period of length 1-4
+    # whose normalized s has an even count, under two maps (72 specs, 64
+    # searched relations); s = 1111, of primitive period 11, gives degree 4
+    compared = total = 0
+    for sp, (u0, v0), n in product((SPAB, SPAB3), GRID_STARTS, range(1, 5)):
+        for ups in map("".join, product("01", repeat=n)):
+            spec = GSpec(u0, v0, ups)
+            if "1" not in ups or g_normalize(spec).s.count("1") % 2:
+                continue
+            norm = g_normalize(spec)
+            rel = relations.norm_relation(*exact_g_quantities(norm, sp).affine_form())
+            assert rel.degx == (4 if norm.s == "1111" else 1 << len(norm.s)), (spec, sp)
+            phi_fn, first_val = spec_series(spec, sp)
+            search = theorems.search_relation(phi_fn, 1 << len(norm.s), 256, sp.max_degree, first_val)
+            total += 1
+            if search.verified:
+                compared += 1
+                assert rel.coeffs == search.relation.coeffs, (spec, sp)
+    assert (total, compared) == (72, 64)
+
+
+def test_theorem_g_reduces_a_short_frobenius_span():
+    # s = 1111 and the collapsed map a=z, b=z leave u's Frobenius span short
+    # of k, so det V = 0; the relation of the first dependent column has
+    # degree 4 (the search certified it only at prec 1426) and 2
+    rep = check_theorem_g(GSpec("a", "b", "1111"), SPAB, 512)
+    assert rep.passed and rep.bound == 16
+    assert rep.lines[-1] == "degree=4 degZ=8 residual_val=1014 prec=1024"
+    rep = check_theorem_g(GSpec("a", "b", "11"), SpecMap.parse("a=z,b=z"), 256)
+    assert rep.passed and rep.bound == 4 and rep.search.found_degree == 2
+
+
+@pytest.mark.parametrize(
+    "spec, sp, line",
+    [
+        # the search ended "relation none degX<=16 degZ=114 prec=2048"
+        (GSpec("b", "a", "0101"), SPAB3, "degree=16 degZ=128 residual_val=4376 prec=4540"),
+        # G6, which the search verified at degZ 128 too
+        (GSpec("a", "b", "100001"), SPAB, "degree=64 degZ=128 residual_val=16800 prec=16960"),
+        # G7: the search ended "relation none degX<=128 degZ=262 prec=34089"
+        (GSpec("a", "b", "1000001"), SPAB, "degree=128 degZ=256 residual_val=66304 prec=66624"),
+    ],
+    ids=["b-a-0101", "G6", "G7"],
+)
+def test_theorem_g_passes_past_the_search_budget_at_prec_512(spec, sp, line):
+    rep = check_theorem_g(spec, sp, 512)
+    assert rep.passed and rep.lines[-1] == line
+
+
+@pytest.mark.parametrize("which", ["rho", "c", "a1"])
+def test_norm_relation_from_a_flipped_bit_fails_on_the_oracle(monkeypatch, which):
+    # mutation control: a relation derived from rho, c or a_1 (the
+    # coefficient of u in A) off by one bit must not vanish on the
+    # convergent series
+    derive = theorems.norm_relation
+
+    def mutated(rho, c, a0, a, b0, b):
+        if which == "rho":
+            rho = _flip(rho, 1)
+        elif which == "c":
+            c = _flip(c, 1)
+        else:
+            a = [_flip(a[0], 1), *a[1:]]
+        return derive(rho, c, a0, a, b0, b)
+
+    monkeypatch.setattr(theorems, "norm_relation", mutated)
+    for ups in ("1", "011", "0011", "1001"):
+        rep = check_theorem_g(GSpec("a", "b", ups), SPAB, 256)
+        assert not rep.passed and not rep.search.verified, ups
+        assert rep.lines[-1].endswith(f"below {rep.search.threshold}"), ups
+
+
+def test_no_derived_relation_fails_the_verdict_on_its_line(monkeypatch):
+    # if nothing reduces, norm_relation returns None: the verdict fails on
+    # the relation line, with no traceback
+    monkeypatch.setattr(theorems, "norm_relation", lambda *args: None)
+    rep = check_theorem_g(GSpec("a", "b", "11"), SPAB, 256)
+    assert not rep.passed and rep.search.relation is None
+    assert rep.lines[-1] == "relation none degX<=4 degZ=-1 prec=256"
+    assert rep.all_lines()[-1] == "theorem-g fail"
+
+
 def test_artifact_moves_the_search_to_the_next_rung():
-    # at discovery precisions 1024 and 2048 the least-degree columns (degZ
-    # 55, then 100) annihilate phi but are not relations; re-verification
-    # discards each and the search goes on, until the degree-16 relation
-    # with degZ 128 holds at 4096
-    rep = check_theorem_g(GSpec("a", "b", "0011"), SPAB, 1024)
-    assert rep.passed
-    assert rep.lines[-1] == "degree=16 degZ=128 residual_val=8056 prec=8192"
+    # the doubling search that ``cf2 relation --spec`` runs without --degz:
+    # on a/b/0011 at discovery precisions 1024 and 2048 the least-degree
+    # columns (degZ 55, then 100) annihilate phi but are not relations;
+    # re-verification discards each and the search goes on, until the
+    # degree-16 relation with degZ 128 holds at 4096
+    phi_fn, first_val = spec_series(GSpec("a", "b", "0011"), SPAB)
+    asked = []
+    search = theorems.search_relation(lambda p: asked.append(p) or phi_fn(p), 16, 1024, SPAB.max_degree, first_val)
+    assert search.verified and asked == [2048, 4096, 8192]
+    assert search.report_line() == "degree=16 degZ=128 residual_val=8056 prec=8192"
 
 
 def _search_oracle_calls(monkeypatch, spec, sp, prec):
@@ -571,9 +678,9 @@ def _search_oracle_calls(monkeypatch, spec, sp, prec):
         # the exact P relation is verified on one series, at p2 = 2 p1,
         # which also gives the agreement line
         (PSpec("", "110"), SPB, 512, [1024]),
-        # the three rounds of test_artifact_moves_the_search_to_the_next_rung;
-        # the last one's series also gives the agreement line
-        (GSpec("a", "b", "0011"), SPAB, 1024, [2048, 4096, 8192]),
+        # so is the exact G relation (degX 16, degZ 128): p1 = 2240, its
+        # certifying precision at pole 1
+        (GSpec("a", "b", "0011"), SPAB, 1024, [4480]),
         # p1 = 2240, the certifying precision of degX 64, degZ 32 at pole 1
         (PSpec("", "110100"), SPB, 512, [4480]),
     ],
@@ -590,12 +697,10 @@ def test_search_builds_one_oracle_series_per_round(monkeypatch, spec, sp, prec, 
 )
 def test_discovery_series_is_the_verifying_series_cut(monkeypatch, spec, sp):
     # cf_series is exact below its precision, so each round's discovery
-    # series, cut from the verifying one, is the oracle series at p1; the
-    # exact P verdict builds only the verifying series, at its own p1
+    # series, cut from the verifying one, is the oracle series at p1; an
+    # exact verdict builds only the verifying series, at its own p1
     rep, asked = _search_oracle_calls(monkeypatch, spec, sp, 512)
-    assert rep.passed and asked
-    if isinstance(spec, PSpec):
-        assert asked == [rep.search.verify_prec] == [2 * rep.search.discovery_prec]
+    assert rep.passed and asked == [rep.search.verify_prec] == [2 * rep.search.discovery_prec]
     phi_fn, _ = spec_series(spec, sp)
     for p2 in asked:
         p1 = p2 // 2
