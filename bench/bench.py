@@ -11,8 +11,11 @@ z+1, z^3+z+1 and z^4+z^3+z^2+z+1 (2, 3 and 5 terms, as the P tower
 holds them);
 ``gf2poly.bit_reverse`` at 16k bits, the 2^8-th power of a 16k-bit series,
 the family-P oracle ``p_cf_series`` of period 110 at precision 16384 and
-65536, the convergent ``towers.convergent_pair`` of its 8197-letter prefix
-(the one that oracle reads at 16384), ``LaurentSeries.from_rational`` of its
+65536, of w0=10, eps=10 (tower-limits' p_limits3) at 16384 and of P9
+(eps=110100000) at 264768, the precision of its verdict series; the
+convergent ``towers.convergent_pair`` of the 8197-letter prefix that the
+period-110 oracle stops at for 16384 (the oracle itself reads that
+convergent from the word's levels), ``LaurentSeries.from_rational`` of its
 8192-letter convergent at precision 16384, the tower limits ``p_limits`` of w0=10, eps=110 and ``g_limits``
 of u0=ab, v0=ba, ups=11 (a=z, b=z+1) at precision 16384, for that P spec
 ``PLimits.residual_h0`` and for that G spec its ``GQuantities`` over series
@@ -108,6 +111,7 @@ QUICK_MAX_S = 1.0  # --quick drops a case whose first call takes longer
 LADDER = {3: "110", 4: "1101", 5: "11010", 6: "110100"}  # P rung -> period word
 EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # rungs of the exact rows
 G_LADDER = {2: "11", 4: "1001", 5: "10001", 6: "100001"}  # G rung -> swap period of the exact G rows
+P9_ORACLE_PREC = 264768  # the precision of P9's verdict series, the cf_series.P9 row
 EXPLORE = (16, 256)  # degX, degZ of the explore search
 EXPLORE_PREFIX = 9331  # letters of the prefix the explore search's verify round sums
 ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
@@ -295,6 +299,8 @@ def oracle_cases(laurent, towers, words):
     return [
         ("cf_series.16k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["16k"])),
         ("cf_series.64k", towers.p_cf_series, (words.PSpec("", "110"), spb, SIZES["64k"])),
+        ("cf_series.w0=10.16k", towers.p_cf_series, (words.PSpec("10", "10"), spb, SIZES["16k"])),
+        ("cf_series.P9", towers.p_cf_series, (words.PSpec("", EXACT_LADDER[9]), spb, P9_ORACLE_PREC)),
         ("convergent_pair.8197", towers.convergent_pair, (words.p_prefix(words.PSpec("", "110"), 8197), spb)),
         ("from_rational.16k", laurent.LaurentSeries.from_rational, (num, den, SIZES["16k"])),
         ("p_limits.16k", towers.p_limits, (words.PSpec("10", "110"), spb, SIZES["16k"])),

@@ -7,7 +7,8 @@ letter matrices F(x) = ((1, 1/x), (1/x, 0)), and the continued fraction
 prefixes.  Convergents themselves are computed exactly through the
 classical numerator/denominator recurrence, in blocks joined by a product
 tree (the descending product differs from it only by an invertible
-scalar, so the ratios agree).
+scalar, so the ratios agree).  Family P's oracle reads its convergent
+from the word's levels W_(j+1) = W_j e_j W_j instead, five products a level.
 
 The family-P tower doubles M through m -> m F(e) m and keeps only the
 scalars d and the running product L, whose step scalar l is read off m0;
@@ -118,7 +119,8 @@ class SpecMap:
 # ---------------------------------------------------------------------------
 
 
-# letters per block of the small-int recurrence in convergent_pair
+# letters per block of the small-int recurrence in _word_product (family P's
+# oracle walks the word's levels instead)
 CF_BLOCK = 1024
 
 
@@ -185,16 +187,12 @@ def convergent_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
 CF_MARGIN = 8
 
 
-def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
-    """Series of the continued fraction of the infinite word starting as given.
-
-    Uses the shortest prefix whose convergent denominator and the next one
-    have degrees summing to ``prec`` plus CF_MARGIN, which guarantees the
-    expansion below ``prec``.  deg q_i is the sum of the degrees of letters
-    1 .. i, so the stop index comes from the degrees alone, and no letter
-    past it is read.  Raises ValueError naming the shortfall when the
-    supplied prefix is too short.
-    """
+def _cf_stop(word: str, sp: SpecMap, prec: int) -> int:
+    """Length of the shortest prefix whose convergent denominator and the
+    next one have degrees summing to ``prec`` plus CF_MARGIN.  deg q_i is
+    the sum of the degrees of letters 1 .. i, so no letter past the stop
+    index is read.  Raises ValueError naming the shortfall when the word is
+    too short."""
     degree: dict[str, int] = {}
     prev = deg = 0  # deg q_(i-1) and deg q_i
     for i in range(1, len(word)):
@@ -203,7 +201,7 @@ def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
             degree[letter] = sp.degree(letter)
         prev, deg = deg, deg + degree[letter]
         if prev + deg >= prec + CF_MARGIN:
-            return convergent_series(word[:i], sp, prec)
+            return i
     if not word:
         raise ValueError("empty word has no convergent")
     raise ValueError(
@@ -212,14 +210,25 @@ def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
     )
 
 
-def cf_series_of(prefix_fn, sp: SpecMap, prec: int) -> LaurentSeries:
-    """cf_series over the prefix ``prefix_fn(length)`` of an infinite word.
+def cf_series(word: str, sp: SpecMap, prec: int) -> LaurentSeries:
+    """Series of the continued fraction of the infinite word starting as given.
 
-    Every letter adds at least ``sp.min_degree`` to the convergent
-    denominator's degree, so the length below always reaches ``prec +
-    CF_MARGIN`` for any CF_MARGIN up to ``prec + 29``.
+    Expands the convergent of the prefix ``_cf_stop`` picks, which
+    guarantees the expansion below ``prec``.
     """
-    return cf_series(prefix_fn(max(32, prec // max(1, sp.min_degree) + 16)), sp, prec)
+    return convergent_series(word[:_cf_stop(word, sp, prec)], sp, prec)
+
+
+def _oracle_length(sp: SpecMap, prec: int) -> int:
+    """A prefix length whose stop index is always inside it: every letter
+    adds at least ``sp.min_degree`` to the convergent denominator's degree,
+    so it reaches ``prec + CF_MARGIN`` for any CF_MARGIN up to ``prec + 29``."""
+    return max(32, prec // max(1, sp.min_degree) + 16)
+
+
+def cf_series_of(prefix_fn, sp: SpecMap, prec: int) -> LaurentSeries:
+    """cf_series over the prefix ``prefix_fn(length)`` of an infinite word."""
+    return cf_series(prefix_fn(_oracle_length(sp, prec)), sp, prec)
 
 
 def word_matrix(word: str, sp: SpecMap, F) -> Mat2:
@@ -804,9 +813,45 @@ def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
 # ---------------------------------------------------------------------------
 
 
+def _p_level_pair(spec: PSpec, sp: SpecMap, L: int) -> tuple[int, int]:
+    """``convergent_pair(p_prefix(spec, L), sp)`` from the word's levels.
+
+    W_(j+1) = W_j e_j W_j, so M(W_(j+1)) = M(W_j) E(e_j) M(W_j) with E(e) =
+    ((e, 1), (1, 0)).  det M = 1, so with s = b + c and t = e a + s the
+    step is a' = a t, c' = c t + 1, s' = s t, b' = s' + c' and d' = e b c +
+    d s.  The prefix splits as W_j1 e_j1 W_j2 e_j2 ..., each W_j the largest
+    level that fits the rest, and below level 0 a prefix of w0; the first
+    column is carried from (1, 0) through the pieces right to left.
+    """
+    eps = [sp.poly(letter) for letter in spec.eps]
+    levels = [(len(spec.w0), _word_product(spec.w0, sp))]  # (|W_j|, M(W_j))
+    while 2 * levels[-1][0] + 1 <= L:
+        n, (a, b, c, d) = levels[-1]
+        e = eps[(len(levels) - 1) % len(eps)]
+        s = b ^ c
+        t = clmul(e, a) ^ s
+        c1, s1 = clmul(c, t) ^ 1, clmul(s, t)
+        levels.append((2 * n + 1, (clmul(a, t), s1 ^ c1, c1, clmul(clmul(e, b), c) ^ clmul(d, s))))
+    pieces, rest = [], L
+    for j in reversed(range(len(levels))):
+        n, m = levels[j]
+        if n <= rest:
+            pieces += [m, (eps[j % len(eps)], 1, 1, 0)] if n < rest else [m]
+            rest -= n + 1
+    if rest > 0:
+        pieces.append(_word_product(spec.w0[:rest], sp))
+    x, y = 1, 0
+    for a, b, c, d in reversed(pieces):
+        x, y = clmul(a, x) ^ clmul(b, y), clmul(c, x) ^ clmul(d, y)
+    return x, y
+
+
 def p_cf_series(spec: PSpec, sp: SpecMap, prec: int) -> LaurentSeries:
-    """Direct-convergent series of the family-P continued fraction."""
-    return cf_series_of(lambda L: p_prefix(spec, L), sp, prec)
+    """Direct-convergent series of the family-P continued fraction: the
+    stop index ``cf_series`` would pick on ``p_prefix``, and the convergent
+    there from the word's levels (``_p_level_pair``)."""
+    L = _cf_stop(p_prefix(spec, _oracle_length(sp, prec)), sp, prec)
+    return LaurentSeries.from_rational(*_p_level_pair(spec, sp, L), prec)
 
 
 def g_cf_series(spec: GSpec, sp: SpecMap, prec: int) -> LaurentSeries:

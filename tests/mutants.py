@@ -116,6 +116,27 @@ ROWS = [
         "if j == k:",
         ["tests/test_theorems.py::test_theorem_g_reduces_a_short_frobenius_span"],
     ),
+    (
+        "_p_level_pair: c' = c t without its + 1 (det M = 1)",
+        "src/cf2/towers.py",
+        "c1, s1 = clmul(c, t) ^ 1, clmul(s, t)",
+        "c1, s1 = clmul(c, t), clmul(s, t)",
+        ["tests/test_towers.py::test_level_pair_is_the_prefix_convergent_pair"],
+    ),
+    (
+        "_p_level_pair: level j + 1 built with e_(j+1) instead of e_j",
+        "src/cf2/towers.py",
+        "e = eps[(len(levels) - 1) % len(eps)]",
+        "e = eps[len(levels) % len(eps)]",
+        ["tests/test_towers.py::test_level_pair_is_the_prefix_convergent_pair"],
+    ),
+    (
+        "_p_level_pair: the letter after W_j read as the next level's e_(j+1)",
+        "src/cf2/towers.py",
+        "pieces += [m, (eps[j % len(eps)], 1, 1, 0)] if n < rest else [m]",
+        "pieces += [m, (eps[(j + 1) % len(eps)], 1, 1, 0)] if n < rest else [m]",
+        ["tests/test_towers.py::test_level_pair_is_the_prefix_convergent_pair"],
+    ),
 ]
 
 

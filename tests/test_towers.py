@@ -264,6 +264,42 @@ def test_ptower_step_scalar_char2():
     assert t.l(0).mask == 1 and t.l(0).val == 0
 
 
+LEVEL_MAPS = ("0=z,1=z+1", "0=z^3+z+1,1=z", "0=z^2,1=z+1")
+LEVEL_EPS = ("1", "10", "110", "1101", "11010", "110100", "1101000")  # periods 1-7
+
+
+@pytest.mark.parametrize("w0", ["", "0", "10", "010", "0010", "011"])
+def test_level_pair_is_the_prefix_convergent_pair(w0):
+    # every length below |w0|, and |W_j| - 1, |W_j|, |W_j| + 1 for each level
+    # up to three blocks: palindromic and non-palindromic w0, periods 1-7
+    lengths = set(range(1, len(w0) + 1))
+    n = len(w0)
+    while n <= 3 * CF_BLOCK:
+        lengths |= {n - 1, n, n + 1} - {-1, 0}
+        n = 2 * n + 1
+    for text in LEVEL_MAPS:
+        sp = SpecMap.parse(text)
+        for eps in LEVEL_EPS:
+            spec = PSpec(w0, eps)
+            for L in sorted(lengths):
+                assert towers._p_level_pair(spec, sp, L) == convergent_pair(p_prefix(spec, L), sp), (eps, text, L)
+
+
+def test_p_cf_series_is_the_prefix_oracle():
+    # the level pair at cf_series' own stop index: the same series, bit for bit
+    def same(spec, sp, prec):
+        got, want = p_cf_series(spec, sp, prec), towers.cf_series_of(lambda L: p_prefix(spec, L), sp, prec)
+        assert (got.val, got.mask, got.prec) == (want.val, want.mask, want.prec), (spec, str(sp), prec)
+
+    for text in LEVEL_MAPS:
+        sp = SpecMap.parse(text)
+        for w0 in ("", "0", "10", "010", "0010", "011"):
+            for eps in ("1", "10", "110", "11010", "1101000"):
+                for prec in (64, 512, 3000):
+                    same(PSpec(w0, eps), sp, prec)
+    same(PSpec("10", "110"), SpecMap.binary_default(), 16384)
+
+
 def test_p_limits_match_direct():
     spb = SpecMap.binary_default()
     for w0, eps in [("", "10"), ("1", "10"), ("01", "110"), ("", "0")]:
