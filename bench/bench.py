@@ -30,9 +30,10 @@ walks one drawn word) and ``check_generation_relations`` of the word 1001 over 3
 generations at 10 trials, with the field tables and operands built
 before the first timed call; and ``find_relation`` on the degree
 ladder's theorem-1 series P3-P6 (period words 110, 1101, 11010, 110100)
-at their first-round precision with degX 2^n and degZ 2^n + 8, and on
-the explore search (degX 16, degZ 256), and ``sigma_inv_word`` of the
-9331-letter period-doubling prefix that search's verify round reads;
+with degX 2^n and degZ 2^n + 8, each series at the larger of 512 and that
+shape's ``certifying_precision``, and on the explore search (degX 16,
+degZ 256, at its certifying precision 4416), and ``sigma_inv_word`` of the
+8849-letter period-doubling prefix that search's verify round reads;
 ``_powers`` 1, phi, ..., phi^64 of P6's series at that precision, and
 ``AlgRelation.evaluate`` of the relation found there on P6's series at
 twice it; ``theorems.p_relation``,
@@ -55,10 +56,12 @@ the period-doubling word and v0=1 at prec 512 (binary map);
 from the affine form of the G ladder's rungs G2, G4, G5 and G6 (u0=a,
 v0=b, ups 11, 1001, 10001, 100001, a=z, b=z+1; a tree without it skips
 these rows), and the whole ``check_theorem_g`` verdict on G5 at prec 512;
-``search_relation`` for P6 at prec 512 (binary
-map), and on the two family-P specs whose first round gives a precision
-artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at prec 256 and P5
-(w0=00, eps=00001) at prec 512.  A rep is the mean call time in a batch of calls
+one ``search_relation`` round, on a tree whose
+search takes (phi_fn, degX, prec, leading_val, degZ) (a tree with the
+doubling search skips these rows): P6 at prec 8873 to degZ 72 (binary
+map), where it finds the relation, and two rounds whose candidate is a
+precision artifact under 0=z^2, 1=z+1: P4 (w0=00, eps=0001) at 1241 to
+degZ 68 and P5 (w0=00, eps=00001) at 4489 to degZ 132.  A rep is the mean call time in a batch of calls
 (at least 5 ms per batch) on seeded or fixed operands.  The raw time of a
 case is its least rep over rounds x reps.  Its scaled time reads the
 reps at a nominal machine speed: ``speed.sample(1)`` (``perfbench/speed.py``)
@@ -89,6 +92,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -113,20 +117,24 @@ EXACT_LADDER = {6: "110100", 7: "1101000", 8: "11010000", 9: "110100000"}  # run
 G_LADDER = {2: "11", 4: "1001", 5: "10001", 6: "100001"}  # G rung -> swap period of the exact G rows
 P9_ORACLE_PREC = 264768  # the precision of P9's verdict series, the cf_series.P9 row
 EXPLORE = (16, 256)  # degX, degZ of the explore search
-EXPLORE_PREFIX = 9331  # letters of the prefix the explore search's verify round sums
-ARTIFACT_MAP = "0=z^2,1=z+1"  # the map of the artifact searches, w0 = 00
-ARTIFACTS = {4: ("0001", 256), 5: ("00001", 512)}  # P rung -> eps, prec
+EXPLORE_PREFIX = 8849  # letters of the prefix the explore search's verify round sums
+# one search round each: name -> (w0, eps, map or None for the binary one, degX, prec, degZ)
+SEARCH_ROUNDS = {
+    "P6": ("", "110100", None, 64, 8873, 72),
+    "P4.artifact": ("00", "0001", "0=z^2,1=z+1", 16, 1241, 68),
+    "P5.artifact": ("00", "00001", "0=z^2,1=z+1", 32, 4489, 132),
+}
 PERIODIC_LENGTHS = (1, 128, 600)  # start-word lengths of the all-zero swap period rows
 
 
 def relation_cases(relations, towers, words):
     """(name, function, args) for the relation-search rows: each series is
-    built here, at the precision the first search round uses."""
+    built here, at the larger of 512 and its shape's certifying precision."""
     spb = towers.SpecMap.binary_default()
     out = []
     for n, eps in LADDER.items():
         degx = 1 << n
-        prec = max(512, relations.required_precision(degx, degx + 8, -1))
+        prec = max(512, relations.certifying_precision(degx, degx + 8, -1))
         phi = towers.p_cf_series(words.PSpec("", eps), spb, prec)
         out.append((f"find_relation.P{n}", relations.find_relation, (phi, degx, degx + 8)))
     # the top rung's powers 0..degX, and its relation re-verified at 2 * prec
@@ -138,7 +146,7 @@ def relation_cases(relations, towers, words):
     period_doubling = words.PSpec("", "10")
     phi = towers.cf_series_of(
         lambda length: words.sigma_inv_word(words.p_prefix(period_doubling, length + 1)),
-        spb, max(512, relations.required_precision(degx, degz, -1)),
+        spb, max(512, relations.certifying_precision(degx, degz, -1)),
     )
     out.append(("find_relation.explore", relations.find_relation, (phi, degx, degz)))
     prefix = words.p_prefix(period_doubling, EXPLORE_PREFIX)
@@ -205,17 +213,16 @@ def periodic_cases(theorems, towers, words):
 
 
 def search_cases(theorems, towers, words):
-    """(name, function, args) for the whole-search rows: each call builds
-    its spec's series at every round's precision, as a theorem check does."""
-    n = max(LADDER)
-    spb = towers.SpecMap.binary_default()
-    phi_fn, val = theorems.spec_series(words.PSpec("", LADDER[n]), spb)
-    out = [(f"search_relation.P{n}", theorems.search_relation, (phi_fn, 1 << n, 512, spb.max_degree, val))]
-    sp = towers.SpecMap.parse(ARTIFACT_MAP)
-    for n, (eps, prec) in ARTIFACTS.items():
-        phi_fn, val = theorems.spec_series(words.PSpec("00", eps), sp)
-        args = (phi_fn, 1 << n, prec, sp.max_degree, val)
-        out.append((f"search_relation.P{n}.artifact", theorems.search_relation, args))
+    """(name, function, args) for the one-round search rows: each call builds
+    its spec's series at twice the round's precision, as a verdict does.  A
+    tree whose ``search_relation`` still doubles its precision skips them."""
+    if "max_poly_degree" in inspect.signature(theorems.search_relation).parameters:
+        return []
+    out = []
+    for name, (w0, eps, sp, degx, prec, degz) in SEARCH_ROUNDS.items():
+        sp = towers.SpecMap.parse(sp) if sp else towers.SpecMap.binary_default()
+        phi_fn, val = theorems.spec_series(words.PSpec(w0, eps), sp)
+        out.append((f"search_relation.{name}", theorems.search_relation, (phi_fn, degx, prec, val, degz)))
     return out
 
 

@@ -4,10 +4,10 @@ Word families built by center insertion (P) and paired doubling (G),
 their continued fractions under letter-to-polynomial specialization,
 matrix product towers with full valuation bookkeeping, randomized
 verification of the tower identities over GF(2^m), and checks of the
-degree bounds 2^n and 2^k: family P's relation is derived exactly over
-GF(2)(z) from its letters alone, and only family G's is searched for by
-an algebraic-relation guesser.  Polynomials over GF(2) are bit-packed
-ints throughout.
+degree bounds 2^n and 2^k: both families' relations are derived exactly
+over GF(2)(z), P's from its letters and G's as a norm, and a one-round
+algebraic-relation search looks where no theorem derives one.
+Polynomials over GF(2) are bit-packed ints throughout.
 """
 
 from .gf2m import Gf2m, field

@@ -21,9 +21,11 @@ from .gf2poly import parse_poly
 from .laurent import LaurentSeries
 from .relations import find_relation
 from .theorems import (
+    _exact_round,
     check_corollary_chain,
     check_theorem_g,
     check_theorem_p,
+    exact_relation,
     explore_inverse_sigma,
     search_relation,
     spec_series,
@@ -259,7 +261,12 @@ def cmd_relation(args, out) -> int:
         return 0
     spec, sp = _spec_prologue(args, out, degx=args.degx, degz=args.degz)
     phi_fn, first_val = spec_series(spec, sp)
-    search = search_relation(phi_fn, args.degx, args.prec, sp.max_degree, first_val, degz=args.degz)
+    if args.degz is not None:
+        search = search_relation(phi_fn, args.degx, args.prec, first_val, args.degz)
+    else:
+        rel = exact_relation(spec, sp)
+        rel = rel if rel is not None and rel.degx <= args.degx else None
+        search = _exact_round(rel, phi_fn, first_val, args.prec, args.degx)
     if search.verified:
         print(search.relation.render(), file=out)
     print(search.report_line(), file=out)

@@ -8,7 +8,7 @@ column-reduced order basis of (psi_0, ..., psi_D) (Beckermann-Labahn's
 iterative sigma-basis) has as least column degree d the least z-degree of
 any q with sum q_i*psi_i = O(t^sigma), so degZ is read off the data, not
 guessed; reversed at width d, q gives p_i(z) = z^d * q_i(1/z).  A column
-counts only if required_precision(D, d, 0) fits the order psi_0 carries,
+counts only if required_precision(D, d) fits the order psi_0 carries,
 sigma - D*pole, the fewest of any psi_i: ``certifying_precision`` is the
 least precision that admits degZ d, and ``max_degz`` its inverse.
 
@@ -38,10 +38,10 @@ from .laurent import LaurentSeries
 from .mat2 import RationalField
 
 
-def required_precision(degx: int, degz: int, val: int) -> int:
-    """Documented precision demand: unknown count plus slack for the
-    polynomial part plus a fixed safety margin of 32."""
-    return (degx + 1) * (degz + 1) + degx * max(0, -val) * degx + 32
+def required_precision(degx: int, degz: int) -> int:
+    """The counting rule: the (degx + 1)(degz + 1) unknowns of a relation
+    of degX degx and degZ degz, plus a safety margin of 32."""
+    return (degx + 1) * (degz + 1) + 32
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ def _content_normalize(polys: list[int]) -> tuple[int, ...]:
 def certifying_precision(degx: int, degz: int, val: int) -> int:
     """Least precision at which the order basis of a series of valuation
     val certifies a relation of degX degx and degZ degz: the counting rule's
-    required_precision(degx, degz, 0) must fit the order psi_0 carries,
+    required_precision(degx, degz) must fit the order psi_0 carries,
     prec - (degx - 1) * pole."""
-    return required_precision(degx, degz, 0) + (degx - 1) * max(0, -val)
+    return required_precision(degx, degz) + (degx - 1) * max(0, -val)
 
 
 def max_degz(phi: LaurentSeries, degx: int) -> int:

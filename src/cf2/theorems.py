@@ -6,9 +6,10 @@ and the closed equations satisfied by the limit scalars, then takes an
 annihilating polynomial and verifies it on the convergent series at
 double precision.  Both drivers run the identity battery's tail checks
 (``tail_mismatch``, ``generation_mismatch``) exactly over GF(2)(z) on
-their own tower.  Neither searches for its relation: family P derives
-it from its letters alone, with no tower, and family G as the norm of
-its tower's affine form over K.  Only explore and ``cf2 relation`` search.
+their own tower.  Neither searches: ``exact_relation`` derives phi's
+relation, for family P from its letters alone and for family G as the
+norm of its tower's affine form over K.  Only explore and ``cf2 relation
+--degz`` search, one round at a given degZ.
 Degree bounds: 2^n for family P with insertion period n, 2^k for
 family G with (normalized) swap period k.  Only family G's all-zero swap
 period is degenerate: it has no tower, and its quadratic is derived exactly.
@@ -21,10 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from .identities import generation_mismatch, tail_mismatch
 from .laurent import LaurentSeries
 from .mat2 import RationalField
-from .relations import (
-    AlgRelation, certifying_precision, find_relation, frobenius_relation, max_degz, norm_relation,
-    required_precision,
-)
+from .relations import AlgRelation, certifying_precision, find_relation, frobenius_relation, norm_relation
 from .towers import (
     SpecMap,
     _word_product,
@@ -33,12 +31,14 @@ from .towers import (
     exact_p_tower,
     g_cf_series,
     g_limits,
+    g_tower_normalize,
     p_cf_series,
     p_limits,
 )
 from .words import (
     DegeneratePeriodic,
     GSpec,
+    NormalizedG,
     PSpec,
     g_sigma,
     p_prefix,
@@ -95,35 +95,14 @@ class CheckReport:
         return out
 
 
-def search_relation(
-    phi_fn,
-    degx: int,
-    prec: int,
-    max_poly_degree: int,
-    leading_val: int,
-    degz: int | None = None,
-) -> RelationSearch:
-    """Find a relation and re-verify it by ``_reverify_round``: first at
-    the demand of degZ ``degz`` (default degx * max_poly_degree + 8), to
-    ``degz`` or else the largest degZ the order certifies.  Without
-    ``degz``, nothing or a precision artifact sends the search on to the
-    verifying precision, up to max(4 * prec, 2048)."""
-    first = degz if degz is not None else degx * max(1, max_poly_degree) + 8
-    p1 = max(prec, required_precision(degx, first, leading_val))
-    budget = max(4 * prec, 2048)
-
-    def candidate(phi: LaurentSeries):
-        degz_used = degz if degz is not None else max_degz(phi, degx)
-        return degz_used, find_relation(phi, degx, degz_used)
-
-    while True:
-        search = _reverify_round(phi_fn, p1, degx, candidate)
-        if search.verified:
-            return search
-        if degz is not None or p1 >= budget:
-            # nothing found, or a precision artifact: keep its numbers, drop the relation
-            return replace(search, relation=None)
-        p1 = min(search.verify_prec, budget)
+def search_relation(phi_fn, degx: int, prec: int, leading_val: int, degz: int) -> RelationSearch:
+    """One ``_reverify_round`` of the order-basis search to degZ ``degz`` at
+    p1, the larger of prec and the shape's ``certifying_precision``, for a
+    series of valuation ``leading_val``.  A relation the round does not
+    verify is a precision artifact: its numbers are kept, the relation dropped."""
+    p1 = max(prec, certifying_precision(degx, degz, leading_val))
+    search = _reverify_round(phi_fn, p1, degx, lambda phi: (degz, find_relation(phi, degx, degz)))
+    return search if search.verified else replace(search, relation=None)
 
 
 def _reverify_round(phi_fn, p1: int, degx: int, candidate) -> RelationSearch:
@@ -154,8 +133,8 @@ def _exact_round(rel: AlgRelation | None, phi_fn, first_val: int, prec: int, bou
 
 
 def spec_series(spec: PSpec | GSpec, sp: SpecMap):
-    """What ``search_relation`` takes for a spec: its direct-convergent
-    series as a function of precision, and the valuation of its first letter."""
+    """What a relation round takes for a spec: its direct-convergent series
+    as a function of precision, and the valuation of its first letter."""
     if isinstance(spec, PSpec):
         first = spec.w0[0] if spec.w0 else spec.eps[0]
         return (lambda p: p_cf_series(spec, sp, p)), -sp.degree(first)
@@ -225,9 +204,24 @@ def p_relation(spec: PSpec, sp: SpecMap) -> AlgRelation:
     return frobenius_relation(F.div((c, 1), (a, 1)), inv[:-1], inv[-1], t0)
 
 
+def exact_relation(spec: PSpec | GSpec | NormalizedG, sp: SpecMap) -> AlgRelation | None:
+    """phi's relation for a spec, derived exactly over K = GF(2)(z):
+    ``p_relation`` for family P, ``periodic_relation`` of u0 for an all-zero
+    swap period, else ``norm_relation`` of the affine form of G's tower
+    over K (None if nothing reduces), normalized by ``g_tower_normalize``
+    (which refuses an odd swap count) unless given normalized."""
+    if isinstance(spec, PSpec):
+        return p_relation(spec, sp)
+    if isinstance(spec, GSpec):
+        if "1" not in spec.ups:
+            return periodic_relation(spec.u0, sp)
+        spec = g_tower_normalize(spec)
+    return norm_relation(*exact_g_quantities(spec, sp).affine_form())
+
+
 def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^n for the family-P continued fraction.  No search:
-    ``p_relation`` derives phi's relation exactly, and it must vanish on the
+    ``exact_relation`` derives phi's relation, and it must vanish on the
     convergent series by the re-verify rule at p1, the larger of prec and
     its own shape's ``certifying_precision``.  The tail step of its tower
     over K is checked by ``tail_mismatch`` (its line appears only when it
@@ -239,7 +233,7 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
     residuals = [("f", lim.residual_f()), ("H0", lim.residual_h0())]
     residuals += [(f"H{j}", lim.residual_hj(j)) for j in range(1, n)]
     lines: list[str] = []
-    search = _exact_round(p_relation(spec, sp), phi_fn, first_val, prec, bound)
+    search = _exact_round(exact_relation(spec, sp), phi_fn, first_val, prec, bound)
     # cf + phi2 has precision min(prec, p2) = prec, as with the series at prec
     ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
     tail = tail_mismatch(exact_p_tower(spec, sp), 1)
@@ -248,30 +242,28 @@ def check_theorem_p(spec: PSpec, sp: SpecMap, prec: int) -> CheckReport:
 
 def check_theorem_g(spec: GSpec, sp: SpecMap, prec: int) -> CheckReport:
     """Degree bound 2^k for the family-G continued fraction.  No search:
-    ``norm_relation`` derives phi's relation exactly from the affine form of
-    its tower over K, and it must vanish on the convergent series by the
-    re-verify rule, as in ``check_theorem_p``.  Generations 0 and 1 of that
-    tower are checked by ``generation_mismatch`` (its line appears only
-    when it fails).  An all-zero swap period (u0 repeated) has no tower:
-    ``periodic_relation`` is its quadratic."""
+    ``exact_relation`` derives phi's relation, and it must vanish on the
+    convergent series by the re-verify rule, as in ``check_theorem_p``.
+    Generations 0 and 1 of its tower over K are checked by
+    ``generation_mismatch`` (its line appears only when it fails).  An
+    all-zero swap period (u0 repeated) has no tower."""
     phi_fn, first_val = spec_series(spec, sp)
     try:
         lim = g_limits(spec, sp, prec)
     except DegeneratePeriodic:
-        search = _exact_round(periodic_relation(spec.u0, sp), phi_fn, first_val, prec, 2)
+        search = _exact_round(exact_relation(spec, sp), phi_fn, first_val, prec, 2)
         return _verdict("theorem-g", 2, ["degenerate periodic word; direct quadratic check"], search)
     s = lim.norm.s
     k = len(s)
     bound = 1 << k
     lines = [f"normalized ups={lim.norm.spec.ups} s={s} k={k} bound={bound}"]
     residuals = [("f", lim.residual_f()), ("H", lim.residual_h())]
-    q = exact_g_quantities(lim.norm, sp)
-    search = _exact_round(norm_relation(*q.affine_form()), phi_fn, first_val, prec, bound)
+    search = _exact_round(exact_relation(lim.norm, sp), phi_fn, first_val, prec, bound)
     ok, agree = _series_lines(lines, lim.cf, search.oracle, residuals, prec)
     e1 = lim.quants.stats.delta[0]
     scalar_ok = lim.H1.odd == (e1 & 1)
     lines.append(f"scalar-branch e1={e1} {'pass' if scalar_ok else 'fail'}")
-    tail = generation_mismatch(q, 1)
+    tail = generation_mismatch(exact_g_quantities(lim.norm, sp), 1)
     return _verdict("theorem-g", bound, lines, search, ok and scalar_ok, agree, tail)
 
 
@@ -309,7 +301,7 @@ def explore_inverse_sigma(degx: int, degz: int, prec: int) -> CheckReport:
         return sigma_inv_word(p_prefix(pd, length + 1))
 
     phi_fn = lambda p: cf_series_of(prefix, sp, p)  # noqa: E731
-    search = search_relation(phi_fn, degx, prec, sp.max_degree, -1, degz=degz)
+    search = search_relation(phi_fn, degx, prec, -1, degz)
     lines = [
         f"search degX<={degx} degZ={degz} requested_prec={prec}"
         f" discovery_prec={search.discovery_prec} verify_prec={search.verify_prec}"

@@ -103,10 +103,6 @@ class SpecMap:
             raise ValueError(f"unmapped letters {missing}")
 
     @property
-    def max_degree(self) -> int:
-        return max(p.bit_length() for p in self._map.values()) - 1
-
-    @property
     def min_degree(self) -> int:
         return min(p.bit_length() for p in self._map.values()) - 1
 
@@ -774,16 +770,22 @@ def g_start_pair(spec: GSpec, sp: SpecMap, prec: int) -> tuple[SeriesField, Mat2
     return F, word_matrix(u0 + v0, sp, F), word_matrix(v0 + u0, sp, F)
 
 
-def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
-    """Normalize, run the family-G tower to convergence, and take limits."""
+def g_tower_normalize(spec: GSpec) -> NormalizedG:
+    """``g_normalize``, refusing a driver word with an odd number of 1s:
+    the family-G tower and its degree bound 2^k need an even count."""
     norm = g_normalize(spec)
-    s = norm.s
-    if word_stats(s).t != 0:
+    if word_stats(norm.s).t != 0:
         raise HypothesisViolation(
             f"swap period {spec.ups!r} has an odd number of 1s; the degree"
-            f" bound 2^{len(s)} requires an even count"
+            f" bound 2^{len(norm.s)} requires an even count"
         )
-    q = GQuantities(*g_start_pair(norm.spec, sp, prec), s)
+    return norm
+
+
+def g_limits(spec: GSpec, sp: SpecMap, prec: int) -> GLimits:
+    """Normalize, run the family-G tower to convergence, and take limits."""
+    norm = g_tower_normalize(spec)
+    q = GQuantities(*g_start_pair(norm.spec, sp, prec), norm.s)
     walk = q.generations()
     L, H1 = next(walk)
     Ls = [L]

@@ -137,6 +137,30 @@ ROWS = [
         "pieces += [m, (eps[(j + 1) % len(eps)], 1, 1, 0)] if n < rest else [m]",
         ["tests/test_towers.py::test_level_pair_is_the_prefix_convergent_pair"],
     ),
+    (
+        "cf2 relation --spec: an exact relation above --degx kept",
+        "src/cf2/cli.py",
+        "rel = rel if rel is not None and rel.degx <= args.degx else None",
+        "rel = rel if rel is not None else None",
+        ["tests/test_cli.py::test_relation_spec_miss_exits_one"],
+    ),
+    (
+        "search_relation: p1 taken as prec alone, not the shape's certifying precision",
+        "src/cf2/theorems.py",
+        "p1 = max(prec, certifying_precision(degx, degz, leading_val))",
+        "p1 = prec",
+        ["tests/test_theorems.py::test_explore_searches_at_the_certifying_precision"],
+    ),
+    (
+        "g_tower_normalize: the odd swap count refusal skipped",
+        "src/cf2/towers.py",
+        "if word_stats(norm.s).t != 0:",
+        "if False:",
+        [
+            "tests/test_theorems.py::test_exact_relation_refuses_what_the_tower_refuses",
+            "tests/test_cli.py::test_spec_command_rejections",
+        ],
+    ),
 ]
 
 

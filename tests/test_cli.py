@@ -14,6 +14,7 @@ from cf2 import towers
 from cf2.cli import EXIT_PIPE, _spec_echo, _spec_from_args, build_parser, main, parse_spec_text
 from cf2.identities import run_identity_suite
 from cf2.laurent import LaurentSeries
+from cf2.theorems import check_theorem_g
 from cf2.words import GSpec, PSpec
 
 
@@ -238,10 +239,37 @@ def test_relation_rational_honours_degz_zero():
 
 
 def test_relation_spec_miss_exits_one():
-    # eps=110 has degree 8 (degree-ladder rung P3), so none of degree <= 2 exists
+    # eps=110 has degree 8 (degree-ladder rung P3), so none of degree <= 2
+    # exists: the exact relation is above --degx, and the round at --prec
+    # verifies nothing
     code, out = run_cli("relation", "--spec", "P w0= eps=110", "--degx", "2", "--prec", "256")
     assert code == 1
-    assert out.splitlines()[-1] == "relation none degX<=2 degZ=670 prec=2048"
+    assert out.splitlines()[-1] == "relation none degX<=2 degZ=-1 prec=256"
+
+
+def test_relation_spec_reports_the_theorems_relation():
+    # without --degz the relation is phi's exact one, re-verified as theorem 2
+    # verifies it: a/b/0011 needs degZ 128, which no search below prec 2240
+    # certifies
+    spec, sp = GSpec("a", "b", "0011"), towers.SpecMap.parse("a=z,b=z+1")
+    code, out = run_cli("relation", "--spec", "G u0=a v0=b ups=0011", "--map", "a=z,b=z+1", "--degx", "16")
+    line = "degree=16 degZ=128 residual_val=4344 prec=4480"
+    assert code == 0 and out.splitlines()[-1] == line
+    assert check_theorem_g(spec, sp, 512).lines[-1] == line
+
+
+@pytest.mark.parametrize(
+    "spec, line",
+    [
+        ("G u0=a v0=bb ups=11", "degree=4 degZ=12 residual_val=1010 prec=1024"),
+        ("G u0=ab v0=b ups=1", "degree=4 degZ=10 residual_val=1012 prec=1024"),
+    ],
+)
+def test_relation_spec_with_unequal_start_words(spec, line):
+    # start words of unequal length have no series tower, but their exact
+    # relation over GF(2)(z) still verifies
+    code, out = run_cli("relation", "--spec", spec, "--map", "a=z,b=z+1", "--degx", "4")
+    assert code == 0 and out.splitlines()[-1] == line
 
 
 @pytest.mark.parametrize(
@@ -398,6 +426,10 @@ def test_identities_check_accepts_every_suite_check():
         (["identities", "--check", "nope"], "unknown identity check 'nope'"),
         (["relation", "--num", "1", "--degx", "1"], "--num and --den go together"),
         (["relation", "--num", "1", "--den", "0", "--degx", "1"], "zero denominator"),
+        (
+            ["relation", "--spec", "G u0=a v0=b ups=10", "--map", "a=z,b=z+1", "--degx", "4"],
+            "swap period '10' has an odd number of 1s; the degree bound 2^2 requires an even count",
+        ),
     ],
 )
 def test_spec_command_rejections(argv, err, capsys):

@@ -22,7 +22,7 @@ from cf2.relations import (
     norm_relation,
     required_precision,
 )
-from cf2.theorems import p_relation, search_relation, spec_series
+from cf2.theorems import _exact_round, p_relation, search_relation, spec_series
 from cf2.towers import SpecMap, g_cf_series, p_cf_series
 from cf2.words import GSpec, PSpec
 
@@ -44,7 +44,7 @@ def eliminate(phi: LaurentSeries, degx: int, degz: int) -> AlgRelation | None:
     exponent where all of them are known; the first kernel vector, content
     normalized, is the minimal-X-degree relation of z-degree <= degz."""
     val = 0 if phi.is_zero else min(0, phi.val)
-    assert phi.prec >= required_precision(degx, degz, val)
+    assert phi.prec >= certifying_precision(degx, degz, val)
     powers = chain(phi, degx)
     t_hi = min(p.prec for p in powers) - degz
     t_lo = min(p.val if not p.is_zero else p.prec for p in powers) - degz
@@ -98,7 +98,7 @@ def test_lacunary_frobenius_relation():
 
 def test_insufficient_precision_raises():
     phi = LaurentSeries.from_rational(1, parse_poly("z+1"), 64)
-    need = required_precision(8, 64, 0)
+    need = required_precision(8, 64)
     assert certifying_precision(8, 64, phi.val) == need
     with pytest.raises(ValueError, match=f"degX 8 degZ 64 needs precision {need}, got 64"):
         find_relation(phi, 8, 64)
@@ -193,7 +193,7 @@ def test_powers_by_squaring_equal_the_chain(phi):
 )
 def test_sparse_evaluate_equals_the_dense_residual(spec, sp, degx, prec):
     phi_fn, val = spec_series(spec, sp)
-    search = search_relation(phi_fn, degx, prec, sp.max_degree, val)
+    search = search_relation(phi_fn, degx, prec, val, max_degz(phi_fn(prec), degx))
     phi = phi_fn(search.verify_prec)
     coeffs = list(search.relation.coeffs)
     coeffs[1] = coeffs[1] ^ 1  # a mutant whose residual is not zero
@@ -273,11 +273,11 @@ def test_random_rational_series_found_exactly():
 # -- the order basis against the reference ----------------------------------
 
 def _search_input(spec, sp: SpecMap, degx: int, prec: int, degz: int | None = None):
-    """The series and degZ of a theorem's search before the order basis:
-    its first guess degx * max_degree + 8 unless ``degz`` is given."""
+    """A spec's series at prec, or at the least precision that certifies
+    degZ ``degz`` (default degx + 8) if that is more, and that degZ."""
     phi_fn, val = spec_series(spec, sp)
-    degz = degz if degz is not None else degx * sp.max_degree + 8
-    return phi_fn(max(prec, required_precision(degx, degz, val))), degz
+    degz = degz if degz is not None else degx + 8
+    return phi_fn(max(prec, certifying_precision(degx, degz, val))), degz
 
 
 # (spec, map, degX, prec, the degZ where the golden's search found it)
@@ -330,8 +330,8 @@ def test_random_rationals_match_reference():
 
 @pytest.mark.parametrize("family,hits", [("P", 42), ("G", 14)])
 def test_small_period_specs_match_reference(family, hits):
-    # every P spec has a relation of degree <= 2^n within the first degZ
-    # guess; 14 of the G specs do (the others need a larger degree or degZ)
+    # every P spec has a relation of degree <= 2^n within degZ 2^n + 8;
+    # 14 of the G specs do (the others need a larger degree or degZ)
     found = 0
     for n in (1, 2, 3):
         for bits in product("01", repeat=n):
@@ -440,7 +440,7 @@ def frobenius_support(n: int) -> list[int]:
 
 @pytest.mark.parametrize("n", sorted(LADDER))
 def test_frobenius_support_finds_the_dense_relation(n):
-    # at the first round's precision the dense search over all 2^n + 1
+    # at the precision that certifies degZ 2^n + 8 the dense search over all 2^n + 1
     # powers finds a relation whose nonzero coefficients are exactly those
     # on S_n, and it is the exact relation derived over GF(2)(z)
     spec = PSpec("", LADDER[n])
@@ -451,13 +451,18 @@ def test_frobenius_support_finds_the_dense_relation(n):
     assert dense.coeffs == p_relation(spec, SPB).coeffs
 
 
+# the precision of the search round that verified each rung's relation
+# when the search doubled its precision from 512
+LADDER_SEARCH_PREC = {3: 512, 4: 713, 5: 2409, 6: 8873}
+
+
 @pytest.mark.parametrize("n", sorted(LADDER))
 def test_support_missing_a_frobenius_column_falls_back_to_dense(n):
     # mutation control: the dense search's relation with its phi^(2^n - 1)
     # term dropped fails the re-verification the full relation passes
-    degx = 1 << n
+    degx, prec = 1 << n, LADDER_SEARCH_PREC[n]
     phi_fn, val = spec_series(PSpec("", LADDER[n]), SPB)
-    dense = search_relation(phi_fn, degx, 512, SPB.max_degree, val)
+    dense = search_relation(phi_fn, degx, prec, val, max_degz(phi_fn(prec), degx))
     assert dense.verified and dense.found_degree == degx
     coeffs = list(dense.relation.coeffs)
     assert coeffs[degx - 1]
@@ -466,23 +471,27 @@ def test_support_missing_a_frobenius_column_falls_back_to_dense(n):
     assert not residual.is_zero and residual.known_zero_below() < dense.threshold
 
 
-def test_dense_artifact_is_discarded_and_the_search_goes_on():
-    # w0=00, eps=0001 under 0=z^2, 1=z+1: at the first round's p1 = 1241
-    # the least-degree column (degZ 60) gives a candidate that fails the
-    # 1.5x re-verification, so the search drops it and goes on to the
-    # next round, where it finds the degree-16 relation
+def test_dense_artifact_is_discarded_by_its_round():
+    # w0=00, eps=0001 under 0=z^2, 1=z+1: a round to degZ 68 runs at its
+    # certifying precision 1235, where the least-degree column (degZ 60)
+    # gives a candidate that fails the 1.5x re-verification, so the round
+    # drops it and keeps its residual bound.  The relation derived from the
+    # letters has degZ 61 and verifies at that shape's precision 1116, where
+    # the search's round to degZ 61 finds an artifact too; one round at
+    # 2048, to the largest degZ 2048 certifies, finds that relation
     sp = SpecMap.parse("0=z^2,1=z+1")
     spec = PSpec("00", "0001")
     phi_fn, val = spec_series(spec, sp)
-    phi, _ = _search_input(spec, sp, 16, 256)
-    assert phi.prec == 1241
-    artifact = find_relation(phi, 16)
+    artifact = find_relation(phi_fn(1235), 16, 68)
     assert artifact.degz == 60
-    residual = artifact.evaluate(phi_fn(2 * phi.prec))
-    assert not residual.is_zero or residual.known_zero_below() < (3 * phi.prec) // 2
-    dense = search_relation(phi_fn, 16, 256, sp.max_degree, val)
-    assert dense.verified and dense.discovery_prec == 2048 and dense.found_degree == 16
-    assert dense.relation.coeffs == p_relation(spec, sp).coeffs
+    dropped = search_relation(phi_fn, 16, 256, val, 68)
+    assert dropped.discovery_prec == 1235 and dropped.relation is None
+    assert dropped.residual_bound == artifact.evaluate(dropped.oracle).known_zero_below() < dropped.threshold
+    exact = _exact_round(p_relation(spec, sp), phi_fn, val, 256, 16)
+    assert exact.verified and exact.relation.degz == 61 and exact.discovery_prec == 1116
+    assert search_relation(phi_fn, 16, 256, val, 61).relation is None
+    dense = search_relation(phi_fn, 16, 2048, val, max_degz(phi_fn(2048), 16))
+    assert dense.verified and dense.relation == exact.relation
 
 
 def _linear_norm(rho, c, a0, a, b0, b):

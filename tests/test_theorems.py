@@ -66,16 +66,26 @@ def test_theorem_p_degenerate_single_letter():
 P_SPECS = [("", e, SPB) for e in ("0", "1", "00", "10", "110", "1101", "11010", "110100")]
 P_SPECS += [("10", "110", SPB), ("010", "110", SPB), ("1", "1010", SPB)]
 P_SPECS += [("00", "00001", SpecMap.parse("0=z^2,1=z+1"))]
+# the precision of the search round that verified each P_SPECS relation
+# when the search doubled its precision from 2048: 2048 for the others
+P_SEARCH_PREC = {("", "11010"): 2409, ("", "110100"): 8873, ("00", "00001"): 8192}
+
+
+def searched(spec, sp, degx: int, prec: int):
+    """The order-basis search's one round on ``spec`` at prec, to the
+    largest degZ that prec certifies: a reference that reads no derived
+    relation."""
+    phi_fn, first_val = spec_series(spec, sp)
+    degz = (prec - relations.certifying_precision(degx, 0, first_val)) // (degx + 1)
+    return theorems.search_relation(phi_fn, degx, prec, first_val, degz)
 
 
 @pytest.mark.parametrize("w0, eps, sp", P_SPECS)
 def test_exact_relation_is_the_searched_relation(w0, eps, sp):
     # the relation derived over GF(2)(z) is, coefficient for coefficient,
-    # the one the dense order-basis search finds (at prec 2048, where every
-    # search here ends)
+    # the one the dense order-basis search finds
     spec = PSpec(w0, eps)
-    phi_fn, first_val = spec_series(spec, sp)
-    search = theorems.search_relation(phi_fn, 1 << spec.period, 2048, sp.max_degree, first_val)
+    search = searched(spec, sp, 1 << spec.period, P_SEARCH_PREC.get((w0, eps), 2048))
     assert search.verified
     assert theorems.p_relation(spec, sp).coeffs == search.relation.coeffs
 
@@ -126,16 +136,17 @@ def test_exact_verdict_verifies_at_the_certifying_precision(w0, eps, sp, degz, p
 
 @pytest.mark.parametrize("w0, eps, sp, degz, p1", CERTIFYING)
 def test_search_and_exact_verdict_share_the_reverify_rule(monkeypatch, w0, eps, sp, degz, p1):
-    # both verdicts run one round of the same rule at the same p1: the same
-    # verifying precision 2 p1 and threshold 1.5 p1; under 0=z^2, 1=z+1 the
-    # search's candidate at exactly p1 is an artifact the rule rejects
+    # both verdicts run one round of the same rule at the same p1, the
+    # certifying precision of the shape: the same verifying precision 2 p1
+    # and threshold 1.5 p1; under 0=z^2, 1=z+1 the search's candidate at
+    # exactly p1 is an artifact the rule rejects
     rounds = []
     one_round = theorems._reverify_round
     monkeypatch.setattr(theorems, "_reverify_round", lambda *args: rounds.append(args[1]) or one_round(*args))
     spec = PSpec(w0, eps)
     exact = check_theorem_p(spec, sp, 512).search
-    phi_fn, _ = spec_series(spec, sp)
-    found = theorems.search_relation(phi_fn, exact.degx_limit, p1, sp.max_degree, 0, degz=degz)
+    phi_fn, first_val = spec_series(spec, sp)
+    found = theorems.search_relation(phi_fn, exact.degx_limit, 512, first_val, degz)
     assert rounds == [p1, p1]
     for search in (exact, found):
         assert (search.discovery_prec, search.verify_prec, search.threshold) == (p1, 2 * p1, (3 * p1) // 2)
@@ -227,6 +238,31 @@ def test_theorem_g_rejects_odd_swap_count():
         check_theorem_g(GSpec("a", "b", "01011"), SPAB, 128)
 
 
+@pytest.mark.parametrize("ups", ["10", "01011", "1"])
+def test_exact_relation_refuses_what_the_tower_refuses(ups):
+    # one home for the swap-parity hypothesis: the exact relation and the
+    # tower limits refuse the same specs with the same message (ups=1 is
+    # doubled to s = 11, an even count, and passes both)
+    spec = GSpec("a", "b", ups)
+    try:
+        towers.g_limits(spec, SPAB, 64)
+    except HypothesisViolation as exc:
+        with pytest.raises(HypothesisViolation) as refused:
+            theorems.exact_relation(spec, SPAB)
+        assert str(refused.value) == str(exc)
+    else:
+        assert ups == "1" and theorems.exact_relation(spec, SPAB).degx == 4
+
+
+def test_exact_relation_is_each_familys_derivation():
+    assert theorems.exact_relation(PSpec("10", "110"), SPB) == theorems.p_relation(PSpec("10", "110"), SPB)
+    assert theorems.exact_relation(GSpec("ab", "b", "00"), SPAB) == theorems.periodic_relation("ab", SPAB)
+    norm = g_normalize(GSpec("a", "b", "0011"))
+    want = relations.norm_relation(*exact_g_quantities(norm, SPAB).affine_form())
+    assert theorems.exact_relation(GSpec("a", "b", "0011"), SPAB) == want
+    assert theorems.exact_relation(norm, SPAB) == want
+
+
 def test_theorem_g_all_zero_swaps_quadratic():
     rep = check_theorem_g(GSpec("ab", "ba", "0"), SPAB, 256)
     assert rep.passed
@@ -247,8 +283,7 @@ PERIODIC_SPECS = [
 def test_periodic_relation_is_the_searched_relation(spec, sp):
     # the quadratic derived from u0's product matrix is, coefficient for
     # coefficient, the one the order-basis search finds
-    phi_fn, first_val = spec_series(spec, sp)
-    search = theorems.search_relation(phi_fn, 2, 256, sp.max_degree, first_val)
+    search = searched(spec, sp, 2, 256)
     assert search.verified
     assert theorems.periodic_relation(spec.u0, sp).coeffs == search.relation.coeffs
 
@@ -348,6 +383,14 @@ def test_explore_reports_without_judgment():
     text = " ".join(rep.lines)
     assert "no relation found" in text or "relation found" in text
     assert "observation only" in text or "relation found" in text
+
+
+def test_explore_searches_at_the_certifying_precision():
+    # one round to degZ 256 at the least precision that certifies it: the
+    # counting rule's 17 * 257 + 32 and the pole's (16 - 1) * 1
+    rep = explore_inverse_sigma(16, 256, 512)
+    assert rep.search.discovery_prec == relations.certifying_precision(16, 256, -1) == 4416
+    assert rep.lines[0].endswith("discovery_prec=4416 verify_prec=8832")
 
 
 def _rational_oracle(term=None):
@@ -478,7 +521,7 @@ def test_precision_artifact_is_discarded():
         base = LaurentSeries.from_rational(1, parse_poly("z+1"), prec)
         return base + LaurentSeries(80, 1, prec)
 
-    search = search_relation(phi_fn, 1, 64, 1, 1, degz=2)
+    search = search_relation(phi_fn, 1, 64, 1, 2)
     assert search.discovery_prec == 64 and search.threshold == 96
     assert search.verified is False and search.relation is None
     assert search.residual_bound == 79
@@ -564,10 +607,11 @@ GRID_STARTS = [("a", "b"), ("b", "a"), ("ab", "ba")]
 
 def test_norm_relation_is_the_searched_relation():
     # the relation derived over GF(2)(z) is, coefficient for coefficient,
-    # the one the order-basis search finds wherever the search verifies one
-    # at prec 256: a/b, b/a and ab/ba with every swap period of length 1-4
+    # the one the order-basis search finds wherever one round at prec 2048
+    # verifies one: a/b, b/a and ab/ba with every swap period of length 1-4
     # whose normalized s has an even count, under two maps (72 specs, 64
-    # searched relations); s = 1111, of primitive period 11, gives degree 4
+    # searched relations; the other 8 have degZ 128 or 256, past the 114-116
+    # that 2048 certifies); s = 1111, of primitive period 11, gives degree 4
     compared = total = 0
     for sp, (u0, v0), n in product((SPAB, SPAB3), GRID_STARTS, range(1, 5)):
         for ups in map("".join, product("01", repeat=n)):
@@ -577,8 +621,7 @@ def test_norm_relation_is_the_searched_relation():
             norm = g_normalize(spec)
             rel = relations.norm_relation(*exact_g_quantities(norm, sp).affine_form())
             assert rel.degx == (4 if norm.s == "1111" else 1 << len(norm.s)), (spec, sp)
-            phi_fn, first_val = spec_series(spec, sp)
-            search = theorems.search_relation(phi_fn, 1 << len(norm.s), 256, sp.max_degree, first_val)
+            search = searched(spec, sp, 1 << len(norm.s), 2048)
             total += 1
             if search.verified:
                 compared += 1
@@ -647,17 +690,20 @@ def test_no_derived_relation_fails_the_verdict_on_its_line(monkeypatch):
     assert rep.all_lines()[-1] == "theorem-g fail"
 
 
-def test_artifact_moves_the_search_to_the_next_rung():
-    # the doubling search that ``cf2 relation --spec`` runs without --degz:
-    # on a/b/0011 at discovery precisions 1024 and 2048 the least-degree
-    # columns (degZ 55, then 100) annihilate phi but are not relations;
-    # re-verification discards each and the search goes on, until the
-    # degree-16 relation with degZ 128 holds at 4096
-    phi_fn, first_val = spec_series(GSpec("a", "b", "0011"), SPAB)
-    asked = []
-    search = theorems.search_relation(lambda p: asked.append(p) or phi_fn(p), 16, 1024, SPAB.max_degree, first_val)
-    assert search.verified and asked == [2048, 4096, 8192]
-    assert search.report_line() == "degree=16 degZ=128 residual_val=8056 prec=8192"
+def test_one_round_discards_the_artifacts_of_a_b_0011():
+    # on a/b/0011 one search round at 1024 and one at 2048, each to the
+    # largest degZ it certifies (56, then 116), find least-degree columns
+    # (degZ 55, then 100) that annihilate phi but are not relations; the
+    # re-verify rule drops each; the exact relation has degZ 128 and
+    # verifies at its own certifying precision 2240
+    spec = GSpec("a", "b", "0011")
+    for prec, residual in ((1024, 961), (2048, 1935)):
+        search = searched(spec, SPAB, 16, prec)
+        assert search.discovery_prec == prec and search.relation is None
+        assert search.residual_bound == residual < search.threshold
+    phi_fn, first_val = spec_series(spec, SPAB)
+    search = theorems._exact_round(theorems.exact_relation(spec, SPAB), phi_fn, first_val, 512, 16)
+    assert search.report_line() == "degree=16 degZ=128 residual_val=4344 prec=4480"
 
 
 def _search_oracle_calls(monkeypatch, spec, sp, prec):
