@@ -380,11 +380,12 @@ def generation_mismatch(q: GQuantities, generations: int, mutate: bool = False) 
         for j, (c, cw) in enumerate(zip(qn.c, want["c"]), start=1):
             if cs_neq(rebase(c, g + 1), rebase(cw, g)):
                 return f"gen {g}: c_{j}'"
-    # c_j/L of generation g is the H_j that limit_terms walks from t_g
-    for g in range(generations + 1):
-        inv_L = CoScaled(F.inv(Ls[g]), 0)
+    # c_j/L of generation g is the H_j that limit_terms walks from t_g; an
+    # odd c_j carries L_g in its cross, so only an even one is compared
+    # with L_g H_j
+    for g, L in enumerate(Ls):
         for j, (c, h) in enumerate(zip(chain[g].c, q.limit_terms(walk[g][1])), start=1):
-            if cs_neq(q.cs_mul(rebase(c, g), inv_L), h):
+            if c.odd != h.odd or not F.eq(c.u, h.u if c.odd else F.mul(h.u, L)):
                 return f"c_{j}/L gen {g}"
     # the repeated driver word s^i expands to L_i times the limit sum of
     # the partial H_1 = t_0 + ... + t_(i-1); its product is chain[i].m1

@@ -505,7 +505,7 @@ class GQuantities:
     Correction terms are carried as CoScaled values (u * cross^b), which
     keeps every power of the cross matrix in scalar arithmetic.  Each
     letter of s costs c_j and l one square and at most one product (by a
-    factor table entry, ``_times_square``), so no power of d is ever
+    factor table entry, in ``step`` and ``_walk``), so no power of d is ever
     divided by, and the limit terms H_j and the generation shift walk the
     same c step along s: the only scalars inverted are r and gamma, once
     each here.  c_1 and l are built here, c_2..c_k on first read of ``c``.
@@ -536,9 +536,8 @@ class GQuantities:
         if not s:
             return
         self.stats = word_stats(s)
-        self.c1, self.l_cs = self.step(None, CoScaled(F.one, 0), self.stats.delta[0])
-        for t in self.stats.delta[1:]:
-            self.l_cs = self._times_square(self.l_cs, t, self._lambda_x2)
+        self.c1, l1 = self.step(None, CoScaled(F.one, 0), self.stats.delta[0])
+        self.l_cs = self._walk(l1, self.stats.delta[1:], self._lambda_x2)[-1]
 
     def step(self, c: CoScaled | None, l: CoScaled, t: int) -> tuple[CoScaled, CoScaled]:
         """(c_(j+1), l_(j+1)) = (c_j^2 kappa_t, l_j^2 lambda_t) for the digit
@@ -559,18 +558,25 @@ class GQuantities:
         f = table[x.odd][t]
         return CoScaled(u if f is None else self.F.mul(u, f), t)
 
-    def _walk(self, h: CoScaled, parities) -> list[CoScaled]:
-        """h, then kappa_t x^2 of the last value x for each parity t in turn:
-        the c half of ``step``."""
+    def _walk(self, h: CoScaled, parities, table) -> list[CoScaled]:
+        """h, then for each parity t in turn what ``_times_square`` makes of
+        the last value x: with ``_kappa_x2`` the c half of ``step``, with
+        ``_lambda_x2`` its l half.  x's scalar and cross parity ride in
+        locals: one square, at most one product and one CoScaled a letter."""
+        square, mul = self.F.square, self.F.mul
+        u, b = h.u, h.odd
         out = [h]
         for t in parities:
-            out.append(self._times_square(out[-1], t, self._kappa_x2))
+            f = table[b][t]
+            u = square(u) if f is None else mul(square(u), f)
+            b = t
+            out.append(CoScaled(u, t))
         return out
 
     @cached_property
     def c(self) -> list[CoScaled]:
         """c_1 .. c_k, walked from c_1; only the identity battery reads past c_1."""
-        return self._walk(self.c1, self.stats.delta[1:])
+        return self._walk(self.c1, self.stats.delta[1:], self._kappa_x2)
 
     def _square(self, x: CoScaled):
         """The scalar x^2 = x.u^2 gamma^b of x = x.u cross^b."""
@@ -626,7 +632,7 @@ class GQuantities:
         more with that of length 1, since s has an even digit sum.  t may
         have either cross parity."""
         delta = self.stats.delta
-        return self._walk(t, delta[1:] + delta[:1])[-1]
+        return self._walk(t, delta[1:] + delta[:1], self._kappa_x2)[-1]
 
     def affine_form(self) -> tuple:
         """(rho, c, a0, a, b0, b) with phi = A(u)/B(u), A = a0 + sum_j a[j] u^(2^j)
@@ -639,7 +645,7 @@ class GQuantities:
         for an even one."""
         F, x = self.F, self.cross
         one = CoScaled(F.one, self.c1.odd)
-        h = self._walk(one, self.stats.delta[1:])
+        h = self._walk(one, self.stats.delta[1:], self._kappa_x2)
         a = [F.mul(t.u, x.a) if t.odd else t.u for t in h]
         b = [F.mul(t.u, x.b) if t.odd else F.zero for t in h]
         return self.shift(one).u, self.c1.u, self.m1.a, a, self.m1.b, b
@@ -661,14 +667,21 @@ class GQuantities:
         """H_1 .. H_k, walked as H_(j+1) = kappa_t H_j^2 with t the digit
         parity of s's prefix of length j + 1 (so H_j = H_1^(2^(j-1)) c_j /
         c_1^(2^(j-1)))."""
-        return self._walk(H1, self.stats.delta[1:])
+        return self._walk(H1, self.stats.delta[1:], self._kappa_x2)
 
     def limit_sum(self, Hs: list[CoScaled]) -> Mat2:
-        """The limit sum m1 + H_1 + ... + H_k of the terms Hs."""
-        acc = self.m1
+        """The limit sum m1 + H_1 + ... + H_k of the terms Hs, built once in scalar
+        coordinates as m1 + E + O cross, E and O the even and odd terms' scalar sums."""
+        F, m1, x = self.F, self.m1, self.cross
+        add, mul = F.add, F.mul
+        sums = [F.zero, F.zero]  # E, O
         for h in Hs:
-            acc = acc.add(self.cs_to_mat(h))
-        return acc
+            sums[h.odd] = add(sums[h.odd], h.u)
+        E, O = sums
+        return Mat2(
+            F, add(add(m1.a, E), mul(O, x.a)), add(m1.b, mul(O, x.b)),
+            add(m1.c, mul(O, x.c)), add(add(m1.d, E), mul(O, x.d)),
+        )
 
     def closed_products(self) -> tuple[Mat2, Mat2]:
         """Closed forms of the pair after one driver word, per digit parity."""
@@ -712,17 +725,20 @@ class GQuantities:
         )
 
     def primed_check_values(self) -> dict:
-        """Closed-form next-generation quantities (hypothesis: t(s)=0, s ends 1)."""
+        """Closed-form next-generation quantities (hypothesis: t(s)=0, s ends 1).
+        c_j' is c_j times f_j = d^((2^k - 1) 2^(j-1)) / l^(2^j - 1), walked
+        as f_1 = d^(2^k - 1)/l and f_(j+1) = f_j^2/l: one square and one
+        product a term."""
         F = self.F
+        square, mul = F.square, F.mul
         l = self.l_scalar
         inv_l = F.inv(l)
+        f = mul(F.pow(self.d, (1 << self.k) - 1), inv_l)
         cj_primed = []
-        for j, cj in enumerate(self.c, start=1):
-            factor = F.mul(
-                F.pow(self.d, ((1 << self.k) - 1) * (1 << (j - 1))),
-                F.pow(inv_l, (1 << j) - 1),
-            )
-            cj_primed.append(self.cs_mul(CoScaled(factor, 0), cj))
+        for j, cj in enumerate(self.c):
+            if j:
+                f = mul(square(f), inv_l)
+            cj_primed.append(CoScaled(mul(f, cj.u), cj.odd))
         return {
             "d": F.pow(self.d, 1 << self.k),
             "r": F.mul(l, self.r),

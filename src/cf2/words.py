@@ -13,6 +13,7 @@ The prefix-sum operator maps a binary word to its running parity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class DegeneratePeriodic(ValueError):
@@ -151,8 +152,9 @@ class WordStats:
     delta: tuple[int, ...]  # delta[j-1] = parity of the length-j prefix
 
 
+@lru_cache
 def word_stats(s: str) -> WordStats:
-    """Statistics of a binary word."""
+    """Statistics of a binary word, cached: every ``GQuantities`` of a driver word reads them."""
     _check_binary(s)
     t = 0
     delta = []

@@ -161,6 +161,33 @@ ROWS = [
             "tests/test_cli.py::test_spec_command_rejections",
         ],
     ),
+    (
+        "GQuantities.limit_sum: O cross.b dropped from the b entry",
+        "src/cf2/towers.py",
+        "add(m1.b, mul(O, x.b))",
+        "m1.b",
+        [
+            "tests/test_towers.py::test_limit_sum_is_m1_plus_the_term_matrices",
+            "tests/test_towers.py::test_limit_sum_is_the_term_matrices_bit_for_bit_over_series",
+        ],
+    ),
+    (
+        "GQuantities.primed_check_values: factor step f_(j+1) = f_j^2 without its /l",
+        "src/cf2/towers.py",
+        "f = mul(square(f), inv_l)",
+        "f = square(f)",
+        [
+            "tests/test_towers.py::test_primed_c_walks_the_closed_power_formula",
+            "tests/test_towers.py::test_primed_c_walks_the_closed_power_formula_exactly",
+        ],
+    ),
+    (
+        "generation_mismatch: an even c_j compared with H_j without L_g",
+        "src/cf2/identities.py",
+        "h.u if c.odd else F.mul(h.u, L)",
+        "h.u",
+        ["tests/test_identities.py::test_generation_relations_pass"],
+    ),
 ]
 
 

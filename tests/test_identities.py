@@ -420,14 +420,14 @@ def _bump_walk_L():
     return "generations", patched
 
 
-def _bump_limit_terms(part):
-    # "H" bumps H_1 of the walk ``limit_terms``, "sum" the ``limit_sum``
+def _bump_limit_terms(part, j=1):
+    # "H" bumps H_j of the walk ``limit_terms``, "sum" the ``limit_sum``
     name = "limit_terms" if part == "H" else "limit_sum"
     original = getattr(GQuantities, name)
 
     def patched(q, x):
         out = original(q, x)
-        return [_bumped(q.F, out[0]), *out[1:]] if part == "H" else out.add_scalar(q.F.one)
+        return [*out[:j - 1], _bumped(q.F, out[j - 1]), *out[j:]] if part == "H" else out.add_scalar(q.F.one)
 
     return name, patched
 
@@ -440,7 +440,9 @@ def _bump_limit_terms(part):
         (lambda: _bump_primed("r"), "gen 0: r'"),
         (lambda: _bump_primed("l"), "gen 0: l'"),
         (lambda: _bump_primed("c"), "gen 0: c_1'"),
-        (lambda: _bump_limit_terms("H"), "c_1/L gen 0"),
+        # for s = 11, H_1 is odd and H_2 even: each branch of the c_j/L check
+        (lambda: _bump_limit_terms("H", 1), "c_1/L gen 0"),
+        (lambda: _bump_limit_terms("H", 2), "c_2/L gen 0"),
         (lambda: _bump_limit_terms("sum"), "expansion i=1"),
     ],
 )

@@ -907,6 +907,72 @@ def test_limit_terms_walk_the_closed_ratios(m):
             assert [_cs_exact(h) for h in Hs] == [_cs_exact(h) for h in _closed_limit_terms(q, H1)], s
 
 
+def _reference_limit_sum(q, Hs):
+    """m1 + the sum of ``cs_to_mat``(H_j): the limit sum one term matrix at a time."""
+    acc = q.m1
+    for h in Hs:
+        acc = acc.add(q.cs_to_mat(h))
+    return acc
+
+
+def _mat_exact(x):
+    return tuple(_exact(e) for e in (x.a, x.b, x.c, x.d))
+
+
+@pytest.mark.parametrize("parities", [(), (0,), (1,), (0, 0, 0), (1, 1, 1), (0, 1), (1, 0, 1, 1, 0)])
+def test_limit_sum_is_m1_plus_the_term_matrices(parities):
+    # the even and odd scalar sums E + O cross equal m1 plus one matrix per
+    # term over GF(2^16), on drawn pairs and terms: no terms, all even, all
+    # odd and mixed cross parities
+    F = field(16)
+    rng = random.Random(len(parities))
+    for seed in range(5):
+        q = GQuantities(F, *_pair_over(F, seed=seed))
+        Hs = [CoScaled(F.sample_invertible(rng), b) for b in parities]
+        assert _mat_exact(q.limit_sum(Hs)) == _mat_exact(_reference_limit_sum(q, Hs)), seed
+
+
+def test_limit_sum_is_the_term_matrices_bit_for_bit_over_series():
+    # tower-limits' G spec at prec 512: every entry's (val, mask, prec) is
+    # that of the matrix-at-a-time sum, for the limit terms (one odd, one
+    # even) and for each alone
+    lim = g_limits(GSpec("ab", "ba", "11"), SpecMap.parse("a=z,b=z+1"), 512)
+    q = lim.quants
+    assert [h.odd for h in lim.Hs] == [1, 0]
+    for Hs in (lim.Hs, lim.Hs[:1], lim.Hs[1:]):
+        assert _mat_exact(q.limit_sum(Hs)) == _mat_exact(_reference_limit_sum(q, Hs))
+
+
+def _closed_primed_c(q):
+    """c_j' = c_j d^((2^k - 1) 2^(j-1)) / l^(2^j - 1), two powers a term."""
+    F, inv_l = q.F, q.F.inv(q.l_scalar)
+    out = []
+    for j, c in enumerate(q.c, start=1):
+        f = F.mul(F.pow(q.d, ((1 << q.k) - 1) << (j - 1)), F.pow(inv_l, (1 << j) - 1))
+        out.append((_exact(F.mul(f, c.u)), c.odd))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_primed_c_walks_the_closed_power_formula(k):
+    # the factor walk f_1 = d^(2^k - 1)/l, f_(j+1) = f_j^2/l over GF(2^16),
+    # on every driver word of length k with an even digit sum (l even; the
+    # walk needs no more of the hypothesis, so words ending in 0 count too)
+    F = field(16)
+    words = [s for s in all_driver_words(k) if len(s) == k and s.count("1") % 2 == 0]
+    for seed, s in enumerate(words):
+        q = GQuantities(F, *_pair_over(F, seed=seed), s)
+        assert [_cs_exact(c) for c in q.primed_check_values()["c"]] == _closed_primed_c(q), s
+
+
+@pytest.mark.parametrize("ups", ["11", "101", "1001", "10001"])
+def test_primed_c_walks_the_closed_power_formula_exactly(ups):
+    # and over K on the first generation of theorem 2's rungs G2-G5
+    q = exact_g_quantities(g_normalize(GSpec("a", "b", ups)), SpecMap.parse("a=z,b=z+1"))
+    assert q.k == len(ups)
+    assert [_cs_exact(c) for c in q.primed_check_values()["c"]] == _closed_primed_c(q)
+
+
 def test_rho_has_the_cross_parity_of_c1():
     # rho t^(2^k) has rho's cross parity, that of c_1 and of s's first
     # letter, for t of either parity: the walk's last kappa is that letter's
@@ -920,16 +986,18 @@ def test_rho_has_the_cross_parity_of_c1():
 
 def test_walk_with_a_swapped_kappa_fails_generation_relations_and_theorem2(monkeypatch):
     # mutation control: kappa of the walk's first step swapped (t -> 1 - t),
-    # in the walk only, not in ``step``; the walk's last parity stays, so
-    # every sum it feeds still adds.  H_1 is summed from the same shift that
-    # equation H applies to it, so that line still passes; theorem 2 fails
-    # on the oracle agreement of the limit sum and on the exact generation
-    # relations, which take c_1' from the next generation's pair, not from
-    # the shift
+    # in the kappa walk only, not in ``step`` or l's lambda walk; the walk's
+    # last parity stays, so every sum it feeds still adds.  H_1 is summed
+    # from the same shift that equation H applies to it, so that line still
+    # passes; theorem 2 fails on the oracle agreement of the limit sum and
+    # on the exact generation relations, which take c_1' from the next
+    # generation's pair, not from the shift
     walk = GQuantities._walk
 
-    def swapped(q, h, parities):
-        return walk(q, h, [1 - t for t in parities[:1]] + list(parities[1:]))
+    def swapped(q, h, parities, table):
+        if table is q._kappa_x2:
+            parities = [1 - t for t in parities[:1]] + list(parities[1:])
+        return walk(q, h, parities, table)
 
     monkeypatch.setattr(GQuantities, "_walk", swapped)
     for s in ("11", "101"):
